@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .backends import HttpBackend
-from .domain import read_instances, write_instances
+from .domain import MalformedRecordError, QAInstance, read_instances, write_instances
 from .evaluator import (
     EvalReport,
     RunConfig,
@@ -31,6 +31,7 @@ from .generator import (
     revalidate_instance,
     stratified_split,
 )
+from .slu import build_fewshot_pool
 from .store import GeoStore, IngestError, StoreConfig
 from .supervisor import EpisodeTranscript
 from .templates import default_templates, load_template_dir
@@ -83,7 +84,7 @@ def _open_store(path: str) -> GeoStore:
 
 
 def _provider_cache(store: GeoStore, cache_path: str | None) -> ToolCache:
-    provider = SyntheticProvider(store, seed=store.config.fixture_seed)
+    provider = SyntheticProvider(store)
     if cache_path and Path(cache_path).exists():
         return ToolCache.load(cache_path, provider=provider)
     return ToolCache(provider=provider)
@@ -115,6 +116,15 @@ def _build_backend(args: argparse.Namespace, config: dict[str, Any], instances, 
         key_env = _setting(args, config, "key_env", "ESTATEQA_API_KEY")
         return HttpBackend(endpoint=endpoint, model=model, api_key_env=key_env)
     raise CliError(f"unknown backend kind {backend_kind!r}")
+
+
+def _fewshot_pool(
+    args: argparse.Namespace, config: dict[str, Any], seed: int
+) -> list[QAInstance] | None:
+    pool_path = _setting(args, config, "fewshot_pool")
+    if not pool_path:
+        return None
+    return build_fewshot_pool(list(read_instances(pool_path)), seed=seed)
 
 
 def _run_config(args: argparse.Namespace, config: dict[str, Any]) -> RunConfig:
@@ -189,7 +199,7 @@ def cmd_pairs(args: argparse.Namespace, config: dict[str, Any]) -> int:
 def cmd_cache_populate(args: argparse.Namespace, config: dict[str, Any]) -> int:
     """Pre-populate the tool cache by running the generation corpus once."""
     store = _open_store(_require(args, config, "store"))
-    cache = ToolCache(provider=SyntheticProvider(store, seed=store.config.fixture_seed))
+    cache = ToolCache(provider=SyntheticProvider(store))
     templates = _templates(args, config)
     generate(
         templates,
@@ -280,14 +290,7 @@ def cmd_run(args: argparse.Namespace, config: dict[str, Any]) -> int:
     instances = list(read_instances(_require(args, config, "dataset")))
     run_config = _run_config(args, config)
     backend = _build_backend(args, config, instances, store)
-    fewshot_pool = None
-    pool_path = _setting(args, config, "fewshot_pool")
-    if pool_path:
-        from .slu import build_fewshot_pool
-
-        fewshot_pool = build_fewshot_pool(
-            list(read_instances(pool_path)), seed=run_config.seed
-        )
+    fewshot_pool = _fewshot_pool(args, config, run_config.seed)
     run_dir = _prepare_run_dir(_require(args, config, "out"), args.overwrite)
 
     report, records = run_suite(instances, store, cache, backend, run_config, fewshot_pool)
@@ -343,8 +346,9 @@ def cmd_ablate(args: argparse.Namespace, config: dict[str, Any]) -> int:
     instances = list(read_instances(_require(args, config, "dataset")))
     run_config = _run_config(args, config)
     backend = _build_backend(args, config, instances, store)
+    fewshot_pool = _fewshot_pool(args, config, run_config.seed)
     run_dir = _prepare_run_dir(_require(args, config, "out"), args.overwrite)
-    reports = run_ablation(instances, store, cache, backend, run_config)
+    reports = run_ablation(instances, store, cache, backend, run_config, fewshot_pool)
     for name, report in reports.items():
         _write_report(run_dir, f"ablation_{name}", report)
         print(f"--- {name} ---")
@@ -466,6 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key-env", dest="key_env")
     p.add_argument("--agents", choices=("live", "oracle"))
     p.add_argument("--slu", choices=("lexicon", "fewshot"))
+    p.add_argument("--fewshot-pool", dest="fewshot_pool")
     p.add_argument("--inject")
     p.add_argument("--step-cap", dest="step_cap", type=int)
     p.add_argument("--seed", type=int)
@@ -486,7 +491,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except IngestError as exc:
+    except (IngestError, MalformedRecordError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -29,6 +29,10 @@ class DomainError(ValueError):
     """Raised when a domain invariant is violated."""
 
 
+class MalformedRecordError(ValueError):
+    """A line of a JSON-lines file does not parse; the message names file:line."""
+
+
 @dataclass(frozen=True)
 class GeoPoint:
     latitude: float
@@ -79,20 +83,6 @@ class Poi:
     category: str
     label: str
     location: GeoPoint
-
-
-@dataclass(frozen=True)
-class ProximityPair:
-    kind: str  # poi_community | community_community
-    subject_id: str
-    neighbor_id: str
-    straight_distance: float
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("poi_community", "community_community"):
-            raise DomainError(f"unknown pair kind: {self.kind}")
-        if self.straight_distance < 0:
-            raise DomainError("straight_distance must be non-negative")
 
 
 # --- canonical answers -------------------------------------------------------
@@ -416,11 +406,18 @@ def write_instances(path: str, instances: Iterable[QAInstance]) -> int:
 
 
 def read_instances(path: str) -> Iterator[QAInstance]:
+    """Yield the instances of a JSON-lines file; a line that does not parse
+    raises :class:`MalformedRecordError`."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                yield instance_from_dict(json.loads(line))
+            if not line:
+                continue
+            try:
+                instance = instance_from_dict(json.loads(line))
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise MalformedRecordError(f"{path}:{lineno}: {exc!r}") from exc
+            yield instance
 
 
 # --- IOB export ---------------------------------------------------------------

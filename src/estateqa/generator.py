@@ -24,7 +24,7 @@ from .domain import (
     ToolStep,
     haversine,
 )
-from .store import GeoStore, SqlExecutionError, extract_coordinates
+from .store import GeoStore, SqlExecutionError, city_slug, extract_coordinates
 from .templates import PLACEHOLDER_RE, Template, slot_type_for
 from .tools import CacheMiss, InvalidParams, ToolCache, ToolRequest
 
@@ -73,34 +73,29 @@ def sample_bindings(
 ) -> dict[str, Any]:
     """Sample placeholder values from the store. Repeated placeholders of one
     entity kind receive distinct entities; derived values are computed last."""
-    from .store import city_slug
-
     city = rng.choice(sorted(store.config.cities))
     binding: dict[str, Any] = {"city": city, "city_slug": city_slug(city)}
     used: dict[str, set[str]] = {}
-    communities = [c.name for c in store.communities(city)]
-    pois = [p.name for p in store.pois(city)]
-    labels = sorted({p.label for p in store.pois(city)})
-    districts = store.districts(city)
+    entities = store.snapshot()[city]
 
     for name, spec in template.bindings.items():
         kind = spec["kind"]
         if kind in ("community", "poi"):
-            pool = communities if kind == "community" else pois
+            pool = entities.communities if kind == "community" else entities.pois
             taken = used.setdefault(kind, set())
-            candidates = [v for v in pool if v not in taken]
+            candidates = [e.name for e in pool if e.name not in taken]
             if not candidates:
                 raise SamplingExhausted(f"{template.template_id}: no unused {kind} in {city}")
             value = rng.choice(candidates)
             taken.add(value)
         elif kind == "poi_label":
-            if not labels:
+            if not entities.labels:
                 raise SamplingExhausted(f"{template.template_id}: no POI labels in {city}")
-            value = rng.choice(labels)
+            value = rng.choice(entities.labels)
         elif kind == "district":
-            if not districts:
+            if not entities.districts:
                 raise SamplingExhausted(f"{template.template_id}: no districts in {city}")
-            value = rng.choice(districts)
+            value = rng.choice(entities.districts)
         elif kind == "int_range":
             value = rng.randint(int(spec.get("min", 1)), int(spec.get("max", 3)))
         elif kind == "choice":

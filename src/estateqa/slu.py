@@ -82,13 +82,15 @@ class Gazetteer:
     @classmethod
     def from_store(cls, store: GeoStore) -> "Gazetteer":
         entries: dict[str, str] = {}
+        snapshot = store.snapshot()
         for city in sorted(store.config.cities):
+            entities = snapshot[city]
             entries[city] = "city"
-            for district in store.districts(city):
+            for district in entities.districts:
                 entries[district] = "district"
-            for community in store.communities(city):
+            for community in entities.communities:
                 entries[community.name] = "community_name"
-            for poi in store.pois(city):
+            for poi in entities.pois:
                 entries[poi.name] = "poi_name"
         for label in store.config.labels:
             entries[label] = "poi_label"

@@ -13,14 +13,17 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 import sqlite3
 import threading
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from types import MappingProxyType
+from typing import Any, Iterator, Mapping, Sequence
 
-from .domain import Community, DomainError, GeoPoint, Poi, haversine
+from .domain import EARTH_RADIUS_M, Community, DomainError, GeoPoint, Poi
 
 FAMILIES = ("community", "poi", "poi_community", "community_community")
 
@@ -93,6 +96,19 @@ class TableCaption:
     columns: tuple[str, ...]
 
 
+@dataclass(frozen=True)
+class CityEntities:
+    """One city's entities: communities and POIs in id order, the sorted
+    distinct districts and POI labels, and the POIs under each case-folded
+    label in id order."""
+
+    communities: tuple[Community, ...]
+    pois: tuple[Poi, ...]
+    districts: tuple[str, ...]
+    labels: tuple[str, ...]
+    pois_by_label: Mapping[str, tuple[Poi, ...]]
+
+
 def city_slug(city: str) -> str:
     return re.sub(r"[^a-z0-9]+", "_", city.casefold()).strip("_")
 
@@ -161,6 +177,7 @@ class GeoStore:
         self.path = str(path) if path is not None else ":memory:"
         self._conn = sqlite3.connect(self.path, check_same_thread=False)
         self._lock = threading.RLock()
+        self._snapshot: Mapping[str, CityEntities] | None = None
         if not _existing:
             self._create_tables()
 
@@ -229,12 +246,16 @@ class GeoStore:
         """
         fixture_dir = Path(fixture_dir)
         counts = {"community": 0, "poi": 0}
-        for city in self.config.cities:
-            slug = city_slug(city)
-            counts["community"] += self._ingest_communities(
-                fixture_dir / f"communities_{slug}.csv", city
-            )
-            counts["poi"] += self._ingest_pois(fixture_dir / f"pois_{slug}.csv", city)
+        try:
+            for city in self.config.cities:
+                slug = city_slug(city)
+                counts["community"] += self._ingest_communities(
+                    fixture_dir / f"communities_{slug}.csv", city
+                )
+                counts["poi"] += self._ingest_pois(fixture_dir / f"pois_{slug}.csv", city)
+        finally:
+            with self._lock:
+                self._snapshot = None
         return counts
 
     def _read_csv(self, path: Path, expected: Sequence[str]) -> list[dict[str, str]]:
@@ -354,39 +375,27 @@ class GeoStore:
         radius, stored in both directions.
         """
         counts = {"poi_community": 0, "community_community": 0}
+        snapshot = self.snapshot()
         for city in self.config.cities:
-            communities = self.communities(city)
-            pois = self.pois(city)
+            entities = snapshot[city]
             pc_table = self.table_id("poi_community", city)
             cc_table = self.table_id("community_community", city)
-            pc_rows = []
-            for poi in pois:
-                for com in communities:
-                    d = haversine(poi.location, com.location)
-                    if d <= self.config.poi_pairing_radius:
-                        pc_rows.append(
-                            (poi.id, poi.name, poi.label, com.id, com.name, round(d, 1))
-                        )
-            cc_rows = []
-            for i, a in enumerate(communities):
-                for b in communities[i + 1 :]:
-                    d = haversine(a.location, b.location)
-                    if d <= self.config.community_pairing_radius:
-                        rd = round(d, 1)
-                        cc_rows.append((a.id, a.name, b.id, b.name, rd))
-                        cc_rows.append((b.id, b.name, a.id, a.name, rd))
             with self._lock:
                 self._conn.execute(f"DELETE FROM {pc_table}")
                 self._conn.execute(f"DELETE FROM {cc_table}")
-                self._conn.executemany(
-                    f"INSERT INTO {pc_table} VALUES (?,?,?,?,?,?)", pc_rows
-                )
-                self._conn.executemany(
-                    f"INSERT INTO {cc_table} VALUES (?,?,?,?,?)", cc_rows
-                )
+                counts["poi_community"] += self._conn.executemany(
+                    f"INSERT INTO {pc_table} VALUES (?,?,?,?,?,?)",
+                    _poi_community_rows(
+                        entities.pois, entities.communities, self.config.poi_pairing_radius
+                    ),
+                ).rowcount
+                counts["community_community"] += self._conn.executemany(
+                    f"INSERT INTO {cc_table} VALUES (?,?,?,?,?)",
+                    _community_community_rows(
+                        entities.communities, self.config.community_pairing_radius
+                    ),
+                ).rowcount
                 self._conn.commit()
-            counts["poi_community"] += len(pc_rows)
-            counts["community_community"] += len(cc_rows)
         return counts
 
     # --- queries ----------------------------------------------------------------
@@ -445,60 +454,116 @@ class GeoStore:
                 )
         return catalog
 
-    def caption_for_table(self, table_id: str) -> TableCaption | None:
-        for caption in self.list_captions():
-            if caption.table_id == table_id:
-                return caption
-        return None
+    # --- entity snapshot (generator and provider plumbing) ------------------------
 
-    # --- typed accessors (generator and provider plumbing) -----------------------
+    def snapshot(self) -> Mapping[str, CityEntities]:
+        """Each city's entities, read on first use; ingestion discards them."""
+        with self._lock:
+            if self._snapshot is None:
+                self._snapshot = self._read_snapshot()
+            return self._snapshot
+
+    def _read_snapshot(self) -> Mapping[str, CityEntities]:
+        cities: dict[str, CityEntities] = {}
+        for city in sorted(self.config.cities):
+            _, rows = self.execute_sql(
+                f"SELECT * FROM {self.table_id('community', city)} ORDER BY id"
+            )
+            # columns follow the dataclass fields, with latitude and longitude
+            # folded into the location
+            communities = tuple(Community(*r[:5], GeoPoint(r[5], r[6]), *r[7:]) for r in rows)
+            _, rows = self.execute_sql(
+                f"SELECT * FROM {self.table_id('poi', city)} ORDER BY id"
+            )
+            pois = tuple(Poi(*r[:5], GeoPoint(r[5], r[6])) for r in rows)
+            by_label: dict[str, list[Poi]] = {}
+            for poi in pois:
+                by_label.setdefault(poi.label.casefold(), []).append(poi)
+            # Python's code-point order is SQLite's BINARY order over UTF-8
+            cities[city] = CityEntities(
+                communities=communities,
+                pois=pois,
+                districts=tuple(sorted({c.district for c in communities})),
+                labels=tuple(sorted({p.label for p in pois})),
+                pois_by_label=MappingProxyType({k: tuple(v) for k, v in by_label.items()}),
+            )
+        return MappingProxyType(cities)
 
     def communities(self, city: str) -> list[Community]:
-        table = self.table_id("community", city)
-        _, rows = self.execute_sql(f"SELECT * FROM {table} ORDER BY id")
-        return [
-            Community(
-                id=r[0],
-                city=r[1],
-                name=r[2],
-                district=r[3],
-                address=r[4],
-                location=GeoPoint(r[5], r[6]),
-                greening_rate=r[7],
-                avg_price=r[8],
-                property_type=r[9],
-                sales_status=r[10],
-            )
-            for r in rows
-        ]
+        return list(self.snapshot()[city].communities)
 
     def pois(self, city: str) -> list[Poi]:
-        table = self.table_id("poi", city)
-        _, rows = self.execute_sql(f"SELECT * FROM {table} ORDER BY id")
-        return [
-            Poi(
-                id=r[0],
-                city=r[1],
-                name=r[2],
-                category=r[3],
-                label=r[4],
-                location=GeoPoint(r[5], r[6]),
-            )
-            for r in rows
-        ]
+        return list(self.snapshot()[city].pois)
 
     def all_pois(self) -> list[Poi]:
-        out: list[Poi] = []
-        for city in sorted(self.config.cities):
-            out.extend(self.pois(city))
-        return out
+        cities = self.snapshot()
+        return [poi for city in sorted(cities) for poi in cities[city].pois]
 
     def districts(self, city: str) -> list[str]:
-        table = self.table_id("community", city)
-        _, rows = self.execute_sql(
-            f"SELECT DISTINCT district FROM {table} ORDER BY district"
+        return list(self.snapshot()[city].districts)
+
+
+# --- pair kernel ----------------------------------------------------------------------
+
+# R·|Δlat| never exceeds the great-circle distance, so an entity whose latitude
+# lies outside radius/R (padded against rounding) is beyond the radius.
+_WINDOW_PAD = 1.0 + 1e-9
+
+
+def _radians(entity: Community | Poi) -> tuple[float, float, float]:
+    """(latitude, longitude, cos latitude) in radians, as ``haversine`` computes them."""
+    lat = math.radians(entity.location.latitude)
+    return lat, math.radians(entity.location.longitude), math.cos(lat)
+
+
+def _pairs_within(
+    subjects: Sequence[Community | Poi],
+    neighbors: Sequence[Community | Poi],
+    radius: float,
+    later_only: bool,
+) -> Iterator[tuple[Any, Any, float]]:
+    """Yield (subject, neighbor, distance) for every pair within ``radius``,
+    subject-major then neighbor order, exactly as a nested loop over
+    ``domain.haversine`` would. With ``later_only`` (subjects and neighbors
+    are one sequence) only pairs (i, j) with i < j are yielded.
+
+    The haversine is inlined with its expression order kept, so distances are
+    bit-identical; it only runs on neighbors in the subject's latitude window.
+    """
+    coords = [_radians(n) for n in neighbors]
+    order = sorted(range(len(coords)), key=lambda j: coords[j][0])
+    lats = [coords[j][0] for j in order]
+    half_width = radius / EARTH_RADIUS_M * _WINDOW_PAD
+    sin, asin, sqrt = math.sin, math.asin, math.sqrt
+    for i, subject in enumerate(subjects):
+        lat1, lon1, cos1 = _radians(subject)
+        window = sorted(
+            order[bisect_left(lats, lat1 - half_width) : bisect_right(lats, lat1 + half_width)]
         )
-        return [r[0] for r in rows]
+        for j in window[bisect_right(window, i) :] if later_only else window:
+            lat2, lon2, cos2 = coords[j]
+            h = sin((lat2 - lat1) / 2.0) ** 2 + cos1 * cos2 * sin((lon2 - lon1) / 2.0) ** 2
+            root = sqrt(h)  # clamped as min(1.0, root), without the call
+            d = 2.0 * EARTH_RADIUS_M * asin(root if root < 1.0 else 1.0)
+            if d <= radius:
+                yield subject, neighbors[j], d
+
+
+def _poi_community_rows(
+    pois: Sequence[Poi], communities: Sequence[Community], radius: float
+) -> Iterator[tuple[Any, ...]]:
+    for poi, com, d in _pairs_within(pois, communities, radius, later_only=False):
+        yield (poi.id, poi.name, poi.label, com.id, com.name, round(d, 1))
+
+
+def _community_community_rows(
+    communities: Sequence[Community], radius: float
+) -> Iterator[tuple[Any, ...]]:
+    """Each pair within ``radius`` in both directions, (a, b) then (b, a)."""
+    for a, b, d in _pairs_within(communities, communities, radius, later_only=True):
+        rd = round(d, 1)
+        yield (a.id, a.name, b.id, b.name, rd)
+        yield (b.id, b.name, a.id, a.name, rd)
 
 
 # Column-name conventions for pulling (entity name, coordinates) out of SQL

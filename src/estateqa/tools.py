@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Protocol
 
-from .domain import GeoPoint, haversine
+from .domain import GeoPoint, MalformedRecordError, haversine
 from .store import GeoStore
 
 BUCKET_MIDNIGHT = "midnight_00"
@@ -203,9 +203,8 @@ class SyntheticProvider:
 
     name = "synthetic-v1"
 
-    def __init__(self, store: GeoStore, seed: int = 0) -> None:
+    def __init__(self, store: GeoStore) -> None:
         self.store = store
-        self.seed = seed
 
     def resolve(self, request: ToolRequest) -> ToolResult:
         p = request.params_dict
@@ -256,14 +255,13 @@ class SyntheticProvider:
             raise InvalidParams(f"surrounding_pois_query: unknown label {label!r}")
         center = GeoPoint(p["center_lat"], p["center_lon"])
         hits = []
-        for poi in self.store.all_pois():
-            if poi.label.casefold() != label:
-                continue
-            d = haversine(center, poi.location)
-            if d <= p["radius_m"]:
-                hits.append(
-                    (poi.name, poi.label, poi.location.latitude, poi.location.longitude, int(round(d)))
-                )
+        snapshot = self.store.snapshot()
+        for city in sorted(snapshot):
+            for poi in snapshot[city].pois_by_label.get(label, ()):
+                d = haversine(center, poi.location)
+                if d <= p["radius_m"]:
+                    loc = poi.location
+                    hits.append((poi.name, poi.label, loc.latitude, loc.longitude, int(round(d))))
         hits.sort(key=lambda r: (r[4], r[0]))
         return ToolResult(RESULT_SCHEMAS["surrounding_pois_query"], tuple(hits))
 
@@ -436,21 +434,27 @@ class ToolCache:
 
     @classmethod
     def load(cls, path: str | Path, provider: Provider | None = None) -> "ToolCache":
+        """Read a file written by :meth:`save`; a line that does not parse
+        raises :class:`MalformedRecordError`."""
         cache = cls(provider=provider)
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
-                data = json.loads(line)
-                request = ToolRequest(
-                    function=data["function"],
-                    params=tuple(sorted(data["params"].items())),
-                    time_bucket=data["bucket"],
-                )
-                payload = ToolResult.from_jsonable(data["payload"])
-                cls._validate_payload(request.function, payload)
-                cache._entries[request.key()] = CacheEntry(
-                    request=request, payload=payload, provenance=data["provenance"]
-                )
+                try:
+                    data = json.loads(line)
+                    request = ToolRequest(
+                        function=data["function"],
+                        params=tuple(sorted(data["params"].items())),
+                        time_bucket=data["bucket"],
+                    )
+                    payload = ToolResult.from_jsonable(data["payload"])
+                    cls._validate_payload(request.function, payload)
+                    entry = CacheEntry(
+                        request=request, payload=payload, provenance=data["provenance"]
+                    )
+                except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                    raise MalformedRecordError(f"{path}:{lineno}: {exc!r}") from exc
+                cache._entries[request.key()] = entry
         return cache

@@ -44,7 +44,7 @@ def desk_templates():
 
 @pytest.fixture(scope="session")
 def desk_generation(desk_store, desk_templates):
-    cache = ToolCache(provider=SyntheticProvider(desk_store, seed=DESK_SEED))
+    cache = ToolCache(provider=SyntheticProvider(desk_store))
     instances, report = generate(
         desk_templates, desk_store, cache, seed=GEN_SEED, per_template=60
     )

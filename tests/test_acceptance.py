@@ -124,7 +124,7 @@ def test_criterion_3_plausibility(desk_instances, tmp_path):
     )
     far_store = GeoStore(config)
     far_store.ingest_fixture(tmp_path)
-    cache = ToolCache(provider=SyntheticProvider(far_store, seed=1))
+    cache = ToolCache(provider=SyntheticProvider(far_store))
     walk_template = [t for t in default_templates() if t.template_id == "t2_walk_time"]
     emitted, gen_report = generate(walk_template, far_store, cache, seed=1, per_template=5)
     rejected = gen_report.rejected_by_reason().get("implausible_walking", 0)
@@ -371,7 +371,7 @@ def test_criterion_7_bm25(desk_store):
 def test_criterion_8_cache_determinism(desk_store, desk_templates, desk_cache, tmp_path):
     paths = []
     for name in ("one.jsonl", "two.jsonl"):
-        cache = ToolCache(provider=SyntheticProvider(desk_store, seed=7))
+        cache = ToolCache(provider=SyntheticProvider(desk_store))
         generate(desk_templates, desk_store, cache, seed=99, per_template=8)
         path = tmp_path / name
         cache.save(path)
@@ -397,7 +397,7 @@ def test_criterion_8_cache_determinism(desk_store, desk_templates, desk_cache, t
 
     pairs_ok = True
     pair_rng = random.Random(17)
-    cache = ToolCache(provider=SyntheticProvider(desk_store, seed=7))
+    cache = ToolCache(provider=SyntheticProvider(desk_store))
     for _ in range(1000):
         origin = GeoPoint(23.0 + pair_rng.uniform(-0.03, 0.03),
                           113.0 + pair_rng.uniform(-0.03, 0.03))

@@ -6,7 +6,10 @@ import json
 
 import pytest
 
+from estateqa import evaluator
 from estateqa.cli import main
+from estateqa.domain import read_instances
+from estateqa.slu import build_fewshot_pool
 
 CITIES = "Guangzhou,Suzhou"
 
@@ -131,6 +134,17 @@ def test_validate_catches_tampering(workdir, tmp_path):
                  "--dataset", str(tampered)]) == 1
 
 
+@pytest.mark.parametrize("damaged", ["cache", "dataset"])
+def test_validate_truncated_input_is_validation_failure(workdir, tmp_path, capsys, damaged):
+    paths = {name: workdir / f"{name}.jsonl" for name in ("cache", "dataset")}
+    paths[damaged] = tmp_path / f"{damaged}.jsonl"
+    paths[damaged].write_bytes((workdir / f"{damaged}.jsonl").read_bytes()[:300])
+    assert main(["validate", "--store", str(workdir / "store.db"),
+                 "--cache", str(paths["cache"]),
+                 "--dataset", str(paths["dataset"])]) == 1
+    assert f"{paths[damaged]}:1:" in capsys.readouterr().err
+
+
 def test_ingest_refuses_existing_store(workdir, tmp_path):
     assert main(["ingest", "--fixtures", str(workdir / "fx"),
                  "--store", str(workdir / "store.db"), "--cities", CITIES]) == 2
@@ -181,6 +195,27 @@ def test_ablate_writes_four_reports(workdir, tmp_path):
     for name in names:
         report = json.loads((out / name).read_text())
         assert report["overall"]["acc"] == 1.0
+
+
+def test_ablate_fewshot_pool_reaches_every_rung(workdir, tmp_path, monkeypatch):
+    pools = []
+    run_suite = evaluator.run_suite
+
+    def recording_run_suite(*args):
+        pools.append(args[-1])
+        return run_suite(*args)
+
+    monkeypatch.setattr(evaluator, "run_suite", recording_run_suite)
+    train = workdir / "splits" / "train.jsonl"
+    assert main(["ablate", "--store", str(workdir / "store.db"),
+                 "--cache", str(workdir / "cache.jsonl"),
+                 "--dataset", str(workdir / "splits" / "test.jsonl"),
+                 "--out", str(tmp_path / "ablation"), "--backend", "oracle",
+                 "--agents", "oracle", "--slu", "fewshot",
+                 "--fewshot-pool", str(train), "--seed", "5"]) == 0
+    expected = build_fewshot_pool(list(read_instances(str(train))), seed=5)
+    assert expected
+    assert pools == [expected] * 4
 
 
 def test_help_smoke(capsys):

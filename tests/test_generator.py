@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
 
@@ -278,7 +279,7 @@ def test_forced_20km_walk_template_provably_rejected(tmp_path):
     )
     store = GeoStore(config)
     store.ingest_fixture(tmp_path)
-    cache = ToolCache(provider=SyntheticProvider(store, seed=1))
+    cache = ToolCache(provider=SyntheticProvider(store))
     template = template_by_id("t2_walk_time")
     instances, report = generate([template], store, cache, seed=1, per_template=5)
     assert instances == []
@@ -327,11 +328,38 @@ def test_generation_deterministic(desk_store, desk_templates):
     from estateqa.domain import instance_to_json
 
     def run():
-        cache = ToolCache(provider=SyntheticProvider(desk_store, seed=7))
+        cache = ToolCache(provider=SyntheticProvider(desk_store))
         instances, _ = generate(desk_templates[:4], desk_store, cache, seed=5, per_template=5)
         return [instance_to_json(i) for i in instances]
 
     assert run() == run()
+
+
+def test_generate_reads_each_entity_table_once(desk_config, desk_fixture_dir, desk_templates):
+    store = GeoStore(desk_config)
+    store.ingest_fixture(desk_fixture_dir)
+    reads: dict[str, int] = {}
+    execute_sql = store.execute_sql
+
+    def counting_execute_sql(statement):
+        match = re.match(r"SELECT \* FROM (\w+)", statement)
+        if match:
+            reads[match.group(1)] = reads.get(match.group(1), 0) + 1
+        return execute_sql(statement)
+
+    store.execute_sql = counting_execute_sql
+    store.build_proximity_pairs()
+    cache = ToolCache(provider=SyntheticProvider(store))
+    instances, _ = generate(desk_templates, store, cache, seed=3, per_template=3)
+    assert instances
+    entity_tables = {
+        store.table_id(family, city)
+        for family in ("community", "poi")
+        for city in desk_config.cities
+    }
+    assert {t: n for t, n in reads.items() if t in entity_tables} == dict.fromkeys(
+        entity_tables, 1
+    )
 
 
 def test_all_three_types_emitted(desk_instances):

@@ -41,8 +41,8 @@ def _community_row(cid, name, lat, lon, city="Testville", price=30000.0):
             "apartment", "on sale"]
 
 
-def make_tiny_store(tmp_path, communities, pois=(), city="Testville"):
-    config = StoreConfig(cities=(city,), fixture_seed=1)
+def make_tiny_store(tmp_path, communities, pois=(), city="Testville", **radii):
+    config = StoreConfig(cities=(city,), fixture_seed=1, **radii)
     _write_rows(
         tmp_path / "communities_testville.csv",
         COMMUNITY_HEADER,
@@ -174,6 +174,37 @@ def test_poi_at_radius_boundary_included(tmp_path):
     assert store.build_proximity_pairs()["poi_community"] == 1
 
 
+def _nested_loop_pair_rows(store, city):
+    """The pair rows of the plain nested loop over ``haversine``, in emission order."""
+    communities = store.communities(city)
+    pc_rows = []
+    for p in store.pois(city):
+        for c in communities:
+            d = haversine(p.location, c.location)
+            if d <= store.config.poi_pairing_radius:
+                pc_rows.append((p.id, p.name, p.label, c.id, c.name, round(d, 1)))
+    cc_rows = []
+    for i, a in enumerate(communities):
+        for b in communities[i + 1 :]:
+            d = haversine(a.location, b.location)
+            if d <= store.config.community_pairing_radius:
+                cc_rows.append((a.id, a.name, b.id, b.name, round(d, 1)))
+                cc_rows.append((b.id, b.name, a.id, a.name, round(d, 1)))
+    return pc_rows, cc_rows
+
+
+def _assert_pairs_match_nested_loop(store):
+    # rows in rowid order, which is what SQL without ORDER BY reads
+    for city in store.config.cities:
+        expected_pc, expected_cc = _nested_loop_pair_rows(store, city)
+        pc_table = store.table_id("poi_community", city)
+        cc_table = store.table_id("community_community", city)
+        _, pc_rows = store.execute_sql(f"SELECT * FROM {pc_table} ORDER BY rowid")
+        _, cc_rows = store.execute_sql(f"SELECT * FROM {cc_table} ORDER BY rowid")
+        assert pc_rows == expected_pc
+        assert cc_rows == expected_cc
+
+
 def test_pair_tables_match_brute_force_oracle(tmp_path, desk_config):
     # independent O(n^2) pairing over a 100-entity random fixture
     config = StoreConfig(cities=("Oracleton",), fixture_seed=99)
@@ -207,6 +238,7 @@ def test_pair_tables_match_brute_force_oracle(tmp_path, desk_config):
     assert set(cc_rows) == expected_cc
     assert counts["poi_community"] == len(expected_pc)
     assert counts["community_community"] == len(expected_cc)
+    _assert_pairs_match_nested_loop(store)
 
 
 def test_desk_scale_pairs_match_brute_force(desk_store):
@@ -234,6 +266,25 @@ def test_desk_scale_pairs_match_brute_force(desk_store):
         cc_table = desk_store.table_id("community_community", city)
         _, rows = desk_store.execute_sql(f"SELECT COUNT(*) FROM {cc_table}")
         assert rows == [(expected_cc,)]
+    _assert_pairs_match_nested_loop(desk_store)
+
+
+@pytest.mark.parametrize("axis", ["latitude", "longitude"])
+def test_entities_exactly_on_the_radius_are_paired(tmp_path, axis):
+    origin = (23.0, 113.0)
+    offset = 500 / METERS_PER_DEG_LAT
+    moved = (23.0 + offset, 113.0) if axis == "latitude" else (23.0, 113.0 + offset)
+    store = make_tiny_store(
+        tmp_path,
+        [("Alpha Court", *origin), ("Beta Court", *moved)],
+        pois=[("Edge Park", *moved)],
+        # the radii are the distances themselves, so each pair sits on the boundary
+        poi_pairing_radius=haversine(GeoPoint(*moved), GeoPoint(*origin)),
+        community_pairing_radius=haversine(GeoPoint(*origin), GeoPoint(*moved)),
+    )
+    counts = store.build_proximity_pairs()
+    # Edge Park pairs with Beta Court at 0 m and with Alpha Court on the radius
+    assert counts == {"poi_community": 2, "community_community": 2}
 
 
 def test_pair_build_is_idempotent(tmp_path):
@@ -244,6 +295,22 @@ def test_pair_build_is_idempotent(tmp_path):
     first = store.build_proximity_pairs()
     second = store.build_proximity_pairs()
     assert first == second
+
+
+def test_ingest_after_snapshot_read_is_visible(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    store = make_tiny_store(first, [("Alpha Court", 23.0, 113.0)])
+    assert [c.name for c in store.communities("Testville")] == ["Alpha Court"]
+    _write_rows(
+        second / "communities_testville.csv",
+        COMMUNITY_HEADER,
+        [_community_row("c9", "Beta Court", 23.1, 113.1)],
+    )
+    _write_rows(second / "pois_testville.csv", POI_HEADER, [])
+    store.ingest_fixture(second)
+    assert [c.name for c in store.communities("Testville")] == ["Alpha Court", "Beta Court"]
 
 
 # --- SQL execution ------------------------------------------------------------------

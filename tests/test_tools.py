@@ -25,7 +25,7 @@ METERS_PER_DEG = 6_371_000 * math.pi / 180
 
 @pytest.fixture()
 def cache(desk_store):
-    return ToolCache(provider=SyntheticProvider(desk_store, seed=7))
+    return ToolCache(provider=SyntheticProvider(desk_store))
 
 
 def _pair(distance_m: float) -> tuple[GeoPoint, GeoPoint]:
@@ -230,7 +230,7 @@ def test_coordinate_rounding_stabilizes_keys():
 
 
 def test_populate_dedups(desk_store):
-    cache = ToolCache(provider=SyntheticProvider(desk_store, seed=7))
+    cache = ToolCache(provider=SyntheticProvider(desk_store))
     origin, dest = _pair(1000.0)
     requests = [
         ToolRequest.build("time_query", _route_params(origin, dest, mode=mode))
@@ -251,7 +251,7 @@ def test_populate_dedups(desk_store):
 
 
 def test_cache_miss_without_provider(desk_store):
-    cache = ToolCache(provider=SyntheticProvider(desk_store, seed=7))
+    cache = ToolCache(provider=SyntheticProvider(desk_store))
     origin, dest = _pair(900.0)
     recorded = cache.time_query(origin, dest, "walking")
     cache.freeze()
@@ -261,7 +261,7 @@ def test_cache_miss_without_provider(desk_store):
 
 
 def test_persistence_round_trip(tmp_path, desk_store):
-    cache = ToolCache(provider=SyntheticProvider(desk_store, seed=7))
+    cache = ToolCache(provider=SyntheticProvider(desk_store))
     origin, dest = _pair(2000.0)
     values = {
         mode: cache.time_query(origin, dest, mode)
@@ -289,7 +289,7 @@ def test_two_from_scratch_populations_byte_identical(tmp_path, desk_store):
     ]
     paths = []
     for name in ("a.jsonl", "b.jsonl"):
-        cache = ToolCache(provider=SyntheticProvider(desk_store, seed=7))
+        cache = ToolCache(provider=SyntheticProvider(desk_store))
         cache.populate(corpus)
         path = tmp_path / name
         cache.save(path)
@@ -298,7 +298,7 @@ def test_two_from_scratch_populations_byte_identical(tmp_path, desk_store):
 
 
 def test_populate_reports_failures(desk_store):
-    cache = ToolCache(provider=SyntheticProvider(desk_store, seed=7))
+    cache = ToolCache(provider=SyntheticProvider(desk_store))
     good = ToolRequest.build(
         "surrounding_pois_query",
         {"center_lat": 23.0, "center_lon": 113.0, "radius_m": 100.0, "label": "park"},
