@@ -15,7 +15,13 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .backends import HttpBackend
-from .domain import MalformedRecordError, QAInstance, read_instances, write_instances
+from .domain import (
+    MalformedRecordError,
+    QAInstance,
+    read_instances,
+    read_json_lines,
+    write_instances,
+)
 from .evaluator import (
     EvalReport,
     RunConfig,
@@ -320,17 +326,13 @@ def cmd_eval(args: argparse.Namespace, config: dict[str, Any]) -> int:
     instances = {i.id: i for i in read_instances(_require(args, config, "dataset"))}
     transcripts: list[EpisodeTranscript] = []
     golds = []
-    with open(transcripts_path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            transcript = EpisodeTranscript.from_dict(json.loads(line))
-            gold = instances.get(transcript.instance_id)
-            if gold is None:
-                print(f"no gold instance for {transcript.instance_id}", file=sys.stderr)
-                return EXIT_VALIDATION
-            transcripts.append(transcript)
-            golds.append(gold)
+    for transcript in read_json_lines(transcripts_path, EpisodeTranscript.from_dict):
+        gold = instances.get(transcript.instance_id)
+        if gold is None:
+            print(f"no gold instance for {transcript.instance_id}", file=sys.stderr)
+            return EXIT_VALIDATION
+        transcripts.append(transcript)
+        golds.append(gold)
     from .evaluator import EpisodeRecord
 
     records = [EpisodeRecord(g, t, None) for g, t in zip(golds, transcripts)]

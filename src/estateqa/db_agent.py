@@ -75,19 +75,18 @@ class DbAgent:
         store: GeoStore,
         backend: ChatBackend,
         inject_gold_sql: Mapping[str, str] | None = None,
-        retrieval_k: int = 1,
         bm25_k1: float = 1.2,
         bm25_b: float = 0.75,
     ) -> None:
         self.store = store
         self.backend = backend
         self.inject_gold_sql = dict(inject_gold_sql or {})
-        self.retrieval_k = retrieval_k
         self.system_prompt = load_prompt("db_agent_system")
         self.caption_examples = load_prompt("db_fewshot_caption")
         self.sql_examples = load_prompt("db_fewshot_sql")
-        self._captions: list[TableCaption] = store.list_captions()
-        self.index = Bm25Index([c.caption for c in self._captions], k1=bm25_k1, b=bm25_b)
+        captions = store.list_captions()
+        self._by_text = {c.caption: c for c in captions}
+        self.index = Bm25Index([c.caption for c in captions], k1=bm25_k1, b=bm25_b)
 
     # --- pipeline stages -----------------------------------------------------
 
@@ -103,10 +102,10 @@ class DbAgent:
         reply = self.backend.complete(self.system_prompt, [{"role": "user", "content": content}])
         return reply.strip().splitlines()[0].strip() if reply.strip() else ""
 
-    def retrieve_caption(self, summary: str, k: int | None = None) -> list[tuple[TableCaption, float]]:
-        by_text = {c.caption: c for c in self._captions}
-        ranked = self.index.rank(summary, k=k or self.retrieval_k)
-        return [(by_text[s.caption], s.score) for s in ranked]
+    def retrieve_caption(self, summary: str) -> tuple[TableCaption, float]:
+        """The best-scoring real caption for a hypothetical one, with its score."""
+        (best,) = self.index.rank(summary, k=1)
+        return self._by_text[best.caption], best.score
 
     def generate_sql(self, task: AgentTask, caption: TableCaption) -> str:
         content = build_task_message(
@@ -143,8 +142,7 @@ class DbAgent:
         else:
             try:
                 summary = self.caption_summary(task)
-                ranked = self.retrieve_caption(summary)
-                caption, score = ranked[0]
+                caption, score = self.retrieve_caption(summary)
                 caption_payload = {
                     "type": "caption",
                     "summary": summary,

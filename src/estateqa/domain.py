@@ -11,7 +11,8 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from pathlib import Path
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -23,6 +24,8 @@ TOOL_FUNCTIONS = (
 )
 
 QUESTION_TYPES = (1, 2, 3)
+
+T = TypeVar("T")
 
 
 class DomainError(ValueError):
@@ -405,19 +408,26 @@ def write_instances(path: str, instances: Iterable[QAInstance]) -> int:
     return n
 
 
-def read_instances(path: str) -> Iterator[QAInstance]:
-    """Yield the instances of a JSON-lines file; a line that does not parse
-    raises :class:`MalformedRecordError`."""
+def read_json_lines(path: str | Path, parse: Callable[[Any], T]) -> Iterator[T]:
+    """Yield ``parse(record)`` for each non-blank line of a JSON-lines file; a
+    line that does not parse raises :class:`MalformedRecordError` naming
+    ``file:line``."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                instance = instance_from_dict(json.loads(line))
+                record = parse(json.loads(line))
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise MalformedRecordError(f"{path}:{lineno}: {exc!r}") from exc
-            yield instance
+            yield record
+
+
+def read_instances(path: str) -> Iterator[QAInstance]:
+    """Yield the instances of a JSON-lines file; a line that does not parse
+    raises :class:`MalformedRecordError`."""
+    yield from read_json_lines(path, instance_from_dict)
 
 
 # --- IOB export ---------------------------------------------------------------

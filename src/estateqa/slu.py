@@ -3,9 +3,9 @@
 Two pluggable strategies:
 
 - ``LexiconSlu``: deterministic gazetteer matching (longest match wins, equal
-  lengths break to the earliest span) plus numeric patterns and keyword intent
-  rules. A stand-in for a trained tagger; on template-derived questions it is
-  near-exact by construction.
+  lengths break to the earliest span, then to the slot-type name) plus numeric
+  patterns and keyword intent rules. A stand-in for a trained tagger; on
+  template-derived questions it is near-exact by construction.
 - ``FewShotSlu``: prompts a chat backend with worked examples covering every
   intent and parses a JSON reply; malformed output degrades to an empty
   prediction instead of crashing.
@@ -61,11 +61,12 @@ INTENT_RULES: tuple[tuple[str, str], ...] = (
     ("closest_on_foot", r"closer on foot"),
     ("mode_comparison", r"faster: walking or public transit"),
 )
+_INTENT_PATTERNS = tuple((name, re.compile(pattern)) for name, pattern in INTENT_RULES)
 
-_NUMERIC_PATTERNS: tuple[tuple[str, str], ...] = (
-    ("radius_km", r"within (\d+(?:\.\d+)?) km\b"),
-    ("minutes", r"within (\d+) minutes\b"),
-    ("count", r"nearest (\d+)\b"),
+_NUMERIC_PATTERNS: tuple[tuple[str, re.Pattern[str]], ...] = (
+    ("radius_km", re.compile(r"within (\d+(?:\.\d+)?) km\b", re.IGNORECASE)),
+    ("minutes", re.compile(r"within (\d+) minutes\b", re.IGNORECASE)),
+    ("count", re.compile(r"nearest (\d+)\b", re.IGNORECASE)),
 )
 
 
@@ -114,30 +115,55 @@ class Gazetteer:
         return cls(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def _is_boundary(question: str, start: int, end: int) -> bool:
-    before = question[start - 1] if start > 0 else " "
-    after = question[end] if end < len(question) else " "
-    return not (before.isalnum() or after.isalnum())
+# ``[^\W_]`` is exactly the set of characters ``str.isalnum`` accepts.
+_LEADING_RUN_RE = re.compile(r"[^\W_]*")
+# Every position not preceded by an alphanumeric character, with the
+# alphanumeric run that starts there (or, when there is none, its character).
+_WORD_START_RE = re.compile(r"(?<![^\W_])(?:[^\W_]+|.)", re.DOTALL)
+# Every position with no alphanumeric character on either side.
+_GAP_RE = re.compile(r"(?<![^\W_])(?![^\W_])")
+
+
+def _lead(surface: str) -> str:
+    """Index key of a surface: its leading alphanumeric run, or its first
+    character when the run is empty."""
+    return _LEADING_RUN_RE.match(surface).group() or surface[:1]
 
 
 class LexiconSlu:
+    """Gazetteer spans bounded by non-alphanumerics, numeric patterns and
+    keyword intent rules.
+
+    A surface can only match, whole-word, where the question's own leading
+    run (:func:`_lead` of the rest of the question) equals the surface's, so
+    each word start looks up one bucket of surfaces instead of scanning the
+    whole gazetteer. The candidates are the same as a ``str.find`` for every
+    surface, so the output is too.
+    """
+
     def __init__(self, gazetteer: Gazetteer) -> None:
         self.gazetteer = gazetteer
+        self._by_lead: dict[str, list[tuple[str, str]]] = {}
+        for surface, slot_type in gazetteer.entries.items():
+            self._by_lead.setdefault(_lead(surface), []).append((surface, slot_type))
 
     def predict(self, question: str) -> SluPrediction:
+        size = len(question)
         candidates: list[SlotAnnotation] = []
-        for surface, slot_type in self.gazetteer.entries.items():
-            start = 0
-            while True:
-                idx = question.find(surface, start)
-                if idx < 0:
-                    break
-                end = idx + len(surface)
-                if _is_boundary(question, idx, end):
-                    candidates.append(SlotAnnotation(slot_type, surface, idx, end))
-                start = idx + 1
+        for word in _WORD_START_RE.finditer(question):
+            start = word.start()
+            for surface, slot_type in self._by_lead.get(word.group(), ()):
+                end = start + len(surface)
+                if question.startswith(surface, start) and (
+                    end == size or not question[end].isalnum()
+                ):
+                    candidates.append(SlotAnnotation(slot_type, surface, start, end))
+        # an empty surface has no leading character to index it by
+        for _, slot_type in self._by_lead.get("", ()):
+            for gap in _GAP_RE.finditer(question):
+                candidates.append(SlotAnnotation(slot_type, "", gap.start(), gap.start()))
         for slot_type, pattern in _NUMERIC_PATTERNS:
-            for match in re.finditer(pattern, question, re.IGNORECASE):
+            for match in pattern.finditer(question):
                 candidates.append(
                     SlotAnnotation(slot_type, match.group(1), match.start(1), match.end(1))
                 )
@@ -152,7 +178,7 @@ class LexiconSlu:
 
         lowered = question.casefold()
         intent = next(
-            (name for name, pattern in INTENT_RULES if re.search(pattern, lowered)),
+            (name for name, pattern in _INTENT_PATTERNS if pattern.search(lowered)),
             "unknown",
         )
         return SluPrediction(intents=(intent,), slots=tuple(chosen))

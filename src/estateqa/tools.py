@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Protocol
 
-from .domain import GeoPoint, MalformedRecordError, haversine
+from .domain import GeoPoint, haversine, read_json_lines
 from .store import GeoStore
 
 BUCKET_MIDNIGHT = "midnight_00"
@@ -436,25 +436,18 @@ class ToolCache:
     def load(cls, path: str | Path, provider: Provider | None = None) -> "ToolCache":
         """Read a file written by :meth:`save`; a line that does not parse
         raises :class:`MalformedRecordError`."""
+
+        def entry_from_dict(data: dict[str, Any]) -> CacheEntry:
+            request = ToolRequest(
+                function=data["function"],
+                params=tuple(sorted(data["params"].items())),
+                time_bucket=data["bucket"],
+            )
+            payload = ToolResult.from_jsonable(data["payload"])
+            cls._validate_payload(request.function, payload)
+            return CacheEntry(request=request, payload=payload, provenance=data["provenance"])
+
         cache = cls(provider=provider)
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    data = json.loads(line)
-                    request = ToolRequest(
-                        function=data["function"],
-                        params=tuple(sorted(data["params"].items())),
-                        time_bucket=data["bucket"],
-                    )
-                    payload = ToolResult.from_jsonable(data["payload"])
-                    cls._validate_payload(request.function, payload)
-                    entry = CacheEntry(
-                        request=request, payload=payload, provenance=data["provenance"]
-                    )
-                except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                    raise MalformedRecordError(f"{path}:{lineno}: {exc!r}") from exc
-                cache._entries[request.key()] = entry
+        for entry in read_json_lines(path, entry_from_dict):
+            cache._entries[entry.request.key()] = entry
         return cache

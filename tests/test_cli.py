@@ -134,15 +134,26 @@ def test_validate_catches_tampering(workdir, tmp_path):
                  "--dataset", str(tampered)]) == 1
 
 
-@pytest.mark.parametrize("damaged", ["cache", "dataset"])
+@pytest.mark.parametrize("damaged", ["cache", "dataset", "transcripts"])
 def test_validate_truncated_input_is_validation_failure(workdir, tmp_path, capsys, damaged):
     paths = {name: workdir / f"{name}.jsonl" for name in ("cache", "dataset")}
-    paths[damaged] = tmp_path / f"{damaged}.jsonl"
-    paths[damaged].write_bytes((workdir / f"{damaged}.jsonl").read_bytes()[:300])
-    assert main(["validate", "--store", str(workdir / "store.db"),
-                 "--cache", str(paths["cache"]),
-                 "--dataset", str(paths["dataset"])]) == 1
-    assert f"{paths[damaged]}:1:" in capsys.readouterr().err
+    if damaged == "transcripts":
+        run_dir = tmp_path / "run"
+        test_split = str(workdir / "splits" / "test.jsonl")
+        assert main(["run", "--store", str(workdir / "store.db"),
+                     "--cache", str(paths["cache"]), "--dataset", test_split,
+                     "--out", str(run_dir), "--backend", "oracle", "--agents", "oracle",
+                     "--inject", "slu"]) == 0
+        truncated = run_dir / "transcripts.jsonl"
+        truncated.write_bytes(truncated.read_bytes()[:300])
+        argv = ["eval", "--run", str(run_dir), "--dataset", test_split]
+    else:
+        truncated = paths[damaged] = tmp_path / f"{damaged}.jsonl"
+        truncated.write_bytes((workdir / f"{damaged}.jsonl").read_bytes()[:300])
+        argv = ["validate", "--store", str(workdir / "store.db"),
+                "--cache", str(paths["cache"]), "--dataset", str(paths["dataset"])]
+    assert main(argv) == 1
+    assert f"{truncated}:1:" in capsys.readouterr().err
 
 
 def test_ingest_refuses_existing_store(workdir, tmp_path):

@@ -83,8 +83,8 @@ def test_caption_self_retrieval_rank_one(desk_store):
     backend = ScriptedBackend()  # unused for retrieval itself
     agent = DbAgent(desk_store, backend)
     for caption in captions:
-        ranked = agent.retrieve_caption(caption.caption)
-        assert ranked[0][0].table_id == caption.table_id
+        best, _ = agent.retrieve_caption(caption.caption)
+        assert best.table_id == caption.table_id
 
 
 def test_generate_sql_reprompts_once(desk_store):

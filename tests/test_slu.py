@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
@@ -12,6 +13,8 @@ from estateqa.backends import RaisingBackend, ScriptedBackend
 from estateqa.domain import SlotAnnotation
 from estateqa.generator import SplitSpec, stratified_split
 from estateqa.slu import (
+    _NUMERIC_PATTERNS,
+    INTENT_RULES,
     FewShotSlu,
     Gazetteer,
     LexiconSlu,
@@ -65,6 +68,137 @@ def test_word_boundary_guard():
     slu = LexiconSlu(gaz)
     assert slu.predict("I parked nearby").slots == ()
     assert [s.value for s in slu.predict("a park nearby").slots] == ["park"]
+
+
+def _reference_predict(gazetteer: Gazetteer, question: str) -> SluPrediction:
+    """Brute-force oracle: one ``str.find`` scan per gazetteer surface."""
+
+    def is_boundary(start: int, end: int) -> bool:
+        before = question[start - 1] if start > 0 else " "
+        after = question[end] if end < len(question) else " "
+        return not (before.isalnum() or after.isalnum())
+
+    candidates = []
+    for surface, slot_type in gazetteer.entries.items():
+        start = 0
+        while True:
+            idx = question.find(surface, start)
+            if idx < 0:
+                break
+            end = idx + len(surface)
+            if is_boundary(idx, end):
+                candidates.append(SlotAnnotation(slot_type, surface, idx, end))
+            start = idx + 1
+    for slot_type, pattern in _NUMERIC_PATTERNS:
+        for match in pattern.finditer(question):
+            candidates.append(
+                SlotAnnotation(slot_type, match.group(1), match.start(1), match.end(1))
+            )
+    candidates.sort(key=lambda s: (-(s.end - s.start), s.start, s.slot_type))
+    chosen = []
+    for cand in candidates:
+        if all(cand.start >= c.end or c.start >= cand.end for c in chosen):
+            chosen.append(cand)
+    chosen.sort(key=lambda s: s.start)
+    lowered = question.casefold()
+    intent = next(
+        (name for name, pattern in INTENT_RULES if re.search(pattern, lowered)), "unknown"
+    )
+    return SluPrediction(intents=(intent,), slots=tuple(chosen))
+
+
+def test_indexed_matcher_equals_reference_on_desk_questions(lexicon, desk_instances):
+    assert desk_instances
+    for inst in desk_instances:
+        assert lexicon.predict(inst.question) == _reference_predict(
+            lexicon.gazetteer, inst.question
+        ), inst.question
+
+
+ADVERSARIAL = [
+    # a leftmost-longest scan would take "Alpha Bay Court" and lose "Alpha Bay"
+    (
+        {"Alpha Bay": "community_name", "Alpha Bay Court": "community_name",
+         "Court Road Station": "poi_name"},
+        ["Is Alpha Bay Court Road Station near?"],
+        [("community_name", "Alpha Bay"), ("poi_name", "Court Road Station")],
+    ),
+    (
+        {"No.2": "community_name", "No": "district", "2": "poi_name", "No.2.5": "poi_name"},
+        ["Is No.2 near No.25, No.2.5 or No.2?", "No.2", "No.2.", "Go No 2 No.2x"],
+        [("community_name", "No.2"), ("district", "No"), ("poi_name", "No.2.5"),
+         ("community_name", "No.2")],
+    ),
+    (
+        {"Jade Court": "community_name", "Court": "poi_label"},
+        ["Jade Court_x and Jade Court2 and _Jade Court and 2Jade Court", "Jade Court"],
+        [("community_name", "Jade Court"), ("community_name", "Jade Court"),
+         ("poi_label", "Court")],
+    ),
+    (
+        {"(East) Gate": "poi_name", "-Gate": "poi_name", "#1 Tower": "community_name",
+         "...": "district", "Gate": "poi_label"},
+        ["Is (East) Gate by #1 Tower... or x-Gate, -Gate?", "#1 Tower", "a#1 Tower"],
+        [("poi_name", "(East) Gate"), ("community_name", "#1 Tower"),
+         ("poi_label", "Gate"), ("poi_name", "-Gate")],
+    ),
+    (
+        {"珠江新城": "community_name", "天河区": "district", "广州": "city"},
+        ["珠江新城在天河区吗？", "去 珠江新城，天河区。广州!", "广州市"],
+        [],
+    ),
+    (
+        {"Bay Bay": "poi_name", "Bay": "poi_label", "Alpha Park": "poi_name"},
+        ["Bay Bay Bay Bay Bay", "Alpha Park or Alpha Park?\nAlpha Park"],
+        [("poi_name", "Bay Bay"), ("poi_name", "Bay Bay"), ("poi_label", "Bay")],
+    ),
+    # a span the gazetteer and a numeric pattern both claim breaks to the type name
+    (
+        {"2": "poi_name", "2 km": "radius_km"},
+        ["Which POIs are within 2 km of 2?"],
+        [("radius_km", "2 km"), ("poi_name", "2")],
+    ),
+    ({"": "district", "a b": "poi_name"}, ["a b, c", "", "!?"],
+     [("poi_name", "a b"), ("district", "")]),
+]
+
+
+@pytest.mark.parametrize("entries, questions, first_slots", ADVERSARIAL)
+def test_indexed_matcher_equals_reference_on_adversarial_gazetteers(
+    entries, questions, first_slots
+):
+    gazetteer = Gazetteer(entries)
+    slu = LexiconSlu(gazetteer)
+    for question in questions:
+        assert slu.predict(question) == _reference_predict(gazetteer, question), question
+    first = slu.predict(questions[0])
+    assert [(s.slot_type, s.value) for s in first.slots] == first_slots
+
+
+def test_indexed_matcher_equals_reference_on_random_gazetteers():
+    rng = random.Random(23)
+    alphabet = "ab2 ._-\n天"
+    for _ in range(200):
+        entries = {
+            "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 4))): rng.choice(
+                ("poi_name", "district")
+            )
+            for _ in range(rng.randint(1, 8))
+        }
+        gazetteer = Gazetteer(entries)
+        slu = LexiconSlu(gazetteer)
+        for _ in range(10):
+            question = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 16)))
+            assert slu.predict(question) == _reference_predict(gazetteer, question), (
+                entries,
+                question,
+            )
+
+
+def test_alphanumeric_class_matches_str_isalnum():
+    # the matcher indexes by runs of [^\W_]; it must agree with str.isalnum
+    every = "".join(map(chr, range(0x110000)))
+    assert re.findall(r"[^\W_]", every) == [c for c in every if c.isalnum()]
 
 
 def test_numeric_patterns(lexicon):
