@@ -202,23 +202,6 @@ def cmd_pairs(args: argparse.Namespace, config: dict[str, Any]) -> int:
     return EXIT_OK
 
 
-def cmd_cache_populate(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    """Pre-populate the tool cache by running the generation corpus once."""
-    store = _open_store(_require(args, config, "store"))
-    cache = ToolCache(provider=SyntheticProvider(store))
-    templates = _templates(args, config)
-    generate(
-        templates,
-        store,
-        cache,
-        seed=int(_setting(args, config, "seed", 0)),
-        per_template=int(_setting(args, config, "per_template", 50)),
-    )
-    entries = cache.save(_require(args, config, "cache"))
-    print(f"cache populated with {entries} entries")
-    return EXIT_OK
-
-
 def cmd_generate(args: argparse.Namespace, config: dict[str, Any]) -> int:
     store = _open_store(_require(args, config, "store"))
     cache = _provider_cache(store, _setting(args, config, "cache"))
@@ -396,15 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store")
     _add_common(p)
     p.set_defaults(func=cmd_pairs)
-
-    p = sub.add_parser("cache-populate", help="pre-populate the tool cache")
-    p.add_argument("--store")
-    p.add_argument("--cache")
-    p.add_argument("--templates")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--per-template", dest="per_template", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_cache_populate)
 
     p = sub.add_parser("generate", help="generate a validated dataset")
     p.add_argument("--store")

@@ -75,8 +75,6 @@ class DbAgent:
         store: GeoStore,
         backend: ChatBackend,
         inject_gold_sql: Mapping[str, str] | None = None,
-        bm25_k1: float = 1.2,
-        bm25_b: float = 0.75,
     ) -> None:
         self.store = store
         self.backend = backend
@@ -86,7 +84,7 @@ class DbAgent:
         self.sql_examples = load_prompt("db_fewshot_sql")
         captions = store.list_captions()
         self._by_text = {c.caption: c for c in captions}
-        self.index = Bm25Index([c.caption for c in captions], k1=bm25_k1, b=bm25_b)
+        self.index = Bm25Index([c.caption for c in captions])
 
     # --- pipeline stages -----------------------------------------------------
 

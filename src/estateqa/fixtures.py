@@ -12,7 +12,7 @@ import csv
 import random
 from pathlib import Path
 
-from .store import StoreConfig, city_slug
+from .store import FAMILY_COLUMNS, StoreConfig, city_slug
 
 # Approximate metro centers; unknown cities fall back to a seeded location.
 CITY_CENTERS = {
@@ -96,13 +96,7 @@ def write_fixture(
         com_path = out_dir / f"communities_{slug}.csv"
         with open(com_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                [
-                    "id", "city", "name", "district", "address", "latitude",
-                    "longitude", "greening_rate", "avg_price", "property_type",
-                    "sales_status",
-                ]
-            )
+            writer.writerow(FAMILY_COLUMNS["community"])
             for i in range(communities_per_city):
                 name = _unique_name(rng, community_names, taken)
                 district = rng.choice(districts)
@@ -129,7 +123,7 @@ def write_fixture(
         labels = list(config.labels)
         with open(poi_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["id", "city", "name", "category", "label", "latitude", "longitude"])
+            writer.writerow(FAMILY_COLUMNS["poi"])
             for i in range(pois_per_city):
                 # cycle labels so every label has coverage, then shuffle position
                 label = labels[i % len(labels)]

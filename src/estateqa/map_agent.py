@@ -178,10 +178,8 @@ class MapAgent:
         decisions: Iterable[ToolDecision],
         rule: SynthesisRule,
         coordinates: Mapping[str, GeoPoint] | None = None,
-        attempt_cap: int | None = None,
     ) -> AgentResult:
         coordinates = coordinates or {}
-        cap = attempt_cap if attempt_cap is not None else self.attempt_cap
         decisions = list(decisions)
         origins = set()
         resolved: list[tuple[ToolDecision, dict[str, Any]]] = []
@@ -215,13 +213,13 @@ class MapAgent:
                 evidence.append(payload)
                 failures += 1
                 last_error = str(exc)
-                if failures >= cap:
+                if failures >= self.attempt_cap:
                     return AgentResult(
                         status="error",
                         evidence=evidence,
                         error_report=(
-                            f"cannot derive a conclusive answer within {cap} attempts:"
-                            f" {last_error}"
+                            "cannot derive a conclusive answer within"
+                            f" {self.attempt_cap} attempts: {last_error}"
                         ),
                     )
                 continue

@@ -18,14 +18,67 @@ import re
 import sqlite3
 import threading
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Iterator, Mapping, Sequence
 
 from .domain import EARTH_RADIUS_M, Community, DomainError, GeoPoint, Poi
 
-FAMILIES = ("community", "poi", "poi_community", "community_community")
+# Each family's (column, SQLite type) pairs in table order; everything else
+# (CREATE TABLE text, INSERT placeholders, fixture headers, which CSV cells
+# are floats) derives from this. The entity families follow the Community and
+# Poi field order, with the location spelled out as latitude, longitude; a
+# column named ``id`` is the primary key.
+FAMILY_SCHEMA: dict[str, tuple[tuple[str, str], ...]] = {
+    "community": (
+        ("id", "TEXT"),
+        ("city", "TEXT"),
+        ("name", "TEXT"),
+        ("district", "TEXT"),
+        ("address", "TEXT"),
+        ("latitude", "REAL"),
+        ("longitude", "REAL"),
+        ("greening_rate", "REAL"),
+        ("avg_price", "REAL"),
+        ("property_type", "TEXT"),
+        ("sales_status", "TEXT"),
+    ),
+    "poi": (
+        ("id", "TEXT"),
+        ("city", "TEXT"),
+        ("name", "TEXT"),
+        ("category", "TEXT"),
+        ("label", "TEXT"),
+        ("latitude", "REAL"),
+        ("longitude", "REAL"),
+    ),
+    "poi_community": (
+        ("poi_id", "TEXT"),
+        ("poi_name", "TEXT"),
+        ("poi_label", "TEXT"),
+        ("community_id", "TEXT"),
+        ("community_name", "TEXT"),
+        ("straight_distance", "REAL"),
+    ),
+    "community_community": (
+        ("subject_id", "TEXT"),
+        ("subject_name", "TEXT"),
+        ("neighbor_id", "TEXT"),
+        ("neighbor_name", "TEXT"),
+        ("straight_distance", "REAL"),
+    ),
+}
+FAMILIES = tuple(FAMILY_SCHEMA)
+FAMILY_COLUMNS = {
+    family: tuple(name for name, _ in schema) for family, schema in FAMILY_SCHEMA.items()
+}
+_REAL_POSITIONS = {
+    family: frozenset(i for i, (_, kind) in enumerate(schema) if kind == "REAL")
+    for family, schema in FAMILY_SCHEMA.items()
+}
+_ENTITY_TYPES = {"community": Community, "poi": Poi}
+_FIXTURE_PREFIX = {"community": "communities", "poi": "pois"}
 
 DEFAULT_POI_TAXONOMY: dict[str, tuple[str, ...]] = {
     "school": ("primary school", "secondary school", "kindergarten"),
@@ -35,21 +88,6 @@ DEFAULT_POI_TAXONOMY: dict[str, tuple[str, ...]] = {
     "park": ("park",),
     "transit_station": ("subway station", "bus station"),
 }
-
-_COMMUNITY_COLUMNS = (
-    "id",
-    "city",
-    "name",
-    "district",
-    "address",
-    "latitude",
-    "longitude",
-    "greening_rate",
-    "avg_price",
-    "property_type",
-    "sales_status",
-)
-_POI_COLUMNS = ("id", "city", "name", "category", "label", "latitude", "longitude")
 
 _SELECT_RE = re.compile(r"^\s*(select|with)\b", re.IGNORECASE)
 
@@ -122,45 +160,22 @@ def _caption_text(family: str, city: str) -> str:
     }[family]
 
 
-_FAMILY_SCHEMAS = {
-    "community": _COMMUNITY_COLUMNS,
-    "poi": _POI_COLUMNS,
-    "poi_community": (
-        "poi_id",
-        "poi_name",
-        "poi_label",
-        "community_id",
-        "community_name",
-        "straight_distance",
-    ),
-    "community_community": (
-        "subject_id",
-        "subject_name",
-        "neighbor_id",
-        "neighbor_name",
-        "straight_distance",
-    ),
-}
+def _create_sql(family: str, table: str) -> str:
+    columns = ", ".join(
+        f"{name} {kind}{' PRIMARY KEY' if name == 'id' else ''}"
+        for name, kind in FAMILY_SCHEMA[family]
+    )
+    return f"CREATE TABLE {table} ({columns})"
 
-_CREATE_SQL = {
-    "community": (
-        "CREATE TABLE {t} (id TEXT PRIMARY KEY, city TEXT, name TEXT, district TEXT,"
-        " address TEXT, latitude REAL, longitude REAL, greening_rate REAL,"
-        " avg_price REAL, property_type TEXT, sales_status TEXT)"
-    ),
-    "poi": (
-        "CREATE TABLE {t} (id TEXT PRIMARY KEY, city TEXT, name TEXT, category TEXT,"
-        " label TEXT, latitude REAL, longitude REAL)"
-    ),
-    "poi_community": (
-        "CREATE TABLE {t} (poi_id TEXT, poi_name TEXT, poi_label TEXT,"
-        " community_id TEXT, community_name TEXT, straight_distance REAL)"
-    ),
-    "community_community": (
-        "CREATE TABLE {t} (subject_id TEXT, subject_name TEXT, neighbor_id TEXT,"
-        " neighbor_name TEXT, straight_distance REAL)"
-    ),
-}
+
+def _insert_sql(family: str, table: str) -> str:
+    return f"INSERT INTO {table} VALUES ({','.join('?' * len(FAMILY_SCHEMA[family]))})"
+
+
+def _entity(family: str, row: Sequence[Any]) -> Community | Poi:
+    """A Community or Poi from a typed row in table order; latitude and
+    longitude (positions 5 and 6 in both families) fold into the location."""
+    return _ENTITY_TYPES[family](*row[:5], GeoPoint(row[5], row[6]), *row[7:])
 
 
 class GeoStore:
@@ -194,14 +209,9 @@ class GeoStore:
         if row is None:
             raise IngestError(f"{path} carries no store config")
         raw = json.loads(row[0])
-        config = StoreConfig(
-            cities=tuple(raw["cities"]),
-            poi_pairing_radius=raw["poi_pairing_radius"],
-            community_pairing_radius=raw["community_pairing_radius"],
-            fixture_seed=raw["fixture_seed"],
-            poi_taxonomy={k: tuple(v) for k, v in raw["poi_taxonomy"].items()},
-        )
-        return cls(config, path, _existing=True)
+        raw["cities"] = tuple(raw["cities"])
+        raw["poi_taxonomy"] = {k: tuple(v) for k, v in raw["poi_taxonomy"].items()}
+        return cls(StoreConfig(**raw), path, _existing=True)
 
     def close(self) -> None:
         self._conn.close()
@@ -211,27 +221,12 @@ class GeoStore:
     def _create_tables(self) -> None:
         with self._lock:
             for city in self.config.cities:
-                slug = city_slug(city)
                 for family in FAMILIES:
-                    table = f"{family}_{slug}"
-                    self._conn.execute(_CREATE_SQL[family].format(t=table))
+                    self._conn.execute(_create_sql(family, self.table_id(family, city)))
             self._conn.execute("CREATE TABLE _meta (key TEXT PRIMARY KEY, value TEXT)")
             self._conn.execute(
                 "INSERT INTO _meta VALUES ('config', ?)",
-                (
-                    json.dumps(
-                        {
-                            "cities": list(self.config.cities),
-                            "poi_pairing_radius": self.config.poi_pairing_radius,
-                            "community_pairing_radius": self.config.community_pairing_radius,
-                            "fixture_seed": self.config.fixture_seed,
-                            "poi_taxonomy": {
-                                k: list(v) for k, v in self.config.poi_taxonomy.items()
-                            },
-                        },
-                        sort_keys=True,
-                    ),
-                ),
+                (json.dumps(asdict(self.config), sort_keys=True),),
             )
             self._conn.commit()
 
@@ -245,125 +240,63 @@ class GeoStore:
         aborts ingestion with an :class:`IngestError` naming the record.
         """
         fixture_dir = Path(fixture_dir)
-        counts = {"community": 0, "poi": 0}
+        counts = dict.fromkeys(_FIXTURE_PREFIX, 0)
         try:
             for city in self.config.cities:
-                slug = city_slug(city)
-                counts["community"] += self._ingest_communities(
-                    fixture_dir / f"communities_{slug}.csv", city
-                )
-                counts["poi"] += self._ingest_pois(fixture_dir / f"pois_{slug}.csv", city)
+                for family, prefix in _FIXTURE_PREFIX.items():
+                    path = fixture_dir / f"{prefix}_{city_slug(city)}.csv"
+                    counts[family] += self._ingest(path, family, city)
         finally:
             with self._lock:
                 self._snapshot = None
         return counts
 
-    def _read_csv(self, path: Path, expected: Sequence[str]) -> list[dict[str, str]]:
+    def _ingest(self, path: Path, family: str, city: str) -> int:
         if not path.exists():
             raise IngestError(f"missing fixture file: {path}")
+        columns = FAMILY_COLUMNS[family]
+        reals = _REAL_POSITIONS[family]
+        rows = []
+        seen_ids: set[str] = set()
         with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or tuple(reader.fieldnames) != tuple(expected):
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or tuple(header) != columns:
                 raise IngestError(
-                    f"{path.name}: header must be {','.join(expected)},"
-                    f" got {reader.fieldnames}"
+                    f"{path.name}: header must be {','.join(columns)}, got {header}"
                 )
-            return list(reader)
-
-    def _ingest_communities(self, path: Path, city: str) -> int:
-        rows = self._read_csv(path, _COMMUNITY_COLUMNS)
-        records = []
-        seen_ids: set[str] = set()
-        for raw in rows:
-            try:
-                community = Community(
-                    id=raw["id"],
-                    city=raw["city"],
-                    name=raw["name"],
-                    district=raw["district"],
-                    address=raw["address"],
-                    location=GeoPoint(float(raw["latitude"]), float(raw["longitude"])),
-                    greening_rate=float(raw["greening_rate"]),
-                    avg_price=float(raw["avg_price"]),
-                    property_type=raw["property_type"],
-                    sales_status=raw["sales_status"],
-                )
-            except (DomainError, ValueError) as exc:
-                raise IngestError(f"{path.name}: record id={raw.get('id')}: {exc}") from exc
-            if community.city != city:
-                raise IngestError(f"{path.name}: record id={community.id}: city mismatch")
-            if community.id in seen_ids:
-                raise IngestError(f"{path.name}: duplicate id {community.id}")
-            seen_ids.add(community.id)
-            records.append(community)
-        table = self.table_id("community", city)
-        with self._lock:
-            self._conn.executemany(
-                f"INSERT INTO {table} VALUES (?,?,?,?,?,?,?,?,?,?,?)",
-                [
-                    (
-                        c.id,
-                        c.city,
-                        c.name,
-                        c.district,
-                        c.address,
-                        c.location.latitude,
-                        c.location.longitude,
-                        c.greening_rate,
-                        c.avg_price,
-                        c.property_type,
-                        c.sales_status,
+            for raw in reader:
+                if not raw:
+                    continue  # a blank line holds no record
+                if len(raw) != len(columns):
+                    raise IngestError(
+                        f"{path.name}: record id={raw[0]}: expected {len(columns)}"
+                        f" fields, got {len(raw)}"
                     )
-                    for c in records
-                ],
-            )
-            self._conn.commit()
-        return len(records)
-
-    def _ingest_pois(self, path: Path, city: str) -> int:
-        rows = self._read_csv(path, _POI_COLUMNS)
-        records = []
-        seen_ids: set[str] = set()
-        for raw in rows:
-            try:
-                poi = Poi(
-                    id=raw["id"],
-                    city=raw["city"],
-                    name=raw["name"],
-                    category=raw["category"],
-                    label=raw["label"],
-                    location=GeoPoint(float(raw["latitude"]), float(raw["longitude"])),
-                )
-            except (DomainError, ValueError) as exc:
-                raise IngestError(f"{path.name}: record id={raw.get('id')}: {exc}") from exc
-            if self.config.label_category(poi.label) != poi.category:
-                raise IngestError(
-                    f"{path.name}: record id={poi.id}: label {poi.label!r} is not"
-                    f" a {poi.category!r} label in the configured taxonomy"
-                )
-            if poi.id in seen_ids:
-                raise IngestError(f"{path.name}: duplicate id {poi.id}")
-            seen_ids.add(poi.id)
-            records.append(poi)
-        table = self.table_id("poi", city)
-        with self._lock:
-            self._conn.executemany(
-                f"INSERT INTO {table} VALUES (?,?,?,?,?,?,?)",
-                [
-                    (
-                        p.id,
-                        p.city,
-                        p.name,
-                        p.category,
-                        p.label,
-                        p.location.latitude,
-                        p.location.longitude,
+                try:
+                    row = tuple(float(v) if i in reals else v for i, v in enumerate(raw))
+                    entity = _entity(family, row)
+                except (DomainError, ValueError) as exc:
+                    raise IngestError(f"{path.name}: record id={raw[0]}: {exc}") from exc
+                if entity.city != city:
+                    raise IngestError(f"{path.name}: record id={entity.id}: city mismatch")
+                if (
+                    isinstance(entity, Poi)
+                    and self.config.label_category(entity.label) != entity.category
+                ):
+                    raise IngestError(
+                        f"{path.name}: record id={entity.id}: label {entity.label!r} is not"
+                        f" a {entity.category!r} label in the configured taxonomy"
                     )
-                    for p in records
-                ],
-            )
+                if entity.id in seen_ids:
+                    raise IngestError(f"{path.name}: duplicate id {entity.id}")
+                seen_ids.add(entity.id)
+                rows.append(row)
+        table = self.table_id(family, city)
+        with self._lock:
+            self._conn.executemany(_insert_sql(family, table), rows)
             self._conn.commit()
-        return len(records)
+        return len(rows)
 
     # --- proximity pairs -------------------------------------------------------
 
@@ -384,13 +317,13 @@ class GeoStore:
                 self._conn.execute(f"DELETE FROM {pc_table}")
                 self._conn.execute(f"DELETE FROM {cc_table}")
                 counts["poi_community"] += self._conn.executemany(
-                    f"INSERT INTO {pc_table} VALUES (?,?,?,?,?,?)",
+                    _insert_sql("poi_community", pc_table),
                     _poi_community_rows(
                         entities.pois, entities.communities, self.config.poi_pairing_radius
                     ),
                 ).rowcount
                 counts["community_community"] += self._conn.executemany(
-                    f"INSERT INTO {cc_table} VALUES (?,?,?,?,?)",
+                    _insert_sql("community_community", cc_table),
                     _community_community_rows(
                         entities.communities, self.config.community_pairing_radius
                     ),
@@ -449,7 +382,7 @@ class GeoStore:
                         caption=_caption_text(family, city),
                         city=city,
                         family=family,
-                        columns=_FAMILY_SCHEMAS[family],
+                        columns=FAMILY_COLUMNS[family],
                     )
                 )
         return catalog
@@ -469,13 +402,11 @@ class GeoStore:
             _, rows = self.execute_sql(
                 f"SELECT * FROM {self.table_id('community', city)} ORDER BY id"
             )
-            # columns follow the dataclass fields, with latitude and longitude
-            # folded into the location
-            communities = tuple(Community(*r[:5], GeoPoint(r[5], r[6]), *r[7:]) for r in rows)
+            communities = tuple(_entity("community", r) for r in rows)
             _, rows = self.execute_sql(
                 f"SELECT * FROM {self.table_id('poi', city)} ORDER BY id"
             )
-            pois = tuple(Poi(*r[:5], GeoPoint(r[5], r[6])) for r in rows)
+            pois = tuple(_entity("poi", r) for r in rows)
             by_label: dict[str, list[Poi]] = {}
             for poi in pois:
                 by_label.setdefault(poi.label.casefold(), []).append(poi)

@@ -270,9 +270,8 @@ class Supervisor:
         try:
             transcript.step_count += 1  # planning consumes budget
             queue = deque(self.plan(transcript, question, intents, slots))
-        except (PlanParseFailure, BackendError) as exc:
+        except (PlanParseFailure, BackendError):
             transcript.failure = "plan_failure"
-            history.append(f"planning failed: {exc}")
             return transcript
 
         finalize_now = False
@@ -338,9 +337,8 @@ class Supervisor:
                         f" {result.status}: {result.error_report}"
                     ),
                 )
-            except (PlanParseFailure, BackendError) as exc:
+            except (PlanParseFailure, BackendError):
                 transcript.failure = "replan_failure"
-                history.append(f"replanning failed: {exc}")
                 return transcript
             queue = deque(directives)
 
@@ -350,7 +348,6 @@ class Supervisor:
 
         try:
             transcript.final_answer = self.finalize(transcript, question, evidence)
-        except BackendError as exc:
+        except BackendError:
             transcript.failure = "finalize_backend_failure"
-            history.append(f"finalize failed: {exc}")
         return transcript

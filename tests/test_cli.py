@@ -47,13 +47,6 @@ def test_generate_idempotent(workdir, tmp_path):
     assert cache.read_bytes() == (workdir / "cache.jsonl").read_bytes()
 
 
-def test_cache_populate_matches_generate_cache(workdir, tmp_path):
-    cache = tmp_path / "pop_cache.jsonl"
-    assert main(["cache-populate", "--store", str(workdir / "store.db"),
-                 "--cache", str(cache), "--seed", "11", "--per-template", "6"]) == 0
-    assert cache.read_bytes() == (workdir / "cache.jsonl").read_bytes()
-
-
 def test_split_deterministic(workdir, tmp_path):
     assert main(["split", "--dataset", str(workdir / "dataset.jsonl"),
                  "--out-dir", str(tmp_path / "splits2"), "--seed", "3"]) == 0

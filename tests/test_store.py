@@ -4,14 +4,18 @@ a brute-force oracle, and read-only SQL execution."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
+import sqlite3
 
 import pytest
 
-from estateqa.domain import GeoPoint, haversine
+from estateqa.domain import Community, GeoPoint, Poi, haversine
 from estateqa.fixtures import write_fixture
 from estateqa.store import (
     FAMILIES,
+    FAMILY_COLUMNS,
+    FAMILY_SCHEMA,
     GeoStore,
     IngestError,
     SqlExecutionError,
@@ -135,6 +139,56 @@ def test_missing_fixture_file(tmp_path):
     config = StoreConfig(cities=("Testville",))
     with pytest.raises(IngestError, match="missing fixture file"):
         GeoStore(config).ingest_fixture(tmp_path)
+
+
+_GOOD_COMMUNITY = _community_row("c0", "A", 23.0, 113.0)
+_GOOD_POI = ["p0", "Testville", "X Park", "park", "park", 23.0, 113.0]
+
+
+@pytest.mark.parametrize(
+    "family, row, match",
+    [
+        ("community", _GOOD_COMMUNITY[:6], "record id=c0: expected 11 fields, got 6"),
+        ("community", _GOOD_COMMUNITY + ["x"], "record id=c0: expected 11 fields, got 12"),
+        ("poi", _GOOD_POI[:5], "record id=p0: expected 7 fields, got 5"),
+        ("poi", _GOOD_POI + ["x"], "record id=p0: expected 7 fields, got 8"),
+        ("poi", ["p0", "Elsewhere", *_GOOD_POI[2:]], "record id=p0: city mismatch"),
+    ],
+    ids=["community-short", "community-long", "poi-short", "poi-long", "poi-city"],
+)
+def test_malformed_fixture_record_rejected(tmp_path, family, row, match):
+    rows = {"community": [_GOOD_COMMUNITY], "poi": [_GOOD_POI], family: [row]}
+    _write_rows(tmp_path / "communities_testville.csv", COMMUNITY_HEADER, rows["community"])
+    _write_rows(tmp_path / "pois_testville.csv", POI_HEADER, rows["poi"])
+    with pytest.raises(IngestError, match=match):
+        GeoStore(StoreConfig(cities=("Testville",))).ingest_fixture(tmp_path)
+
+
+def test_schema_declaration_matches_entities_tables_and_fixture_headers(tmp_path):
+    def flat_fields(cls):
+        return tuple(
+            name
+            for f in dataclasses.fields(cls)
+            for name in (("latitude", "longitude") if f.name == "location" else (f.name,))
+        )
+
+    assert flat_fields(Community) == FAMILY_COLUMNS["community"]
+    assert flat_fields(Poi) == FAMILY_COLUMNS["poi"]
+
+    config = StoreConfig(cities=("Testville",))
+    GeoStore(config, tmp_path / "store.db").close()
+    conn = sqlite3.connect(tmp_path / "store.db")
+    for family in FAMILIES:
+        info = conn.execute(f"PRAGMA table_info({family}_testville)").fetchall()
+        assert [(name, kind, pk) for _, name, kind, _, _, pk in info] == [
+            (name, kind, int(name == "id")) for name, kind in FAMILY_SCHEMA[family]
+        ]
+    conn.close()
+
+    write_fixture(config, tmp_path, communities_per_city=2, pois_per_city=2)
+    for family, prefix in (("community", "communities"), ("poi", "pois")):
+        with open(tmp_path / f"{prefix}_testville.csv", encoding="utf-8", newline="") as fh:
+            assert tuple(next(csv.reader(fh))) == FAMILY_COLUMNS[family]
 
 
 # --- proximity pairs --------------------------------------------------------------
