@@ -14,6 +14,10 @@ Backends implement ``complete(system_prompt, messages) -> text``. The oracle
 backend replays gold supervision and is the harness's self-test; the HTTP
 backend speaks the de-facto chat-completion wire format with the key taken
 from an environment variable, never from config values.
+
+Agents talk to a backend through :func:`ask` (one user message under a system
+prompt) and :func:`reprompt_once` (one resend, with the stage's nudge appended,
+when a reply lacks its envelope).
 """
 
 from __future__ import annotations
@@ -23,11 +27,13 @@ import os
 import re
 import urllib.error
 import urllib.request
-from typing import Any, Mapping, Protocol, Sequence
+from typing import Any, Callable, Mapping, Protocol, Sequence, TypeVar
 
 from .domain import CanonicalAnswer, QAInstance
+from .tools import split_step_params
 
 Message = Mapping[str, str]
+T = TypeVar("T")
 
 
 class BackendError(RuntimeError):
@@ -36,6 +42,23 @@ class BackendError(RuntimeError):
 
 class ChatBackend(Protocol):
     def complete(self, system_prompt: str, messages: Sequence[Message]) -> str: ...
+
+
+def ask(backend: ChatBackend, system_prompt: str, content: str) -> str:
+    """Send one user message under a system prompt; returns the reply text."""
+    return backend.complete(system_prompt, [{"role": "user", "content": content}])
+
+
+def reprompt_once(
+    send: Callable[[str], str], content: str, parse: Callable[[str], T | None], nudge: str
+) -> T | None:
+    """Send ``content`` and parse the reply; when ``parse`` finds no envelope
+    (returns None), send ``content + nudge`` once more. None if both fail."""
+    for prompt in (content, content + nudge):
+        parsed = parse(send(prompt))
+        if parsed is not None:
+            return parsed
+    return None
 
 
 # --- request headers ------------------------------------------------------------
@@ -207,22 +230,16 @@ class OracleBackend:
         if task == "decide_tools":
             lines = []
             for step in gold.tool_trace:
-                params = {k: v for k, v in step.params.items() if k != "time_bucket"}
+                params, bucket = split_step_params(step.params)
                 lines.append(
                     f"TOOL: {step.function} PARAMS: "
                     + json.dumps(params, sort_keys=True)
-                    + f' BUCKET: {step.params.get("time_bucket", "")}'
+                    + f" BUCKET: {bucket or ''}"
                 )
             lines.append("SYNTHESIZE: passthrough")
             return "\n".join(lines)
         if task == "slu":
-            return json.dumps(
-                {
-                    "intents": list(gold.intents),
-                    "slots": [{"slot_type": s.slot_type, "value": s.value} for s in gold.slots],
-                },
-                ensure_ascii=False,
-            )
+            return json.dumps(gold.slu_labels(), ensure_ascii=False)
         raise BackendError(f"oracle does not understand task {task!r}")
 
 

@@ -23,6 +23,7 @@ from .domain import (
     write_instances,
 )
 from .evaluator import (
+    EpisodeRecord,
     EvalReport,
     RunConfig,
     aggregate,
@@ -273,7 +274,9 @@ def _write_report(run_dir: Path, name: str, report: EvalReport) -> None:
     (run_dir / f"{name}.txt").write_text(report.render_table() + "\n", encoding="utf-8")
 
 
-def cmd_run(args: argparse.Namespace, config: dict[str, Any]) -> int:
+def _suite_inputs(args: argparse.Namespace, config: dict[str, Any]) -> tuple[tuple, Path]:
+    """The set-up `run` and `ablate` share: the positional arguments of
+    :func:`run_suite` / :func:`run_ablation`, and the prepared run directory."""
     store = _open_store(_require(args, config, "store"))
     cache = _frozen_cache(_require(args, config, "cache"))
     instances = list(read_instances(_require(args, config, "dataset")))
@@ -281,8 +284,12 @@ def cmd_run(args: argparse.Namespace, config: dict[str, Any]) -> int:
     backend = _build_backend(args, config, instances, store)
     fewshot_pool = _fewshot_pool(args, config, run_config.seed)
     run_dir = _prepare_run_dir(_require(args, config, "out"), args.overwrite)
+    return (instances, store, cache, backend, run_config, fewshot_pool), run_dir
 
-    report, records = run_suite(instances, store, cache, backend, run_config, fewshot_pool)
+
+def cmd_run(args: argparse.Namespace, config: dict[str, Any]) -> int:
+    suite_args, run_dir = _suite_inputs(args, config)
+    report, records = run_suite(*suite_args)
     with open(run_dir / "transcripts.jsonl", "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record.transcript.to_dict(), ensure_ascii=False) + "\n")
@@ -316,8 +323,6 @@ def cmd_eval(args: argparse.Namespace, config: dict[str, Any]) -> int:
             return EXIT_VALIDATION
         transcripts.append(transcript)
         golds.append(gold)
-    from .evaluator import EpisodeRecord
-
     records = [EpisodeRecord(g, t, None) for g, t in zip(golds, transcripts)]
     report = aggregate(records, _run_config(args, config))
     _write_report(run_dir, "eval", report)
@@ -326,14 +331,8 @@ def cmd_eval(args: argparse.Namespace, config: dict[str, Any]) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    store = _open_store(_require(args, config, "store"))
-    cache = _frozen_cache(_require(args, config, "cache"))
-    instances = list(read_instances(_require(args, config, "dataset")))
-    run_config = _run_config(args, config)
-    backend = _build_backend(args, config, instances, store)
-    fewshot_pool = _fewshot_pool(args, config, run_config.seed)
-    run_dir = _prepare_run_dir(_require(args, config, "out"), args.overwrite)
-    reports = run_ablation(instances, store, cache, backend, run_config, fewshot_pool)
+    suite_args, run_dir = _suite_inputs(args, config)
+    reports = run_ablation(*suite_args)
     for name, report in reports.items():
         _write_report(run_dir, f"ablation_{name}", report)
         print(f"--- {name} ---")
@@ -346,6 +345,27 @@ def cmd_ablate(args: argparse.Namespace, config: dict[str, Any]) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file supplying defaults for any flag")
+
+
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags `run` and `ablate` share, in help order."""
+    parser.add_argument("--store")
+    parser.add_argument("--cache")
+    parser.add_argument("--dataset")
+    parser.add_argument("--out")
+    parser.add_argument("--backend", choices=("oracle", "http"))
+    parser.add_argument("--endpoint")
+    parser.add_argument("--model")
+    parser.add_argument("--key-env", dest="key_env")
+    parser.add_argument("--agents", choices=("live", "oracle"))
+    parser.add_argument("--slu", choices=("lexicon", "fewshot"))
+    parser.add_argument("--fewshot-pool", dest="fewshot_pool")
+    parser.add_argument("--inject")
+    parser.add_argument("--step-cap", dest="step_cap", type=int)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--parallelism", type=int)
+    parser.add_argument("--overwrite", action="store_true")
+    _add_common(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,23 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("run", help="run agent episodes over a dataset")
-    p.add_argument("--store")
-    p.add_argument("--cache")
-    p.add_argument("--dataset")
-    p.add_argument("--out")
-    p.add_argument("--backend", choices=("oracle", "http"))
-    p.add_argument("--endpoint")
-    p.add_argument("--model")
-    p.add_argument("--key-env", dest="key_env")
-    p.add_argument("--agents", choices=("live", "oracle"))
-    p.add_argument("--slu", choices=("lexicon", "fewshot"))
-    p.add_argument("--fewshot-pool", dest="fewshot_pool")
-    p.add_argument("--inject")
-    p.add_argument("--step-cap", dest="step_cap", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--parallelism", type=int)
-    p.add_argument("--overwrite", action="store_true")
-    _add_common(p)
+    _add_run_flags(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("eval", help="recompute metrics from persisted transcripts")
@@ -436,23 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="sweep the GT-injection ladder")
-    p.add_argument("--store")
-    p.add_argument("--cache")
-    p.add_argument("--dataset")
-    p.add_argument("--out")
-    p.add_argument("--backend", choices=("oracle", "http"))
-    p.add_argument("--endpoint")
-    p.add_argument("--model")
-    p.add_argument("--key-env", dest="key_env")
-    p.add_argument("--agents", choices=("live", "oracle"))
-    p.add_argument("--slu", choices=("lexicon", "fewshot"))
-    p.add_argument("--fewshot-pool", dest="fewshot_pool")
-    p.add_argument("--inject")
-    p.add_argument("--step-cap", dest="step_cap", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--parallelism", type=int)
-    p.add_argument("--overwrite", action="store_true")
-    _add_common(p)
+    _add_run_flags(p)
     p.set_defaults(func=cmd_ablate)
 
     return parser

@@ -11,15 +11,20 @@ fails. With gold SQL injected, generation is skipped entirely.
 from __future__ import annotations
 
 import re
-from typing import Any, Mapping
+from functools import partial
+from typing import Any, Mapping, Sequence
 
-from .backends import BackendError, ChatBackend, build_task_message
+from .backends import BackendError, ChatBackend, ask, build_task_message, reprompt_once
 from .bm25 import Bm25Index
 from .prompts import load_prompt
 from .store import GeoStore, SqlExecutionError, TableCaption, extract_coordinates
 from .supervisor import AgentResult, AgentTask
 
 _SQL_FENCE_RE = re.compile(r"```sql\s+(.*?)```", re.DOTALL | re.IGNORECASE)
+_SQL_NUDGE = (
+    "\n\nYour previous reply had no ```sql fenced block."
+    " Reply with exactly one statement inside ```sql ... ```."
+)
 
 
 class SqlExtractionError(RuntimeError):
@@ -35,6 +40,23 @@ def extract_sql(reply: str) -> str:
     if not statement:
         raise SqlExtractionError("empty ```sql fenced block")
     return statement
+
+
+def _sql_or_none(reply: str) -> str | None:
+    try:
+        return extract_sql(reply)
+    except SqlExtractionError:
+        return None
+
+
+def coordinates_payload(
+    columns: Sequence[str], rows: Sequence[Sequence[Any]]
+) -> dict[str, Any] | None:
+    """The coordinates evidence for a result's name/lat/lon columns, or None
+    when the result carries no coordinates."""
+    coordinates = extract_coordinates(columns, rows)
+    entries = {name: [p.latitude, p.longitude] for name, p in coordinates.items()}
+    return {"type": "coordinates", "entries": entries} if entries else None
 
 
 def execute_and_package(store: GeoStore, statement: str) -> AgentResult:
@@ -56,16 +78,9 @@ def execute_and_package(store: GeoStore, statement: str) -> AgentResult:
         sql_payload,
         {"type": "rows", "columns": list(columns), "rows": [list(r) for r in rows]},
     ]
-    coordinates = extract_coordinates(columns, rows)
+    coordinates = coordinates_payload(columns, rows)
     if coordinates:
-        evidence.append(
-            {
-                "type": "coordinates",
-                "entries": {
-                    name: [p.latitude, p.longitude] for name, p in coordinates.items()
-                },
-            }
-        )
+        evidence.append(coordinates)
     return AgentResult(status="success", evidence=evidence)
 
 
@@ -88,16 +103,20 @@ class DbAgent:
 
     # --- pipeline stages -----------------------------------------------------
 
-    def caption_summary(self, task: AgentTask) -> str:
+    def _prompt(self, stage: str, task: AgentTask, examples: str, **fields: str) -> str:
         content = build_task_message(
-            "caption_summary",
+            stage,
             task.question,
             subtask=task.description,
             intents=", ".join(task.intents),
             slots="; ".join(f"{s.slot_type}={s.value}" for s in task.slots),
+            **fields,
         )
-        content += "\n\nWorked examples:\n" + self.caption_examples
-        reply = self.backend.complete(self.system_prompt, [{"role": "user", "content": content}])
+        return content + "\n\nWorked examples:\n" + examples
+
+    def caption_summary(self, task: AgentTask) -> str:
+        content = self._prompt("caption_summary", task, self.caption_examples)
+        reply = ask(self.backend, self.system_prompt, content)
         return reply.strip().splitlines()[0].strip() if reply.strip() else ""
 
     def retrieve_caption(self, summary: str) -> tuple[TableCaption, float]:
@@ -106,29 +125,19 @@ class DbAgent:
         return self._by_text[best.caption], best.score
 
     def generate_sql(self, task: AgentTask, caption: TableCaption) -> str:
-        content = build_task_message(
+        content = self._prompt(
             "generate_sql",
-            task.question,
-            subtask=task.description,
-            intents=", ".join(task.intents),
-            slots="; ".join(f"{s.slot_type}={s.value}" for s in task.slots),
+            task,
+            self.sql_examples,
             caption=caption.caption,
             table=caption.table_id,
             columns=", ".join(caption.columns),
         )
-        content += "\n\nWorked examples:\n" + self.sql_examples
-        for attempt in range(2):
-            reply = self.backend.complete(
-                self.system_prompt, [{"role": "user", "content": content}]
-            )
-            try:
-                return extract_sql(reply)
-            except SqlExtractionError:
-                content += (
-                    "\n\nYour previous reply had no ```sql fenced block."
-                    " Reply with exactly one statement inside ```sql ... ```."
-                )
-        raise SqlExtractionError("no ```sql fenced block after reprompt")
+        send = partial(ask, self.backend, self.system_prompt)
+        statement = reprompt_once(send, content, _sql_or_none, _SQL_NUDGE)
+        if statement is None:
+            raise SqlExtractionError("no ```sql fenced block after reprompt")
+        return statement
 
     # --- dispatch entry point ---------------------------------------------------
 

@@ -251,6 +251,21 @@ class SlotAnnotation:
             )
 
 
+def locate_slot(
+    question: str, slot_type: str, value: str, taken: list[tuple[int, int]]
+) -> SlotAnnotation | None:
+    """Annotate the first occurrence of ``value`` in ``question`` that overlaps
+    no span in ``taken``, and add its span to ``taken``; None if there is none."""
+    start = question.find(value)
+    while start >= 0:
+        end = start + len(value)
+        if all(start >= e or s >= end for s, e in taken):
+            taken.append((start, end))
+            return SlotAnnotation(slot_type, value, start, end)
+        start = question.find(value, start + 1)
+    return None
+
+
 @dataclass(frozen=True)
 class SqlStep:
     statement: str
@@ -305,6 +320,13 @@ class QAInstance:
                 if slot.start < e and s < slot.end:
                     raise DomainError(f"overlapping slot spans at {slot.start}:{slot.end}")
             spans.append((slot.start, slot.end))
+
+    def slu_labels(self) -> dict[str, Any]:
+        """The SLU reply for this question: its intents and (type, value) slots."""
+        return {
+            "intents": list(self.intents),
+            "slots": [{"slot_type": s.slot_type, "value": s.value} for s in self.slots],
+        }
 
 
 # --- serialization -----------------------------------------------------------

@@ -28,11 +28,11 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .backends import ChatBackend, OracleBackend
-from .db_agent import DbAgent
+from .db_agent import DbAgent, coordinates_payload
 from .domain import CanonicalAnswer, QAInstance, answer_equal
 from .map_agent import MapAgent
 from .slu import FewShotSlu, Gazetteer, LexiconSlu, SluPrediction, slu_metrics
-from .store import GeoStore, extract_coordinates
+from .store import GeoStore
 from .supervisor import AgentResult, AgentTask, EpisodeTranscript, Supervisor
 from .tools import ToolCache
 
@@ -126,17 +126,9 @@ class OracleDbAgent:
                     "rows": [list(r) for r in step.expected_rows],
                 }
             )
-            coordinates = extract_coordinates(step.expected_columns, step.expected_rows)
+            coordinates = coordinates_payload(step.expected_columns, step.expected_rows)
             if coordinates:
-                evidence.append(
-                    {
-                        "type": "coordinates",
-                        "entries": {
-                            name: [p.latitude, p.longitude]
-                            for name, p in coordinates.items()
-                        },
-                    }
-                )
+                evidence.append(coordinates)
         return AgentResult(status="success", evidence=evidence)
 
 

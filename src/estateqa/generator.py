@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
-from .backends import BackendError, ChatBackend
+from .backends import BackendError, ChatBackend, ask
 from .domain import (
     CanonicalAnswer,
     GeoPoint,
@@ -22,11 +22,13 @@ from .domain import (
     SlotAnnotation,
     SqlStep,
     ToolStep,
+    answer_equal,
     haversine,
+    locate_slot,
 )
 from .store import GeoStore, SqlExecutionError, city_slug, extract_coordinates
 from .templates import PLACEHOLDER_RE, Template, slot_type_for
-from .tools import CacheMiss, InvalidParams, ToolCache, ToolRequest
+from .tools import CacheMiss, InvalidParams, ToolCache, ToolRequest, split_step_params
 
 log = logging.getLogger(__name__)
 
@@ -415,10 +417,8 @@ def instantiate(
             return Rejection(template.template_id, "invalid_tool_params", str(exc))
         except CacheMiss as exc:
             return Rejection(template.template_id, "unresolvable_tool", str(exc))
-        stored = dict(request.params_dict)
-        stored["time_bucket"] = request.time_bucket
         tool_steps.append(
-            ToolStep(request.function, stored, payload.columns, payload.rows)
+            ToolStep(request.function, request.step_params(), payload.columns, payload.rows)
         )
 
     ok, reason = plausibility_check(tuple(tool_steps))
@@ -517,9 +517,8 @@ def revalidate_instance(
         if columns != step.expected_columns or tuple(rows) != step.expected_rows:
             problems.append(f"sql[{i}]: result drift")
     for i, step in enumerate(instance.tool_trace):
-        params = {k: v for k, v in step.params.items() if k != "time_bucket"}
         try:
-            payload = cache.call(step.function, params, step.params.get("time_bucket"))
+            payload = cache.call(step.function, *split_step_params(step.params))
         except (CacheMiss, InvalidParams) as exc:
             problems.append(f"tool[{i}]: replay failed: {exc}")
             continue
@@ -540,8 +539,6 @@ def revalidate_instance(
     except (AnswerUnderivable, KeyError, ValueError, TypeError, IndexError) as exc:
         problems.append(f"answer: re-derivation failed: {exc}")
         return problems
-    from .domain import answer_equal
-
     if not answer_equal(rederived, instance.answer):
         problems.append(f"answer: {rederived} != {instance.answer}")
     try:
@@ -615,7 +612,7 @@ def paraphrase_hook(instance: QAInstance, backend: ChatBackend) -> QAInstance:
         + instance.question
     )
     try:
-        rewritten = backend.complete(PARAPHRASE_SYSTEM, [{"role": "user", "content": prompt}])
+        rewritten = ask(backend, PARAPHRASE_SYSTEM, prompt)
     except BackendError as exc:
         log.warning("paraphrase backend failed for %s: %s", instance.id, exc)
         return instance
@@ -636,19 +633,8 @@ def _relocate_slots(
     taken: list[tuple[int, int]] = []
     out: list[SlotAnnotation] = []
     for slot in sorted(slots, key=lambda s: -len(s.value)):
-        start = 0
-        placed = False
-        while True:
-            idx = question.find(slot.value, start)
-            if idx < 0:
-                break
-            end = idx + len(slot.value)
-            if all(idx >= e or s >= end for s, e in taken):
-                taken.append((idx, end))
-                out.append(SlotAnnotation(slot.slot_type, slot.value, idx, end))
-                placed = True
-                break
-            start = idx + 1
-        if not placed:
+        placed = locate_slot(question, slot.slot_type, slot.value, taken)
+        if placed is None:
             return None
+        out.append(placed)
     return tuple(sorted(out, key=lambda s: s.start))

@@ -18,13 +18,14 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Iterable, Mapping, Sequence
 
-from .backends import BackendError, ChatBackend, build_task_message
+from .backends import BackendError, ChatBackend, ask, build_task_message, reprompt_once
 from .domain import GeoPoint, ToolStep
 from .prompts import load_prompt
 from .supervisor import AgentResult, AgentTask
-from .tools import InvalidParams, CacheMiss, ToolCache, ToolRequest
+from .tools import InvalidParams, CacheMiss, ToolCache, ToolRequest, split_step_params
 
 DEFAULT_ATTEMPT_CAP = 3
 
@@ -37,6 +38,10 @@ _SYNTH_RE = re.compile(
     re.IGNORECASE | re.MULTILINE,
 )
 _UNABLE_RE = re.compile(r"^\s*UNABLE:\s*(.+)$", re.MULTILINE)
+_TOOLS_NUDGE = (
+    "\n\nYour previous reply contained no TOOL lines. Use the"
+    " `TOOL: <function> PARAMS: {...}` format, or `UNABLE: <reason>`."
+)
 
 _MODE_DISPLAY = {"transit": "public transit"}
 
@@ -94,24 +99,31 @@ def parse_decisions(reply: str) -> tuple[list[ToolDecision], SynthesisRule, str]
     return decisions, synth, ""
 
 
+def _decisions_or_none(reply: str) -> tuple[list[ToolDecision], SynthesisRule, str] | None:
+    decisions, _, unable = parsed = parse_decisions(reply)
+    return parsed if decisions or unable else None
+
+
 class MapAgent:
     def __init__(
         self,
         cache: ToolCache,
         backend: ChatBackend,
         inject_gold_tools: Mapping[str, Sequence[ToolStep]] | None = None,
-        attempt_cap: int = DEFAULT_ATTEMPT_CAP,
     ) -> None:
         self.cache = cache
         self.backend = backend
         self.inject_gold_tools = dict(inject_gold_tools or {})
-        self.attempt_cap = attempt_cap
         self.system_prompt = load_prompt("map_agent_system")
         self.tool_descriptions = load_prompt("tool_descriptions")
 
     # --- decision stage -----------------------------------------------------------
 
-    def decide_tools(self, task: AgentTask) -> tuple[list[ToolDecision], SynthesisRule, str]:
+    def decide_tools(
+        self, task: AgentTask
+    ) -> tuple[list[ToolDecision], SynthesisRule, str] | None:
+        """(decisions, synthesis rule, unable-reason), or None when neither
+        reply to the prompt and its one reprompt holds a TOOL or UNABLE line."""
         context = "\n".join(
             f"{name}: {point.latitude}, {point.longitude}"
             for name, point in sorted(task.coordinates.items())
@@ -124,18 +136,8 @@ class MapAgent:
         )
         content += "\n\nCONTEXT coordinates:\n" + (context or "(none)")
         content += "\n\n" + self.tool_descriptions
-        reply = self.backend.complete(self.system_prompt, [{"role": "user", "content": content}])
-        decisions, rule, unable = parse_decisions(reply)
-        if not decisions and not unable:
-            content += (
-                "\n\nYour previous reply contained no TOOL lines. Use the"
-                " `TOOL: <function> PARAMS: {...}` format, or `UNABLE: <reason>`."
-            )
-            reply = self.backend.complete(
-                self.system_prompt, [{"role": "user", "content": content}]
-            )
-            decisions, rule, unable = parse_decisions(reply)
-        return decisions, rule, unable
+        send = partial(ask, self.backend, self.system_prompt)
+        return reprompt_once(send, content, _decisions_or_none, _TOOLS_NUDGE)
 
     def _resolve_params(
         self, decision: ToolDecision, coordinates: Mapping[str, GeoPoint]
@@ -203,9 +205,7 @@ class MapAgent:
             payload: dict[str, Any] = {"type": "tool_call", "function": decision.function}
             try:
                 request = ToolRequest.build(decision.function, params, decision.bucket)
-                stored = dict(request.params_dict)
-                stored["time_bucket"] = request.time_bucket
-                payload["params"] = stored
+                payload["params"] = request.step_params()
                 result = self.cache.execute(request)
             except (InvalidParams, CacheMiss) as exc:
                 payload.setdefault("params", dict(params))
@@ -213,13 +213,13 @@ class MapAgent:
                 evidence.append(payload)
                 failures += 1
                 last_error = str(exc)
-                if failures >= self.attempt_cap:
+                if failures >= DEFAULT_ATTEMPT_CAP:
                     return AgentResult(
                         status="error",
                         evidence=evidence,
                         error_report=(
                             "cannot derive a conclusive answer within"
-                            f" {self.attempt_cap} attempts: {last_error}"
+                            f" {DEFAULT_ATTEMPT_CAP} attempts: {last_error}"
                         ),
                     )
                 continue
@@ -306,24 +306,21 @@ class MapAgent:
         injected = self.inject_gold_tools.get(task.question)
         if injected is not None:
             decisions = [
-                ToolDecision(
-                    function=step.function,
-                    params={k: v for k, v in step.params.items() if k != "time_bucket"},
-                    bucket=step.params.get("time_bucket"),
-                )
+                ToolDecision(step.function, *split_step_params(step.params))
                 for step in injected
             ]
             rule = SynthesisRule(kind="passthrough")
         else:
             try:
-                decisions, rule, unable = self.decide_tools(task)
+                decided = self.decide_tools(task)
             except BackendError as exc:
                 return AgentResult(status="error", error_report=str(exc))
-            if unable:
-                return AgentResult(status="unable", error_report=unable)
-            if not decisions:
+            if decided is None:
                 return AgentResult(
                     status="unable",
                     error_report="no parseable tool decisions for this sub-task",
                 )
+            decisions, rule, unable = decided
+            if unable:
+                return AgentResult(status="unable", error_report=unable)
         return self.invoke_and_synthesize(decisions, rule, task.coordinates)

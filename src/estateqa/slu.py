@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .backends import BackendError, ChatBackend, build_task_message
-from .domain import QAInstance, SlotAnnotation
+from .backends import BackendError, ChatBackend, ask, build_task_message
+from .domain import QAInstance, SlotAnnotation, locate_slot
 from .prompts import load_prompt
 from .store import GeoStore
 
@@ -218,22 +218,15 @@ class FewShotSlu:
     def _render_examples(self) -> str:
         blocks = []
         for inst in self.pool:
-            target = {
-                "intents": list(inst.intents),
-                "slots": [{"slot_type": s.slot_type, "value": s.value} for s in inst.slots],
-            }
-            blocks.append(
-                f"Question: {inst.question}\nLabels: {json.dumps(target, ensure_ascii=False)}"
-            )
+            labels = json.dumps(inst.slu_labels(), ensure_ascii=False)
+            blocks.append(f"Question: {inst.question}\nLabels: {labels}")
         return "\n\n".join(blocks)
 
     def predict(self, question: str) -> SluPrediction:
         content = build_task_message("slu", question, examples=str(len(self.pool)))
         content += "\n\nWorked examples:\n" + self._render_examples()
         try:
-            reply = self.backend.complete(
-                self.system_prompt, [{"role": "user", "content": content}]
-            )
+            reply = ask(self.backend, self.system_prompt, content)
         except BackendError as exc:
             log.warning("few-shot SLU backend failed: %s", exc)
             return SluPrediction(intents=(), slots=())
@@ -259,18 +252,11 @@ def parse_slu_reply(reply: str, question: str) -> SluPrediction:
             slot_type, value = str(item["slot_type"]), str(item["value"])
         except (KeyError, TypeError):
             continue
-        pos = 0
-        while True:
-            idx = question.find(value, pos)
-            if idx < 0:
-                log.warning("slot value %r not present in question; dropped", value)
-                break
-            end_idx = idx + len(value)
-            if all(idx >= e or s >= end_idx for s, e in taken):
-                taken.append((idx, end_idx))
-                slots.append(SlotAnnotation(slot_type, value, idx, end_idx))
-                break
-            pos = idx + 1
+        slot = locate_slot(question, slot_type, value, taken)
+        if slot is None:
+            log.warning("slot value %r not present in question; dropped", value)
+        else:
+            slots.append(slot)
     slots.sort(key=lambda s: s.start)
     return SluPrediction(intents=intents, slots=tuple(slots))
 

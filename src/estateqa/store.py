@@ -208,10 +208,14 @@ class GeoStore:
             conn.close()
         if row is None:
             raise IngestError(f"{path} carries no store config")
-        raw = json.loads(row[0])
-        raw["cities"] = tuple(raw["cities"])
-        raw["poi_taxonomy"] = {k: tuple(v) for k, v in raw["poi_taxonomy"].items()}
-        return cls(StoreConfig(**raw), path, _existing=True)
+        try:
+            raw = json.loads(row[0])
+            raw["cities"] = tuple(raw["cities"])
+            raw["poi_taxonomy"] = {k: tuple(v) for k, v in raw["poi_taxonomy"].items()}
+            config = StoreConfig(**raw)
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise IngestError(f"{path} carries a corrupt store config: {exc!r}") from exc
+        return cls(config, path, _existing=True)
 
     def close(self) -> None:
         self._conn.close()

@@ -16,22 +16,28 @@ import json
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Mapping, Protocol, Sequence
 
 from .backends import (
     BackendError,
     ChatBackend,
+    ask,
     build_task_message,
     parse_answer,
+    reprompt_once,
 )
 from .domain import CanonicalAnswer, GeoPoint, SlotAnnotation
 from .prompts import load_prompt
 
 DEFAULT_STEP_CAP = 25
-SPECIALIST_NAMES = ("db_agent", "map_agent")
 
 _DISPATCH_RE = re.compile(r"^\s*DISPATCH\s+([a-z_]+)\s*:\s*(.+?)\s*$", re.MULTILINE)
 _SUFFICIENT_RE = re.compile(r"^\s*SUFFICIENT\s*:\s*(yes|no)\s*$", re.IGNORECASE | re.MULTILINE)
+_PLAN_NUDGE = (
+    "\n\nYour previous reply contained no directive lines. Reply with"
+    " one `DISPATCH <specialist>: <sub-task>` line per step."
+)
 
 
 @dataclass(frozen=True)
@@ -111,16 +117,7 @@ class EpisodeTranscript:
         return {
             "instance_id": self.instance_id,
             "question": self.question,
-            "dispatches": [
-                {
-                    "specialist": e.specialist,
-                    "description": e.description,
-                    "status": e.status,
-                    "evidence": e.evidence,
-                    "error_report": e.error_report,
-                }
-                for e in self.dispatches
-            ],
+            "dispatches": [dict(vars(e)) for e in self.dispatches],
             "backend_events": self.backend_events,
             "final_answer": None if self.final_answer is None else self.final_answer.to_dict(),
             "step_count": self.step_count,
@@ -132,16 +129,7 @@ class EpisodeTranscript:
         return cls(
             instance_id=data["instance_id"],
             question=data["question"],
-            dispatches=[
-                Exchange(
-                    specialist=d["specialist"],
-                    description=d["description"],
-                    status=d["status"],
-                    evidence=d["evidence"],
-                    error_report=d.get("error_report", ""),
-                )
-                for d in data["dispatches"]
-            ],
+            dispatches=[Exchange(**d) for d in data["dispatches"]],
             backend_events=list(data.get("backend_events", [])),
             final_answer=(
                 None
@@ -179,20 +167,19 @@ class Supervisor:
 
     def _complete(self, transcript: EpisodeTranscript, stage: str, content: str) -> str:
         try:
-            reply = self.backend.complete(
-                self.system_prompt, [{"role": "user", "content": content}]
-            )
+            reply = ask(self.backend, self.system_prompt, content)
         except BackendError as exc:
             transcript.backend_events.append({"stage": stage, "error": str(exc)})
             raise
         transcript.backend_events.append({"stage": stage, "response": reply})
         return reply
 
-    def _parse_directives(self, reply: str) -> list[Directive]:
+    def _parse_directives(self, reply: str) -> list[Directive] | None:
+        """The reply's directives in order, or None when it has none."""
         return [
             Directive(specialist, description)
             for specialist, description in _DISPATCH_RE.findall(reply)
-        ]
+        ] or None
 
     def plan(
         self,
@@ -214,16 +201,11 @@ class Supervisor:
         )
         if extra:
             content += "\n" + extra
-        for attempt in range(2):
-            reply = self._complete(transcript, stage, content)
-            directives = self._parse_directives(reply)
-            if directives:
-                return directives
-            content += (
-                "\n\nYour previous reply contained no directive lines. Reply with"
-                " one `DISPATCH <specialist>: <sub-task>` line per step."
-            )
-        raise PlanParseFailure(f"no parseable directives after reprompt ({stage})")
+        send = partial(self._complete, transcript, stage)
+        directives = reprompt_once(send, content, self._parse_directives, _PLAN_NUDGE)
+        if directives is None:
+            raise PlanParseFailure(f"no parseable directives after reprompt ({stage})")
+        return directives
 
     def _sufficient(self, transcript: EpisodeTranscript, question: str, dispatched: int) -> bool:
         content = build_task_message("sufficiency", question, dispatched=str(dispatched))

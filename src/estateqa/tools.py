@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Protocol
+from typing import Any, Iterable, Mapping, Protocol
 
 from .domain import GeoPoint, haversine, read_json_lines
 from .store import GeoStore
@@ -158,6 +158,11 @@ class ToolRequest:
     def params_dict(self) -> dict[str, Any]:
         return dict(self.params)
 
+    def step_params(self) -> dict[str, Any]:
+        """The params a tool step records: the normalized params plus
+        ``time_bucket``. :func:`split_step_params` undoes this."""
+        return {**self.params_dict, "time_bucket": self.time_bucket}
+
     def key(self) -> str:
         return json.dumps(
             {"function": self.function, "params": self.params_dict, "bucket": self.time_bucket},
@@ -165,6 +170,12 @@ class ToolRequest:
             ensure_ascii=True,
             separators=(",", ":"),
         )
+
+
+def split_step_params(params: Mapping[str, Any]) -> tuple[dict[str, Any], str | None]:
+    """A recorded step's params as (call params, time bucket or None)."""
+    call = {k: v for k, v in params.items() if k != "time_bucket"}
+    return call, params.get("time_bucket")
 
 
 class Provider(Protocol):

@@ -21,9 +21,11 @@ from estateqa.backends import (
     parse_task_header,
     render_answer,
 )
-from estateqa.db_agent import extract_sql
+from estateqa.db_agent import DbAgent, extract_sql
 from estateqa.domain import CanonicalAnswer, answer_equal
-from estateqa.map_agent import parse_decisions
+from estateqa.map_agent import MapAgent, parse_decisions
+from estateqa.supervisor import AgentResult, AgentTask, Supervisor
+from estateqa.tools import ToolCache
 
 
 # --- envelopes ---------------------------------------------------------------------
@@ -154,6 +156,94 @@ def test_oracle_unknown_question_raises(desk_instances, desk_store):
         backend.complete(
             "", [{"role": "user", "content": build_task_message("plan", "never seen")}]
         )
+
+
+# --- the shared reprompt ---------------------------------------------------------------
+
+
+class RecordingBackend:
+    """Replies from a per-task queue and records every (task, system, user text)."""
+
+    def __init__(self, replies: dict[str, list[str]]) -> None:
+        self.replies = replies
+        self.prompts: list[tuple[str, str, str]] = []
+
+    def complete(self, system_prompt, messages):
+        (message,) = messages
+        assert message["role"] == "user"
+        task = parse_task_header(messages)["task"]
+        self.prompts.append((task, system_prompt, message["content"]))
+        return self.replies[task].pop(0)
+
+
+class _OkSpecialist:
+    def handle(self, task):
+        return AgentResult(status="success", evidence=[{"type": "rows", "rows": []}])
+
+
+def _plan_outcome(backend, store):
+    transcript = Supervisor(backend, {"db_agent": _OkSpecialist()}).run_episode("q", [], [])
+    assert [e["stage"] for e in transcript.backend_events][:2] == ["plan", "plan"]
+    return transcript.failure
+
+
+def _db_outcome(backend, store):
+    task = AgentTask(description="count", question="q", intents=(), slots=())
+    return DbAgent(store, backend).handle(task).error_report
+
+
+def _map_outcome(backend, store):
+    task = AgentTask(description="route", question="q", intents=(), slots=())
+    return MapAgent(ToolCache(), backend).handle(task).error_report
+
+
+# stage: (runner, a reply with the envelope, other replies, nudge,
+#         outcome after a good second reply, outcome after two bad replies)
+REPROMPT_STAGES = {
+    "plan": (
+        _plan_outcome,
+        "DISPATCH db_agent: fetch",
+        {"finalize": [render_answer(CanonicalAnswer.number(1, "count"))]},
+        "\n\nYour previous reply contained no directive lines. Reply with"
+        " one `DISPATCH <specialist>: <sub-task>` line per step.",
+        "",
+        "plan_failure",
+    ),
+    "generate_sql": (
+        _db_outcome,
+        "```sql\nSELECT COUNT(*) AS n FROM community_guangzhou\n```",
+        {"caption_summary": ["Table for Communities in Guangzhou"]},
+        "\n\nYour previous reply had no ```sql fenced block."
+        " Reply with exactly one statement inside ```sql ... ```.",
+        "",
+        "no ```sql fenced block after reprompt",
+    ),
+    "decide_tools": (
+        _map_outcome,
+        "UNABLE: no coordinates in context",
+        {},
+        "\n\nYour previous reply contained no TOOL lines. Use the"
+        " `TOOL: <function> PARAMS: {...}` format, or `UNABLE: <reason>`.",
+        "no coordinates in context",
+        "no parseable tool decisions for this sub-task",
+    ),
+}
+
+
+@pytest.mark.parametrize("second_ok", [True, False], ids=["then_ok", "twice_bad"])
+@pytest.mark.parametrize("stage", sorted(REPROMPT_STAGES))
+def test_envelope_less_reply_gets_one_reprompt(desk_store, stage, second_ok):
+    run, good_reply, other_replies, nudge, recovered, failure = REPROMPT_STAGES[stage]
+    second = good_reply if second_ok else "thinking aloud, no envelope"
+    replies = {task: list(queue) for task, queue in other_replies.items()}
+    backend = RecordingBackend({stage: ["thinking aloud, no envelope", second], **replies})
+    outcome = run(backend, desk_store)
+    sent = [(system, text) for task, system, text in backend.prompts if task == stage]
+    assert len(sent) == 2
+    (first_system, first_text), (second_system, second_text) = sent
+    assert second_system == first_system
+    assert second_text == first_text + nudge
+    assert outcome == (recovered if second_ok else failure)
 
 
 # --- HTTP backend ---------------------------------------------------------------------------

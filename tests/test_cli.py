@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sqlite3
+from dataclasses import asdict
 
 import pytest
 
@@ -10,6 +12,7 @@ from estateqa import evaluator
 from estateqa.cli import main
 from estateqa.domain import read_instances
 from estateqa.slu import build_fewshot_pool
+from estateqa.store import GeoStore, StoreConfig
 
 CITIES = "Guangzhou,Suzhou"
 
@@ -169,6 +172,28 @@ def test_ingest_malformed_fixture(tmp_path):
 
 def test_missing_store_is_config_error(tmp_path):
     assert main(["pairs", "--store", str(tmp_path / "missing.db")]) == 2
+
+
+@pytest.mark.parametrize(
+    "config_text",
+    [
+        "not json",
+        json.dumps({"cities": ["A"]}),
+        json.dumps({**asdict(StoreConfig(cities=("A",))), "colour": "blue"}),
+    ],
+    ids=["non_json", "missing_key", "unknown_key"],
+)
+def test_corrupt_store_config_is_validation_failure(tmp_path, capsys, config_text):
+    path = tmp_path / "store.db"
+    GeoStore(StoreConfig(cities=("A",)), path).close()
+    conn = sqlite3.connect(path)
+    conn.execute("UPDATE _meta SET value = ? WHERE key = 'config'", (config_text,))
+    conn.commit()
+    conn.close()
+    assert main(["pairs", "--store", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:")
+    assert str(path) in err
 
 
 def test_config_file_supplies_defaults(workdir, tmp_path):

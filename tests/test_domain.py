@@ -18,6 +18,7 @@ from estateqa.domain import (
     instance_from_json,
     instance_to_json,
     iob_tags,
+    locate_slot,
     normalize_text,
     tokenize_question,
 )
@@ -187,6 +188,26 @@ def test_type_invariants(desk_instances):
 
 
 # --- IOB export -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "question, value, taken, expected",
+    [
+        ("Alpha Alpha Court", "Alpha", [(6, 17)], (0, 5)),
+        ("Alpha Alpha Court", "Alpha", [(0, 5)], (6, 11)),
+        ("aaa", "aa", [(0, 1)], (1, 3)),
+        ("Alpha Court", "Alpha", [(0, 11)], None),
+        ("Alpha Court", "Beta", [], None),
+    ],
+)
+def test_locate_slot_takes_first_free_occurrence(question, value, taken, expected):
+    before = list(taken)
+    slot = locate_slot(question, "community", value, taken)
+    if expected is None:
+        assert slot is None and taken == before
+    else:
+        assert slot == SlotAnnotation("community", value, *expected)
+        assert taken == before + [expected]
 
 
 def test_iob_tags_mark_slot_tokens():

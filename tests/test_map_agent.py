@@ -198,7 +198,7 @@ def test_count_rule():
 
 def test_all_calls_missing_errors_within_attempt_cap():
     cache = ToolCache()  # frozen and empty
-    agent = MapAgent(cache, ScriptedBackend(), attempt_cap=3)
+    agent = MapAgent(cache, ScriptedBackend())
     decisions = [_decision(float(i)) for i in range(10)]
     result = agent.invoke_and_synthesize(decisions, SynthesisRule(kind="passthrough"))
     assert result.status == "error"

@@ -18,6 +18,7 @@ from estateqa.tools import (
     SyntheticProvider,
     ToolCache,
     ToolRequest,
+    split_step_params,
 )
 
 METERS_PER_DEG = 6_371_000 * math.pi / 180
@@ -185,6 +186,16 @@ def test_rush_hour_bucket_forced_to_peak(cache):
     origin, dest = _pair(5000.0)
     request = ToolRequest.build("rush_hour_query", _route_params(origin, dest, mode="driving"))
     assert request.time_bucket == BUCKET_PEAK
+
+
+def test_step_params_carry_the_bucket_and_split_back():
+    origin, dest = _pair(2000.0)
+    params = _route_params(origin, dest, mode="driving")
+    request = ToolRequest.build("time_query", params, BUCKET_PEAK)
+    stored = request.step_params()
+    assert stored == {**request.params_dict, "time_bucket": BUCKET_PEAK}
+    assert split_step_params(stored) == (request.params_dict, BUCKET_PEAK)
+    assert ToolRequest.build(request.function, *split_step_params(stored)) == request
 
 
 def test_rush_hour_walking_rejected(cache):
