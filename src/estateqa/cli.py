@@ -32,16 +32,11 @@ from .evaluator import (
     run_suite,
 )
 from .fixtures import write_fixture
-from .generator import (
-    SplitSpec,
-    generate,
-    revalidate_instance,
-    stratified_split,
-)
+from .generator import generate, revalidate_instance, stratified_split
 from .slu import build_fewshot_pool
 from .store import GeoStore, IngestError, StoreConfig
 from .supervisor import EpisodeTranscript
-from .templates import default_templates, load_template_dir
+from .templates import TemplateError, default_templates, load_template_dir
 from .tools import SyntheticProvider, ToolCache
 
 EXIT_OK = 0
@@ -139,16 +134,19 @@ def _run_config(args: argparse.Namespace, config: dict[str, Any]) -> RunConfig:
     unknown = inject - {"slu", "sql", "api"}
     if unknown:
         raise CliError(f"unknown --inject stages: {','.join(sorted(unknown))}")
-    return RunConfig(
-        inject_slu="slu" in inject,
-        inject_sql="sql" in inject,
-        inject_api="api" in inject,
-        step_cap=int(_setting(args, config, "step_cap", 25)),
-        seed=int(_setting(args, config, "seed", 0)),
-        parallelism=int(_setting(args, config, "parallelism", 1)),
-        slu_strategy=_setting(args, config, "slu", "lexicon"),
-        agents=_setting(args, config, "agents", "live"),
-    )
+    try:
+        return RunConfig(
+            inject_slu="slu" in inject,
+            inject_sql="sql" in inject,
+            inject_api="api" in inject,
+            step_cap=int(_setting(args, config, "step_cap", 25)),
+            seed=int(_setting(args, config, "seed", 0)),
+            parallelism=int(_setting(args, config, "parallelism", 1)),
+            slu_strategy=_setting(args, config, "slu", "lexicon"),
+            agents=_setting(args, config, "agents", "live"),
+        )
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"invalid run setting: {exc}") from None
 
 
 # --- commands -----------------------------------------------------------------
@@ -252,8 +250,7 @@ def cmd_validate(args: argparse.Namespace, config: dict[str, Any]) -> int:
 
 def cmd_split(args: argparse.Namespace, config: dict[str, Any]) -> int:
     instances = list(read_instances(_require(args, config, "dataset")))
-    spec = SplitSpec(seed=int(_setting(args, config, "seed", 0)))
-    splits, warnings = stratified_split(instances, spec)
+    splits, warnings = stratified_split(instances, int(_setting(args, config, "seed", 0)))
     out_dir = Path(_require(args, config, "out_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, members in splits.items():
@@ -281,10 +278,11 @@ def _suite_inputs(args: argparse.Namespace, config: dict[str, Any]) -> tuple[tup
     cache = _frozen_cache(_require(args, config, "cache"))
     instances = list(read_instances(_require(args, config, "dataset")))
     run_config = _run_config(args, config)
+    templates = _templates(args, config)
     backend = _build_backend(args, config, instances, store)
     fewshot_pool = _fewshot_pool(args, config, run_config.seed)
     run_dir = _prepare_run_dir(_require(args, config, "out"), args.overwrite)
-    return (instances, store, cache, backend, run_config, fewshot_pool), run_dir
+    return (instances, store, cache, backend, run_config, templates, fewshot_pool), run_dir
 
 
 def cmd_run(args: argparse.Namespace, config: dict[str, Any]) -> int:
@@ -455,6 +453,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except TemplateError as exc:
+        print(f"error: cannot load templates: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (IngestError, MalformedRecordError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

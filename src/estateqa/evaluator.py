@@ -34,6 +34,7 @@ from .map_agent import MapAgent
 from .slu import FewShotSlu, Gazetteer, LexiconSlu, SluPrediction, slu_metrics
 from .store import GeoStore
 from .supervisor import AgentResult, AgentTask, EpisodeTranscript, Supervisor
+from .templates import Template
 from .tools import ToolCache
 
 # --- per-answer metrics ----------------------------------------------------------
@@ -225,17 +226,6 @@ class EpisodeRecord:
     slu_prediction: SluPrediction | None
 
 
-def _build_slu(
-    config: RunConfig,
-    store: GeoStore,
-    backend: ChatBackend,
-    fewshot_pool: Sequence[QAInstance] | None,
-):
-    if config.slu_strategy == "fewshot":
-        return FewShotSlu(backend, fewshot_pool or [])
-    return LexiconSlu(Gazetteer.from_store(store))
-
-
 def build_supervisor(
     instances: Sequence[QAInstance],
     store: GeoStore,
@@ -280,18 +270,25 @@ def run_suite(
     cache: ToolCache,
     backend: ChatBackend,
     config: RunConfig,
+    templates: Sequence[Template],
     fewshot_pool: Sequence[QAInstance] | None = None,
 ) -> tuple[EvalReport, list[EpisodeRecord]]:
     """Run one episode per instance and aggregate the full metric suite.
 
-    Deterministic given a deterministic backend; aggregation is an
-    order-independent fold over completed episodes.
+    ``templates`` gives the lexicon SLU its intents. Deterministic given a
+    deterministic backend; aggregation is an order-independent fold over
+    completed episodes.
     """
-    slu = None if config.inject_slu else _build_slu(config, store, backend, fewshot_pool)
+    if config.inject_slu:
+        slu = None
+    elif config.slu_strategy == "fewshot":
+        slu = FewShotSlu(backend, fewshot_pool or [])
+    else:
+        slu = LexiconSlu(Gazetteer.from_store(store), templates)
     supervisor = build_supervisor(instances, store, cache, backend, config)
 
     def run_one(instance: QAInstance) -> EpisodeRecord:
-        if config.inject_slu or slu is None:
+        if slu is None:
             intents, slots = instance.intents, instance.slots
             prediction = None
         else:
@@ -383,6 +380,7 @@ def run_ablation(
     cache: ToolCache,
     backend: ChatBackend,
     config: RunConfig,
+    templates: Sequence[Template],
     fewshot_pool: Sequence[QAInstance] | None = None,
 ) -> dict[str, EvalReport]:
     """Sweep the four-rung ground-truth injection ladder: none, SLU,
@@ -390,7 +388,7 @@ def run_ablation(
     reports: dict[str, EvalReport] = {}
     for name, flags in ABLATION_LADDER:
         rung = replace(config, **flags)
-        report, _ = run_suite(instances, store, cache, backend, rung, fewshot_pool)
+        report, _ = run_suite(instances, store, cache, backend, rung, templates, fewshot_pool)
         reports[name] = report
     return reports
 

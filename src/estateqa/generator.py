@@ -27,13 +27,17 @@ from .domain import (
     locate_slot,
 )
 from .store import GeoStore, SqlExecutionError, city_slug, extract_coordinates
-from .templates import PLACEHOLDER_RE, Template, slot_type_for
+from .templates import PLACEHOLDER_RE, Template, derived_value, slot_type_for
 from .tools import CacheMiss, InvalidParams, ToolCache, ToolRequest, split_step_params
 
 log = logging.getLogger(__name__)
 
 WALKING_PLAUSIBILITY_M = 10_000.0
 CYCLING_PLAUSIBILITY_M = 20_000.0
+# generation gives up on a template after this many attempts per wanted instance
+MAX_ATTEMPT_FACTOR = 6
+# val and test each take this share of every template stratum (8:1:1)
+HELD_OUT_SHARE = 0.1
 
 
 class SamplingExhausted(RuntimeError):
@@ -107,11 +111,7 @@ def sample_bindings(
         binding[name] = value
 
     for name, spec in template.derived.items():
-        base = binding[spec["from"]]
-        if spec.get("op") == "mul":
-            binding[name] = int(base) * int(spec["factor"])
-        else:
-            binding[name] = base
+        binding[name] = derived_value(spec, binding[spec["from"]])
     return binding
 
 
@@ -308,29 +308,16 @@ def derive_answer(
     raise AnswerUnderivable("rule_error", f"unknown rule kind {kind}")
 
 
-def _binding_resolvers(
-    binding: dict[str, Any], tool_steps: tuple[ToolStep, ...]
-) -> tuple[Callable[[str], Any], Callable[[str, int], str]]:
-    def scalar_of(ref: str) -> Any:
-        match = PLACEHOLDER_RE.fullmatch(ref)
-        return binding[match.group(1)] if match else ref
-
-    def label_of(label: str, _step: int) -> str:
-        match = PLACEHOLDER_RE.fullmatch(label)
-        return str(binding[match.group(1)]) if match else label
-
-    return scalar_of, label_of
-
-
 def trace_resolvers(
     instance_slots: tuple[SlotAnnotation, ...],
     template: Template,
     sql_steps: tuple[SqlStep, ...],
     tool_steps: tuple[ToolStep, ...],
 ) -> tuple[Callable[[str], Any], Callable[[str, int], str]]:
-    """Binding-free resolvers for re-validation: scalars come from the slot
-    annotations (plus the template's derived ops), labels from matching each
-    tool step's origin coordinates against the recorded SQL rows."""
+    """Binding-free resolvers, for generation and re-validation alike: scalars
+    come from the slot annotations (plus the template's derived values),
+    labels from matching each tool step's origin (or center) coordinates
+    against the recorded SQL rows."""
     slot_values: dict[str, str] = {}
     for slot in instance_slots:
         slot_values.setdefault(slot.slot_type, slot.value)
@@ -342,10 +329,8 @@ def trace_resolvers(
         name = match.group(1)
         derived = template.derived.get(name)
         if derived is not None:
-            base_slot = slot_type_for(derived["from"]) or derived["from"]
-            return int(slot_values[base_slot]) * int(derived["factor"])
-        slot = slot_type_for(name) or name
-        return slot_values[slot]
+            return derived_value(derived, slot_values[slot_type_for(derived["from"])])
+        return slot_values[slot_type_for(name)]
 
     coord_names: dict[tuple[float, float], str] = {}
     for step in sql_steps:
@@ -356,7 +341,9 @@ def trace_resolvers(
         if not PLACEHOLDER_RE.fullmatch(label):
             return label
         params = dict(tool_steps[step_index].params)
-        key = (round(float(params["origin_lat"]), 6), round(float(params["origin_lon"]), 6))
+        # route tools start at an origin; surrounding_pois_query has a center
+        end = "origin" if "origin_lat" in params else "center"
+        key = (round(float(params[f"{end}_lat"]), 6), round(float(params[f"{end}_lon"]), 6))
         if key not in coord_names:
             raise AnswerUnderivable("rule_error", f"no entity at origin {key}")
         return coord_names[key]
@@ -421,15 +408,14 @@ def instantiate(
             ToolStep(request.function, request.step_params(), payload.columns, payload.rows)
         )
 
-    ok, reason = plausibility_check(tuple(tool_steps))
+    sql_trace, tool_trace = tuple(sql_steps), tuple(tool_steps)
+    ok, reason = plausibility_check(tool_trace)
     if not ok:
         return Rejection(template.template_id, reason)
 
-    scalar_of, label_of = _binding_resolvers(binding, tuple(tool_steps))
+    resolvers = trace_resolvers(slots, template, sql_trace, tool_trace)
     try:
-        answer = derive_answer(
-            template.answer_rule, tuple(sql_steps), tuple(tool_steps), scalar_of, label_of
-        )
+        answer = derive_answer(template.answer_rule, sql_trace, tool_trace, *resolvers)
     except AnswerUnderivable as exc:
         return Rejection(template.template_id, exc.reason, str(exc))
 
@@ -441,8 +427,8 @@ def instantiate(
         question_type=template.question_type,
         intents=template.intents,
         slots=slots,
-        sql_trace=tuple(sql_steps),
-        tool_trace=tuple(tool_steps),
+        sql_trace=sql_trace,
+        tool_trace=tool_trace,
         agent_route=template.agent_route,
         answer=answer,
         nl_answer=render_nl_answer(answer),
@@ -455,7 +441,6 @@ def generate(
     cache: ToolCache,
     seed: int,
     per_template: int = 50,
-    max_attempt_factor: int = 6,
 ) -> tuple[list[QAInstance], GenerationReport]:
     """Generate up to ``per_template`` validated instances per template.
 
@@ -469,7 +454,7 @@ def generate(
         rng = random.Random(f"{seed}:{template.template_id}")
         accepted = 0
         attempts = 0
-        while accepted < per_template and attempts < per_template * max_attempt_factor:
+        while accepted < per_template and attempts < per_template * MAX_ATTEMPT_FACTOR:
             attempts += 1
             report.attempted += 1
             try:
@@ -551,25 +536,14 @@ def revalidate_instance(
 # --- splitting -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    ratios: tuple[float, float, float] = (8.0, 1.0, 1.0)
-    seed: int = 0
-
-    def normalized(self) -> tuple[float, float, float]:
-        total = sum(self.ratios)
-        return tuple(r / total for r in self.ratios)  # type: ignore[return-value]
-
-
 def stratified_split(
-    instances: list[QAInstance], spec: SplitSpec
+    instances: list[QAInstance], seed: int
 ) -> tuple[dict[str, list[QAInstance]], list[str]]:
     """Split 8:1:1 within each template stratum (counts within +-1 of exact).
 
     Strata smaller than 3 go entirely to train with a warning. Deterministic
-    under the spec seed and independent of input order.
+    under the seed and independent of input order.
     """
-    _, val_ratio, test_ratio = spec.normalized()
     strata: dict[str, list[QAInstance]] = {}
     for inst in instances:
         strata.setdefault(inst.template_id, []).append(inst)
@@ -578,14 +552,13 @@ def stratified_split(
     warnings: list[str] = []
     for template_id in sorted(strata):
         members = sorted(strata[template_id], key=lambda i: i.id)
-        random.Random(f"{spec.seed}:{template_id}").shuffle(members)
+        random.Random(f"{seed}:{template_id}").shuffle(members)
         n = len(members)
         if n < 3:
             warnings.append(f"stratum {template_id} has {n} < 3 instances; all to train")
             splits["train"].extend(members)
             continue
-        n_val = int(round(n * val_ratio))
-        n_test = int(round(n * test_ratio))
+        n_val = n_test = int(round(n * HELD_OUT_SHARE))
         splits["val"].extend(members[:n_val])
         splits["test"].extend(members[n_val : n_val + n_test])
         splits["train"].extend(members[n_val + n_test :])

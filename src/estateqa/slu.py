@@ -4,7 +4,8 @@ Two pluggable strategies:
 
 - ``LexiconSlu``: deterministic gazetteer matching (longest match wins, equal
   lengths break to the earliest span, then to the slot-type name) plus numeric
-  patterns and keyword intent rules. A stand-in for a trained tagger; on
+  patterns; intents are those of the first template whose question pattern
+  the question fully matches. A stand-in for a trained tagger; on
   template-derived questions it is near-exact by construction.
 - ``FewShotSlu``: prompts a chat backend with worked examples covering every
   intent and parses a JSON reply; malformed output degrades to an empty
@@ -28,6 +29,7 @@ from .backends import BackendError, ChatBackend, ask, build_task_message
 from .domain import QAInstance, SlotAnnotation, locate_slot
 from .prompts import load_prompt
 from .store import GeoStore
+from .templates import Template
 
 log = logging.getLogger(__name__)
 
@@ -37,31 +39,6 @@ class SluPrediction:
     intents: tuple[str, ...]
     slots: tuple[SlotAnnotation, ...]
 
-
-# ordered: first matching rule wins
-INTENT_RULES: tuple[tuple[str, str], ...] = (
-    ("price_comparison", r"higher average price"),
-    ("neighbor_price_comparison", r"lowest average price"),
-    ("price_lookup", r"average price per square meter of"),
-    ("greening_lookup", r"greening rate"),
-    ("sales_status_lookup", r"sales status"),
-    ("community_listing", r"\blist\b.*communities"),
-    ("nearby_poi_count", r"how many .* pois are within"),
-    ("poi_count", r"how many .* recorded in"),
-    ("walk_time", r"how long .* walk from"),
-    ("cycle_time", r"\bcycle from\b"),
-    ("drive_distance", r"driving distance"),
-    ("straight_distance", r"straight-line distance"),
-    ("rush_hour_time", r"how long .* drive .* rush hour"),
-    ("rush_reachability_filter", r"rush hour.* within \d+ minutes by car"),
-    ("reachability_filter", r"within \d+ minutes by public transit"),
-    ("nearest_poi_listing", r"nearest \d+"),
-    ("nearby_poi_listing", r"which .* pois are within"),
-    ("least_travel_time", r"least time to drive"),
-    ("closest_on_foot", r"closer on foot"),
-    ("mode_comparison", r"faster: walking or public transit"),
-)
-_INTENT_PATTERNS = tuple((name, re.compile(pattern)) for name, pattern in INTENT_RULES)
 
 _NUMERIC_PATTERNS: tuple[tuple[str, re.Pattern[str]], ...] = (
     ("radius_km", re.compile(r"within (\d+(?:\.\d+)?) km\b", re.IGNORECASE)),
@@ -131,8 +108,9 @@ def _lead(surface: str) -> str:
 
 
 class LexiconSlu:
-    """Gazetteer spans bounded by non-alphanumerics, numeric patterns and
-    keyword intent rules.
+    """Gazetteer spans bounded by non-alphanumerics and numeric patterns;
+    intents from the first template whose pattern the question fully matches,
+    else ``("unknown",)``.
 
     A surface can only match, whole-word, where the question's own leading
     run (:func:`_lead` of the rest of the question) equals the surface's, so
@@ -141,8 +119,9 @@ class LexiconSlu:
     surface, so the output is too.
     """
 
-    def __init__(self, gazetteer: Gazetteer) -> None:
+    def __init__(self, gazetteer: Gazetteer, templates: Sequence[Template]) -> None:
         self.gazetteer = gazetteer
+        self.templates = tuple(templates)
         self._by_lead: dict[str, list[tuple[str, str]]] = {}
         for surface, slot_type in gazetteer.entries.items():
             self._by_lead.setdefault(_lead(surface), []).append((surface, slot_type))
@@ -176,12 +155,10 @@ class LexiconSlu:
                 chosen.append(cand)
         chosen.sort(key=lambda s: s.start)
 
-        lowered = question.casefold()
-        intent = next(
-            (name for name, pattern in _INTENT_PATTERNS if pattern.search(lowered)),
-            "unknown",
+        intents = next(
+            (t.intents for t in self.templates if t.matches(question)), ("unknown",)
         )
-        return SluPrediction(intents=(intent,), slots=tuple(chosen))
+        return SluPrediction(intents=intents, slots=tuple(chosen))
 
 
 FEWSHOT_EXAMPLE_COUNT = 26

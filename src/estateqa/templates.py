@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any
 
@@ -54,9 +55,21 @@ ANSWER_RULE_KINDS = (
 BINDING_KINDS = ("community", "poi", "poi_label", "district", "int_range", "choice")
 
 
+class TemplateError(DomainError):
+    """A template document does not load; the message names the file."""
+
+
 def slot_type_for(placeholder: str) -> str | None:
     base = re.sub(r"_\d+$", "", placeholder)
     return SLOT_TYPES.get(base)
+
+
+def derived_value(spec: dict[str, Any], base: Any) -> Any:
+    """The value of a ``derived`` placeholder given its ``from`` value: with
+    ``op: "mul"`` the integer product with ``factor``, otherwise ``base``."""
+    if spec.get("op") == "mul":
+        return int(base) * spec["factor"]
+    return base
 
 
 @dataclass(frozen=True)
@@ -84,7 +97,8 @@ class Template:
             raise DomainError(
                 f"{self.template_id}: unknown answer rule {self.answer_rule.get('kind')!r}"
             )
-        for name in PLACEHOLDER_RE.findall(self.question_pattern):
+        placeholders = PLACEHOLDER_RE.findall(self.question_pattern)
+        for name in placeholders:
             if name not in self.bindings and name not in ("city",):
                 raise DomainError(
                     f"{self.template_id}: question placeholder {{{name}}} is unbound"
@@ -98,6 +112,37 @@ class Template:
                 lo, hi = int(spec.get("min", 1)), int(spec.get("max", 3))
                 if lo < 1 or hi > 3:
                     raise DomainError(f"{self.template_id}: X must stay within 1..3")
+        for name, spec in self.derived.items():
+            if "op" in spec and (spec["op"] != "mul" or not isinstance(spec.get("factor"), int)):
+                raise DomainError(f"{self.template_id}: derived {name} has a bad op or factor")
+            if spec.get("from") not in self.bindings:
+                raise DomainError(f"{self.template_id}: derived {name} is not from a binding")
+        # answers are derived from the question's slots (generator.trace_resolvers),
+        # so a scalar the rule reads must be the only slot of its type, or derived from it
+        slot_types = [slot_type_for(n) for n in placeholders]
+        for key in ("limit", "value"):
+            ref = PLACEHOLDER_RE.fullmatch(str(self.answer_rule.get(key, "")))
+            if ref is None:
+                continue
+            base = self.derived.get(ref.group(1), {}).get("from", ref.group(1))
+            slot_type = slot_type_for(base)
+            if base not in placeholders or slot_type is None or slot_types.count(slot_type) > 1:
+                raise DomainError(
+                    f"{self.template_id}: answer_rule {key} {ref.group()} is not read from"
+                    " exactly one question slot"
+                )
+
+    @cached_property
+    def _question_re(self) -> re.Pattern[str]:
+        # split() alternates literal text and placeholder names
+        parts = PLACEHOLDER_RE.split(self.question_pattern)
+        body = "".join("(.+?)" if i % 2 else re.escape(part) for i, part in enumerate(parts))
+        return re.compile(body, re.DOTALL)
+
+    def matches(self, question: str) -> bool:
+        """Whether ``question`` fully matches the question pattern: literal text
+        verbatim, each placeholder one non-empty lazy group."""
+        return self._question_re.fullmatch(question) is not None
 
     @property
     def agent_route(self) -> tuple[str, ...]:
@@ -132,14 +177,18 @@ class Template:
 
 
 def load_template_dir(path: str | Path) -> list[Template]:
-    """Load every ``*.json`` template document under a directory."""
+    """Load every ``*.json`` template document under a directory; a file that
+    does not parse or validate raises :class:`TemplateError` naming it."""
     templates = []
     for file in sorted(Path(path).glob("*.json")):
-        data = json.loads(file.read_text(encoding="utf-8"))
-        docs = data if isinstance(data, list) else [data]
-        templates.extend(Template.from_dict(d) for d in docs)
+        try:
+            data = json.loads(file.read_text(encoding="utf-8"))
+            docs = data if isinstance(data, list) else [data]
+            templates.extend(Template.from_dict(d) for d in docs)
+        except (OSError, KeyError, ValueError, TypeError, AttributeError) as exc:
+            raise TemplateError(f"{file}: {type(exc).__name__}: {exc}") from None
     if not templates:
-        raise DomainError(f"no template documents found under {path}")
+        raise TemplateError(f"no template documents found under {path}")
     return templates
 
 

@@ -28,7 +28,7 @@ from estateqa.evaluator import (
     run_suite,
     trace_metrics,
 )
-from estateqa.generator import SplitSpec, generate, plausibility_check, stratified_split
+from estateqa.generator import generate, plausibility_check, stratified_split
 from estateqa.slu import Gazetteer, LexiconSlu, slu_metrics
 from estateqa.store import GeoStore, StoreConfig
 from estateqa.supervisor import Supervisor
@@ -47,7 +47,7 @@ def report(number: int, ok: bool, description: str) -> None:
 # --- 1. oracle closure -------------------------------------------------------------
 
 
-def test_criterion_1_oracle_closure(desk_instances, desk_store, desk_cache):
+def test_criterion_1_oracle_closure(desk_instances, desk_store, desk_cache, desk_templates):
     types = {i.question_type for i in desk_instances}
     backend = make_oracle_backend(desk_instances, desk_store)
     started = time.monotonic()
@@ -57,6 +57,7 @@ def test_criterion_1_oracle_closure(desk_instances, desk_store, desk_cache):
         desk_cache,
         backend,
         RunConfig(agents="oracle", inject_slu=True),
+        desk_templates,
     )
     elapsed = time.monotonic() - started
     ok = (
@@ -141,9 +142,8 @@ def test_criterion_3_plausibility(desk_instances, tmp_path):
 
 
 def test_criterion_4_split_fidelity(desk_instances):
-    spec = SplitSpec(seed=29)
-    splits_a, _ = stratified_split(list(desk_instances), spec)
-    splits_b, _ = stratified_split(list(desk_instances), spec)
+    splits_a, _ = stratified_split(list(desk_instances), 29)
+    splits_b, _ = stratified_split(list(desk_instances), 29)
     identical = all(
         [i.id for i in splits_a[name]] == [i.id for i in splits_b[name]]
         for name in ("train", "val", "test")
@@ -433,7 +433,7 @@ class SabotageBackend:
 
 
 def test_criterion_9_ablation_ladder(
-    desk_instances, desk_store, desk_cache, desk_fixture_dir, tmp_path
+    desk_instances, desk_store, desk_cache, desk_fixture_dir, desk_templates, tmp_path
 ):
     sample = [i for i in desk_instances if i.question_type == 2][:6] + [
         i for i in desk_instances if i.question_type == 1
@@ -464,7 +464,8 @@ def test_criterion_9_ablation_ladder(
     ladder_ok = True
     backend = SabotageBackend(make_oracle_backend(sample, desk_store), "generate_sql")
     reports = run_ablation(
-        sample, desk_store, desk_cache, backend, RunConfig(agents="live", step_cap=9)
+        sample, desk_store, desk_cache, backend, RunConfig(agents="live", step_cap=9),
+        desk_templates,
     )
     ladder_ok = ladder_ok and list(reports) == [name for name, _ in ABLATION_LADDER]
     broken_rungs = (reports["none"], reports["gt_slu"])
@@ -474,7 +475,8 @@ def test_criterion_9_ablation_ladder(
 
     api_backend = SabotageBackend(make_oracle_backend(sample, desk_store), "decide_tools")
     api_reports = run_ablation(
-        sample, desk_store, desk_cache, api_backend, RunConfig(agents="live", step_cap=9)
+        sample, desk_store, desk_cache, api_backend, RunConfig(agents="live", step_cap=9),
+        desk_templates,
     )
     affected = api_reports["gt_slu_sql"].per_type[2]["acc"]
     recovered_api = api_reports["gt_slu_sql_api"].per_type[2]["acc"]
@@ -492,10 +494,10 @@ def test_criterion_9_ablation_ladder(
 # --- 10. SLU baseline ----------------------------------------------------------------------------
 
 
-def test_criterion_10_slu_baseline(desk_instances, desk_store):
-    splits, _ = stratified_split(list(desk_instances), SplitSpec(seed=29))
+def test_criterion_10_slu_baseline(desk_instances, desk_store, desk_templates):
+    splits, _ = stratified_split(list(desk_instances), 29)
     test_split = splits["test"]
-    slu = LexiconSlu(Gazetteer.from_store(desk_store))
+    slu = LexiconSlu(Gazetteer.from_store(desk_store), desk_templates)
     predictions = [slu.predict(i.question) for i in test_split]
     metrics = slu_metrics(predictions, test_split)
     slot_f1 = metrics["slot"]["f1"]

@@ -13,6 +13,7 @@ from estateqa.cli import main
 from estateqa.domain import read_instances
 from estateqa.slu import build_fewshot_pool
 from estateqa.store import GeoStore, StoreConfig
+from estateqa.templates import default_templates
 
 CITIES = "Guangzhou,Suzhou"
 
@@ -194,6 +195,52 @@ def test_corrupt_store_config_is_validation_failure(tmp_path, capsys, config_tex
     err = capsys.readouterr().err
     assert err.startswith("validation error:")
     assert str(path) in err
+
+
+def _template_dir(tmp_path, case):
+    directory = tmp_path / "templates"
+    directory.mkdir()
+    doc = default_templates()[0].to_dict()
+    if case == "bad_json":
+        (directory / "t.json").write_text("{not json")
+    elif case == "missing_key":
+        del doc["intents"]
+        (directory / "t.json").write_text(json.dumps(doc))
+    elif case == "schema_violation":
+        (directory / "t.json").write_text(json.dumps({**doc, "question_type": 5}))
+    return directory
+
+
+@pytest.mark.parametrize("command", ["generate", "validate", "run"])
+@pytest.mark.parametrize("case", ["bad_json", "missing_key", "schema_violation", "empty_dir"])
+def test_unloadable_template_dir_is_config_error(workdir, tmp_path, capsys, case, command):
+    directory = _template_dir(tmp_path, case)
+    inputs = ["--store", str(workdir / "store.db"), "--cache", str(workdir / "cache.jsonl")]
+    if command == "generate":
+        argv = ["generate", *inputs[:2], "--out", str(tmp_path / "d.jsonl"),
+                "--templates", str(directory)]
+    elif command == "validate":
+        argv = ["validate", *inputs, "--dataset", str(workdir / "dataset.jsonl"),
+                "--templates", str(directory)]
+    else:  # run and ablate read the `templates` setting from the config file
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"templates": str(directory)}))
+        argv = ["run", *inputs, "--dataset", str(workdir / "splits" / "test.jsonl"),
+                "--out", str(tmp_path / "r"), "--backend", "oracle", "--config", str(config)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load templates:")
+    assert str(directory if case == "empty_dir" else directory / "t.json") in err
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
+def test_step_cap_below_one_is_config_error(workdir, tmp_path, capsys, command):
+    assert main([command, "--store", str(workdir / "store.db"),
+                 "--cache", str(workdir / "cache.jsonl"),
+                 "--dataset", str(workdir / "splits" / "test.jsonl"),
+                 "--out", str(tmp_path / "r"), "--backend", "oracle",
+                 "--step-cap", "0"]) == 2
+    assert "step_cap must be >= 1" in capsys.readouterr().err
 
 
 def test_config_file_supplies_defaults(workdir, tmp_path):

@@ -273,20 +273,22 @@ def eval_slice(desk_instances):
     return [i for members in by_type.values() for i in members]
 
 
-def test_oracle_suite_is_perfect(eval_slice, desk_store, desk_cache):
+def test_oracle_suite_is_perfect(eval_slice, desk_store, desk_cache, desk_templates):
     backend = make_oracle_backend(eval_slice, desk_store)
     report, records = run_suite(
-        eval_slice, desk_store, desk_cache, backend, RunConfig(agents="oracle", inject_slu=True)
+        eval_slice, desk_store, desk_cache, backend, RunConfig(agents="oracle", inject_slu=True),
+        desk_templates,
     )
     assert report.overall == {"acc": 1.0, "f1": 1.0, "count": len(eval_slice)}
     assert all(v == 1.0 for v in report.trace.values())
     assert report.failures == {}
 
 
-def test_parallel_suite_matches_serial(eval_slice, desk_store, desk_cache):
+def test_parallel_suite_matches_serial(eval_slice, desk_store, desk_cache, desk_templates):
     backend = make_oracle_backend(eval_slice, desk_store)
     serial, _ = run_suite(
-        eval_slice, desk_store, desk_cache, backend, RunConfig(agents="oracle", inject_slu=True)
+        eval_slice, desk_store, desk_cache, backend, RunConfig(agents="oracle", inject_slu=True),
+        desk_templates,
     )
     parallel, _ = run_suite(
         eval_slice,
@@ -294,35 +296,36 @@ def test_parallel_suite_matches_serial(eval_slice, desk_store, desk_cache):
         desk_cache,
         backend,
         RunConfig(agents="oracle", inject_slu=True, parallelism=4),
+        desk_templates,
     )
     assert parallel.to_dict()["overall"] == serial.to_dict()["overall"]
 
 
-def test_lexicon_slu_suite_reports_slu_metrics(eval_slice, desk_store, desk_cache):
+def test_lexicon_slu_suite_reports_slu_metrics(eval_slice, desk_store, desk_cache, desk_templates):
     backend = make_oracle_backend(eval_slice, desk_store)
     report, _ = run_suite(
-        eval_slice, desk_store, desk_cache, backend, RunConfig(agents="live")
+        eval_slice, desk_store, desk_cache, backend, RunConfig(agents="live"), desk_templates
     )
     assert report.slu is not None
     assert report.slu["slot"]["f1"] >= 0.9
 
 
-def test_sql_sabotage_recovered_by_gt_sql(eval_slice, desk_store, desk_cache):
+def test_sql_sabotage_recovered_by_gt_sql(eval_slice, desk_store, desk_cache, desk_templates):
     """Breaking exactly the SQL stage floors accuracy; injecting gold SQL
     restores 1.0 on the affected instances (the Fig.-5 mechanism)."""
     backend = SabotageBackend(make_oracle_backend(eval_slice, desk_store), "generate_sql")
     base = RunConfig(agents="live", step_cap=9)
-    reports = run_ablation(eval_slice, desk_store, desk_cache, backend, base)
+    reports = run_ablation(eval_slice, desk_store, desk_cache, backend, base, desk_templates)
     assert [name for name, _ in ABLATION_LADDER] == list(reports)
     assert reports["gt_slu"].overall["acc"] == 0.0  # every route needs the db stage
     assert reports["gt_slu_sql"].overall["acc"] == 1.0
     assert reports["gt_slu_sql_api"].overall["acc"] == 1.0
 
 
-def test_api_sabotage_recovered_by_gt_api(eval_slice, desk_store, desk_cache):
+def test_api_sabotage_recovered_by_gt_api(eval_slice, desk_store, desk_cache, desk_templates):
     backend = SabotageBackend(make_oracle_backend(eval_slice, desk_store), "decide_tools")
     base = RunConfig(agents="live", step_cap=9)
-    reports = run_ablation(eval_slice, desk_store, desk_cache, backend, base)
+    reports = run_ablation(eval_slice, desk_store, desk_cache, backend, base, desk_templates)
     rung = reports["gt_slu_sql"]
     type1 = rung.per_type[1]
     assert type1["acc"] == 1.0  # type 1 never touches the map agent

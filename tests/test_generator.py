@@ -10,12 +10,11 @@ import re
 import pytest
 
 from estateqa.backends import RaisingBackend, ScriptedBackend
-from estateqa.domain import CanonicalAnswer, SqlStep, ToolStep
+from estateqa.domain import CanonicalAnswer, DomainError, SqlStep, ToolStep
 from estateqa.generator import (
     AnswerUnderivable,
     Rejection,
     SamplingExhausted,
-    SplitSpec,
     derive_answer,
     fill_question,
     generate,
@@ -85,6 +84,68 @@ def test_derived_bindings(desk_store):
     binding = sample_bindings(template, desk_store, random.Random(4))
     assert binding["radius_m"] == binding["radius_km"] * 1000
     assert binding["city_slug"] in ("guangzhou", "suzhou")
+
+
+def _surrounding(placeholder: str) -> dict:
+    return {
+        "function": "surrounding_pois_query",
+        "params": {"center_lat": f"@lat:{{{placeholder}}}", "center_lon": f"@lon:{{{placeholder}}}",
+                   "radius_m": 3000, "label": "{poi_label}"},
+    }
+
+
+CUSTOM_TEMPLATES = {
+    # seconds = minutes, so a ">=" threshold keeps every community
+    "derived_without_op": {
+        **template_by_id("t3_reach_within").to_dict(),
+        "derived": {"seconds": {"from": "minutes"}},
+        "answer_rule": {**template_by_id("t3_reach_within").answer_rule, "op": ">="},
+    },
+    # argmin labels resolved from each surrounding_pois_query step's center
+    "labels_at_center": {
+        **template_by_id("t3_closest_walk").to_dict(),
+        "question_pattern": "Which is nearer to a {poi_label} in {city}: {community_name} or"
+                            " {community_name_2}?",
+        "bindings": {"poi_label": {"kind": "poi_label"}, "community_name": {"kind": "community"},
+                     "community_name_2": {"kind": "community"}},
+        "sql_patterns": ["SELECT name, latitude, longitude FROM community_{city_slug}"
+                         " WHERE name IN ('{community_name}', '{community_name_2}')"],
+        "tool_patterns": [_surrounding("community_name"), _surrounding("community_name_2")],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CUSTOM_TEMPLATES))
+def test_custom_template_instances_revalidate(desk_store, name):
+    template = Template.from_dict(CUSTOM_TEMPLATES[name])
+    cache = ToolCache(provider=SyntheticProvider(desk_store))
+    instances, _ = generate([template], desk_store, cache, seed=11, per_template=5)
+    assert len(instances) == 5
+    for inst in instances:
+        assert revalidate_instance(inst, desk_store, cache, {template.template_id: template}) == []
+
+
+@pytest.mark.parametrize(
+    "template_id, change",
+    [
+        ("t2_nearby_pois", {"derived": {"radius_m": {"from": "radius_km", "op": "add", "factor": 1}}}),
+        ("t2_nearby_pois", {"derived": {"radius_m": {"from": "radius_km", "op": "mul"}}}),
+        ("t2_nearby_pois", {"derived": {"radius_m": {"from": "radius", "op": "mul", "factor": 1}}}),
+        ("t3_reach_within", {"derived": {}}),
+        ("t3_reach_within", {"question_pattern": "Which of {community_name}, {community_name_2}"
+                             " and {community_name_3} can reach {poi_name} in {city} quickly?"}),
+        ("t3_reach_within", {"question_pattern": "Within {minutes} or {minutes_2} minutes, which"
+                             " of {community_name}, {community_name_2} and {community_name_3}"
+                             " can reach {poi_name} in {city}?",
+                             "bindings": {**template_by_id("t3_reach_within").bindings,
+                                          "minutes_2": {"kind": "choice", "values": [5]}}}),
+    ],
+    ids=["unknown_op", "mul_without_factor", "from_no_binding", "value_neither_slot_nor_derived",
+         "value_not_in_question", "value_slot_type_repeated"],
+)
+def test_template_rejects_unresolvable_derivations(template_id, change):
+    with pytest.raises(DomainError):
+        Template.from_dict({**template_by_id(template_id).to_dict(), **change})
 
 
 # --- question filling ------------------------------------------------------------
@@ -415,7 +476,7 @@ def _fake_instances(desk_instances, template_id: str, n: int):
 
 def test_split_100_is_80_10_10(desk_instances):
     members = _fake_instances(desk_instances, "tpl_a", 100)
-    splits, warnings = stratified_split(members, SplitSpec(seed=1))
+    splits, warnings = stratified_split(members, 1)
     assert len(splits["train"]) == 80
     assert len(splits["val"]) == 10
     assert len(splits["test"]) == 10
@@ -424,21 +485,20 @@ def test_split_100_is_80_10_10(desk_instances):
 
 def test_split_10_is_8_1_1(desk_instances):
     members = _fake_instances(desk_instances, "tpl_b", 10)
-    splits, _ = stratified_split(members, SplitSpec(seed=1))
+    splits, _ = stratified_split(members, 1)
     assert (len(splits["train"]), len(splits["val"]), len(splits["test"])) == (8, 1, 1)
 
 
 def test_split_small_stratum_all_train(desk_instances):
     members = _fake_instances(desk_instances, "tpl_c", 2)
-    splits, warnings = stratified_split(members, SplitSpec(seed=1))
+    splits, warnings = stratified_split(members, 1)
     assert len(splits["train"]) == 2
     assert warnings and "tpl_c" in warnings[0]
 
 
 def test_split_partition_and_determinism(desk_instances):
-    spec = SplitSpec(seed=9)
-    splits_a, _ = stratified_split(list(desk_instances), spec)
-    splits_b, _ = stratified_split(list(reversed(desk_instances)), spec)
+    splits_a, _ = stratified_split(list(desk_instances), 9)
+    splits_b, _ = stratified_split(list(reversed(desk_instances)), 9)
     ids_a = {name: [i.id for i in members] for name, members in splits_a.items()}
     ids_b = {name: [i.id for i in members] for name, members in splits_b.items()}
     assert ids_a == ids_b  # input order does not matter
@@ -447,7 +507,7 @@ def test_split_partition_and_determinism(desk_instances):
 
 
 def test_split_per_stratum_within_one(desk_instances):
-    splits, _ = stratified_split(list(desk_instances), SplitSpec(seed=2))
+    splits, _ = stratified_split(list(desk_instances), 2)
     by_template: dict[str, dict[str, int]] = {}
     for name, members in splits.items():
         for inst in members:

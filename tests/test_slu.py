@@ -1,5 +1,6 @@
-"""SLU strategies and metrics: gazetteer matching, intent rules, few-shot
-parsing, and metric equivalence with a naive confusion tally."""
+"""SLU strategies and metrics: gazetteer matching, intents from template
+patterns, few-shot parsing, and metric equivalence with a naive confusion
+tally."""
 
 from __future__ import annotations
 
@@ -11,10 +12,9 @@ import pytest
 
 from estateqa.backends import RaisingBackend, ScriptedBackend
 from estateqa.domain import SlotAnnotation
-from estateqa.generator import SplitSpec, stratified_split
+from estateqa.generator import stratified_split
 from estateqa.slu import (
     _NUMERIC_PATTERNS,
-    INTENT_RULES,
     FewShotSlu,
     Gazetteer,
     LexiconSlu,
@@ -23,11 +23,12 @@ from estateqa.slu import (
     parse_slu_reply,
     slu_metrics,
 )
+from estateqa.templates import Template, default_templates
 
 
 @pytest.fixture(scope="module")
-def lexicon(desk_store):
-    return LexiconSlu(Gazetteer.from_store(desk_store))
+def lexicon(desk_store, desk_templates):
+    return LexiconSlu(Gazetteer.from_store(desk_store), desk_templates)
 
 
 def test_single_known_community_tagged(lexicon, desk_store):
@@ -51,26 +52,26 @@ def test_spans_satisfy_substring_invariant(lexicon, desk_instances):
 
 def test_longest_match_wins():
     gaz = Gazetteer({"Jade Court": "community_name", "Jade Court East": "community_name"})
-    slu = LexiconSlu(gaz)
+    slu = LexiconSlu(gaz, default_templates())
     prediction = slu.predict("Is Jade Court East nice?")
     assert [s.value for s in prediction.slots] == ["Jade Court East"]
 
 
 def test_equal_length_earliest_span_wins():
     gaz = Gazetteer({"Alpha Park": "poi_name"})
-    slu = LexiconSlu(gaz)
+    slu = LexiconSlu(gaz, default_templates())
     prediction = slu.predict("Alpha Park or Alpha Park?")
     assert [s.start for s in prediction.slots] == [0, 14]
 
 
 def test_word_boundary_guard():
     gaz = Gazetteer({"park": "poi_label"})
-    slu = LexiconSlu(gaz)
+    slu = LexiconSlu(gaz, default_templates())
     assert slu.predict("I parked nearby").slots == ()
     assert [s.value for s in slu.predict("a park nearby").slots] == ["park"]
 
 
-def _reference_predict(gazetteer: Gazetteer, question: str) -> SluPrediction:
+def _reference_slots(gazetteer: Gazetteer, question: str) -> tuple[SlotAnnotation, ...]:
     """Brute-force oracle: one ``str.find`` scan per gazetteer surface."""
 
     def is_boundary(start: int, end: int) -> bool:
@@ -100,19 +101,60 @@ def _reference_predict(gazetteer: Gazetteer, question: str) -> SluPrediction:
         if all(cand.start >= c.end or c.start >= cand.end for c in chosen):
             chosen.append(cand)
     chosen.sort(key=lambda s: s.start)
-    lowered = question.casefold()
-    intent = next(
-        (name for name, pattern in INTENT_RULES if re.search(pattern, lowered)), "unknown"
-    )
-    return SluPrediction(intents=(intent,), slots=tuple(chosen))
+    return tuple(chosen)
 
 
 def test_indexed_matcher_equals_reference_on_desk_questions(lexicon, desk_instances):
     assert desk_instances
     for inst in desk_instances:
-        assert lexicon.predict(inst.question) == _reference_predict(
-            lexicon.gazetteer, inst.question
-        ), inst.question
+        prediction = lexicon.predict(inst.question)
+        assert prediction.slots == _reference_slots(lexicon.gazetteer, inst.question), (
+            inst.question
+        )
+        assert prediction.intents == inst.intents, inst.question
+
+
+def test_each_desk_question_fully_matches_only_its_own_template(desk_instances, desk_templates):
+    for inst in desk_instances:
+        matched = [t.template_id for t in desk_templates if t.matches(inst.question)]
+        assert matched == [inst.template_id], inst.question
+
+
+SWAPPED_PATTERN = "Per square meter, what does {community_name} in {city} cost?"
+
+
+def _swapped_template() -> Template:
+    """The shipped average-price template, reworded under a new intent name."""
+    shipped = next(t for t in default_templates() if t.template_id == "t1_avg_price")
+    return Template.from_dict(
+        {**shipped.to_dict(), "intents": ["unit_price"], "question_pattern": SWAPPED_PATTERN}
+    )
+
+
+def test_swapped_template_set_predicts_its_own_intents(desk_store):
+    slu = LexiconSlu(Gazetteer.from_store(desk_store), [_swapped_template()])
+    name = desk_store.communities("Suzhou")[0].name
+    prediction = slu.predict(f"Per square meter, what does {name} in Suzhou cost?")
+    assert prediction.intents == ("unit_price",)
+    assert ("community_name", name) in {(s.slot_type, s.value) for s in prediction.slots}
+    # the shipped wording is not in this set
+    shipped_wording = f"What is the average price per square meter of {name} in Suzhou?"
+    assert slu.predict(shipped_wording).intents == ("unknown",)
+
+
+@pytest.mark.parametrize(
+    "question, matches",
+    [
+        ("Per square meter, what does A in B cost?", True),
+        ("Per square meter, what does  in B cost?", False),  # a placeholder is non-empty
+        ("per square meter, what does A in B cost?", False),  # literal text is verbatim
+        ("So: Per square meter, what does A in B cost?", False),  # the match is full
+        ("Per square meter, what does A in B cost? Thanks", False),
+        ("Per square meter, what does A in B in C cost?", True),
+    ],
+)
+def test_question_pattern_matching(question, matches):
+    assert _swapped_template().matches(question) is matches
 
 
 ADVERSARIAL = [
@@ -168,9 +210,9 @@ def test_indexed_matcher_equals_reference_on_adversarial_gazetteers(
     entries, questions, first_slots
 ):
     gazetteer = Gazetteer(entries)
-    slu = LexiconSlu(gazetteer)
+    slu = LexiconSlu(gazetteer, default_templates())
     for question in questions:
-        assert slu.predict(question) == _reference_predict(gazetteer, question), question
+        assert slu.predict(question).slots == _reference_slots(gazetteer, question), question
     first = slu.predict(questions[0])
     assert [(s.slot_type, s.value) for s in first.slots] == first_slots
 
@@ -186,10 +228,10 @@ def test_indexed_matcher_equals_reference_on_random_gazetteers():
             for _ in range(rng.randint(1, 8))
         }
         gazetteer = Gazetteer(entries)
-        slu = LexiconSlu(gazetteer)
+        slu = LexiconSlu(gazetteer, default_templates())
         for _ in range(10):
             question = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 16)))
-            assert slu.predict(question) == _reference_predict(gazetteer, question), (
+            assert slu.predict(question).slots == _reference_slots(gazetteer, question), (
                 entries,
                 question,
             )
@@ -211,7 +253,7 @@ def test_numeric_patterns(lexicon):
 
 
 def test_lexicon_quality_on_test_split(lexicon, desk_instances):
-    splits, _ = stratified_split(list(desk_instances), SplitSpec(seed=17))
+    splits, _ = stratified_split(list(desk_instances), 17)
     test_split = splits["test"]
     assert test_split
     predictions = [lexicon.predict(i.question) for i in test_split]
