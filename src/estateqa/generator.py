@@ -38,6 +38,8 @@ CYCLING_PLAUSIBILITY_M = 20_000.0
 MAX_ATTEMPT_FACTOR = 6
 # val and test each take this share of every template stratum (8:1:1)
 HELD_OUT_SHARE = 0.1
+# what deriving an answer raises on a rule that the template checks let through
+RULE_ERRORS = (KeyError, ValueError, TypeError, IndexError)
 
 
 class SamplingExhausted(RuntimeError):
@@ -315,9 +317,9 @@ def trace_resolvers(
     tool_steps: tuple[ToolStep, ...],
 ) -> tuple[Callable[[str], Any], Callable[[str, int], str]]:
     """Binding-free resolvers, for generation and re-validation alike: scalars
-    come from the slot annotations (plus the template's derived values),
-    labels from matching each tool step's origin (or center) coordinates
-    against the recorded SQL rows."""
+    come from the slot annotations (plus the template's derived values), a
+    ``{placeholder}`` label from matching the coordinates that tool step took
+    for that placeholder against the recorded SQL rows."""
     slot_values: dict[str, str] = {}
     for slot in instance_slots:
         slot_values.setdefault(slot.slot_type, slot.value)
@@ -341,11 +343,10 @@ def trace_resolvers(
         if not PLACEHOLDER_RE.fullmatch(label):
             return label
         params = dict(tool_steps[step_index].params)
-        # route tools start at an origin; surrounding_pois_query has a center
-        end = "origin" if "origin_lat" in params else "center"
-        key = (round(float(params[f"{end}_lat"]), 6), round(float(params[f"{end}_lon"]), 6))
+        lat, lon = template.coordinate_params(step_index, label)
+        key = (round(float(params[lat]), 6), round(float(params[lon]), 6))
         if key not in coord_names:
-            raise AnswerUnderivable("rule_error", f"no entity at origin {key}")
+            raise AnswerUnderivable("rule_error", f"no entity at {label} {key}")
         return coord_names[key]
 
     return scalar_of, label_of
@@ -413,11 +414,13 @@ def instantiate(
     if not ok:
         return Rejection(template.template_id, reason)
 
-    resolvers = trace_resolvers(slots, template, sql_trace, tool_trace)
     try:
+        resolvers = trace_resolvers(slots, template, sql_trace, tool_trace)
         answer = derive_answer(template.answer_rule, sql_trace, tool_trace, *resolvers)
     except AnswerUnderivable as exc:
         return Rejection(template.template_id, exc.reason, str(exc))
+    except RULE_ERRORS as exc:
+        return Rejection(template.template_id, "rule_error", f"{type(exc).__name__}: {exc}")
 
     return QAInstance(
         id=instance_id,
@@ -521,7 +524,7 @@ def revalidate_instance(
         rederived = derive_answer(
             template.answer_rule, instance.sql_trace, instance.tool_trace, scalar_of, label_of
         )
-    except (AnswerUnderivable, KeyError, ValueError, TypeError, IndexError) as exc:
+    except (AnswerUnderivable, *RULE_ERRORS) as exc:
         problems.append(f"answer: re-derivation failed: {exc}")
         return problems
     if not answer_equal(rederived, instance.answer):

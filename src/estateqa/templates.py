@@ -64,12 +64,31 @@ def slot_type_for(placeholder: str) -> str | None:
     return SLOT_TYPES.get(base)
 
 
+def _whole_number(value: Any) -> int | None:
+    """``value`` as an int when it is a whole number (``60``, ``60.0``, ``"60"``),
+    else None."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        return None
+    return int(number) if number.is_integer() else None
+
+
 def derived_value(spec: dict[str, Any], base: Any) -> Any:
-    """The value of a ``derived`` placeholder given its ``from`` value: with
-    ``op: "mul"`` the integer product with ``factor``, otherwise ``base``."""
+    """The value of a ``derived`` placeholder given its ``from`` value (the bound
+    value, or its question slot text): with ``op: "mul"`` the integer product
+    with ``factor``, otherwise ``base``."""
     if spec.get("op") == "mul":
-        return int(base) * spec["factor"]
+        return _whole_number(base) * _whole_number(spec["factor"])
     return base
+
+
+def _whole_values(binding: dict[str, Any]) -> bool:
+    """Whether every value a binding samples is a whole number."""
+    kind = binding.get("kind")
+    if kind == "int_range":
+        return True
+    return kind == "choice" and all(_whole_number(v) is not None for v in binding.get("values", ()))
 
 
 @dataclass(frozen=True)
@@ -113,10 +132,18 @@ class Template:
                 if lo < 1 or hi > 3:
                     raise DomainError(f"{self.template_id}: X must stay within 1..3")
         for name, spec in self.derived.items():
-            if "op" in spec and (spec["op"] != "mul" or not isinstance(spec.get("factor"), int)):
-                raise DomainError(f"{self.template_id}: derived {name} has a bad op or factor")
-            if spec.get("from") not in self.bindings:
+            source = spec.get("from")
+            if source not in self.bindings and source not in ("city", "city_slug"):
                 raise DomainError(f"{self.template_id}: derived {name} is not from a binding")
+            if "op" in spec and not (
+                spec["op"] == "mul"
+                and _whole_number(spec.get("factor")) is not None
+                and _whole_values(self.bindings.get(source, {}))
+            ):
+                raise DomainError(
+                    f"{self.template_id}: derived {name} needs op mul, a whole-number"
+                    " factor and a binding of whole numbers"
+                )
         # answers are derived from the question's slots (generator.trace_resolvers),
         # so a scalar the rule reads must be the only slot of its type, or derived from it
         slot_types = [slot_type_for(n) for n in placeholders]
@@ -131,6 +158,26 @@ class Template:
                     f"{self.template_id}: answer_rule {key} {ref.group()} is not read from"
                     " exactly one question slot"
                 )
+        # a tool rule labels each step by the entity at that placeholder's coordinates
+        if self.answer_rule["kind"] in ("tool_argmin", "tool_argmax", "tool_threshold"):
+            steps = self.answer_rule.get("steps", ())
+            for label, step in zip(self.answer_rule.get("labels", ()), steps):
+                if PLACEHOLDER_RE.fullmatch(label) and self.coordinate_params(step, label) is None:
+                    raise DomainError(
+                        f"{self.template_id}: label {label} is not a coordinate of tool step {step}"
+                    )
+
+    def coordinate_params(self, step: int, placeholder: str) -> tuple[str, str] | None:
+        """The (latitude, longitude) param names through which tool step ``step``
+        takes the SQL coordinates of ``placeholder`` (``"{name}"``), if it does."""
+        if not 0 <= step < len(self.tool_patterns):
+            return None
+        params = self.tool_patterns[step]["params"]
+        lat, lon = (
+            next((k for k, v in params.items() if v == f"@{axis}:{placeholder}"), None)
+            for axis in ("lat", "lon")
+        )
+        return None if lat is None or lon is None else (lat, lon)
 
     @cached_property
     def _question_re(self) -> re.Pattern[str]:
@@ -234,6 +281,48 @@ def _route_params(origin: str, dest: str, **extra: Any) -> dict[str, Any]:
     }
     params.update(extra)
     return params
+
+
+def _communities(n: int) -> list[str]:
+    """The placeholders of ``n`` distinct communities."""
+    return ["community_name", *(f"community_name_{i}" for i in range(2, n + 1))]
+
+
+def _routes_to_poi(n: int, function: str, mode: str, **extra: Any) -> dict[str, Any]:
+    """Bindings, SQL and tool patterns of one route per community (``n`` of
+    them) to the POI ``{poi_name}``; ``extra`` bindings are sampled last."""
+    return {
+        "bindings": {
+            "poi_name": {"kind": "poi"},
+            **{c: {"kind": "community"} for c in _communities(n)},
+            **extra,
+        },
+        "sql_patterns": [_coords_sql(*map(_community_coords, _communities(n)), _poi_coords())],
+        "tool_patterns": [
+            {"function": function, "params": _route_params(c, "poi_name", mode=mode)}
+            for c in _communities(n)
+        ],
+    }
+
+
+def _pois_around_community() -> dict[str, Any]:
+    """SQL and tool patterns of the ``{poi_label}`` POIs within
+    ``{radius_km}`` km of ``{community_name}``."""
+    return {
+        "derived": {"radius_m": {"from": "radius_km", "op": "mul", "factor": 1000}},
+        "sql_patterns": [_community_coords("community_name")],
+        "tool_patterns": [
+            {
+                "function": "surrounding_pois_query",
+                "params": {
+                    "center_lat": "@lat:{community_name}",
+                    "center_lon": "@lon:{community_name}",
+                    "radius_m": "{radius_m}",
+                    "label": "{poi_label}",
+                },
+            }
+        ],
+    }
 
 
 DEFAULT_TEMPLATE_DICTS: list[dict[str, Any]] = [
@@ -449,19 +538,7 @@ DEFAULT_TEMPLATE_DICTS: list[dict[str, Any]] = [
             "poi_label": {"kind": "poi_label"},
             "radius_km": {"kind": "choice", "values": [1, 2, 3]},
         },
-        "derived": {"radius_m": {"from": "radius_km", "op": "mul", "factor": 1000}},
-        "sql_patterns": [_community_coords("community_name")],
-        "tool_patterns": [
-            {
-                "function": "surrounding_pois_query",
-                "params": {
-                    "center_lat": "@lat:{community_name}",
-                    "center_lon": "@lon:{community_name}",
-                    "radius_m": "{radius_m}",
-                    "label": "{poi_label}",
-                },
-            }
-        ],
+        **_pois_around_community(),
         "answer_rule": {"kind": "tool_list", "step": 0, "column": "name"},
     },
     {
@@ -475,19 +552,7 @@ DEFAULT_TEMPLATE_DICTS: list[dict[str, Any]] = [
             "radius_km": {"kind": "choice", "values": [2, 3]},
             "X": {"kind": "int_range", "min": 1, "max": 3},
         },
-        "derived": {"radius_m": {"from": "radius_km", "op": "mul", "factor": 1000}},
-        "sql_patterns": [_community_coords("community_name")],
-        "tool_patterns": [
-            {
-                "function": "surrounding_pois_query",
-                "params": {
-                    "center_lat": "@lat:{community_name}",
-                    "center_lon": "@lon:{community_name}",
-                    "radius_m": "{radius_m}",
-                    "label": "{poi_label}",
-                },
-            }
-        ],
+        **_pois_around_community(),
         "answer_rule": {"kind": "tool_list", "step": 0, "column": "name", "limit": "{X}"},
     },
     # --- type 3: tools plus post-tool reasoning -----------------------------------
@@ -496,25 +561,7 @@ DEFAULT_TEMPLATE_DICTS: list[dict[str, Any]] = [
         "question_type": 3,
         "intents": ["least_travel_time"],
         "question_pattern": "Which place takes the least time to drive to {poi_name} in {city}: {community_name}, {community_name_2}, or {community_name_3}?",
-        "bindings": {
-            "poi_name": {"kind": "poi"},
-            "community_name": {"kind": "community"},
-            "community_name_2": {"kind": "community"},
-            "community_name_3": {"kind": "community"},
-        },
-        "sql_patterns": [
-            _coords_sql(
-                _community_coords("community_name"),
-                _community_coords("community_name_2"),
-                _community_coords("community_name_3"),
-                _poi_coords(),
-            )
-        ],
-        "tool_patterns": [
-            {"function": "time_query", "params": _route_params("community_name", "poi_name", mode="driving")},
-            {"function": "time_query", "params": _route_params("community_name_2", "poi_name", mode="driving")},
-            {"function": "time_query", "params": _route_params("community_name_3", "poi_name", mode="driving")},
-        ],
+        **_routes_to_poi(3, "time_query", "driving"),
         "answer_rule": {
             "kind": "tool_argmin",
             "steps": [0, 1, 2],
@@ -526,22 +573,7 @@ DEFAULT_TEMPLATE_DICTS: list[dict[str, Any]] = [
         "question_type": 3,
         "intents": ["closest_on_foot"],
         "question_pattern": "Which community is closer on foot to {poi_name} in {city}: {community_name} or {community_name_2}?",
-        "bindings": {
-            "poi_name": {"kind": "poi"},
-            "community_name": {"kind": "community"},
-            "community_name_2": {"kind": "community"},
-        },
-        "sql_patterns": [
-            _coords_sql(
-                _community_coords("community_name"),
-                _community_coords("community_name_2"),
-                _poi_coords(),
-            )
-        ],
-        "tool_patterns": [
-            {"function": "time_query", "params": _route_params("community_name", "poi_name", mode="walking")},
-            {"function": "time_query", "params": _route_params("community_name_2", "poi_name", mode="walking")},
-        ],
+        **_routes_to_poi(2, "time_query", "walking"),
         "answer_rule": {
             "kind": "tool_argmin",
             "steps": [0, 1],
@@ -553,27 +585,8 @@ DEFAULT_TEMPLATE_DICTS: list[dict[str, Any]] = [
         "question_type": 3,
         "intents": ["reachability_filter"],
         "question_pattern": "Which of {community_name}, {community_name_2} and {community_name_3} can reach {poi_name} in {city} within {minutes} minutes by public transit?",
-        "bindings": {
-            "poi_name": {"kind": "poi"},
-            "community_name": {"kind": "community"},
-            "community_name_2": {"kind": "community"},
-            "community_name_3": {"kind": "community"},
-            "minutes": {"kind": "choice", "values": [10, 15, 20, 30]},
-        },
+        **_routes_to_poi(3, "time_query", "transit", minutes={"kind": "choice", "values": [10, 15, 20, 30]}),
         "derived": {"seconds": {"from": "minutes", "op": "mul", "factor": 60}},
-        "sql_patterns": [
-            _coords_sql(
-                _community_coords("community_name"),
-                _community_coords("community_name_2"),
-                _community_coords("community_name_3"),
-                _poi_coords(),
-            )
-        ],
-        "tool_patterns": [
-            {"function": "time_query", "params": _route_params("community_name", "poi_name", mode="transit")},
-            {"function": "time_query", "params": _route_params("community_name_2", "poi_name", mode="transit")},
-            {"function": "time_query", "params": _route_params("community_name_3", "poi_name", mode="transit")},
-        ],
         "answer_rule": {
             "kind": "tool_threshold",
             "steps": [0, 1, 2],
@@ -592,19 +605,7 @@ DEFAULT_TEMPLATE_DICTS: list[dict[str, Any]] = [
             "poi_label": {"kind": "poi_label"},
             "radius_km": {"kind": "choice", "values": [1, 2, 3]},
         },
-        "derived": {"radius_m": {"from": "radius_km", "op": "mul", "factor": 1000}},
-        "sql_patterns": [_community_coords("community_name")],
-        "tool_patterns": [
-            {
-                "function": "surrounding_pois_query",
-                "params": {
-                    "center_lat": "@lat:{community_name}",
-                    "center_lon": "@lon:{community_name}",
-                    "radius_m": "{radius_m}",
-                    "label": "{poi_label}",
-                },
-            }
-        ],
+        **_pois_around_community(),
         "answer_rule": {"kind": "tool_count", "step": 0},
     },
     {
@@ -629,27 +630,8 @@ DEFAULT_TEMPLATE_DICTS: list[dict[str, Any]] = [
         "question_type": 3,
         "intents": ["rush_reachability_filter"],
         "question_pattern": "During the morning rush hour, which of {community_name}, {community_name_2} and {community_name_3} can reach {poi_name} in {city} within {minutes} minutes by car?",
-        "bindings": {
-            "poi_name": {"kind": "poi"},
-            "community_name": {"kind": "community"},
-            "community_name_2": {"kind": "community"},
-            "community_name_3": {"kind": "community"},
-            "minutes": {"kind": "choice", "values": [10, 15, 20, 30]},
-        },
+        **_routes_to_poi(3, "rush_hour_query", "driving", minutes={"kind": "choice", "values": [10, 15, 20, 30]}),
         "derived": {"seconds": {"from": "minutes", "op": "mul", "factor": 60}},
-        "sql_patterns": [
-            _coords_sql(
-                _community_coords("community_name"),
-                _community_coords("community_name_2"),
-                _community_coords("community_name_3"),
-                _poi_coords(),
-            )
-        ],
-        "tool_patterns": [
-            {"function": "rush_hour_query", "params": _route_params("community_name", "poi_name", mode="driving")},
-            {"function": "rush_hour_query", "params": _route_params("community_name_2", "poi_name", mode="driving")},
-            {"function": "rush_hour_query", "params": _route_params("community_name_3", "poi_name", mode="driving")},
-        ],
         "answer_rule": {
             "kind": "tool_threshold",
             "steps": [0, 1, 2],

@@ -26,7 +26,7 @@ from estateqa.generator import (
     stratified_split,
 )
 from estateqa.store import GeoStore, StoreConfig
-from estateqa.templates import Template, default_templates
+from estateqa.templates import Template, _route_params, default_templates
 from estateqa.tools import SyntheticProvider, ToolCache
 
 from test_store import COMMUNITY_HEADER, POI_HEADER, _community_row, _write_rows
@@ -112,6 +112,29 @@ CUSTOM_TEMPLATES = {
                          " WHERE name IN ('{community_name}', '{community_name_2}')"],
         "tool_patterns": [_surrounding("community_name"), _surrounding("community_name_2")],
     },
+    # argmin labels resolved from each route's destination, not its origin
+    "labels_at_destination": {
+        **template_by_id("t3_closest_walk").to_dict(),
+        "question_pattern": "Which is closer on foot to {community_name} in {city}: {poi_name} or"
+                            " {poi_name_2}?",
+        "bindings": {"community_name": {"kind": "community"}, "poi_name": {"kind": "poi"},
+                     "poi_name_2": {"kind": "poi"}},
+        "sql_patterns": ["SELECT name, latitude, longitude FROM community_{city_slug}"
+                         " WHERE name = '{community_name}' UNION ALL"
+                         " SELECT name, latitude, longitude FROM poi_{city_slug}"
+                         " WHERE name IN ('{poi_name}', '{poi_name_2}')"],
+        "tool_patterns": [
+            {"function": "time_query", "params": _route_params("community_name", "poi_name", mode="walking")},
+            {"function": "time_query", "params": _route_params("community_name", "poi_name_2", mode="walking")},
+        ],
+        "answer_rule": {"kind": "tool_argmin", "steps": [0, 1], "labels": ["{poi_name}", "{poi_name_2}"]},
+    },
+    # a whole-number factor written as a float, and a value derived from the implicit {city}
+    "float_factor_and_city": {
+        **template_by_id("t3_reach_within").to_dict(),
+        "derived": {"seconds": {"from": "minutes", "op": "mul", "factor": 60.0},
+                    "town": {"from": "city"}},
+    },
 }
 
 
@@ -123,6 +146,9 @@ def test_custom_template_instances_revalidate(desk_store, name):
     assert len(instances) == 5
     for inst in instances:
         assert revalidate_instance(inst, desk_store, cache, {template.template_id: template}) == []
+        if name == "labels_at_destination":
+            pois = {s.value for s in inst.slots if s.slot_type == "poi_name"}
+            assert set(inst.answer.entities) <= pois
 
 
 @pytest.mark.parametrize(
@@ -139,13 +165,32 @@ def test_custom_template_instances_revalidate(desk_store, name):
                              " can reach {poi_name} in {city}?",
                              "bindings": {**template_by_id("t3_reach_within").bindings,
                                           "minutes_2": {"kind": "choice", "values": [5]}}}),
+        ("t2_nearby_pois", {"bindings": {**template_by_id("t2_nearby_pois").bindings,
+                                         "radius_km": {"kind": "choice", "values": [1.5, 2]}}}),
+        ("t3_closest_walk", {"answer_rule": {"kind": "tool_argmin", "steps": [0, 1],
+                                             "labels": ["{community_name_2}", "{community_name}"]}}),
+        ("t3_closest_walk", {"answer_rule": {"kind": "tool_argmin", "steps": [0, 2],
+                                             "labels": ["{community_name}", "{community_name_2}"]}}),
     ],
     ids=["unknown_op", "mul_without_factor", "from_no_binding", "value_neither_slot_nor_derived",
-         "value_not_in_question", "value_slot_type_repeated"],
+         "value_not_in_question", "value_slot_type_repeated", "mul_of_fractions",
+         "label_not_in_its_step", "label_step_out_of_range"],
 )
 def test_template_rejects_unresolvable_derivations(template_id, change):
     with pytest.raises(DomainError):
         Template.from_dict({**template_by_id(template_id).to_dict(), **change})
+
+
+def test_rule_that_cannot_derive_is_a_rejection(desk_store):
+    # the threshold reads a POI name as its number: every attempt is rejected, none raises
+    base = template_by_id("t3_reach_within")
+    template = Template.from_dict(
+        {**base.to_dict(), "answer_rule": {**base.answer_rule, "value": "{poi_name}"}}
+    )
+    cache = ToolCache(provider=SyntheticProvider(desk_store))
+    instances, report = generate([template], desk_store, cache, seed=11, per_template=2)
+    assert instances == []
+    assert set(report.rejected_by_reason()) == {"rule_error"}
 
 
 # --- question filling ------------------------------------------------------------
