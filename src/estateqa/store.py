@@ -77,6 +77,13 @@ _REAL_POSITIONS = {
     family: frozenset(i for i, (_, kind) in enumerate(schema) if kind == "REAL")
     for family, schema in FAMILY_SCHEMA.items()
 }
+# The column each family's gold SQL filters on. Each is indexed: the entity
+# families' with the table, the pair family's after its rows are inserted.
+LOOKUP_COLUMN = {
+    "community": "name",
+    "poi": "name",
+    "community_community": "subject_name",
+}
 _ENTITY_TYPES = {"community": Community, "poi": Poi}
 _FIXTURE_PREFIX = {"community": "communities", "poi": "pois"}
 
@@ -90,6 +97,15 @@ DEFAULT_POI_TAXONOMY: dict[str, tuple[str, ...]] = {
 }
 
 _SELECT_RE = re.compile(r"^\s*(select|with)\b", re.IGNORECASE)
+
+# Limits on one execute_sql statement. On the scale-M store the costliest gold
+# statement takes about 7k VM operations and returns 146 rows; an unindexed
+# filter over the largest pair table (847k rows) takes 2.5M-3.5M operations,
+# and one on a single POI label returns up to 88k rows.
+SQL_OP_BUDGET = 20_000_000
+SQL_ROW_CAP = 100_000
+_PROGRESS_STEP = 10_000  # VM operations between progress-handler calls
+_BUDGET_TICKS = SQL_OP_BUDGET // _PROGRESS_STEP
 
 
 class IngestError(ValueError):
@@ -168,6 +184,14 @@ def _create_sql(family: str, table: str) -> str:
     return f"CREATE TABLE {table} ({columns})"
 
 
+def _index_name(family: str, table: str) -> str:
+    return f"idx_{table}_{LOOKUP_COLUMN[family]}"
+
+
+def _create_index_sql(family: str, table: str) -> str:
+    return f"CREATE INDEX {_index_name(family, table)} ON {table} ({LOOKUP_COLUMN[family]})"
+
+
 def _insert_sql(family: str, table: str) -> str:
     return f"INSERT INTO {table} VALUES ({','.join('?' * len(FAMILY_SCHEMA[family]))})"
 
@@ -227,6 +251,8 @@ class GeoStore:
             for city in self.config.cities:
                 for family in FAMILIES:
                     self._conn.execute(_create_sql(family, self.table_id(family, city)))
+                for family in _ENTITY_TYPES:
+                    self._conn.execute(_create_index_sql(family, self.table_id(family, city)))
             self._conn.execute("CREATE TABLE _meta (key TEXT PRIMARY KEY, value TEXT)")
             self._conn.execute(
                 "INSERT INTO _meta VALUES ('config', ?)",
@@ -309,7 +335,9 @@ class GeoStore:
 
         poi_community holds each (POI, community) pair within the POI pairing
         radius; community_community holds community pairs within the community
-        radius, stored in both directions.
+        radius, stored in both directions. The community_community lookup
+        index is dropped before the insert and rebuilt after it, which costs
+        less than maintaining it row by row.
         """
         counts = {"poi_community": 0, "community_community": 0}
         snapshot = self.snapshot()
@@ -318,6 +346,9 @@ class GeoStore:
             pc_table = self.table_id("poi_community", city)
             cc_table = self.table_id("community_community", city)
             with self._lock:
+                self._conn.execute(
+                    f"DROP INDEX IF EXISTS {_index_name('community_community', cc_table)}"
+                )
                 self._conn.execute(f"DELETE FROM {pc_table}")
                 self._conn.execute(f"DELETE FROM {cc_table}")
                 counts["poi_community"] += self._conn.executemany(
@@ -332,6 +363,7 @@ class GeoStore:
                         entities.communities, self.config.community_pairing_radius
                     ),
                 ).rowcount
+                self._conn.execute(_create_index_sql("community_community", cc_table))
                 self._conn.commit()
         return counts
 
@@ -356,23 +388,41 @@ class GeoStore:
     def execute_sql(self, statement: str) -> tuple[tuple[str, ...], list[tuple[Any, ...]]]:
         """Run one read-only statement; returns (column names, rows).
 
-        Non-SELECT statements and engine failures raise
-        :class:`SqlExecutionError` with the engine message, which downstream
-        agents fold into their error reports.
+        Non-SELECT statements, engine failures and statements past
+        ``SQL_OP_BUDGET`` or ``SQL_ROW_CAP`` raise :class:`SqlExecutionError`
+        with the engine message or the limit, which downstream agents fold
+        into their error reports.
         """
         if not _SELECT_RE.match(statement or ""):
             raise SqlExecutionError("only SELECT statements are allowed")
+        ticks = 0
+
+        def over_budget() -> bool:
+            nonlocal ticks
+            ticks += 1
+            return ticks > _BUDGET_TICKS
+
         with self._lock:
             self._conn.set_authorizer(self._deny_writes)
+            self._conn.set_progress_handler(over_budget, _PROGRESS_STEP)
+            cursor = self._conn.cursor()
             try:
-                cursor = self._conn.execute(statement)
-                rows = [tuple(r) for r in cursor.fetchall()]
+                cursor.execute(statement)
+                rows = cursor.fetchmany(SQL_ROW_CAP + 1)
                 columns = tuple(d[0] for d in cursor.description or ())
             except (sqlite3.Error, sqlite3.Warning) as exc:
                 # Warning covers multi-statement input, which is not an Error
+                if ticks > _BUDGET_TICKS:
+                    raise SqlExecutionError(
+                        f"statement exceeded the budget of {SQL_OP_BUDGET:,} VM operations"
+                    ) from exc
                 raise SqlExecutionError(str(exc)) from exc
             finally:
+                cursor.close()
+                self._conn.set_progress_handler(None, 0)
                 self._conn.set_authorizer(self._allow_all)
+        if len(rows) > SQL_ROW_CAP:
+            raise SqlExecutionError(f"statement returned more than the cap of {SQL_ROW_CAP:,} rows")
         return columns, rows
 
     def list_captions(self) -> list[TableCaption]:

@@ -1,12 +1,15 @@
 """Store behavior: ingestion errors, caption catalog, proximity pairs against
-a brute-force oracle, and read-only SQL execution."""
+a brute-force oracle, lookup indexes, and read-only SQL execution."""
 
 from __future__ import annotations
 
 import csv
 import dataclasses
 import math
+import re
+import shutil
 import sqlite3
+from contextlib import closing
 
 import pytest
 
@@ -17,6 +20,9 @@ from estateqa.store import (
     FAMILY_COLUMNS,
     FAMILY_SCHEMA,
     GeoStore,
+    LOOKUP_COLUMN,
+    SQL_OP_BUDGET,
+    SQL_ROW_CAP,
     IngestError,
     SqlExecutionError,
     StoreConfig,
@@ -45,7 +51,7 @@ def _community_row(cid, name, lat, lon, city="Testville", price=30000.0):
             "apartment", "on sale"]
 
 
-def make_tiny_store(tmp_path, communities, pois=(), city="Testville", **radii):
+def make_tiny_store(tmp_path, communities, pois=(), city="Testville", path=None, **radii):
     config = StoreConfig(cities=(city,), fixture_seed=1, **radii)
     _write_rows(
         tmp_path / "communities_testville.csv",
@@ -60,9 +66,31 @@ def make_tiny_store(tmp_path, communities, pois=(), city="Testville", **radii):
             for i, (name, lat, lon) in enumerate(pois)
         ],
     )
-    store = GeoStore(config)
+    store = GeoStore(config, path)
     store.ingest_fixture(tmp_path)
     return store
+
+
+def _lookup_indexes(path, table):
+    """The column lists of the indexes CREATE INDEX made on ``table`` (so not
+    the primary key's), read with a connection of its own."""
+    with closing(sqlite3.connect(path)) as conn:
+        return [
+            [column for _, _, column in conn.execute(f"PRAGMA index_info({name})")]
+            for _, name, _, origin, _ in conn.execute(f"PRAGMA index_list({table})")
+            if origin == "c"
+        ]
+
+
+@pytest.fixture(scope="module")
+def desk_store_file(tmp_path_factory, desk_config, desk_fixture_dir):
+    """The desk store written to a file, so raw connections can inspect it."""
+    path = tmp_path_factory.mktemp("desk_store") / "store.db"
+    store = GeoStore(desk_config, path)
+    store.ingest_fixture(desk_fixture_dir)
+    store.build_proximity_pairs()
+    store.close()
+    return path
 
 
 # --- ingestion -------------------------------------------------------------------
@@ -344,11 +372,19 @@ def test_entities_exactly_on_the_radius_are_paired(tmp_path, axis):
 def test_pair_build_is_idempotent(tmp_path):
     dlat = 400 / METERS_PER_DEG_LAT
     store = make_tiny_store(
-        tmp_path, [("Alpha Court", 23.0, 113.0), ("Beta Court", 23.0 + dlat, 113.0)]
+        tmp_path,
+        [("Alpha Court", 23.0, 113.0), ("Beta Court", 23.0 + dlat, 113.0)],
+        path=tmp_path / "store.db",
     )
     first = store.build_proximity_pairs()
+    _, first_rows = store.execute_sql("SELECT * FROM community_community_testville")
     second = store.build_proximity_pairs()
+    _, second_rows = store.execute_sql("SELECT * FROM community_community_testville")
     assert first == second
+    assert first_rows == second_rows and len(first_rows) == 2
+    assert _lookup_indexes(tmp_path / "store.db", "community_community_testville") == [
+        ["subject_name"]
+    ]
 
 
 def test_ingest_after_snapshot_read_is_visible(tmp_path):
@@ -400,6 +436,32 @@ def test_multi_statement_injection_rejected(desk_store):
     assert rows == [(220,)]
 
 
+def test_runaway_join_stops_at_the_operation_budget(desk_store):
+    with pytest.raises(SqlExecutionError, match=f"budget of {SQL_OP_BUDGET:,} VM operations"):
+        desk_store.execute_sql(
+            "SELECT COUNT(*) FROM poi_community_guangzhou a, poi_community_guangzhou b"
+        )
+    # the budget is per statement: a full scan right after runs to the end
+    _, rows = desk_store.execute_sql("SELECT COUNT(*) FROM poi_community_guangzhou")
+    assert rows[0][0] > 0
+
+
+def test_cross_join_stops_at_the_row_cap(desk_store):
+    with pytest.raises(SqlExecutionError, match=f"cap of {SQL_ROW_CAP:,} rows"):
+        desk_store.execute_sql(
+            "SELECT a.poi_name, b.neighbor_name"
+            " FROM poi_community_guangzhou a, community_community_guangzhou b LIMIT 2000000"
+        )
+
+
+def test_result_of_exactly_the_row_cap_is_returned(desk_store):
+    _, rows = desk_store.execute_sql(
+        "SELECT a.poi_id FROM poi_community_guangzhou a, community_community_guangzhou b"
+        f" LIMIT {SQL_ROW_CAP}"
+    )
+    assert len(rows) == SQL_ROW_CAP
+
+
 def test_query_column_order_preserved(desk_store):
     columns, _ = desk_store.execute_sql(
         "SELECT longitude, latitude, name FROM community_guangzhou LIMIT 1"
@@ -408,9 +470,21 @@ def test_query_column_order_preserved(desk_store):
 
 
 def test_internal_writes_still_work_after_untrusted_query(tmp_path):
-    store = make_tiny_store(tmp_path, [("Alpha Court", 23.0, 113.0)])
+    # 200 communities 4.5 m apart, so every pair is within the 1 km radius
+    store = make_tiny_store(
+        tmp_path, [(f"Court {i}", 23.0 + i * 4e-5, 113.0) for i in range(200)]
+    )
     store.execute_sql("SELECT 1")
-    store.build_proximity_pairs()  # must not be blocked by a stale authorizer
+    # loads the snapshot, so the rebuild below runs no statement of its own
+    # through execute_sql that would replace a stale progress handler
+    store.build_proximity_pairs()
+    with pytest.raises(SqlExecutionError, match="VM operations"):
+        store.execute_sql(
+            "SELECT COUNT(*) FROM community_testville a, community_testville b,"
+            " community_testville c, community_testville d"
+        )
+    # must not be blocked by a stale authorizer or progress handler
+    assert store.build_proximity_pairs()["community_community"] == 200 * 199
 
 
 def test_store_reopen_round_trip(tmp_path, desk_config, desk_fixture_dir):
@@ -425,7 +499,43 @@ def test_store_reopen_round_trip(tmp_path, desk_config, desk_fixture_dir):
     assert reopened.config == desk_config
     _, after = reopened.execute_sql("SELECT COUNT(*) FROM poi_community_guangzhou")
     assert after == before
+    for city in desk_config.cities:
+        for family, column in LOOKUP_COLUMN.items():
+            assert _lookup_indexes(path, reopened.table_id(family, city)) == [[column]]
     reopened.close()
+
+
+def test_store_without_lookup_indexes_returns_the_same_rows(
+    tmp_path, desk_store_file, desk_config, desk_instances
+):
+    # a store.db built before the lookup indexes existed carries none
+    path = tmp_path / "store.db"
+    shutil.copyfile(desk_store_file, path)
+    with closing(sqlite3.connect(path)) as conn:
+        created = [
+            name
+            for (name,) in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'index' AND sql IS NOT NULL"
+            )
+        ]
+        for name in created:
+            conn.execute(f"DROP INDEX {name}")
+        conn.commit()
+    assert len(created) == len(LOOKUP_COLUMN) * len(desk_config.cities)
+
+    store = GeoStore.open(path)
+    for inst in desk_instances:
+        for step in inst.sql_trace:
+            columns, rows = store.execute_sql(step.statement)
+            assert (columns, tuple(rows)) == (step.expected_columns, step.expected_rows)
+    # rebuilding the pairs restores the pair table's index
+    store.build_proximity_pairs()
+    store.close()
+    for city in desk_config.cities:
+        assert _lookup_indexes(path, store.table_id("community", city)) == []
+        assert _lookup_indexes(path, store.table_id("community_community", city)) == [
+            ["subject_name"]
+        ]
 
 
 def test_open_rejects_non_store_file(tmp_path):
@@ -433,6 +543,43 @@ def test_open_rejects_non_store_file(tmp_path):
     path.write_text("nope")
     with pytest.raises(IngestError):
         GeoStore.open(path)
+
+
+# --- lookup indexes --------------------------------------------------------------------
+
+_TABLE_REF = re.compile(
+    r"\b(?:FROM|JOIN)\s+(\w+)(?:\s+(?!ON\b|WHERE\b|JOIN\b|ORDER\b|UNION\b)(\w+))?"
+)
+_NAME_LOOKUP = re.compile(r"\b(?:\w+\.)?(?:subject_name|name) (?:= '|IN \(')")
+_INDEXED_LOOKUP = re.compile(r"^SEARCH \w+ USING (?:COVERING )?INDEX \w+ \((?:subject_name|name)=\?\)$")
+
+
+def test_gold_sql_searches_the_lookup_indexes(desk_store_file, desk_instances, desk_templates):
+    assert {inst.template_id for inst in desk_instances} == {
+        t.template_id for t in desk_templates
+    }
+    lookups = 0
+    with closing(sqlite3.connect(desk_store_file)) as conn:
+        for inst in desk_instances:
+            for step in inst.sql_trace:
+                plan = [
+                    detail
+                    for *_, detail in conn.execute("EXPLAIN QUERY PLAN " + step.statement)
+                ]
+                tables = {
+                    alias or table: table for table, alias in _TABLE_REF.findall(step.statement)
+                }
+                scanned = [tables[d.split()[1]] for d in plan if d.startswith("SCAN ")]
+                assert not [
+                    t for t in scanned if t.startswith(("community_community_", "poi_community_"))
+                ], (step.statement, plan)
+                searches = sum(1 for detail in plan if _INDEXED_LOOKUP.match(detail))
+                assert searches == len(_NAME_LOOKUP.findall(step.statement)), (
+                    step.statement,
+                    plan,
+                )
+                lookups += searches
+    assert lookups > len(desk_instances)
 
 
 # --- coordinate extraction -----------------------------------------------------------
