@@ -393,7 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("pairs", help="build proximity pair tables")
+    p = sub.add_parser(
+        "pairs", help="count the proximity pairs (views over the entity tables, made at ingest)"
+    )
     p.add_argument("--store")
     _add_common(p)
     p.set_defaults(func=cmd_pairs)

@@ -72,13 +72,10 @@ class Gazetteer:
                 entries[poi.name] = "poi_name"
         for label in store.config.labels:
             entries[label] = "poi_label"
-        for caption in store.list_captions():
-            if caption.family == "community":
-                _, rows = store.execute_sql(
-                    f"SELECT DISTINCT property_type FROM {caption.table_id}"
-                )
-                for (ptype,) in rows:
-                    entries[str(ptype)] = "property_type"
+        # last, so a property type keeps a surface it shares with another entry
+        for city in sorted(store.config.cities):
+            for community in snapshot[city].communities:
+                entries[community.property_type] = "property_type"
         return cls(entries)
 
     def dump(self, path: str | Path) -> None:

@@ -1,36 +1,35 @@
 """Embedded relational store for the four per-city table families.
 
-Backed by SQLite. Mutation is confined to fixture ingestion and proximity-pair
-building; every query path is read-only and guarded by a statement check plus
-an authorizer, because agent-generated SQL is untrusted.
+Backed by SQLite. The two entity families are tables, written only by fixture
+ingestion. The two proximity-pair families are views over them, created with
+the tables from the configured radii and computed in SQL on each read. Every
+query path is read-only and guarded by a statement check plus an authorizer,
+because agent-generated SQL is untrusted.
 
-Fixture format: one UTF-8 CSV per table family per city with a header row,
-named ``communities_<city_slug>.csv`` and ``pois_<city_slug>.csv``. The two
-pair families are derived, never ingested.
+Fixture format: one UTF-8 CSV per entity family per city with a header row,
+named ``communities_<city_slug>.csv`` and ``pois_<city_slug>.csv``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 import re
 import sqlite3
 import threading
-from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from .domain import EARTH_RADIUS_M, Community, DomainError, GeoPoint, Poi
 
-# Each family's (column, SQLite type) pairs in table order; everything else
-# (CREATE TABLE text, INSERT placeholders, fixture headers, which CSV cells
-# are floats) derives from this. The entity families follow the Community and
+# Each entity family's (column, SQLite type) pairs in table order; everything
+# else (CREATE TABLE text, INSERT placeholders, fixture headers, which CSV
+# cells are floats) derives from this. The columns follow the Community and
 # Poi field order, with the location spelled out as latitude, longitude; a
 # column named ``id`` is the primary key.
-FAMILY_SCHEMA: dict[str, tuple[tuple[str, str], ...]] = {
+ENTITY_SCHEMA: dict[str, tuple[tuple[str, str], ...]] = {
     "community": (
         ("id", "TEXT"),
         ("city", "TEXT"),
@@ -53,37 +52,45 @@ FAMILY_SCHEMA: dict[str, tuple[tuple[str, str], ...]] = {
         ("latitude", "REAL"),
         ("longitude", "REAL"),
     ),
+}
+FAMILY_COLUMNS = {
+    **{family: tuple(name for name, _ in schema) for family, schema in ENTITY_SCHEMA.items()},
     "poi_community": (
-        ("poi_id", "TEXT"),
-        ("poi_name", "TEXT"),
-        ("poi_label", "TEXT"),
-        ("community_id", "TEXT"),
-        ("community_name", "TEXT"),
-        ("straight_distance", "REAL"),
+        "poi_id", "poi_name", "poi_label", "community_id", "community_name", "straight_distance"
     ),
     "community_community": (
-        ("subject_id", "TEXT"),
-        ("subject_name", "TEXT"),
-        ("neighbor_id", "TEXT"),
-        ("neighbor_name", "TEXT"),
-        ("straight_distance", "REAL"),
+        "subject_id", "subject_name", "neighbor_id", "neighbor_name", "straight_distance"
     ),
 }
-FAMILIES = tuple(FAMILY_SCHEMA)
-FAMILY_COLUMNS = {
-    family: tuple(name for name, _ in schema) for family, schema in FAMILY_SCHEMA.items()
-}
+FAMILIES = tuple(FAMILY_COLUMNS)
 _REAL_POSITIONS = {
     family: frozenset(i for i, (_, kind) in enumerate(schema) if kind == "REAL")
-    for family, schema in FAMILY_SCHEMA.items()
+    for family, schema in ENTITY_SCHEMA.items()
 }
-# The column each family's gold SQL filters on. Each is indexed: the entity
-# families' with the table, the pair family's after its rows are inserted.
-LOOKUP_COLUMN = {
-    "community": "name",
-    "poi": "name",
-    "community_community": "subject_name",
+# Indexed on every entity table: the gold SQL looks entities up by name, and
+# the pair views search neighbours by latitude.
+INDEXED_COLUMNS = ("name", "latitude")
+
+# Each pair view as (subject family, neighbour family, StoreConfig radius
+# field, subject and neighbour columns of its select list, extra condition),
+# over the subject table ``s`` and the neighbour table ``n``.
+_PAIR_VIEWS = {
+    "poi_community": (
+        "poi", "community", "poi_pairing_radius", "s.id, s.name, s.label, n.id, n.name", ""
+    ),
+    "community_community": (
+        "community", "community", "community_pairing_radius", "s.id, s.name, n.id, n.name",
+        " AND n.id <> s.id",
+    ),
 }
+# domain.haversine from s to n in SQLite's math functions, with its
+# expression order kept, so the distance is bit-identical to it.
+_DISTANCE_SQL = (
+    f"2.0 * {EARTH_RADIUS_M!r} * asin(min(1.0, sqrt("
+    "pow(sin((radians(n.latitude) - radians(s.latitude)) / 2.0), 2)"
+    " + cos(radians(s.latitude)) * cos(radians(n.latitude))"
+    " * pow(sin((radians(n.longitude) - radians(s.longitude)) / 2.0), 2))))"
+)
 _ENTITY_TYPES = {"community": Community, "poi": Poi}
 _FIXTURE_PREFIX = {"community": "communities", "poi": "pois"}
 
@@ -99,9 +106,11 @@ DEFAULT_POI_TAXONOMY: dict[str, tuple[str, ...]] = {
 _SELECT_RE = re.compile(r"^\s*(select|with)\b", re.IGNORECASE)
 
 # Limits on one execute_sql statement. On the scale-M store the costliest gold
-# statement takes about 7k VM operations and returns 146 rows; an unindexed
-# filter over the largest pair table (847k rows) takes 2.5M-3.5M operations,
-# and one on a single POI label returns up to 88k rows.
+# statement takes about 22k VM operations and returns 140 rows. A filter on one
+# POI label over a poi_community view takes 11.4M-12.0M operations and returns
+# up to 88k rows. A statement that computes a whole pair view, such as a
+# COUNT(*) (25M-52M operations) or a GROUP BY poi_label (60M), stops at the
+# budget.
 SQL_OP_BUDGET = 20_000_000
 SQL_ROW_CAP = 100_000
 _PROGRESS_STEP = 10_000  # VM operations between progress-handler calls
@@ -179,21 +188,13 @@ def _caption_text(family: str, city: str) -> str:
 def _create_sql(family: str, table: str) -> str:
     columns = ", ".join(
         f"{name} {kind}{' PRIMARY KEY' if name == 'id' else ''}"
-        for name, kind in FAMILY_SCHEMA[family]
+        for name, kind in ENTITY_SCHEMA[family]
     )
     return f"CREATE TABLE {table} ({columns})"
 
 
-def _index_name(family: str, table: str) -> str:
-    return f"idx_{table}_{LOOKUP_COLUMN[family]}"
-
-
-def _create_index_sql(family: str, table: str) -> str:
-    return f"CREATE INDEX {_index_name(family, table)} ON {table} ({LOOKUP_COLUMN[family]})"
-
-
 def _insert_sql(family: str, table: str) -> str:
-    return f"INSERT INTO {table} VALUES ({','.join('?' * len(FAMILY_SCHEMA[family]))})"
+    return f"INSERT INTO {table} VALUES ({','.join('?' * len(ENTITY_SCHEMA[family]))})"
 
 
 def _entity(family: str, row: Sequence[Any]) -> Community | Poi:
@@ -249,16 +250,37 @@ class GeoStore:
     def _create_tables(self) -> None:
         with self._lock:
             for city in self.config.cities:
-                for family in FAMILIES:
-                    self._conn.execute(_create_sql(family, self.table_id(family, city)))
-                for family in _ENTITY_TYPES:
-                    self._conn.execute(_create_index_sql(family, self.table_id(family, city)))
+                for family in ENTITY_SCHEMA:
+                    table = self.table_id(family, city)
+                    self._conn.execute(_create_sql(family, table))
+                    for column in INDEXED_COLUMNS:
+                        self._conn.execute(
+                            f"CREATE INDEX idx_{table}_{column} ON {table} ({column})"
+                        )
+                for family in _PAIR_VIEWS:
+                    self._conn.execute(self._create_view_sql(family, city))
             self._conn.execute("CREATE TABLE _meta (key TEXT PRIMARY KEY, value TEXT)")
             self._conn.execute(
                 "INSERT INTO _meta VALUES ('config', ?)",
                 (json.dumps(asdict(self.config), sort_keys=True),),
             )
             self._conn.commit()
+
+    def _create_view_sql(self, family: str, city: str) -> str:
+        """Every (subject, neighbour) pair within the radius, filtered on the
+        raw distance and rounded to 0.1 m only in the select list. R·|Δlat|
+        never exceeds the great-circle distance, so neighbours outside the
+        latitude window (padded against rounding) are beyond the radius."""
+        subject, neighbor, radius_field, columns, condition = _PAIR_VIEWS[family]
+        radius = getattr(self.config, radius_field)
+        half_width = f"degrees({radius!r} / {EARTH_RADIUS_M!r}) * (1 + 1e-9)"
+        return (
+            f"CREATE VIEW {self.table_id(family, city)} ({', '.join(FAMILY_COLUMNS[family])})"
+            f" AS SELECT {columns}, round({_DISTANCE_SQL}, 1)"
+            f" FROM {self.table_id(subject, city)} s JOIN {self.table_id(neighbor, city)} n"
+            f" ON n.latitude BETWEEN s.latitude - {half_width} AND s.latitude + {half_width}"
+            f" WHERE {_DISTANCE_SQL} <= {radius!r}{condition}"
+        )
 
     def table_id(self, family: str, city: str) -> str:
         return f"{family}_{city_slug(city)}"
@@ -331,40 +353,22 @@ class GeoStore:
     # --- proximity pairs -------------------------------------------------------
 
     def build_proximity_pairs(self) -> dict[str, int]:
-        """Populate the two pair families from scratch.
+        """Count the rows of the two pair families, summed over the cities.
 
         poi_community holds each (POI, community) pair within the POI pairing
         radius; community_community holds community pairs within the community
-        radius, stored in both directions. The community_community lookup
-        index is dropped before the insert and rebuilt after it, which costs
-        less than maintaining it row by row.
+        radius, in both directions. Both are views that the store computes on
+        each read, so nothing is built; a store written when they were tables
+        is counted the same way.
         """
-        counts = {"poi_community": 0, "community_community": 0}
-        snapshot = self.snapshot()
-        for city in self.config.cities:
-            entities = snapshot[city]
-            pc_table = self.table_id("poi_community", city)
-            cc_table = self.table_id("community_community", city)
-            with self._lock:
-                self._conn.execute(
-                    f"DROP INDEX IF EXISTS {_index_name('community_community', cc_table)}"
-                )
-                self._conn.execute(f"DELETE FROM {pc_table}")
-                self._conn.execute(f"DELETE FROM {cc_table}")
-                counts["poi_community"] += self._conn.executemany(
-                    _insert_sql("poi_community", pc_table),
-                    _poi_community_rows(
-                        entities.pois, entities.communities, self.config.poi_pairing_radius
-                    ),
-                ).rowcount
-                counts["community_community"] += self._conn.executemany(
-                    _insert_sql("community_community", cc_table),
-                    _community_community_rows(
-                        entities.communities, self.config.community_pairing_radius
-                    ),
-                ).rowcount
-                self._conn.execute(_create_index_sql("community_community", cc_table))
-                self._conn.commit()
+        counts = dict.fromkeys(_PAIR_VIEWS, 0)
+        with self._lock:
+            for city in self.config.cities:
+                for family in counts:
+                    (count,) = self._conn.execute(
+                        f"SELECT COUNT(*) FROM {self.table_id(family, city)}"
+                    ).fetchone()
+                    counts[family] += count
         return counts
 
     # --- queries ----------------------------------------------------------------
@@ -451,16 +455,19 @@ class GeoStore:
             return self._snapshot
 
     def _read_snapshot(self) -> Mapping[str, CityEntities]:
+        """Read under the lock, through the store's own connection: the agent
+        path's limits bound untrusted SQL, not the store's own entities."""
         cities: dict[str, CityEntities] = {}
         for city in sorted(self.config.cities):
-            _, rows = self.execute_sql(
-                f"SELECT * FROM {self.table_id('community', city)} ORDER BY id"
+            communities, pois = (
+                tuple(
+                    _entity(family, r)
+                    for r in self._conn.execute(
+                        f"SELECT * FROM {self.table_id(family, city)} ORDER BY id"
+                    )
+                )
+                for family in ENTITY_SCHEMA
             )
-            communities = tuple(_entity("community", r) for r in rows)
-            _, rows = self.execute_sql(
-                f"SELECT * FROM {self.table_id('poi', city)} ORDER BY id"
-            )
-            pois = tuple(_entity("poi", r) for r in rows)
             by_label: dict[str, list[Poi]] = {}
             for poi in pois:
                 by_label.setdefault(poi.label.casefold(), []).append(poi)
@@ -486,69 +493,6 @@ class GeoStore:
 
     def districts(self, city: str) -> list[str]:
         return list(self.snapshot()[city].districts)
-
-
-# --- pair kernel ----------------------------------------------------------------------
-
-# R·|Δlat| never exceeds the great-circle distance, so an entity whose latitude
-# lies outside radius/R (padded against rounding) is beyond the radius.
-_WINDOW_PAD = 1.0 + 1e-9
-
-
-def _radians(entity: Community | Poi) -> tuple[float, float, float]:
-    """(latitude, longitude, cos latitude) in radians, as ``haversine`` computes them."""
-    lat = math.radians(entity.location.latitude)
-    return lat, math.radians(entity.location.longitude), math.cos(lat)
-
-
-def _pairs_within(
-    subjects: Sequence[Community | Poi],
-    neighbors: Sequence[Community | Poi],
-    radius: float,
-    later_only: bool,
-) -> Iterator[tuple[Any, Any, float]]:
-    """Yield (subject, neighbor, distance) for every pair within ``radius``,
-    subject-major then neighbor order, exactly as a nested loop over
-    ``domain.haversine`` would. With ``later_only`` (subjects and neighbors
-    are one sequence) only pairs (i, j) with i < j are yielded.
-
-    The haversine is inlined with its expression order kept, so distances are
-    bit-identical; it only runs on neighbors in the subject's latitude window.
-    """
-    coords = [_radians(n) for n in neighbors]
-    order = sorted(range(len(coords)), key=lambda j: coords[j][0])
-    lats = [coords[j][0] for j in order]
-    half_width = radius / EARTH_RADIUS_M * _WINDOW_PAD
-    sin, asin, sqrt = math.sin, math.asin, math.sqrt
-    for i, subject in enumerate(subjects):
-        lat1, lon1, cos1 = _radians(subject)
-        window = sorted(
-            order[bisect_left(lats, lat1 - half_width) : bisect_right(lats, lat1 + half_width)]
-        )
-        for j in window[bisect_right(window, i) :] if later_only else window:
-            lat2, lon2, cos2 = coords[j]
-            h = sin((lat2 - lat1) / 2.0) ** 2 + cos1 * cos2 * sin((lon2 - lon1) / 2.0) ** 2
-            root = sqrt(h)  # clamped as min(1.0, root), without the call
-            d = 2.0 * EARTH_RADIUS_M * asin(root if root < 1.0 else 1.0)
-            if d <= radius:
-                yield subject, neighbors[j], d
-
-
-def _poi_community_rows(
-    pois: Sequence[Poi], communities: Sequence[Community], radius: float
-) -> Iterator[tuple[Any, ...]]:
-    for poi, com, d in _pairs_within(pois, communities, radius, later_only=False):
-        yield (poi.id, poi.name, poi.label, com.id, com.name, round(d, 1))
-
-
-def _community_community_rows(
-    communities: Sequence[Community], radius: float
-) -> Iterator[tuple[Any, ...]]:
-    """Each pair within ``radius`` in both directions, (a, b) then (b, a)."""
-    for a, b, d in _pairs_within(communities, communities, radius, later_only=True):
-        rd = round(d, 1)
-        yield (a.id, a.name, b.id, b.name, rd)
-        yield (b.id, b.name, a.id, a.name, rd)
 
 
 # Column-name conventions for pulling (entity name, coordinates) out of SQL

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import re
 import sqlite3
+from contextlib import closing
 from dataclasses import asdict
 
 import pytest
@@ -34,6 +36,23 @@ def workdir(tmp_path_factory):
     assert main(["split", "--dataset", str(root / "dataset.jsonl"),
                  "--out-dir", str(root / "splits"), "--seed", "3"]) == 0
     return root
+
+
+def test_pairs_prints_the_pair_counts(workdir, capsys):
+    assert main(["pairs", "--store", str(workdir / "store.db")]) == 0
+    out = capsys.readouterr().out
+    assert re.fullmatch(r"built \d+ poi_community and \d+ community_community pairs\n", out)
+    # the pattern perfbench/run.py reads the counts with
+    counts = [int(n) for n in re.search(r"built (\d+) poi_community and (\d+)", out).groups()]
+    with closing(sqlite3.connect(workdir / "store.db")) as conn:
+        expected = [
+            sum(
+                conn.execute(f"SELECT COUNT(*) FROM {family}_{city.casefold()}").fetchone()[0]
+                for city in CITIES.split(",")
+            )
+            for family in ("poi_community", "community_community")
+        ]
+    assert counts == expected and min(counts) > 0
 
 
 def test_validate_ok(workdir):

@@ -445,15 +445,14 @@ def test_generate_reads_each_entity_table_once(desk_config, desk_fixture_dir, de
     store = GeoStore(desk_config)
     store.ingest_fixture(desk_fixture_dir)
     reads: dict[str, int] = {}
-    execute_sql = store.execute_sql
 
-    def counting_execute_sql(statement):
+    def count_reads(statement):
         match = re.match(r"SELECT \* FROM (\w+)", statement)
         if match:
             reads[match.group(1)] = reads.get(match.group(1), 0) + 1
-        return execute_sql(statement)
 
-    store.execute_sql = counting_execute_sql
+    # every statement on the store's connection, agent path or not
+    store._conn.set_trace_callback(count_reads)
     store.build_proximity_pairs()
     cache = ToolCache(provider=SyntheticProvider(store))
     instances, _ = generate(desk_templates, store, cache, seed=3, per_template=3)

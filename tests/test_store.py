@@ -1,5 +1,5 @@
-"""Store behavior: ingestion errors, caption catalog, proximity pairs against
-a brute-force oracle, lookup indexes, and read-only SQL execution."""
+"""Store behavior: ingestion errors, caption catalog, proximity pair views
+against a brute-force oracle, lookup indexes, and read-only SQL execution."""
 
 from __future__ import annotations
 
@@ -13,19 +13,21 @@ from contextlib import closing
 
 import pytest
 
+from estateqa import store as store_module
 from estateqa.domain import Community, GeoPoint, Poi, haversine
 from estateqa.fixtures import write_fixture
 from estateqa.store import (
+    ENTITY_SCHEMA,
     FAMILIES,
     FAMILY_COLUMNS,
-    FAMILY_SCHEMA,
     GeoStore,
-    LOOKUP_COLUMN,
+    INDEXED_COLUMNS,
     SQL_OP_BUDGET,
     SQL_ROW_CAP,
     IngestError,
     SqlExecutionError,
     StoreConfig,
+    city_slug,
     extract_coordinates,
 )
 
@@ -72,14 +74,23 @@ def make_tiny_store(tmp_path, communities, pois=(), city="Testville", path=None,
 
 
 def _lookup_indexes(path, table):
-    """The column lists of the indexes CREATE INDEX made on ``table`` (so not
-    the primary key's), read with a connection of its own."""
+    """The sorted column lists of the indexes CREATE INDEX made on ``table``
+    (so not the primary key's), read with a connection of its own."""
     with closing(sqlite3.connect(path)) as conn:
-        return [
+        return sorted(
             [column for _, _, column in conn.execute(f"PRAGMA index_info({name})")]
             for _, name, _, origin, _ in conn.execute(f"PRAGMA index_list({table})")
             if origin == "c"
-        ]
+        )
+
+
+def _assert_indexed_as_created(path, store):
+    """Each entity table carries exactly the INDEXED_COLUMNS indexes; the
+    pair families, being views, carry none."""
+    for city in store.config.cities:
+        for family in FAMILIES:
+            expected = sorted([c] for c in INDEXED_COLUMNS) if family in ENTITY_SCHEMA else []
+            assert _lookup_indexes(path, store.table_id(family, city)) == expected
 
 
 @pytest.fixture(scope="module")
@@ -208,9 +219,18 @@ def test_schema_declaration_matches_entities_tables_and_fixture_headers(tmp_path
     conn = sqlite3.connect(tmp_path / "store.db")
     for family in FAMILIES:
         info = conn.execute(f"PRAGMA table_info({family}_testville)").fetchall()
-        assert [(name, kind, pk) for _, name, kind, _, _, pk in info] == [
-            (name, kind, int(name == "id")) for name, kind in FAMILY_SCHEMA[family]
-        ]
+        assert tuple(name for _, name, *_ in info) == FAMILY_COLUMNS[family]
+        if family in ENTITY_SCHEMA:
+            assert [(name, kind, pk) for _, name, kind, _, _, pk in info] == [
+                (name, kind, int(name == "id")) for name, kind in ENTITY_SCHEMA[family]
+            ]
+    kinds = dict(conn.execute("SELECT name, type FROM sqlite_master WHERE name LIKE '%_testville'"))
+    assert {family: kinds[f"{family}_testville"] for family in FAMILIES} == {
+        "community": "table",
+        "poi": "table",
+        "poi_community": "view",
+        "community_community": "view",
+    }
     conn.close()
 
     write_fixture(config, tmp_path, communities_per_city=2, pois_per_city=2)
@@ -257,7 +277,7 @@ def test_poi_at_radius_boundary_included(tmp_path):
 
 
 def _nested_loop_pair_rows(store, city):
-    """The pair rows of the plain nested loop over ``haversine``, in emission order."""
+    """The pair rows of the plain nested loop over ``haversine``."""
     communities = store.communities(city)
     pc_rows = []
     for p in store.pois(city):
@@ -276,15 +296,15 @@ def _nested_loop_pair_rows(store, city):
 
 
 def _assert_pairs_match_nested_loop(store):
-    # rows in rowid order, which is what SQL without ORDER BY reads
+    # full rows, distance included, as sorted lists: a view has no row order
     for city in store.config.cities:
         expected_pc, expected_cc = _nested_loop_pair_rows(store, city)
         pc_table = store.table_id("poi_community", city)
         cc_table = store.table_id("community_community", city)
-        _, pc_rows = store.execute_sql(f"SELECT * FROM {pc_table} ORDER BY rowid")
-        _, cc_rows = store.execute_sql(f"SELECT * FROM {cc_table} ORDER BY rowid")
-        assert pc_rows == expected_pc
-        assert cc_rows == expected_cc
+        _, pc_rows = store.execute_sql(f"SELECT * FROM {pc_table}")
+        _, cc_rows = store.execute_sql(f"SELECT * FROM {cc_table}")
+        assert sorted(pc_rows) == sorted(expected_pc)
+        assert sorted(cc_rows) == sorted(expected_cc)
 
 
 def test_pair_tables_match_brute_force_oracle(tmp_path, desk_config):
@@ -351,11 +371,18 @@ def test_desk_scale_pairs_match_brute_force(desk_store):
     _assert_pairs_match_nested_loop(desk_store)
 
 
-@pytest.mark.parametrize("axis", ["latitude", "longitude"])
-def test_entities_exactly_on_the_radius_are_paired(tmp_path, axis):
-    origin = (23.0, 113.0)
-    offset = 500 / METERS_PER_DEG_LAT
-    moved = (23.0 + offset, 113.0) if axis == "latitude" else (23.0, 113.0 + offset)
+@pytest.mark.parametrize(
+    "origin, moved",
+    [
+        ((23.0, 113.0), (23.0 + 500 / METERS_PER_DEG_LAT, 113.0)),
+        ((23.0, 113.0), (23.0, 113.0 + 500 / METERS_PER_DEG_LAT)),
+        # the latitude window of a radius this long, degrees(radius / R),
+        # rounds to just under this offset, so only the window's pad keeps them
+        ((23.52456, 113.0), (23.525621075547182, 113.0)),
+    ],
+    ids=["latitude", "longitude", "latitude-window-edge"],
+)
+def test_entities_exactly_on_the_radius_are_paired(tmp_path, origin, moved):
     store = make_tiny_store(
         tmp_path,
         [("Alpha Court", *origin), ("Beta Court", *moved)],
@@ -382,9 +409,7 @@ def test_pair_build_is_idempotent(tmp_path):
     _, second_rows = store.execute_sql("SELECT * FROM community_community_testville")
     assert first == second
     assert first_rows == second_rows and len(first_rows) == 2
-    assert _lookup_indexes(tmp_path / "store.db", "community_community_testville") == [
-        ["subject_name"]
-    ]
+    _assert_indexed_as_created(tmp_path / "store.db", store)
 
 
 def test_ingest_after_snapshot_read_is_visible(tmp_path):
@@ -475,16 +500,24 @@ def test_internal_writes_still_work_after_untrusted_query(tmp_path):
         tmp_path, [(f"Court {i}", 23.0 + i * 4e-5, 113.0) for i in range(200)]
     )
     store.execute_sql("SELECT 1")
-    # loads the snapshot, so the rebuild below runs no statement of its own
-    # through execute_sql that would replace a stale progress handler
-    store.build_proximity_pairs()
     with pytest.raises(SqlExecutionError, match="VM operations"):
         store.execute_sql(
             "SELECT COUNT(*) FROM community_testville a, community_testville b,"
             " community_testville c, community_testville d"
         )
-    # must not be blocked by a stale authorizer or progress handler
+    # neither the count (past the progress step) nor an ingest may be blocked
+    # by a stale progress handler or authorizer
     assert store.build_proximity_pairs()["community_community"] == 200 * 199
+    more = tmp_path / "more"
+    more.mkdir()
+    _write_rows(
+        more / "communities_testville.csv",
+        COMMUNITY_HEADER,
+        [_community_row("c900", "Court 900", 23.0, 113.0)],
+    )
+    _write_rows(more / "pois_testville.csv", POI_HEADER, [])
+    assert store.ingest_fixture(more) == {"community": 1, "poi": 0}
+    assert store.build_proximity_pairs()["community_community"] == 201 * 200
 
 
 def test_store_reopen_round_trip(tmp_path, desk_config, desk_fixture_dir):
@@ -499,9 +532,7 @@ def test_store_reopen_round_trip(tmp_path, desk_config, desk_fixture_dir):
     assert reopened.config == desk_config
     _, after = reopened.execute_sql("SELECT COUNT(*) FROM poi_community_guangzhou")
     assert after == before
-    for city in desk_config.cities:
-        for family, column in LOOKUP_COLUMN.items():
-            assert _lookup_indexes(path, reopened.table_id(family, city)) == [[column]]
+    _assert_indexed_as_created(path, reopened)
     reopened.close()
 
 
@@ -521,21 +552,83 @@ def test_store_without_lookup_indexes_returns_the_same_rows(
         for name in created:
             conn.execute(f"DROP INDEX {name}")
         conn.commit()
-    assert len(created) == len(LOOKUP_COLUMN) * len(desk_config.cities)
+    assert len(created) == len(INDEXED_COLUMNS) * len(ENTITY_SCHEMA) * len(desk_config.cities)
 
     store = GeoStore.open(path)
-    for inst in desk_instances:
+    _assert_gold_sql_returns_recorded_rows(store, desk_instances)
+    # counting the pairs writes nothing, so no index comes back
+    assert store.build_proximity_pairs() == _desk_pair_counts(desk_store_file)
+    store.close()
+    for city in desk_config.cities:
+        for family in FAMILIES:
+            assert _lookup_indexes(path, store.table_id(family, city)) == []
+
+
+def _assert_gold_sql_returns_recorded_rows(store, instances):
+    for inst in instances:
         for step in inst.sql_trace:
             columns, rows = store.execute_sql(step.statement)
             assert (columns, tuple(rows)) == (step.expected_columns, step.expected_rows)
-    # rebuilding the pairs restores the pair table's index
-    store.build_proximity_pairs()
+
+
+def _desk_pair_counts(path):
+    store = GeoStore.open(path)
+    try:
+        return store.build_proximity_pairs()
+    finally:
+        store.close()
+
+
+# How a store.db kept its pair families before they were views: tables with
+# these declared types, and an index on community_community.subject_name.
+_STORED_PAIR_TYPES = {
+    "poi_community": ("TEXT", "TEXT", "TEXT", "TEXT", "TEXT", "REAL"),
+    "community_community": ("TEXT", "TEXT", "TEXT", "TEXT", "REAL"),
+}
+
+
+def test_store_with_stored_pair_tables_returns_the_same_rows(
+    tmp_path, desk_store_file, desk_config, desk_instances
+):
+    path = tmp_path / "store.db"
+    shutil.copyfile(desk_store_file, path)
+    with closing(sqlite3.connect(path)) as conn:
+        for (name,) in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'index' AND name LIKE '%_latitude'"
+        ).fetchall():
+            conn.execute(f"DROP INDEX {name}")
+        for city in desk_config.cities:
+            for family, kinds in _STORED_PAIR_TYPES.items():
+                view = f"{family}_{city_slug(city)}"
+                columns = ", ".join(
+                    f"{name} {kind}" for name, kind in zip(FAMILY_COLUMNS[family], kinds)
+                )
+                conn.execute(f"CREATE TABLE stored ({columns})")
+                conn.execute(f"INSERT INTO stored SELECT * FROM {view}")
+                conn.execute(f"DROP VIEW {view}")
+                conn.execute(f"ALTER TABLE stored RENAME TO {view}")
+            table = f"community_community_{city_slug(city)}"
+            conn.execute(f"CREATE INDEX idx_{table}_subject_name ON {table} (subject_name)")
+        conn.commit()
+        assert not conn.execute("SELECT name FROM sqlite_master WHERE type = 'view'").fetchall()
+
+    store = GeoStore.open(path)
+    assert store.build_proximity_pairs() == _desk_pair_counts(desk_store_file)
+    _assert_gold_sql_returns_recorded_rows(store, desk_instances)
     store.close()
-    for city in desk_config.cities:
-        assert _lookup_indexes(path, store.table_id("community", city)) == []
-        assert _lookup_indexes(path, store.table_id("community_community", city)) == [
-            ["subject_name"]
-        ]
+
+
+def test_store_reads_do_not_go_through_the_agent_limits(monkeypatch, desk_store_file):
+    counts = _desk_pair_counts(desk_store_file)
+    monkeypatch.setattr(store_module, "SQL_ROW_CAP", 10)
+    monkeypatch.setattr(store_module, "_BUDGET_TICKS", 1)
+    store = GeoStore.open(desk_store_file)
+    assert len(store.communities("Guangzhou")) == 220
+    assert len(store.pois("Suzhou")) == 160
+    assert store.build_proximity_pairs() == counts
+    with pytest.raises(SqlExecutionError, match="cap of 10 rows"):
+        store.execute_sql("SELECT * FROM community_guangzhou")
+    store.close()
 
 
 def test_open_rejects_non_store_file(tmp_path):
@@ -547,11 +640,9 @@ def test_open_rejects_non_store_file(tmp_path):
 
 # --- lookup indexes --------------------------------------------------------------------
 
-_TABLE_REF = re.compile(
-    r"\b(?:FROM|JOIN)\s+(\w+)(?:\s+(?!ON\b|WHERE\b|JOIN\b|ORDER\b|UNION\b)(\w+))?"
-)
+_PAIR_TABLE = re.compile(r"\b(?:poi_community|community_community)_\w+")
 _NAME_LOOKUP = re.compile(r"\b(?:\w+\.)?(?:subject_name|name) (?:= '|IN \(')")
-_INDEXED_LOOKUP = re.compile(r"^SEARCH \w+ USING (?:COVERING )?INDEX \w+ \((?:subject_name|name)=\?\)$")
+_INDEXED_LOOKUP = re.compile(r"^SEARCH \w+ USING (?:COVERING )?INDEX \w+ \(name=\?\)$")
 
 
 def test_gold_sql_searches_the_lookup_indexes(desk_store_file, desk_instances, desk_templates):
@@ -566,13 +657,11 @@ def test_gold_sql_searches_the_lookup_indexes(desk_store_file, desk_instances, d
                     detail
                     for *_, detail in conn.execute("EXPLAIN QUERY PLAN " + step.statement)
                 ]
-                tables = {
-                    alias or table: table for table, alias in _TABLE_REF.findall(step.statement)
-                }
-                scanned = [tables[d.split()[1]] for d in plan if d.startswith("SCAN ")]
-                assert not [
-                    t for t in scanned if t.startswith(("community_community_", "poi_community_"))
-                ], (step.statement, plan)
+                # a pair view is searched through the entity indexes; an
+                # entity filter that no index covers (district, label) scans
+                if _PAIR_TABLE.search(step.statement):
+                    assert not [d for d in plan if d.startswith("SCAN ")], (step.statement, plan)
+                    assert [d for d in plan if "(latitude>? AND latitude<?)" in d], plan
                 searches = sum(1 for detail in plan if _INDEXED_LOOKUP.match(detail))
                 assert searches == len(_NAME_LOOKUP.findall(step.statement)), (
                     step.statement,
