@@ -201,17 +201,22 @@ def cmd_pairs(args: argparse.Namespace, config: dict[str, Any]) -> int:
     return EXIT_OK
 
 
+def _int_setting(args: argparse.Namespace, config: dict[str, Any], key: str, default: int) -> int:
+    value = _setting(args, config, key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise CliError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def cmd_generate(args: argparse.Namespace, config: dict[str, Any]) -> int:
+    seed = _int_setting(args, config, "seed", 0)
+    per_template = _int_setting(args, config, "per_template", 50)
+    if per_template < 1:
+        raise CliError("per_template must be >= 1")
     store = _open_store(_require(args, config, "store"))
     cache = _provider_cache(store, _setting(args, config, "cache"))
     templates = _templates(args, config)
-    instances, report = generate(
-        templates,
-        store,
-        cache,
-        seed=int(_setting(args, config, "seed", 0)),
-        per_template=int(_setting(args, config, "per_template", 50)),
-    )
+    instances, report = generate(templates, store, cache, seed=seed, per_template=per_template)
     out = _require(args, config, "out")
     write_instances(out, instances)
     cache_path = _setting(args, config, "cache")

@@ -58,11 +58,15 @@ class GenerationReport:
     attempted: int = 0
     accepted: int = 0
     rejected: list[Rejection] = field(default_factory=list)
+    # (attempted, accepted) per template id, in generation order
+    per_template: dict[str, tuple[int, int]] = field(default_factory=dict)
 
-    def rejected_by_reason(self) -> dict[str, int]:
+    def rejected_by_reason(self, template_id: str | None = None) -> dict[str, int]:
+        """Rejection counts by reason, over every template or over one."""
         counts: dict[str, int] = {}
         for r in self.rejected:
-            counts[r.reason] = counts.get(r.reason, 0) + 1
+            if template_id is None or r.template_id == template_id:
+                counts[r.reason] = counts.get(r.reason, 0) + 1
         return counts
 
     def to_dict(self) -> dict[str, Any]:
@@ -70,6 +74,14 @@ class GenerationReport:
             "attempted": self.attempted,
             "accepted": self.accepted,
             "rejected": self.rejected_by_reason(),
+            "templates": {
+                template_id: {
+                    "attempted": attempted,
+                    "accepted": accepted,
+                    "rejected": self.rejected_by_reason(template_id),
+                }
+                for template_id, (attempted, accepted) in self.per_template.items()
+            },
         }
 
 
@@ -91,10 +103,12 @@ def sample_bindings(
         if kind in ("community", "poi"):
             pool = entities.communities if kind == "community" else entities.pois
             taken = used.setdefault(kind, set())
-            candidates = [e.name for e in pool if e.name not in taken]
+            # choice reads only the length and one index, so while nothing is
+            # taken the pool itself draws what a filtered copy would
+            candidates = [e for e in pool if e.name not in taken] if taken else pool
             if not candidates:
                 raise SamplingExhausted(f"{template.template_id}: no unused {kind} in {city}")
-            value = rng.choice(candidates)
+            value = rng.choice(candidates).name
             taken.add(value)
         elif kind == "poi_label":
             if not entities.labels:
@@ -481,6 +495,7 @@ def generate(
             instances.append(result)
             accepted += 1
         report.accepted += accepted
+        report.per_template[template.template_id] = (attempts, accepted)
     return instances, report
 
 

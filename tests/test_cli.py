@@ -262,6 +262,26 @@ def test_step_cap_below_one_is_config_error(workdir, tmp_path, capsys, command):
     assert "step_cap must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, settings, message",
+    [
+        (["--per-template", "0"], {}, "per_template must be >= 1"),
+        (["--per-template", "-3"], {}, "per_template must be >= 1"),
+        ([], {"per_template": 0}, "per_template must be >= 1"),
+        ([], {"per_template": "x"}, "per_template must be an integer, got 'x'"),
+        ([], {"seed": "x"}, "seed must be an integer, got 'x'"),
+    ],
+)
+def test_bad_generate_setting_is_config_error(workdir, tmp_path, capsys, flags, settings, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(settings))
+    out, cache = tmp_path / "dataset.jsonl", tmp_path / "cache.jsonl"
+    assert main(["generate", "--config", str(config), "--store", str(workdir / "store.db"),
+                 "--out", str(out), "--cache", str(cache), *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() and not cache.exists()
+
+
 def test_config_file_supplies_defaults(workdir, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({

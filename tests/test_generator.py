@@ -430,6 +430,22 @@ def test_accounting_adds_up(desk_generation):
     assert report.accepted + len(report.rejected) == report.attempted
 
 
+def test_report_counts_each_template(desk_generation, desk_templates):
+    instances, report, _ = desk_generation
+    doc = report.to_dict()
+    per_template = doc["templates"]
+    assert list(per_template) == [t.template_id for t in desk_templates]
+    rejected: dict[str, int] = {}
+    for template_id, counts in per_template.items():
+        assert counts["accepted"] == sum(i.template_id == template_id for i in instances)
+        assert counts["accepted"] + sum(counts["rejected"].values()) == counts["attempted"]
+        for reason, n in counts["rejected"].items():
+            rejected[reason] = rejected.get(reason, 0) + n
+    assert rejected == doc["rejected"] and rejected
+    for key in ("attempted", "accepted"):
+        assert sum(counts[key] for counts in per_template.values()) == doc[key]
+
+
 def test_generation_deterministic(desk_store, desk_templates):
     from estateqa.domain import instance_to_json
 

@@ -89,7 +89,11 @@ def _assert_indexed_as_created(path, store):
     pair families, being views, carry none."""
     for city in store.config.cities:
         for family in FAMILIES:
-            expected = sorted([c] for c in INDEXED_COLUMNS) if family in ENTITY_SCHEMA else []
+            expected = (
+                sorted(list(columns) for columns in INDEXED_COLUMNS.values())
+                if family in ENTITY_SCHEMA
+                else []
+            )
             assert _lookup_indexes(path, store.table_id(family, city)) == expected
 
 
@@ -564,6 +568,29 @@ def test_store_without_lookup_indexes_returns_the_same_rows(
             assert _lookup_indexes(path, store.table_id(family, city)) == []
 
 
+def test_store_with_a_latitude_only_index_returns_the_same_rows(
+    tmp_path, desk_store_file, desk_config, desk_instances
+):
+    # a store.db built before the latitude index covered the pair views
+    path = tmp_path / "store.db"
+    shutil.copyfile(desk_store_file, path)
+    with closing(sqlite3.connect(path)) as conn:
+        for city in desk_config.cities:
+            for family in ENTITY_SCHEMA:
+                table = f"{family}_{city_slug(city)}"
+                conn.execute(f"DROP INDEX idx_{table}_latitude")
+                conn.execute(f"CREATE INDEX idx_{table}_latitude ON {table} (latitude)")
+        conn.commit()
+
+    store = GeoStore.open(path)
+    _assert_gold_sql_returns_recorded_rows(store, desk_instances)
+    assert store.build_proximity_pairs() == _desk_pair_counts(desk_store_file)
+    store.close()
+    for city in desk_config.cities:
+        for family in ENTITY_SCHEMA:
+            assert _lookup_indexes(path, store.table_id(family, city)) == [["latitude"], ["name"]]
+
+
 def _assert_gold_sql_returns_recorded_rows(store, instances):
     for inst in instances:
         for step in inst.sql_trace:
@@ -669,6 +696,26 @@ def test_gold_sql_searches_the_lookup_indexes(desk_store_file, desk_instances, d
                 )
                 lookups += searches
     assert lookups > len(desk_instances)
+
+
+@pytest.mark.parametrize("family", ["poi_community", "community_community"])
+def test_pair_view_count_reads_only_the_latitude_indexes(desk_store_file, desk_config, family):
+    with closing(sqlite3.connect(desk_store_file)) as conn:
+        for city in desk_config.cities:
+            plan = [
+                detail
+                for *_, detail in conn.execute(
+                    f"EXPLAIN QUERY PLAN SELECT COUNT(*) FROM {family}_{city_slug(city)}"
+                )
+            ]
+            subject, neighbor = (
+                f"{kind}_{city_slug(city)}" for kind in family.split("_", 1)
+            )
+            assert plan == [
+                f"SCAN s USING COVERING INDEX idx_{subject}_latitude",
+                f"SEARCH n USING COVERING INDEX idx_{neighbor}_latitude"
+                " (latitude>? AND latitude<?)",
+            ], plan
 
 
 # --- coordinate extraction -----------------------------------------------------------
