@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any, Sequence
@@ -154,12 +155,12 @@ def _run_config(args: argparse.Namespace, config: dict[str, Any]) -> RunConfig:
 
 def cmd_fixture(args: argparse.Namespace, config: dict[str, Any]) -> int:
     cities = tuple(c.strip() for c in _require(args, config, "cities").split(",") if c.strip())
-    store_config = StoreConfig(cities=cities, fixture_seed=int(_setting(args, config, "seed", 0)))
+    store_config = StoreConfig(cities=cities, fixture_seed=_int_setting(args, config, "seed", 0))
     paths = write_fixture(
         store_config,
         _require(args, config, "out"),
-        communities_per_city=int(_setting(args, config, "communities", 220)),
-        pois_per_city=int(_setting(args, config, "pois", 160)),
+        communities_per_city=_int_setting(args, config, "communities", 220),
+        pois_per_city=_int_setting(args, config, "pois", 160),
     )
     print(f"wrote {len(paths)} fixture files under {args.out}")
     return EXIT_OK
@@ -167,17 +168,16 @@ def cmd_fixture(args: argparse.Namespace, config: dict[str, Any]) -> int:
 
 def cmd_ingest(args: argparse.Namespace, config: dict[str, Any]) -> int:
     store_path = Path(_require(args, config, "store"))
-    if store_path.exists():
-        if not args.overwrite:
-            raise CliError(f"store file {store_path} exists (use --overwrite)")
-        store_path.unlink()
+    if store_path.exists() and not args.overwrite:
+        raise CliError(f"store file {store_path} exists (use --overwrite)")
     cities = tuple(c.strip() for c in _require(args, config, "cities").split(",") if c.strip())
     store_config = StoreConfig(
         cities=cities,
-        poi_pairing_radius=float(_setting(args, config, "poi_radius", 3000.0)),
-        community_pairing_radius=float(_setting(args, config, "community_radius", 1000.0)),
-        fixture_seed=int(_setting(args, config, "seed", 0)),
+        poi_pairing_radius=_radius_setting(args, config, "poi_radius", 3000.0),
+        community_pairing_radius=_radius_setting(args, config, "community_radius", 1000.0),
+        fixture_seed=_int_setting(args, config, "seed", 0),
     )
+    store_path.unlink(missing_ok=True)
     store = GeoStore(store_config, store_path)
     try:
         counts = store.ingest_fixture(_require(args, config, "fixtures"))
@@ -206,6 +206,15 @@ def _int_setting(args: argparse.Namespace, config: dict[str, Any], key: str, def
     if isinstance(value, bool) or not isinstance(value, int):
         raise CliError(f"{key} must be an integer, got {value!r}")
     return value
+
+
+def _radius_setting(
+    args: argparse.Namespace, config: dict[str, Any], key: str, default: float
+) -> float:
+    value = _setting(args, config, key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+        raise CliError(f"{key} must be a positive number of meters, got {value!r}")
+    return float(value)
 
 
 def cmd_generate(args: argparse.Namespace, config: dict[str, Any]) -> int:
@@ -254,8 +263,9 @@ def cmd_validate(args: argparse.Namespace, config: dict[str, Any]) -> int:
 
 
 def cmd_split(args: argparse.Namespace, config: dict[str, Any]) -> int:
+    seed = _int_setting(args, config, "seed", 0)
     instances = list(read_instances(_require(args, config, "dataset")))
-    splits, warnings = stratified_split(instances, int(_setting(args, config, "seed", 0)))
+    splits, warnings = stratified_split(instances, seed)
     out_dir = Path(_require(args, config, "out_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, members in splits.items():

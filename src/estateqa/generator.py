@@ -481,15 +481,16 @@ def generate(
                     Rejection(template.template_id, "sampling_exhausted", str(exc))
                 )
                 break
+            question, _ = fill_question(template, binding)
+            if question in seen_questions:
+                report.rejected.append(
+                    Rejection(template.template_id, "duplicate_question", question)
+                )
+                continue
             instance_id = f"{template.template_id}-{seed}-{attempts:05d}"
             result = instantiate(template, binding, store, cache, instance_id)
             if isinstance(result, Rejection):
                 report.rejected.append(result)
-                continue
-            if result.question in seen_questions:
-                report.rejected.append(
-                    Rejection(template.template_id, "duplicate_question", result.question)
-                )
                 continue
             seen_questions.add(result.question)
             instances.append(result)

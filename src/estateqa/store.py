@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 import sqlite3
 import threading
@@ -53,6 +54,11 @@ ENTITY_SCHEMA: dict[str, tuple[tuple[str, str], ...]] = {
         ("longitude", "REAL"),
     ),
 }
+# Columns every entity table carries after its ENTITY_SCHEMA ones, computed at
+# ingest: radians(latitude), radians(longitude), cos(radians(latitude)), the
+# per-entity terms of the pair views' haversine. On the entity table, the
+# latitude index can carry them, so a view reads them with no per-row join.
+DERIVED_COLUMNS = (("latitude_rad", "REAL"), ("longitude_rad", "REAL"), ("cos_latitude", "REAL"))
 FAMILY_COLUMNS = {
     **{family: tuple(name for name, _ in schema) for family, schema in ENTITY_SCHEMA.items()},
     "poi_community": (
@@ -70,11 +76,11 @@ _REAL_POSITIONS = {
 # The indexes on every entity table, as index name -> columns. The gold SQL
 # looks entities up by name. The pair views search neighbours by latitude, and
 # the latitude index also carries every other column their ON and WHERE read
-# (longitude, and id for n.id <> s.id), so a view is filtered on index entries
-# alone and the table is read only for the rows it keeps.
+# (id for n.id <> s.id, and the derived columns), so a view is filtered on
+# index entries alone and the table is read only for the rows it keeps.
 INDEXED_COLUMNS: dict[str, tuple[str, ...]] = {
     "name": ("name",),
-    "latitude": ("latitude", "longitude", "id"),
+    "latitude": ("latitude", "longitude", "id", *(name for name, _ in DERIVED_COLUMNS)),
 }
 
 # Each pair view as (subject family, neighbour family, StoreConfig radius
@@ -89,14 +95,14 @@ _PAIR_VIEWS = {
         " AND n.id <> s.id",
     ),
 }
-# domain.haversine from s to n in SQLite's math functions, with its
-# expression order kept, so the distance is bit-identical to it.
-_DISTANCE_SQL = (
-    f"2.0 * {EARTH_RADIUS_M!r} * asin(min(1.0, sqrt("
-    "pow(sin((radians(n.latitude) - radians(s.latitude)) / 2.0), 2)"
-    " + cos(radians(s.latitude)) * cos(radians(n.latitude))"
-    " * pow(sin((radians(n.longitude) - radians(s.longitude)) / 2.0), 2))))"
+# domain.haversine from s to n over the derived columns, its inner term h and
+# the distance 2R·asin(min(1, sqrt(h))), with its expression order kept, so
+# both are bit-identical to it.
+_INNER_TERM_SQL = (
+    "pow(sin((n.latitude_rad - s.latitude_rad) / 2.0), 2)"
+    " + s.cos_latitude * n.cos_latitude * pow(sin((n.longitude_rad - s.longitude_rad) / 2.0), 2)"
 )
+_DISTANCE_SQL = f"2.0 * {EARTH_RADIUS_M!r} * asin(min(1.0, sqrt({_INNER_TERM_SQL})))"
 _ENTITY_TYPES = {"community": Community, "poi": Poi}
 _FIXTURE_PREFIX = {"community": "communities", "poi": "pois"}
 
@@ -112,11 +118,13 @@ DEFAULT_POI_TAXONOMY: dict[str, tuple[str, ...]] = {
 _SELECT_RE = re.compile(r"^\s*(select|with)\b", re.IGNORECASE)
 
 # Limits on one execute_sql statement. On the scale-M store the costliest gold
-# statement takes about 22k VM operations and returns 140 rows. A filter on one
-# POI label over a poi_community view takes 11.4M-12.0M operations and returns
-# up to 88k rows. A statement that computes a whole pair view, such as a
-# COUNT(*) (25M-50M operations) or a GROUP BY poi_label (58M-59M), stops at
-# the budget; the covering latitude index saves time there, not operations.
+# statement takes about 15k VM operations and returns 140 rows. A filter on one
+# POI label over a poi_community view takes 8.4M-8.9M operations and returns up
+# to 88k rows, and a COUNT(*) of a community_community view 16.6M-17.1M. A
+# statement that computes a whole poi_community view, such as a COUNT(*) (about
+# 34M) or a GROUP BY poi_label (42M), stops at the budget, and so does a
+# straight_distance filter over community_community (22M), which computes the
+# distance of every pair.
 SQL_OP_BUDGET = 20_000_000
 SQL_ROW_CAP = 100_000
 _PROGRESS_STEP = 10_000  # VM operations between progress-handler calls
@@ -194,13 +202,27 @@ def _caption_text(family: str, city: str) -> str:
 def _create_sql(family: str, table: str) -> str:
     columns = ", ".join(
         f"{name} {kind}{' PRIMARY KEY' if name == 'id' else ''}"
-        for name, kind in ENTITY_SCHEMA[family]
+        for name, kind in ENTITY_SCHEMA[family] + DERIVED_COLUMNS
     )
     return f"CREATE TABLE {table} ({columns})"
 
 
 def _insert_sql(family: str, table: str) -> str:
-    return f"INSERT INTO {table} VALUES ({','.join('?' * len(ENTITY_SCHEMA[family]))})"
+    width = len(ENTITY_SCHEMA[family]) + len(DERIVED_COLUMNS)
+    return f"INSERT INTO {table} VALUES ({','.join('?' * width)})"
+
+
+def _inner_term_bound(radius: float) -> float:
+    """H*, the largest double h with 2R·asin(min(1, sqrt(h))) <= radius, by
+    bisection until the bounds are adjacent doubles. The distance never falls
+    as h grows, so h <= H* keeps exactly the pairs within the radius."""
+    low, high = 0.0, 2.0  # the inner term never exceeds 1 by more than rounding
+    while (middle := (low + high) / 2) not in (low, high):
+        if 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(middle))) <= radius:
+            low = middle
+        else:
+            high = middle
+    return low
 
 
 def _entity(family: str, row: Sequence[Any]) -> Community | Poi:
@@ -274,9 +296,9 @@ class GeoStore:
 
     def _create_view_sql(self, family: str, city: str) -> str:
         """Every (subject, neighbour) pair within the radius, filtered on the
-        raw distance and rounded to 0.1 m only in the select list. R·|Δlat|
-        never exceeds the great-circle distance, so neighbours outside the
-        latitude window (padded against rounding) are beyond the radius."""
+        haversine's inner term and rounded to 0.1 m only in the select list.
+        R·|Δlat| never exceeds the great-circle distance, so neighbours outside
+        the latitude window (padded against rounding) are beyond the radius."""
         subject, neighbor, radius_field, columns, condition = _PAIR_VIEWS[family]
         radius = getattr(self.config, radius_field)
         half_width = f"degrees({radius!r} / {EARTH_RADIUS_M!r}) * (1 + 1e-9)"
@@ -285,7 +307,7 @@ class GeoStore:
             f" AS SELECT {columns}, round({_DISTANCE_SQL}, 1)"
             f" FROM {self.table_id(subject, city)} s JOIN {self.table_id(neighbor, city)} n"
             f" ON n.latitude BETWEEN s.latitude - {half_width} AND s.latitude + {half_width}"
-            f" WHERE {_DISTANCE_SQL} <= {radius!r}{condition}"
+            f" WHERE {_INNER_TERM_SQL} <= {_inner_term_bound(radius)!r}{condition}"
         )
 
     def table_id(self, family: str, city: str) -> str:
@@ -349,7 +371,10 @@ class GeoStore:
                 if entity.id in seen_ids:
                     raise IngestError(f"{path.name}: duplicate id {entity.id}")
                 seen_ids.add(entity.id)
-                rows.append(row)
+                # the DERIVED_COLUMNS, computed as domain.haversine computes them
+                latitude = math.radians(entity.location.latitude)
+                longitude = math.radians(entity.location.longitude)
+                rows.append(row + (latitude, longitude, math.cos(latitude)))
         table = self.table_id(family, city)
         with self._lock:
             self._conn.executemany(_insert_sql(family, table), rows)
@@ -469,7 +494,8 @@ class GeoStore:
                 tuple(
                     _entity(family, r)
                     for r in self._conn.execute(
-                        f"SELECT * FROM {self.table_id(family, city)} ORDER BY id"
+                        f"SELECT {', '.join(FAMILY_COLUMNS[family])}"
+                        f" FROM {self.table_id(family, city)} ORDER BY id"
                     )
                 )
                 for family in ENTITY_SCHEMA

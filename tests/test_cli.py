@@ -282,6 +282,50 @@ def test_bad_generate_setting_is_config_error(workdir, tmp_path, capsys, flags, 
     assert not out.exists() and not cache.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flags, settings, message",
+    [
+        ("fixture", ["--seed", "x"], {}, "argument --seed: invalid int value: 'x'"),
+        ("fixture", [], {"seed": "x"}, "seed must be an integer, got 'x'"),
+        ("fixture", [], {"communities": "many"}, "communities must be an integer, got 'many'"),
+        ("fixture", [], {"pois": 1.5}, "pois must be an integer, got 1.5"),
+        ("ingest", ["--seed", "x"], {}, "argument --seed: invalid int value: 'x'"),
+        ("ingest", [], {"seed": "x"}, "seed must be an integer, got 'x'"),
+        ("ingest", ["--poi-radius", "-5"], {}, "poi_radius must be a positive number"),
+        ("ingest", ["--community-radius", "nan"], {}, "community_radius must be a positive"),
+        ("ingest", [], {"poi_radius": "far"}, "poi_radius must be a positive number"),
+        ("ingest", [], {"community_radius": 0}, "community_radius must be a positive number"),
+        ("split", ["--seed", "x"], {}, "argument --seed: invalid int value: 'x'"),
+        ("split", [], {"seed": "x"}, "seed must be an integer, got 'x'"),
+    ],
+)
+def test_bad_build_setting_is_config_error(
+    workdir, tmp_path, capsys, command, flags, settings, message
+):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(settings))
+    out = tmp_path / "out"
+    argv = {
+        "fixture": ["--out", str(out), "--cities", CITIES],
+        "ingest": ["--fixtures", str(workdir / "fx"), "--store", str(out), "--cities", CITIES,
+                   "--overwrite"],
+        "split": ["--dataset", str(workdir / "dataset.jsonl"), "--out-dir", str(out)],
+    }[command]
+    if command == "ingest":
+        out.write_bytes(b"kept")  # a store that --overwrite would replace
+    try:
+        code = main([command, "--config", str(config), *argv, *flags])
+    except SystemExit as exc:  # argparse refuses a flag value of the wrong type itself
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and "Traceback" not in err
+    if command == "ingest":
+        assert out.read_bytes() == b"kept"
+    else:
+        assert not out.exists()
+
+
 def test_config_file_supplies_defaults(workdir, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({

@@ -9,6 +9,7 @@ import re
 
 import pytest
 
+from estateqa import generator as generator_module
 from estateqa.backends import RaisingBackend, ScriptedBackend
 from estateqa.domain import CanonicalAnswer, DomainError, SqlStep, ToolStep
 from estateqa.generator import (
@@ -463,7 +464,8 @@ def test_generate_reads_each_entity_table_once(desk_config, desk_fixture_dir, de
     reads: dict[str, int] = {}
 
     def count_reads(statement):
-        match = re.match(r"SELECT \* FROM (\w+)", statement)
+        # the snapshot reads every family column of a table, in table order
+        match = re.match(r"SELECT id, city, name, .+ FROM (\w+) ORDER BY id$", statement)
         if match:
             reads[match.group(1)] = reads.get(match.group(1), 0) + 1
 
@@ -480,6 +482,26 @@ def test_generate_reads_each_entity_table_once(desk_config, desk_fixture_dir, de
     }
     assert {t: n for t, n in reads.items() if t in entity_tables} == dict.fromkeys(
         entity_tables, 1
+    )
+
+
+def test_duplicate_questions_are_rejected_before_instantiating(
+    monkeypatch, desk_store, desk_templates
+):
+    instantiated = []
+    real_instantiate = generator_module.instantiate
+
+    def counting_instantiate(template, *args):
+        instantiated.append(template.template_id)
+        return real_instantiate(template, *args)
+
+    monkeypatch.setattr(generator_module, "instantiate", counting_instantiate)
+    cache = ToolCache(provider=SyntheticProvider(desk_store))
+    _, report = generate(desk_templates, desk_store, cache, seed=3, per_template=20)
+    reasons = report.rejected_by_reason()
+    assert reasons["duplicate_question"] > 0
+    assert len(instantiated) == (
+        report.attempted - reasons["duplicate_question"] - reasons.get("sampling_exhausted", 0)
     )
 
 

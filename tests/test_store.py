@@ -17,6 +17,7 @@ from estateqa import store as store_module
 from estateqa.domain import Community, GeoPoint, Poi, haversine
 from estateqa.fixtures import write_fixture
 from estateqa.store import (
+    DERIVED_COLUMNS,
     ENTITY_SCHEMA,
     FAMILIES,
     FAMILY_COLUMNS,
@@ -221,13 +222,17 @@ def test_schema_declaration_matches_entities_tables_and_fixture_headers(tmp_path
     config = StoreConfig(cities=("Testville",))
     GeoStore(config, tmp_path / "store.db").close()
     conn = sqlite3.connect(tmp_path / "store.db")
+    derived = tuple(name for name, _ in DERIVED_COLUMNS)
     for family in FAMILIES:
         info = conn.execute(f"PRAGMA table_info({family}_testville)").fetchall()
-        assert tuple(name for _, name, *_ in info) == FAMILY_COLUMNS[family]
         if family in ENTITY_SCHEMA:
+            assert tuple(name for _, name, *_ in info) == FAMILY_COLUMNS[family] + derived
             assert [(name, kind, pk) for _, name, kind, _, _, pk in info] == [
-                (name, kind, int(name == "id")) for name, kind in ENTITY_SCHEMA[family]
+                (name, kind, int(name == "id"))
+                for name, kind in ENTITY_SCHEMA[family] + DERIVED_COLUMNS
             ]
+        else:
+            assert tuple(name for _, name, *_ in info) == FAMILY_COLUMNS[family]
     kinds = dict(conn.execute("SELECT name, type FROM sqlite_master WHERE name LIKE '%_testville'"))
     assert {family: kinds[f"{family}_testville"] for family in FAMILIES} == {
         "community": "table",
@@ -241,6 +246,18 @@ def test_schema_declaration_matches_entities_tables_and_fixture_headers(tmp_path
     for family, prefix in (("community", "communities"), ("poi", "pois")):
         with open(tmp_path / f"{prefix}_testville.csv", encoding="utf-8", newline="") as fh:
             assert tuple(next(csv.reader(fh))) == FAMILY_COLUMNS[family]
+
+    # the derived columns hold, bit for bit, what the views computed from the
+    # coordinates in SQL before they were stored
+    store = GeoStore(config)
+    store.ingest_fixture(tmp_path)
+    for family in ENTITY_SCHEMA:
+        assert store._conn.execute(
+            f"SELECT COUNT(*), SUM(latitude_rad = radians(latitude)"
+            " AND longitude_rad = radians(longitude)"
+            f" AND cos_latitude = cos(radians(latitude))) FROM {family}_testville"
+        ).fetchone() == (2, 2)
+    store.close()
 
 
 # --- proximity pairs --------------------------------------------------------------
@@ -375,7 +392,7 @@ def test_desk_scale_pairs_match_brute_force(desk_store):
     _assert_pairs_match_nested_loop(desk_store)
 
 
-@pytest.mark.parametrize(
+_ON_RADIUS = pytest.mark.parametrize(
     "origin, moved",
     [
         ((23.0, 113.0), (23.0 + 500 / METERS_PER_DEG_LAT, 113.0)),
@@ -386,18 +403,57 @@ def test_desk_scale_pairs_match_brute_force(desk_store):
     ],
     ids=["latitude", "longitude", "latitude-window-edge"],
 )
+
+
+def _on_radius_radii(origin, moved):
+    # the radii are the distances themselves, so each pair sits on the boundary
+    return {
+        "poi_pairing_radius": haversine(GeoPoint(*moved), GeoPoint(*origin)),
+        "community_pairing_radius": haversine(GeoPoint(*origin), GeoPoint(*moved)),
+    }
+
+
+@_ON_RADIUS
 def test_entities_exactly_on_the_radius_are_paired(tmp_path, origin, moved):
     store = make_tiny_store(
         tmp_path,
         [("Alpha Court", *origin), ("Beta Court", *moved)],
         pois=[("Edge Park", *moved)],
-        # the radii are the distances themselves, so each pair sits on the boundary
-        poi_pairing_radius=haversine(GeoPoint(*moved), GeoPoint(*origin)),
-        community_pairing_radius=haversine(GeoPoint(*origin), GeoPoint(*moved)),
+        **_on_radius_radii(origin, moved),
     )
     counts = store.build_proximity_pairs()
     # Edge Park pairs with Beta Court at 0 m and with Alpha Court on the radius
     assert counts == {"poi_community": 2, "community_community": 2}
+    _assert_pairs_match_nested_loop(store)
+
+
+def _distances_in_sqlite(terms):
+    """The view's distance 2R·asin(min(1, sqrt(h))) of each inner term h, as
+    SQLite computes it."""
+    with closing(sqlite3.connect(":memory:")) as conn:
+        return [
+            conn.execute("SELECT 2.0 * 6371000.0 * asin(min(1.0, sqrt(?)))", (h,)).fetchone()[0]
+            for h in terms
+        ]
+
+
+@_ON_RADIUS
+def test_inner_term_bound_is_the_last_double_within_the_radius(tmp_path, origin, moved):
+    radii = _on_radius_radii(origin, moved)
+    defaults = StoreConfig(cities=("Testville",))
+    for radius in (
+        *radii.values(), defaults.poi_pairing_radius, defaults.community_pairing_radius
+    ):
+        bound = store_module._inner_term_bound(radius)
+        within, beyond = _distances_in_sqlite([bound, math.nextafter(bound, math.inf)])
+        assert within <= radius < beyond, (radius, bound)
+    # each view filters on the bound of its own radius
+    store = make_tiny_store(tmp_path, [], **radii)
+    for family, radius in zip(("poi_community", "community_community"), radii.values()):
+        (text,) = store._conn.execute(
+            "SELECT sql FROM sqlite_master WHERE name = ?", (f"{family}_testville",)
+        ).fetchone()
+        assert f" <= {store_module._inner_term_bound(radius)!r}" in text
 
 
 def test_pair_build_is_idempotent(tmp_path):
@@ -591,6 +647,68 @@ def test_store_with_a_latitude_only_index_returns_the_same_rows(
             assert _lookup_indexes(path, store.table_id(family, city)) == [["latitude"], ["name"]]
 
 
+# How a store.db declared its pair views before the derived columns: the
+# haversine recomputed from the coordinates of every candidate pair, and
+# filtered on the distance itself.
+_COORDINATE_DISTANCE = (
+    "2.0 * 6371000.0 * asin(min(1.0, sqrt("
+    "pow(sin((radians(n.latitude) - radians(s.latitude)) / 2.0), 2)"
+    " + cos(radians(s.latitude)) * cos(radians(n.latitude))"
+    " * pow(sin((radians(n.longitude) - radians(s.longitude)) / 2.0), 2))))"
+)
+
+
+def _coordinate_view_sql(config, family, city):
+    subject, neighbor, radius_field, columns, condition = store_module._PAIR_VIEWS[family]
+    radius = getattr(config, radius_field)
+    half_width = f"degrees({radius!r} / 6371000.0) * (1 + 1e-9)"
+    return (
+        f"CREATE VIEW {family}_{city} ({', '.join(FAMILY_COLUMNS[family])})"
+        f" AS SELECT {columns}, round({_COORDINATE_DISTANCE}, 1)"
+        f" FROM {subject}_{city} s JOIN {neighbor}_{city} n"
+        f" ON n.latitude BETWEEN s.latitude - {half_width} AND s.latitude + {half_width}"
+        f" WHERE {_COORDINATE_DISTANCE} <= {radius!r}{condition}"
+    )
+
+
+def test_store_without_derived_columns_returns_the_same_rows(
+    tmp_path, desk_store_file, desk_config, desk_instances
+):
+    # a store.db built before the entity tables carried the derived columns
+    path = tmp_path / "store.db"
+    shutil.copyfile(desk_store_file, path)
+    with closing(sqlite3.connect(path)) as conn:
+        for city in map(city_slug, desk_config.cities):
+            for family in store_module._PAIR_VIEWS:
+                conn.execute(f"DROP VIEW {family}_{city}")
+            for family in ENTITY_SCHEMA:
+                table = f"{family}_{city}"
+                conn.execute(f"DROP INDEX idx_{table}_latitude")
+                for name, _ in DERIVED_COLUMNS:
+                    conn.execute(f"ALTER TABLE {table} DROP COLUMN {name}")
+                conn.execute(
+                    f"CREATE INDEX idx_{table}_latitude ON {table} (latitude, longitude, id)"
+                )
+            for family in store_module._PAIR_VIEWS:
+                conn.execute(_coordinate_view_sql(desk_config, family, city))
+        conn.commit()
+
+    current = GeoStore.open(desk_store_file)
+    store = GeoStore.open(path)
+    assert store.snapshot() == current.snapshot()
+    assert store.build_proximity_pairs() == current.build_proximity_pairs()
+    _assert_gold_sql_returns_recorded_rows(store, desk_instances)
+    current.close()
+    store.close()
+    for city in desk_config.cities:
+        for family in ENTITY_SCHEMA:
+            table = store.table_id(family, city)
+            assert _lookup_indexes(path, table) == [["latitude", "longitude", "id"], ["name"]]
+            with closing(sqlite3.connect(path)) as conn:
+                columns = conn.execute(f"PRAGMA table_info({table})").fetchall()
+            assert tuple(name for _, name, *_ in columns) == FAMILY_COLUMNS[family]
+
+
 def _assert_gold_sql_returns_recorded_rows(store, instances):
     for inst in instances:
         for step in inst.sql_trace:
@@ -716,6 +834,28 @@ def test_pair_view_count_reads_only_the_latitude_indexes(desk_store_file, desk_c
                 f"SEARCH n USING COVERING INDEX idx_{neighbor}_latitude"
                 " (latitude>? AND latitude<?)",
             ], plan
+
+
+def test_name_anchored_neighbour_statement_starts_at_the_name_index(
+    desk_store_file, desk_instances
+):
+    statements = [
+        step.statement
+        for inst in desk_instances
+        if inst.template_id == "t1_cheapest_neighbor"
+        for step in inst.sql_trace
+        if "community_community_" in step.statement
+    ]
+    assert statements
+    with closing(sqlite3.connect(desk_store_file)) as conn:
+        for statement in statements:
+            city = re.search(r"community_community_(\w+)", statement).group(1)
+            plan = [detail for *_, detail in conn.execute("EXPLAIN QUERY PLAN " + statement)]
+            assert plan[0] == f"SEARCH s USING INDEX idx_community_{city}_name (name=?)", plan
+            assert (
+                f"SEARCH n USING COVERING INDEX idx_community_{city}_latitude"
+                " (latitude>? AND latitude<?)"
+            ) in plan
 
 
 # --- coordinate extraction -----------------------------------------------------------
