@@ -3,7 +3,7 @@ splits, agent runs, evaluation, and the injection-ladder ablation.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
 3 backend failure. Secrets travel only through environment variables. A JSON
-config file may supply defaults for any flag value (flags win).
+config file, a JSON object, may supply any setting (flags win).
 """
 
 from __future__ import annotations
@@ -12,13 +12,13 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .backends import HttpBackend
 from .domain import (
     MalformedRecordError,
-    QAInstance,
     read_instances,
     read_json_lines,
     write_instances,
@@ -52,51 +52,79 @@ class CliError(Exception):
         self.code = code
 
 
+@dataclass(frozen=True)
+class Setting:
+    """One setting of a command: its ``--flag`` and the config-file key of the same name."""
+
+    name: str
+    kind: str = "text"  # text | list (comma-separated text) | int | number (> 0) | flag | file
+    default: Any = None
+    required: bool = False
+    choices: tuple[str, ...] = ()
+    minimum: int | None = None
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _resolve(setting: Setting, flag_value: Any, config: dict[str, Any]) -> Any:
+    """One setting's value: the flag, else the config-file key of the same
+    name, else the default; checked, and in the form the commands use."""
+    name, kind = setting.name, setting.kind
+    value = config.get(name) if flag_value is None else flag_value
+    if value is None:
+        if setting.required:
+            raise CliError(f"missing required setting {_flag(name)}")
+        return setting.default
+    if kind == "int":
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise CliError(f"{name} must be an integer, got {value!r}")
+    elif kind == "number":
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+            raise CliError(f"{name} must be a positive number, got {value!r}")
+        value = float(value)
+    elif kind == "flag":
+        if not isinstance(value, bool):
+            raise CliError(f"{name} must be true or false, got {value!r}")
+    elif not isinstance(value, str):
+        raise CliError(f"{name} must be a string, got {value!r}")
+    elif kind == "list":
+        value = tuple(item.strip() for item in value.split(",") if item.strip())
+        if setting.required and not value:
+            raise CliError(f"{name} must name at least one value")
+    elif kind == "file" and not Path(value).is_file():
+        raise CliError(f"{name} file {value} does not exist")
+    if setting.minimum is not None and value < setting.minimum:
+        raise CliError(f"{name} must be >= {setting.minimum}")
+    unknown = set(value if kind == "list" else [value]) - set(setting.choices)
+    if setting.choices and unknown:
+        raise CliError(
+            f"{name} must be one of {', '.join(setting.choices)};"
+            f" got {', '.join(map(repr, sorted(unknown)))}"
+        )
+    return value
+
+
 def _load_config_file(path: str | None) -> dict[str, Any]:
     if not path:
         return {}
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        config = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
         raise CliError(f"cannot read config file {path}: {exc}")
+    if not isinstance(config, dict):
+        raise CliError(f"config file {path} must hold a JSON object")
+    # a key of another command is ignored, so one file can serve the whole pipeline
+    declared = {setting.name for _, _, settings in COMMANDS.values() for setting in settings}
+    unknown = sorted(set(config) - declared)
+    if unknown:
+        raise CliError(f"config file {path} has unknown keys: {', '.join(unknown)}")
+    return config
 
 
-def _setting(args: argparse.Namespace, config: dict[str, Any], key: str, default: Any = None) -> Any:
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    return config.get(key, default)
-
-
-def _require(args: argparse.Namespace, config: dict[str, Any], key: str) -> Any:
-    value = _setting(args, config, key)
-    if value is None:
-        raise CliError(f"missing required setting --{key.replace('_', '-')}")
-    return value
-
-
-def _templates(args: argparse.Namespace, config: dict[str, Any]):
-    directory = _setting(args, config, "templates")
-    return load_template_dir(directory) if directory else default_templates()
-
-
-def _open_store(path: str) -> GeoStore:
-    if not Path(path).exists():
-        raise CliError(f"store file {path} does not exist")
-    return GeoStore.open(path)
-
-
-def _provider_cache(store: GeoStore, cache_path: str | None) -> ToolCache:
-    provider = SyntheticProvider(store)
-    if cache_path and Path(cache_path).exists():
-        return ToolCache.load(cache_path, provider=provider)
-    return ToolCache(provider=provider)
-
-
-def _frozen_cache(cache_path: str) -> ToolCache:
-    if not Path(cache_path).exists():
-        raise CliError(f"cache file {cache_path} does not exist")
-    return ToolCache.load(cache_path)
+def _templates(opts: argparse.Namespace):
+    return load_template_dir(opts.templates) if opts.templates else default_templates()
 
 
 def _prepare_run_dir(path: str, overwrite: bool) -> Path:
@@ -107,80 +135,52 @@ def _prepare_run_dir(path: str, overwrite: bool) -> Path:
     return run_dir
 
 
-def _build_backend(args: argparse.Namespace, config: dict[str, Any], instances, store):
-    backend_kind = _setting(args, config, "backend")
-    if backend_kind is None:
-        raise CliError("no backend configured: pass --backend oracle or --backend http")
-    if backend_kind == "oracle":
+def _build_backend(opts: argparse.Namespace, instances, store):
+    if opts.backend == "oracle":
         return make_oracle_backend(instances, store)
-    if backend_kind == "http":
-        endpoint = _require(args, config, "endpoint")
-        model = _require(args, config, "model")
-        key_env = _setting(args, config, "key_env", "ESTATEQA_API_KEY")
-        return HttpBackend(endpoint=endpoint, model=model, api_key_env=key_env)
-    raise CliError(f"unknown backend kind {backend_kind!r}")
+    for key in ("endpoint", "model"):  # required by the http backend only
+        if getattr(opts, key) is None:
+            raise CliError(f"missing required setting {_flag(key)}")
+    return HttpBackend(endpoint=opts.endpoint, model=opts.model, api_key_env=opts.key_env)
 
 
-def _fewshot_pool(
-    args: argparse.Namespace, config: dict[str, Any], seed: int
-) -> list[QAInstance] | None:
-    pool_path = _setting(args, config, "fewshot_pool")
-    if not pool_path:
-        return None
-    return build_fewshot_pool(list(read_instances(pool_path)), seed=seed)
-
-
-def _run_config(args: argparse.Namespace, config: dict[str, Any]) -> RunConfig:
-    inject = set(filter(None, (_setting(args, config, "inject") or "").split(",")))
-    unknown = inject - {"slu", "sql", "api"}
-    if unknown:
-        raise CliError(f"unknown --inject stages: {','.join(sorted(unknown))}")
-    try:
-        return RunConfig(
-            inject_slu="slu" in inject,
-            inject_sql="sql" in inject,
-            inject_api="api" in inject,
-            step_cap=int(_setting(args, config, "step_cap", 25)),
-            seed=int(_setting(args, config, "seed", 0)),
-            parallelism=int(_setting(args, config, "parallelism", 1)),
-            slu_strategy=_setting(args, config, "slu", "lexicon"),
-            agents=_setting(args, config, "agents", "live"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"invalid run setting: {exc}") from None
+def _run_config(opts: argparse.Namespace, **run_only: Any) -> RunConfig:
+    return RunConfig(
+        inject_slu="slu" in opts.inject,
+        inject_sql="sql" in opts.inject,
+        inject_api="api" in opts.inject,
+        step_cap=opts.step_cap,
+        seed=opts.seed,
+        **run_only,
+    )
 
 
 # --- commands -----------------------------------------------------------------
 
 
-def cmd_fixture(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    cities = tuple(c.strip() for c in _require(args, config, "cities").split(",") if c.strip())
-    store_config = StoreConfig(cities=cities, fixture_seed=_int_setting(args, config, "seed", 0))
+def cmd_fixture(opts: argparse.Namespace) -> int:
+    store_config = StoreConfig(cities=opts.cities, fixture_seed=opts.seed)
     paths = write_fixture(
-        store_config,
-        _require(args, config, "out"),
-        communities_per_city=_int_setting(args, config, "communities", 220),
-        pois_per_city=_int_setting(args, config, "pois", 160),
+        store_config, opts.out, communities_per_city=opts.communities, pois_per_city=opts.pois
     )
-    print(f"wrote {len(paths)} fixture files under {args.out}")
+    print(f"wrote {len(paths)} fixture files under {opts.out}")
     return EXIT_OK
 
 
-def cmd_ingest(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    store_path = Path(_require(args, config, "store"))
-    if store_path.exists() and not args.overwrite:
+def cmd_ingest(opts: argparse.Namespace) -> int:
+    store_path = Path(opts.store)
+    if store_path.exists() and not opts.overwrite:
         raise CliError(f"store file {store_path} exists (use --overwrite)")
-    cities = tuple(c.strip() for c in _require(args, config, "cities").split(",") if c.strip())
     store_config = StoreConfig(
-        cities=cities,
-        poi_pairing_radius=_radius_setting(args, config, "poi_radius", 3000.0),
-        community_pairing_radius=_radius_setting(args, config, "community_radius", 1000.0),
-        fixture_seed=_int_setting(args, config, "seed", 0),
+        cities=opts.cities,
+        poi_pairing_radius=opts.poi_radius,
+        community_pairing_radius=opts.community_radius,
+        fixture_seed=opts.seed,
     )
     store_path.unlink(missing_ok=True)
     store = GeoStore(store_config, store_path)
     try:
-        counts = store.ingest_fixture(_require(args, config, "fixtures"))
+        counts = store.ingest_fixture(opts.fixtures)
     except IngestError as exc:
         print(f"ingestion error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -191,9 +191,8 @@ def cmd_ingest(args: argparse.Namespace, config: dict[str, Any]) -> int:
     return EXIT_OK
 
 
-def cmd_pairs(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    store = _open_store(_require(args, config, "store"))
-    counts = store.build_proximity_pairs()
+def cmd_pairs(opts: argparse.Namespace) -> int:
+    counts = GeoStore.open(opts.store).build_proximity_pairs()
     print(
         f"built {counts['poi_community']} poi_community and"
         f" {counts['community_community']} community_community pairs"
@@ -201,55 +200,37 @@ def cmd_pairs(args: argparse.Namespace, config: dict[str, Any]) -> int:
     return EXIT_OK
 
 
-def _int_setting(args: argparse.Namespace, config: dict[str, Any], key: str, default: int) -> int:
-    value = _setting(args, config, key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise CliError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _radius_setting(
-    args: argparse.Namespace, config: dict[str, Any], key: str, default: float
-) -> float:
-    value = _setting(args, config, key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
-        raise CliError(f"{key} must be a positive number of meters, got {value!r}")
-    return float(value)
-
-
-def cmd_generate(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    seed = _int_setting(args, config, "seed", 0)
-    per_template = _int_setting(args, config, "per_template", 50)
-    if per_template < 1:
-        raise CliError("per_template must be >= 1")
-    store = _open_store(_require(args, config, "store"))
-    cache = _provider_cache(store, _setting(args, config, "cache"))
-    templates = _templates(args, config)
-    instances, report = generate(templates, store, cache, seed=seed, per_template=per_template)
-    out = _require(args, config, "out")
-    write_instances(out, instances)
-    cache_path = _setting(args, config, "cache")
-    if cache_path:
-        cache.save(cache_path)
-    report_path = _setting(args, config, "report")
-    if report_path:
-        Path(report_path).write_text(
+def cmd_generate(opts: argparse.Namespace) -> int:
+    store = GeoStore.open(opts.store)
+    provider = SyntheticProvider(store)
+    if opts.cache and Path(opts.cache).exists():
+        cache = ToolCache.load(opts.cache, provider=provider)
+    else:
+        cache = ToolCache(provider=provider)
+    instances, report = generate(
+        _templates(opts), store, cache, seed=opts.seed, per_template=opts.per_template
+    )
+    write_instances(opts.out, instances)
+    if opts.cache:
+        cache.save(opts.cache)
+    if opts.report:
+        Path(opts.report).write_text(
             json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8"
         )
     print(
-        f"accepted {report.accepted}/{report.attempted} instances -> {out};"
+        f"accepted {report.accepted}/{report.attempted} instances -> {opts.out};"
         f" rejections: {report.rejected_by_reason() or 'none'}"
     )
     return EXIT_OK
 
 
-def cmd_validate(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    store = _open_store(_require(args, config, "store"))
-    cache = _frozen_cache(_require(args, config, "cache"))
-    templates = {t.template_id: t for t in _templates(args, config)}
+def cmd_validate(opts: argparse.Namespace) -> int:
+    store = GeoStore.open(opts.store)
+    cache = ToolCache.load(opts.cache)
+    templates = {t.template_id: t for t in _templates(opts)}
     mismatches = 0
     total = 0
-    for instance in read_instances(_require(args, config, "dataset")):
+    for instance in read_instances(opts.dataset):
         total += 1
         problems = revalidate_instance(instance, store, cache, templates)
         for problem in problems:
@@ -262,11 +243,10 @@ def cmd_validate(args: argparse.Namespace, config: dict[str, Any]) -> int:
     return EXIT_OK
 
 
-def cmd_split(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    seed = _int_setting(args, config, "seed", 0)
-    instances = list(read_instances(_require(args, config, "dataset")))
-    splits, warnings = stratified_split(instances, seed)
-    out_dir = Path(_require(args, config, "out_dir"))
+def cmd_split(opts: argparse.Namespace) -> int:
+    instances = list(read_instances(opts.dataset))
+    splits, warnings = stratified_split(instances, opts.seed)
+    out_dir = Path(opts.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, members in splits.items():
         write_instances(str(out_dir / f"{name}.jsonl"), members)
@@ -286,22 +266,26 @@ def _write_report(run_dir: Path, name: str, report: EvalReport) -> None:
     (run_dir / f"{name}.txt").write_text(report.render_table() + "\n", encoding="utf-8")
 
 
-def _suite_inputs(args: argparse.Namespace, config: dict[str, Any]) -> tuple[tuple, Path]:
+def _suite_inputs(opts: argparse.Namespace) -> tuple[tuple, Path]:
     """The set-up `run` and `ablate` share: the positional arguments of
     :func:`run_suite` / :func:`run_ablation`, and the prepared run directory."""
-    store = _open_store(_require(args, config, "store"))
-    cache = _frozen_cache(_require(args, config, "cache"))
-    instances = list(read_instances(_require(args, config, "dataset")))
-    run_config = _run_config(args, config)
-    templates = _templates(args, config)
-    backend = _build_backend(args, config, instances, store)
-    fewshot_pool = _fewshot_pool(args, config, run_config.seed)
-    run_dir = _prepare_run_dir(_require(args, config, "out"), args.overwrite)
+    store = GeoStore.open(opts.store)
+    cache = ToolCache.load(opts.cache)
+    instances = list(read_instances(opts.dataset))
+    run_config = _run_config(
+        opts, parallelism=opts.parallelism, slu_strategy=opts.slu, agents=opts.agents
+    )
+    templates = _templates(opts)
+    backend = _build_backend(opts, instances, store)
+    fewshot_pool = None
+    if opts.fewshot_pool:
+        fewshot_pool = build_fewshot_pool(list(read_instances(opts.fewshot_pool)), seed=opts.seed)
+    run_dir = _prepare_run_dir(opts.out, opts.overwrite)
     return (instances, store, cache, backend, run_config, templates, fewshot_pool), run_dir
 
 
-def cmd_run(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    suite_args, run_dir = _suite_inputs(args, config)
+def cmd_run(opts: argparse.Namespace) -> int:
+    suite_args, run_dir = _suite_inputs(opts)
     report, records = run_suite(*suite_args)
     with open(run_dir / "transcripts.jsonl", "w", encoding="utf-8") as fh:
         for record in records:
@@ -309,9 +293,8 @@ def cmd_run(args: argparse.Namespace, config: dict[str, Any]) -> int:
     _write_report(run_dir, "report", report)
     print(report.render_table())
 
-    backend_kind = _setting(args, config, "backend")
     if (
-        backend_kind == "http"
+        opts.backend == "http"
         and report.episodes
         and report.failures.get("plan_failure", 0) == report.episodes
     ):
@@ -320,13 +303,13 @@ def cmd_run(args: argparse.Namespace, config: dict[str, Any]) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args: argparse.Namespace, config: dict[str, Any]) -> int:
+def cmd_eval(opts: argparse.Namespace) -> int:
     """Recompute the metric suite from persisted transcripts."""
-    run_dir = Path(_require(args, config, "run"))
+    run_dir = Path(opts.run)
     transcripts_path = run_dir / "transcripts.jsonl"
     if not transcripts_path.exists():
         raise CliError(f"{transcripts_path} does not exist")
-    instances = {i.id: i for i in read_instances(_require(args, config, "dataset"))}
+    instances = {i.id: i for i in read_instances(opts.dataset)}
     transcripts: list[EpisodeTranscript] = []
     golds = []
     for transcript in read_json_lines(transcripts_path, EpisodeTranscript.from_dict):
@@ -337,14 +320,14 @@ def cmd_eval(args: argparse.Namespace, config: dict[str, Any]) -> int:
         transcripts.append(transcript)
         golds.append(gold)
     records = [EpisodeRecord(g, t, None) for g, t in zip(golds, transcripts)]
-    report = aggregate(records, _run_config(args, config))
+    report = aggregate(records, _run_config(opts))
     _write_report(run_dir, "eval", report)
     print(report.render_table())
     return EXIT_OK
 
 
-def cmd_ablate(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    suite_args, run_dir = _suite_inputs(args, config)
+def cmd_ablate(opts: argparse.Namespace) -> int:
+    suite_args, run_dir = _suite_inputs(opts)
     reports = run_ablation(*suite_args)
     for name, report in reports.items():
         _write_report(run_dir, f"ablation_{name}", report)
@@ -353,32 +336,68 @@ def cmd_ablate(args: argparse.Namespace, config: dict[str, Any]) -> int:
     return EXIT_OK
 
 
-# --- argument wiring --------------------------------------------------------------
+# --- the settings of each command ----------------------------------------------------
 
+_SEED = Setting("seed", "int", 0)
+_STORE = Setting("store", "file", required=True)
+_CACHE = Setting("cache", "file", required=True)
+_DATASET = Setting("dataset", "file", required=True)
+_OUT = Setting("out", required=True)
+_CITIES = Setting("cities", "list", required=True)
+_OVERWRITE = Setting("overwrite", "flag", False)
+_TEMPLATES = Setting("templates")
+_INJECT = Setting("inject", "list", (), choices=("slu", "sql", "api"))
+_STEP_CAP = Setting("step_cap", "int", 25, minimum=1)
+_SUITE = (  # `run` and `ablate`, in help order
+    _STORE, _CACHE, _DATASET, _OUT,
+    Setting("backend", required=True, choices=("oracle", "http")),
+    Setting("endpoint"),
+    Setting("model"),
+    Setting("key_env", default="ESTATEQA_API_KEY"),
+    Setting("agents", default="live", choices=("live", "oracle")),
+    Setting("slu", default="lexicon", choices=("lexicon", "fewshot")),
+    Setting("fewshot_pool", "file"),
+    _TEMPLATES, _INJECT, _STEP_CAP, _SEED,
+    Setting("parallelism", "int", 1, minimum=1),
+    _OVERWRITE,
+)
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON file supplying defaults for any flag")
-
-
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    """The flags `run` and `ablate` share, in help order."""
-    parser.add_argument("--store")
-    parser.add_argument("--cache")
-    parser.add_argument("--dataset")
-    parser.add_argument("--out")
-    parser.add_argument("--backend", choices=("oracle", "http"))
-    parser.add_argument("--endpoint")
-    parser.add_argument("--model")
-    parser.add_argument("--key-env", dest="key_env")
-    parser.add_argument("--agents", choices=("live", "oracle"))
-    parser.add_argument("--slu", choices=("lexicon", "fewshot"))
-    parser.add_argument("--fewshot-pool", dest="fewshot_pool")
-    parser.add_argument("--inject")
-    parser.add_argument("--step-cap", dest="step_cap", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--parallelism", type=int)
-    parser.add_argument("--overwrite", action="store_true")
-    _add_common(parser)
+COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str, tuple[Setting, ...]]] = {
+    "fixture": (cmd_fixture, "write synthetic fixture CSVs", (
+        _OUT, _CITIES,
+        Setting("communities", "int", 220, minimum=1),
+        Setting("pois", "int", 160, minimum=1),
+        _SEED,
+    )),
+    "ingest": (cmd_ingest, "create a store from fixture CSVs", (
+        Setting("fixtures", required=True),
+        Setting("store", required=True),
+        _CITIES,
+        Setting("poi_radius", "number", 3000.0),
+        Setting("community_radius", "number", 1000.0),
+        _SEED, _OVERWRITE,
+    )),
+    "pairs": (
+        cmd_pairs,
+        "count the proximity pairs (views over the entity tables, made at ingest)",
+        (_STORE,),
+    ),
+    "generate": (cmd_generate, "generate a validated dataset", (
+        _STORE, _OUT, Setting("cache"), _TEMPLATES, Setting("report"), _SEED,
+        Setting("per_template", "int", 50, minimum=1),
+    )),
+    "validate": (cmd_validate, "re-verify every instance's supervision", (
+        _STORE, _CACHE, _DATASET, _TEMPLATES,
+    )),
+    "split": (cmd_split, "stratified 8:1:1 split", (
+        _DATASET, Setting("out_dir", required=True), _SEED,
+    )),
+    "run": (cmd_run, "run agent episodes over a dataset", _SUITE),
+    "eval": (cmd_eval, "recompute metrics from persisted transcripts", (
+        Setting("run", required=True), _DATASET, _INJECT, _STEP_CAP, _SEED,
+    )),
+    "ablate": (cmd_ablate, "sweep the GT-injection ladder", _SUITE),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,86 +406,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Deterministic real-estate QA benchmark and agent harness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fixture", help="write synthetic fixture CSVs")
-    p.add_argument("--out")
-    p.add_argument("--cities")
-    p.add_argument("--communities", type=int)
-    p.add_argument("--pois", type=int)
-    p.add_argument("--seed", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_fixture)
-
-    p = sub.add_parser("ingest", help="create a store from fixture CSVs")
-    p.add_argument("--fixtures")
-    p.add_argument("--store")
-    p.add_argument("--cities")
-    p.add_argument("--poi-radius", dest="poi_radius", type=float)
-    p.add_argument("--community-radius", dest="community_radius", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--overwrite", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser(
-        "pairs", help="count the proximity pairs (views over the entity tables, made at ingest)"
-    )
-    p.add_argument("--store")
-    _add_common(p)
-    p.set_defaults(func=cmd_pairs)
-
-    p = sub.add_parser("generate", help="generate a validated dataset")
-    p.add_argument("--store")
-    p.add_argument("--out")
-    p.add_argument("--cache")
-    p.add_argument("--templates")
-    p.add_argument("--report")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--per-template", dest="per_template", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("validate", help="re-verify every instance's supervision")
-    p.add_argument("--store")
-    p.add_argument("--cache")
-    p.add_argument("--dataset")
-    p.add_argument("--templates")
-    _add_common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("split", help="stratified 8:1:1 split")
-    p.add_argument("--dataset")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--seed", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_split)
-
-    p = sub.add_parser("run", help="run agent episodes over a dataset")
-    _add_run_flags(p)
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("eval", help="recompute metrics from persisted transcripts")
-    p.add_argument("--run")
-    p.add_argument("--dataset")
-    p.add_argument("--inject")
-    p.add_argument("--step-cap", dest="step_cap", type=int)
-    p.add_argument("--seed", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("ablate", help="sweep the GT-injection ladder")
-    _add_run_flags(p)
-    p.set_defaults(func=cmd_ablate)
-
+    for command, (_, help_text, settings) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for setting in settings:
+            if setting.kind == "flag":
+                # None, not False, when absent, so that the config file is read
+                p.add_argument(_flag(setting.name), action="store_true", default=None)
+            else:
+                p.add_argument(
+                    _flag(setting.name),
+                    type={"int": int, "number": float}.get(setting.kind),
+                    choices=setting.choices if setting.kind == "text" and setting.choices else None,
+                )
+        p.add_argument("--config", help="JSON file supplying defaults for any flag")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler, _, settings = COMMANDS[args.command]
     try:
-        config = _load_config_file(getattr(args, "config", None))
-        return args.func(args, config)
+        config = _load_config_file(args.config)
+        opts = argparse.Namespace(
+            **{s.name: _resolve(s, getattr(args, s.name), config) for s in settings}
+        )
+        return handler(opts)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import re
+import shlex
+import shutil
 import sqlite3
 from contextlib import closing
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
-from estateqa import evaluator
-from estateqa.cli import main
+from estateqa import cli, evaluator
+from estateqa.cli import _flag, build_parser, main
 from estateqa.domain import read_instances
 from estateqa.slu import build_fewshot_pool
 from estateqa.store import GeoStore, StoreConfig
@@ -241,7 +245,7 @@ def test_unloadable_template_dir_is_config_error(workdir, tmp_path, capsys, case
     elif command == "validate":
         argv = ["validate", *inputs, "--dataset", str(workdir / "dataset.jsonl"),
                 "--templates", str(directory)]
-    else:  # run and ablate read the `templates` setting from the config file
+    else:  # here the config file supplies `templates`
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"templates": str(directory)}))
         argv = ["run", *inputs, "--dataset", str(workdir / "splits" / "test.jsonl"),
@@ -262,6 +266,136 @@ def test_step_cap_below_one_is_config_error(workdir, tmp_path, capsys, command):
     assert "step_cap must be >= 1" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def finished_run(workdir):
+    """A run directory for `eval` to read."""
+    run_dir = workdir / "finished_run"
+    assert main(["run", "--store", str(workdir / "store.db"),
+                 "--cache", str(workdir / "cache.jsonl"),
+                 "--dataset", str(workdir / "splits" / "test.jsonl"), "--out", str(run_dir),
+                 "--backend", "oracle", "--agents", "oracle"]) == 0
+    return run_dir
+
+
+def _valid_settings(workdir, tmp_path, command):
+    """Settings with which `command` succeeds, writing only under `tmp_path`."""
+    store, cache = str(workdir / "store.db"), str(workdir / "cache.jsonl")
+    dataset, test_split = str(workdir / "dataset.jsonl"), str(workdir / "splits" / "test.jsonl")
+    out = str(tmp_path / "out")
+    suite = {"store": store, "cache": cache, "dataset": test_split, "out": out,
+             "backend": "oracle", "agents": "oracle"}
+    return {
+        "fixture": {"out": out, "cities": CITIES},
+        "ingest": {"fixtures": str(workdir / "fx"), "store": out, "cities": CITIES,
+                   "overwrite": True},
+        "pairs": {"store": store},
+        "generate": {"store": store, "out": out, "cache": str(tmp_path / "cache.jsonl")},
+        "validate": {"store": store, "cache": cache, "dataset": dataset},
+        "split": {"dataset": dataset, "out_dir": out},
+        "run": suite,
+        "ablate": suite,
+        "eval": {"run": str(tmp_path / "run"), "dataset": test_split},
+    }[command]
+
+
+def _assert_config_error(workdir, finished_run, tmp_path, capsys, command, flags, settings,
+                         message):
+    """`command`, given `flags` and a config file holding `settings` on top of
+    valid settings, exits 2 with `message`, no traceback and no output."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(settings))
+    valid = _valid_settings(workdir, tmp_path, command)
+    argv = [command, "--config", str(config)]
+    for key, value in valid.items():
+        if key not in settings:  # the config file supplies it
+            argv += [_flag(key)] if value is True else [_flag(key), value]
+    out = tmp_path / "out"
+    if command == "ingest":
+        out.write_bytes(b"kept")  # a store that --overwrite would replace
+    if command == "eval":
+        (tmp_path / "run").mkdir()
+        shutil.copy(finished_run / "transcripts.jsonl", tmp_path / "run")
+    try:
+        code = main([*argv, *flags])
+    except SystemExit as exc:  # argparse refuses a flag value of the wrong type itself
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and "Traceback" not in err
+    if command == "ingest":
+        assert out.read_bytes() == b"kept"
+    else:
+        assert not out.exists() and not (tmp_path / "cache.jsonl").exists()
+        assert not (tmp_path / "run" / "eval.json").exists()
+
+
+def _bad_values(setting):
+    """(flags, config settings, message) cases that give `setting` a bad value:
+    one from its flag wherever argparse passes the string on, and one from the
+    config file."""
+    key, flag, missing = setting.name, _flag(setting.name), "no/such/file.jsonl"
+    if setting.kind == "int":
+        yield [flag, "x"], {}, f"argument {flag}: invalid int value: 'x'"
+        yield [], {key: "x"}, f"{key} must be an integer, got 'x'"
+        yield [], {key: True}, f"{key} must be an integer, got True"
+        if setting.minimum is not None:
+            below = setting.minimum - 1
+            yield [flag, str(below)], {}, f"{key} must be >= {setting.minimum}"
+            yield [], {key: below}, f"{key} must be >= {setting.minimum}"
+    elif setting.kind == "number":
+        yield [flag, "-5"], {}, f"{key} must be a positive number, got -5.0"
+        yield [], {key: "far"}, f"{key} must be a positive number, got 'far'"
+    elif setting.kind == "flag":
+        yield [], {key: "yes"}, f"{key} must be true or false, got 'yes'"
+    else:
+        yield [], {key: 5}, f"{key} must be a string, got 5"
+    if setting.kind == "file":
+        yield [flag, missing], {}, f"{key} file {missing} does not exist"
+        yield [], {key: missing}, f"{key} file {missing} does not exist"
+    if setting.kind == "list" and setting.required:
+        yield [flag, " , "], {}, f"{key} must name at least one value"
+        yield [], {key: " , "}, f"{key} must name at least one value"
+    if setting.choices:
+        bad = "slu,everything" if setting.kind == "list" else "bogus"
+        chosen = f"{key} must be one of {', '.join(setting.choices)}"
+        if setting.kind == "text":
+            yield [flag, bad], {}, f"argument {flag}: invalid choice: 'bogus'"
+        else:
+            yield [flag, bad], {}, f"{chosen}; got 'everything'"
+        yield [], {key: bad}, chosen
+
+
+def _bad_setting_cases():
+    for command, (_, _, settings) in cli.COMMANDS.items():
+        for setting in settings:
+            for flags, config, message in _bad_values(setting):
+                via = "flag" if flags else "config"
+                yield pytest.param(command, flags, config, message,
+                                   id=f"{command}-{setting.name}-{via}-{message}")
+    extra = [
+        ("fixture", ["--communities", "-3"], {}, "communities must be >= 1"),
+        ("fixture", [], {"cities": ["Guangzhou"]}, "cities must be a string, got ['Guangzhou']"),
+        ("ingest", [], {"cities": ["Guangzhou"]}, "cities must be a string, got ['Guangzhou']"),
+        ("run", [], {"inject": ["slu"]}, "inject must be a string, got ['slu']"),
+        ("run", ["--parallelism", "-1"], {}, "parallelism must be >= 1"),
+        ("run", [], {"parallelism": "2"}, "parallelism must be an integer, got '2'"),
+        ("run", [], {"seed": "11"}, "seed must be an integer, got '11'"),
+        ("pairs", [], {"colour": "blue"}, "has unknown keys: colour"),
+        ("pairs", [], ["store"], "must hold a JSON object"),
+    ]
+    for command, flags, config, message in extra:
+        yield pytest.param(command, flags, config, message, id=f"{command}-{message}")
+
+
+@pytest.mark.parametrize("command, flags, settings, message", _bad_setting_cases())
+def test_bad_setting_is_config_error(
+    workdir, finished_run, tmp_path, capsys, command, flags, settings, message
+):
+    """Every typed setting of every command, from its flag and from the config file."""
+    _assert_config_error(workdir, finished_run, tmp_path, capsys, command, flags, settings,
+                         message)
+
+
 @pytest.mark.parametrize(
     "flags, settings, message",
     [
@@ -272,14 +406,11 @@ def test_step_cap_below_one_is_config_error(workdir, tmp_path, capsys, command):
         ([], {"seed": "x"}, "seed must be an integer, got 'x'"),
     ],
 )
-def test_bad_generate_setting_is_config_error(workdir, tmp_path, capsys, flags, settings, message):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(settings))
-    out, cache = tmp_path / "dataset.jsonl", tmp_path / "cache.jsonl"
-    assert main(["generate", "--config", str(config), "--store", str(workdir / "store.db"),
-                 "--out", str(out), "--cache", str(cache), *flags]) == 2
-    assert message in capsys.readouterr().err
-    assert not out.exists() and not cache.exists()
+def test_bad_generate_setting_is_config_error(
+    workdir, finished_run, tmp_path, capsys, flags, settings, message
+):
+    _assert_config_error(workdir, finished_run, tmp_path, capsys, "generate", flags, settings,
+                         message)
 
 
 @pytest.mark.parametrize(
@@ -300,30 +431,77 @@ def test_bad_generate_setting_is_config_error(workdir, tmp_path, capsys, flags, 
     ],
 )
 def test_bad_build_setting_is_config_error(
-    workdir, tmp_path, capsys, command, flags, settings, message
+    workdir, finished_run, tmp_path, capsys, command, flags, settings, message
 ):
+    _assert_config_error(workdir, finished_run, tmp_path, capsys, command, flags, settings,
+                         message)
+
+
+@pytest.mark.parametrize("content", [b"not json", b"\xff{}"], ids=["non_json", "non_utf8"])
+def test_unreadable_config_file_is_config_error(workdir, tmp_path, capsys, content):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(settings))
-    out = tmp_path / "out"
-    argv = {
-        "fixture": ["--out", str(out), "--cities", CITIES],
-        "ingest": ["--fixtures", str(workdir / "fx"), "--store", str(out), "--cities", CITIES,
-                   "--overwrite"],
-        "split": ["--dataset", str(workdir / "dataset.jsonl"), "--out-dir", str(out)],
-    }[command]
-    if command == "ingest":
-        out.write_bytes(b"kept")  # a store that --overwrite would replace
-    try:
-        code = main([command, "--config", str(config), *argv, *flags])
-    except SystemExit as exc:  # argparse refuses a flag value of the wrong type itself
-        code = exc.code
+    config.write_bytes(content)
+    assert main(["pairs", "--config", str(config), "--store", str(workdir / "store.db")]) == 2
     err = capsys.readouterr().err
-    assert code == 2
-    assert message in err and "Traceback" not in err
-    if command == "ingest":
-        assert out.read_bytes() == b"kept"
-    else:
-        assert not out.exists()
+    assert f"cannot read config file {config}" in err and "Traceback" not in err
+
+
+def test_config_key_of_another_command_is_ignored(workdir, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"store": str(workdir / "store.db"), "cities": "Elsewhere"}))
+    assert main(["pairs", "--config", str(config)]) == 0
+
+
+def test_config_file_overwrite_replaces_the_store(workdir, tmp_path, capsys):
+    store = tmp_path / "store.db"
+    store.write_bytes(b"old")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"overwrite": True}))
+    argv = ["ingest", "--fixtures", str(workdir / "fx"), "--store", str(store), "--cities", CITIES]
+    assert main(argv) == 2
+    assert "exists (use --overwrite)" in capsys.readouterr().err
+    assert main([*argv, "--config", str(config)]) == 0
+    assert GeoStore.open(str(store)).build_proximity_pairs()["poi_community"] > 0
+
+
+_FLAGS = {  # every command's flags; --templates is new on run and ablate
+    "fixture": "--out --cities --communities --pois --seed",
+    "ingest": "--fixtures --store --cities --poi-radius --community-radius --seed --overwrite",
+    "pairs": "--store",
+    "generate": "--store --out --cache --templates --report --seed --per-template",
+    "validate": "--store --cache --dataset --templates",
+    "split": "--dataset --out-dir --seed",
+    "run": "--store --cache --dataset --out --backend --endpoint --model --key-env --agents"
+           " --slu --fewshot-pool --templates --inject --step-cap --seed --parallelism --overwrite",
+    "eval": "--run --dataset --inject --step-cap --seed",
+}
+_FLAGS["ablate"] = _FLAGS["run"]
+
+
+def test_every_command_exposes_exactly_its_flags():
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    exposed = {
+        name: {flag for action in parser._actions for flag in action.option_strings}
+        for name, parser in commands.choices.items()
+    }
+    assert exposed == {
+        name: {*flags.split(), "--config", "-h", "--help"} for name, flags in _FLAGS.items()
+    }
+
+
+def test_quick_start_commands_use_declared_flags():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    documented = [shlex.split(line)[1:] for line in lines if line.startswith("estateqa ")]
+    assert [argv[0] for argv in documented] == [
+        "fixture", "ingest", "pairs", "generate", "validate", "split", "run", "run", "ablate"
+    ]
+    parser = build_parser()
+    for argv in documented:
+        assert parser.parse_args(argv).command == argv[0]
+        declared = {_flag(setting.name) for setting in cli.COMMANDS[argv[0]][2]}
+        assert {token for token in argv if token.startswith("--")} <= declared, argv
 
 
 def test_config_file_supplies_defaults(workdir, tmp_path):
