@@ -8,7 +8,6 @@ react to the envelope lines documented here:
     tool decisions  TOOL: <function> PARAMS: <json object>
                     SYNTHESIZE: <passthrough|argmin|argmax|count|threshold_filter>
     final answer    ANSWER_KIND: <kind> / ANSWER: <payload> / UNIT: <unit>
-    sufficiency     SUFFICIENT: <yes|no>
 
 Backends implement ``complete(system_prompt, messages) -> text``. The oracle
 backend replays gold supervision and is the harness's self-test; the HTTP
@@ -27,7 +26,7 @@ import os
 import re
 import urllib.error
 import urllib.request
-from typing import Any, Callable, Mapping, Protocol, Sequence, TypeVar
+from typing import Callable, Mapping, Protocol, Sequence, TypeVar
 
 from .domain import CanonicalAnswer, QAInstance
 from .tools import split_step_params
@@ -148,44 +147,6 @@ def parse_answer(text: str) -> CanonicalAnswer | None:
 # --- concrete backends -----------------------------------------------------------------
 
 
-class ScriptedBackend:
-    """Deterministic canned-response backend for tests and sabotage studies.
-
-    ``responses`` maps a task name to a fixed reply or a list consumed in
-    order; ``default`` answers anything unmapped.
-    """
-
-    def __init__(
-        self,
-        responses: dict[str, Any] | None = None,
-        default: str = "",
-    ) -> None:
-        self.responses = dict(responses or {})
-        self.default = default
-        self.calls: list[dict[str, str]] = []
-
-    def complete(self, system_prompt: str, messages: Sequence[Message]) -> str:
-        header = parse_task_header(messages)
-        self.calls.append(header)
-        task = header.get("task", "")
-        reply = self.responses.get(task, self.default)
-        if isinstance(reply, list):
-            if not reply:
-                return self.default
-            return reply.pop(0)
-        return reply
-
-
-class RaisingBackend:
-    """Backend that always fails; used for termination and degradation tests."""
-
-    def __init__(self, message: str = "backend unavailable") -> None:
-        self.message = message
-
-    def complete(self, system_prompt: str, messages: Sequence[Message]) -> str:
-        raise BackendError(self.message)
-
-
 class OracleBackend:
     """Replays gold supervision for whichever stage is being prompted.
 
@@ -217,9 +178,6 @@ class OracleBackend:
                 f"DISPATCH {agent}: {'query tables' if agent == 'db_agent' else 'call map tools'}"
                 for agent in gold.agent_route
             )
-        if task == "sufficiency":
-            done = int(header.get("dispatched", "0"))
-            return "SUFFICIENT: yes" if done >= len(gold.agent_route) else "SUFFICIENT: no"
         if task == "finalize":
             return render_answer(gold.answer)
         if task == "caption_summary":

@@ -57,7 +57,9 @@ class Setting:
     """One setting of a command: its ``--flag`` and the config-file key of the same name."""
 
     name: str
-    kind: str = "text"  # text | list (comma-separated text) | int | number (> 0) | flag | file
+    # text | list (comma-separated text) | int | number (> 0) | flag | file (an input
+    # that exists) | outfile (in an existing directory) | outdir (made if missing)
+    kind: str = "text"
     default: Any = None
     required: bool = False
     choices: tuple[str, ...] = ()
@@ -95,6 +97,14 @@ def _resolve(setting: Setting, flag_value: Any, config: dict[str, Any]) -> Any:
             raise CliError(f"{name} must name at least one value")
     elif kind == "file" and not Path(value).is_file():
         raise CliError(f"{name} file {value} does not exist")
+    elif kind == "outfile" and (Path(value).is_dir() or not Path(value).parent.is_dir()):
+        raise CliError(f"{name} {value} must be a file in an existing directory")
+    elif kind == "outdir":
+        existing = next(p for p in (Path(value), *Path(value).parents) if p.exists())
+        if not existing.is_dir():
+            raise CliError(
+                f"{name} directory {value} cannot be made: {existing} is not a directory"
+            )
     if setting.minimum is not None and value < setting.minimum:
         raise CliError(f"{name} must be >= {setting.minimum}")
     unknown = set(value if kind == "list" else [value]) - set(setting.choices)
@@ -342,7 +352,7 @@ _SEED = Setting("seed", "int", 0)
 _STORE = Setting("store", "file", required=True)
 _CACHE = Setting("cache", "file", required=True)
 _DATASET = Setting("dataset", "file", required=True)
-_OUT = Setting("out", required=True)
+_OUT = Setting("out", "outdir", required=True)
 _CITIES = Setting("cities", "list", required=True)
 _OVERWRITE = Setting("overwrite", "flag", False)
 _TEMPLATES = Setting("templates")
@@ -371,7 +381,7 @@ COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str, tuple[Settin
     )),
     "ingest": (cmd_ingest, "create a store from fixture CSVs", (
         Setting("fixtures", required=True),
-        Setting("store", required=True),
+        Setting("store", "outfile", required=True),
         _CITIES,
         Setting("poi_radius", "number", 3000.0),
         Setting("community_radius", "number", 1000.0),
@@ -383,14 +393,15 @@ COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str, tuple[Settin
         (_STORE,),
     ),
     "generate": (cmd_generate, "generate a validated dataset", (
-        _STORE, _OUT, Setting("cache"), _TEMPLATES, Setting("report"), _SEED,
+        _STORE, Setting("out", "outfile", required=True), Setting("cache", "outfile"),
+        _TEMPLATES, Setting("report", "outfile"), _SEED,
         Setting("per_template", "int", 50, minimum=1),
     )),
     "validate": (cmd_validate, "re-verify every instance's supervision", (
         _STORE, _CACHE, _DATASET, _TEMPLATES,
     )),
     "split": (cmd_split, "stratified 8:1:1 split", (
-        _DATASET, Setting("out_dir", required=True), _SEED,
+        _DATASET, Setting("out_dir", "outdir", required=True), _SEED,
     )),
     "run": (cmd_run, "run agent episodes over a dataset", _SUITE),
     "eval": (cmd_eval, "recompute metrics from persisted transcripts", (

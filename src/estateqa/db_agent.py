@@ -62,8 +62,9 @@ def coordinates_payload(
 def execute_and_package(store: GeoStore, statement: str) -> AgentResult:
     """Run a candidate statement and fold the outcome into an AgentResult.
 
-    Success carries the rows plus a coordinate map extracted from name/lat/lon
-    columns; failure carries the engine message so the supervisor can replan.
+    Success carries the SQL payload with its columns and rows, plus a
+    coordinate map extracted from name/lat/lon columns; failure carries the
+    engine message so the supervisor can replan.
     The SQL payload itself is always recorded (executable-ratio accounting
     needs failed candidates too).
     """
@@ -74,10 +75,7 @@ def execute_and_package(store: GeoStore, statement: str) -> AgentResult:
         sql_payload.update(ok=False, error=str(exc))
         return AgentResult(status="error", evidence=[sql_payload], error_report=str(exc))
     sql_payload.update(ok=True, columns=list(columns), rows=[list(r) for r in rows])
-    evidence: list[dict[str, Any]] = [
-        sql_payload,
-        {"type": "rows", "columns": list(columns), "rows": [list(r) for r in rows]},
-    ]
+    evidence: list[dict[str, Any]] = [sql_payload]
     coordinates = coordinates_payload(columns, rows)
     if coordinates:
         evidence.append(coordinates)

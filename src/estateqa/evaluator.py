@@ -168,7 +168,6 @@ class RunConfig:
     step_cap: int = 25
     seed: int = 0
     parallelism: int = 1
-    sufficiency: str = "rule"
     slu_strategy: str = "lexicon"  # lexicon | fewshot
     agents: str = "live"  # live | oracle
 
@@ -259,9 +258,7 @@ def build_supervisor(
                 ),
             ),
         }
-    return Supervisor(
-        backend, specialists, step_cap=config.step_cap, sufficiency=config.sufficiency
-    )
+    return Supervisor(backend, specialists, step_cap=config.step_cap)
 
 
 def run_suite(

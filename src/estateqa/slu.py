@@ -22,7 +22,6 @@ import logging
 import random
 import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 from .backends import BackendError, ChatBackend, ask, build_task_message
@@ -77,16 +76,6 @@ class Gazetteer:
             for community in snapshot[city].communities:
                 entries[community.property_type] = "property_type"
         return cls(entries)
-
-    def dump(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.entries, ensure_ascii=False, sort_keys=True, indent=0),
-            encoding="utf-8",
-        )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Gazetteer":
-        return cls(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 # ``[^\W_]`` is exactly the set of characters ``str.isalnum`` accepts.

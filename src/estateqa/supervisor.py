@@ -3,8 +3,10 @@
 The supervisor turns SLU output into an ordered plan of specialist directives,
 dispatches them one at a time, folds returned evidence into its context
 (coordinates feed later map calls), and replans on specialist error or
-inability. Episodes always halt: every loop iteration consumes step budget and
-the cap (default 25) converts exhaustion into an "unanswerable" verdict.
+inability. It finalizes once a dispatch succeeds with the plan queue empty,
+sending the evidence gathered so far. Episodes always halt: every loop
+iteration consumes step budget and the cap (default 25) converts exhaustion
+into an "unanswerable" verdict.
 
 Directive and answer envelopes are strict line-oriented formats (see
 :mod:`estateqa.backends`); chain-of-thought text around them is ignored.
@@ -33,7 +35,6 @@ from .prompts import load_prompt
 DEFAULT_STEP_CAP = 25
 
 _DISPATCH_RE = re.compile(r"^\s*DISPATCH\s+([a-z_]+)\s*:\s*(.+?)\s*$", re.MULTILINE)
-_SUFFICIENT_RE = re.compile(r"^\s*SUFFICIENT\s*:\s*(yes|no)\s*$", re.IGNORECASE | re.MULTILINE)
 _PLAN_NUDGE = (
     "\n\nYour previous reply contained no directive lines. Reply with"
     " one `DISPATCH <specialist>: <sub-task>` line per step."
@@ -53,8 +54,6 @@ class AgentTask:
     intents: tuple[str, ...]
     slots: tuple[SlotAnnotation, ...]
     coordinates: dict[str, GeoPoint] = field(default_factory=dict)
-    evidence: list[dict[str, Any]] = field(default_factory=list)
-    history: tuple[str, ...] = ()
 
 
 @dataclass
@@ -153,14 +152,12 @@ class Supervisor:
         backend: ChatBackend,
         specialists: Mapping[str, Specialist],
         step_cap: int = DEFAULT_STEP_CAP,
-        sufficiency: str = "rule",  # rule | backend
     ) -> None:
         if step_cap < 1:
             raise ValueError("step_cap must be >= 1")
         self.backend = backend
         self.specialists = dict(specialists)
         self.step_cap = step_cap
-        self.sufficiency = sufficiency
         self.system_prompt = load_prompt("supervisor_system")
 
     # --- backend envelopes ------------------------------------------------------
@@ -207,15 +204,6 @@ class Supervisor:
             raise PlanParseFailure(f"no parseable directives after reprompt ({stage})")
         return directives
 
-    def _sufficient(self, transcript: EpisodeTranscript, question: str, dispatched: int) -> bool:
-        content = build_task_message("sufficiency", question, dispatched=str(dispatched))
-        try:
-            reply = self._complete(transcript, "sufficiency", content)
-        except BackendError:
-            return False
-        match = _SUFFICIENT_RE.search(reply)
-        return bool(match and match.group(1).casefold() == "yes")
-
     def finalize(
         self,
         transcript: EpisodeTranscript,
@@ -247,7 +235,6 @@ class Supervisor:
         transcript = EpisodeTranscript(instance_id=instance_id, question=question)
         evidence: list[dict[str, Any]] = []
         coordinates: dict[str, GeoPoint] = {}
-        history: list[str] = []
 
         try:
             transcript.step_count += 1  # planning consumes budget
@@ -266,8 +253,6 @@ class Supervisor:
                 intents=tuple(intents),
                 slots=tuple(slots),
                 coordinates=dict(coordinates),
-                evidence=list(evidence),
-                history=tuple(history),
             )
             specialist = self.specialists.get(directive.specialist)
             if specialist is None:
@@ -286,7 +271,6 @@ class Supervisor:
                     error_report=result.error_report,
                 )
             )
-            history.append(f"{directive.specialist} -> {result.status}")
 
             if result.status == "success":
                 evidence.extend(result.evidence)
@@ -296,11 +280,6 @@ class Supervisor:
                             coordinates[name] = GeoPoint(float(lat), float(lon))
                 if not queue:
                     finalize_now = True
-                elif self.sufficiency == "backend" and self._sufficient(
-                    transcript, question, len(transcript.dispatches)
-                ):
-                    finalize_now = True
-                    queue.clear()
                 continue
 
             # error or inability: replan with the failure in view

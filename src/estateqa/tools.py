@@ -1,8 +1,9 @@
 """Record/replay cache for the four geospatial tool functions.
 
 Every call is keyed by a canonical (function, params, time bucket) request.
-With a frozen cache, tool execution is a pure function of the request; during
-population a pluggable provider resolves each unique request exactly once.
+Without a provider, tool execution is a pure function of the request; with
+one, the provider resolves each unique request exactly once and the cache
+records the result.
 
 The bundled synthetic provider replaces a live map vendor. Its constants are
 arbitrary but fixed; what matters downstream is determinism and ordinal
@@ -18,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Protocol
+from typing import Any, Mapping, Protocol
 
 from .domain import GeoPoint, haversine, read_json_lines
 from .store import GeoStore
@@ -65,10 +66,6 @@ class CacheMiss(ToolError):
 class ToolResult:
     columns: tuple[str, ...]
     rows: tuple[tuple[Any, ...], ...]
-
-    def scalar(self) -> Any:
-        """Last cell of the single row (duration/distance accessors)."""
-        return self.rows[0][-1]
 
     def to_jsonable(self) -> dict[str, Any]:
         return {"columns": list(self.columns), "rows": [list(r) for r in self.rows]}
@@ -287,9 +284,9 @@ class CacheEntry:
 class ToolCache:
     """Deterministic store of tool results keyed by canonical request.
 
-    Lookups on a frozen cache are concurrent-safe; population is the only
-    writer. Missing entries resolve through the provider when one is attached,
-    otherwise raise :class:`CacheMiss`.
+    Lookups on a cache without a provider are concurrent-safe; a miss that the
+    provider resolves is the only writer. Missing entries resolve through the
+    provider when one is attached, otherwise raise :class:`CacheMiss`.
     """
 
     def __init__(self, provider: Provider | None = None) -> None:
@@ -298,11 +295,6 @@ class ToolCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def freeze(self) -> "ToolCache":
-        """Detach the provider; subsequent misses raise CacheMiss."""
-        self.provider = None
-        return self
 
     def call(self, function: str, params: dict[str, Any], bucket: str | None = None) -> ToolResult:
         return self.execute(ToolRequest.build(function, params, bucket))
@@ -333,92 +325,7 @@ class ToolCache:
                 f"payload schema mismatch for {function}: {payload.columns}"
             )
 
-    # --- typed convenience wrappers -------------------------------------------
-
-    def time_query(
-        self, origin: GeoPoint, destination: GeoPoint, mode: str, bucket: str | None = None
-    ) -> int:
-        result = self.call(
-            "time_query",
-            {
-                "origin_lat": origin.latitude,
-                "origin_lon": origin.longitude,
-                "dest_lat": destination.latitude,
-                "dest_lon": destination.longitude,
-                "mode": mode,
-            },
-            bucket,
-        )
-        return int(result.scalar())
-
-    def distance_query(
-        self, origin: GeoPoint, destination: GeoPoint, kind: str, bucket: str | None = None
-    ) -> int:
-        result = self.call(
-            "distance_query",
-            {
-                "origin_lat": origin.latitude,
-                "origin_lon": origin.longitude,
-                "dest_lat": destination.latitude,
-                "dest_lon": destination.longitude,
-                "kind": kind,
-            },
-            bucket,
-        )
-        return int(result.scalar())
-
-    def surrounding_pois_query(
-        self, center: GeoPoint, radius_m: float, label: str
-    ) -> ToolResult:
-        return self.call(
-            "surrounding_pois_query",
-            {
-                "center_lat": center.latitude,
-                "center_lon": center.longitude,
-                "radius_m": radius_m,
-                "label": label,
-            },
-        )
-
-    def rush_hour_query(self, origin: GeoPoint, destination: GeoPoint, mode: str) -> int:
-        result = self.call(
-            "rush_hour_query",
-            {
-                "origin_lat": origin.latitude,
-                "origin_lon": origin.longitude,
-                "dest_lat": destination.latitude,
-                "dest_lon": destination.longitude,
-                "mode": mode,
-            },
-        )
-        return int(result.scalar())
-
-    # --- population and persistence --------------------------------------------
-
-    def populate(self, corpus: Iterable[ToolRequest]) -> dict[str, Any]:
-        """Resolve each unique request once. Duplicate requests share one entry.
-        Provider failures are collected into a partial population report."""
-        if self.provider is None:
-            raise CacheMiss("populate requires a provider")
-        resolved = 0
-        already = 0
-        failures: list[dict[str, str]] = []
-        for request in corpus:
-            key = request.key()
-            if key in self._entries:
-                already += 1
-                continue
-            try:
-                self.execute(request)
-                resolved += 1
-            except ToolError as exc:
-                failures.append({"key": key, "error": str(exc)})
-        return {
-            "entries": len(self._entries),
-            "resolved": resolved,
-            "duplicates_or_present": already,
-            "failures": failures,
-        }
+    # --- persistence -----------------------------------------------------------
 
     def save(self, path: str | Path) -> int:
         """Dump entries as sorted JSON lines; byte-stable for equal contents."""

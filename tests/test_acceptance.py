@@ -14,7 +14,8 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-from estateqa.backends import OracleBackend, RaisingBackend, parse_task_header
+from doubles import RaisingBackend
+from estateqa.backends import OracleBackend, parse_task_header
 from estateqa.bm25 import Bm25Index, tokenize
 from estateqa.cli import main
 from estateqa.domain import CanonicalAnswer, answer_equal, haversine, write_instances
@@ -405,8 +406,10 @@ def test_criterion_8_cache_determinism(desk_store, desk_templates, desk_cache, t
                         113.0 + pair_rng.uniform(-0.03, 0.03))
         if haversine(origin, dest) == 0.0:
             continue
-        peak = cache.rush_hour_query(origin, dest, "driving")
-        offpeak = cache.time_query(origin, dest, "driving", BUCKET_OFFPEAK)
+        route = {"origin_lat": origin.latitude, "origin_lon": origin.longitude,
+                 "dest_lat": dest.latitude, "dest_lon": dest.longitude, "mode": "driving"}
+        peak = cache.call("rush_hour_query", route).rows[0][-1]
+        offpeak = cache.call("time_query", route, BUCKET_OFFPEAK).rows[0][-1]
         if peak <= offpeak:
             pairs_ok = False
     ok = byte_identical and replay_identical and pairs_ok

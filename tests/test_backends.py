@@ -10,12 +10,11 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from doubles import RaisingBackend, ScriptedBackend
 from estateqa.backends import (
     BackendError,
     HttpBackend,
     OracleBackend,
-    RaisingBackend,
-    ScriptedBackend,
     build_task_message,
     parse_answer,
     parse_task_header,
@@ -145,9 +144,6 @@ def test_oracle_stage_envelopes_parse(desk_instances, desk_store):
 
     final = parse_answer(ask("finalize"))
     assert final is not None and answer_equal(final, inst.answer)
-
-    assert ask("sufficiency", dispatched="0") == "SUFFICIENT: no"
-    assert ask("sufficiency", dispatched=str(len(inst.agent_route))) == "SUFFICIENT: yes"
 
 
 def test_oracle_unknown_question_raises(desk_instances, desk_store):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import shlex
 import shutil
@@ -301,7 +302,11 @@ def _valid_settings(workdir, tmp_path, command):
 def _assert_config_error(workdir, finished_run, tmp_path, capsys, command, flags, settings,
                          message):
     """`command`, given `flags` and a config file holding `settings` on top of
-    valid settings, exits 2 with `message`, no traceback and no output."""
+    valid settings, exits 2 with `message`, no traceback and no output.
+    It runs in `tmp_path`, which holds `afile`, a file, and `adir`, an empty
+    directory, for the output-path cases."""
+    (tmp_path / "afile").write_bytes(b"kept")
+    (tmp_path / "adir").mkdir()
     config = tmp_path / "config.json"
     config.write_text(json.dumps(settings))
     valid = _valid_settings(workdir, tmp_path, command)
@@ -315,13 +320,18 @@ def _assert_config_error(workdir, finished_run, tmp_path, capsys, command, flags
     if command == "eval":
         (tmp_path / "run").mkdir()
         shutil.copy(finished_run / "transcripts.jsonl", tmp_path / "run")
+    cwd = Path.cwd()
+    os.chdir(tmp_path)
     try:
         code = main([*argv, *flags])
     except SystemExit as exc:  # argparse refuses a flag value of the wrong type itself
         code = exc.code
+    finally:
+        os.chdir(cwd)
     err = capsys.readouterr().err
     assert code == 2
     assert message in err and "Traceback" not in err
+    assert (tmp_path / "afile").read_bytes() == b"kept" and not any((tmp_path / "adir").iterdir())
     if command == "ingest":
         assert out.read_bytes() == b"kept"
     else:
@@ -352,6 +362,15 @@ def _bad_values(setting):
     if setting.kind == "file":
         yield [flag, missing], {}, f"{key} file {missing} does not exist"
         yield [], {key: missing}, f"{key} file {missing} does not exist"
+    if setting.kind == "outfile":
+        for bad in ("no/dir/out.jsonl", "adir"):
+            yield [flag, bad], {}, f"{key} {bad} must be a file in an existing directory"
+            yield [], {key: bad}, f"{key} {bad} must be a file in an existing directory"
+    if setting.kind == "outdir":
+        for bad in ("afile", "afile/sub"):
+            made = f"{key} directory {bad} cannot be made: afile is not a directory"
+            yield [flag, bad], {}, made
+            yield [], {key: bad}, made
     if setting.kind == "list" and setting.required:
         yield [flag, " , "], {}, f"{key} must name at least one value"
         yield [], {key: " , "}, f"{key} must name at least one value"

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from estateqa.backends import RaisingBackend, ScriptedBackend
+from doubles import RaisingBackend, ScriptedBackend
 from estateqa.db_agent import DbAgent, SqlExtractionError, execute_and_package, extract_sql
 from estateqa.supervisor import AgentTask
 
@@ -44,6 +44,7 @@ def test_execute_and_package_coordinates(desk_store):
         f"SELECT name, latitude, longitude FROM community_guangzhou WHERE name IN ({quoted})",
     )
     assert result.status == "success"
+    assert [p["type"] for p in result.evidence] == ["sql", "coordinates"]
     coords = next(p for p in result.evidence if p["type"] == "coordinates")
     assert set(coords["entries"]) == set(names)
     sql_payload = next(p for p in result.evidence if p["type"] == "sql")
@@ -71,8 +72,8 @@ def test_coordinate_map_keys_are_name_values(desk_store):
         "SELECT name, latitude, longitude FROM community_suzhou LIMIT 5",
     )
     coords = next(p for p in result.evidence if p["type"] == "coordinates")
-    rows_payload = next(p for p in result.evidence if p["type"] == "rows")
-    assert set(coords["entries"]) == {r[0] for r in rows_payload["rows"]}
+    sql_payload = next(p for p in result.evidence if p["type"] == "sql")
+    assert set(coords["entries"]) == {r[0] for r in sql_payload["rows"]}
 
 
 # --- full dispatch ----------------------------------------------------------------
@@ -100,8 +101,8 @@ def test_generate_sql_reprompts_once(desk_store):
     agent = DbAgent(desk_store, backend)
     result = agent.handle(_task("how many communities?"))
     assert result.status == "success"
-    rows = next(p for p in result.evidence if p["type"] == "rows")
-    assert rows["rows"] == [[220]]
+    sql_payload = next(p for p in result.evidence if p["type"] == "sql")
+    assert sql_payload["rows"] == [[220]]
 
 
 def test_generate_sql_double_failure_is_error(desk_store):
@@ -132,8 +133,7 @@ def test_injected_gold_sql_skips_backend(desk_store, desk_instances):
     assert result.status == "success"
     sql_payload = next(p for p in result.evidence if p["type"] == "sql")
     assert sql_payload["statement"] == inst.sql_trace[0].statement
-    rows = next(p for p in result.evidence if p["type"] == "rows")
-    assert [tuple(r) for r in rows["rows"]] == list(inst.sql_trace[0].expected_rows)
+    assert [tuple(r) for r in sql_payload["rows"]] == list(inst.sql_trace[0].expected_rows)
 
 
 def test_injection_succeeds_on_all_generated_instances(desk_store, desk_instances):

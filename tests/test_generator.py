@@ -10,7 +10,7 @@ import re
 import pytest
 
 from estateqa import generator as generator_module
-from estateqa.backends import RaisingBackend, ScriptedBackend
+from doubles import RaisingBackend, ScriptedBackend
 from estateqa.domain import CanonicalAnswer, DomainError, SqlStep, ToolStep
 from estateqa.generator import (
     AnswerUnderivable,

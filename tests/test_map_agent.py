@@ -3,7 +3,7 @@ rules, attempt cap, and gold tool injection."""
 
 from __future__ import annotations
 
-from estateqa.backends import ScriptedBackend
+from doubles import ScriptedBackend
 from estateqa.domain import GeoPoint
 from estateqa.map_agent import (
     MapAgent,

@@ -10,7 +10,7 @@ import re
 
 import pytest
 
-from estateqa.backends import RaisingBackend, ScriptedBackend
+from doubles import RaisingBackend, ScriptedBackend
 from estateqa.domain import SlotAnnotation
 from estateqa.generator import stratified_split
 from estateqa.slu import (
@@ -397,11 +397,3 @@ def test_fewshot_pool_covers_intents(desk_instances):
     pool_intents = {i for inst in pool for i in inst.intents}
     all_intents = {i for inst in desk_instances for i in inst.intents}
     assert pool_intents == all_intents
-
-
-def test_gazetteer_dump_load(tmp_path, desk_store):
-    gaz = Gazetteer.from_store(desk_store)
-    path = tmp_path / "gazetteer.json"
-    gaz.dump(path)
-    again = Gazetteer.load(path)
-    assert again.entries == gaz.entries

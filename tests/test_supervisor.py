@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import pytest
 
-from estateqa.backends import RaisingBackend, ScriptedBackend, render_answer
+from doubles import RaisingBackend, ScriptedBackend
+from estateqa.backends import render_answer
 from estateqa.domain import CanonicalAnswer
 from estateqa.supervisor import (
     AgentResult,
@@ -199,21 +200,6 @@ def test_step_cap_one_cannot_dispatch():
 def test_step_cap_validation():
     with pytest.raises(ValueError):
         Supervisor(ScriptedBackend(), {}, step_cap=0)
-
-
-def test_backend_judged_sufficiency_short_circuits():
-    backend = ScriptedBackend(
-        responses={
-            "plan": "DISPATCH db_agent: a\nDISPATCH db_agent: b\nDISPATCH db_agent: c",
-            "sufficiency": "SUFFICIENT: yes",
-            "finalize": ANSWER_42,
-        }
-    )
-    db = StubSpecialist(ok())
-    supervisor = Supervisor(backend, {"db_agent": db}, sufficiency="backend")
-    transcript = supervisor.run_episode("q", [], [])
-    assert transcript.specialist_sequence == ("db_agent",)  # stopped after first
-    assert transcript.final_answer is not None
 
 
 def test_transcript_serialization_round_trip():

@@ -1,5 +1,6 @@
 """Tool cache: synthetic provider arithmetic against hand oracles, bucket
-rules, replay determinism, persistence, and population accounting."""
+rules, replay determinism, persistence, and how executing requests populates
+the cache."""
 
 from __future__ import annotations
 
@@ -44,13 +45,43 @@ def _route_params(origin: GeoPoint, dest: GeoPoint, **extra):
     return params
 
 
+def _time(cache, origin, dest, mode, bucket=None):
+    return cache.call("time_query", _route_params(origin, dest, mode=mode), bucket).rows[0][-1]
+
+
+def _distance(cache, origin, dest, kind):
+    return cache.call("distance_query", _route_params(origin, dest, kind=kind)).rows[0][-1]
+
+
+def _rush_hour(cache, origin, dest, mode):
+    return cache.call("rush_hour_query", _route_params(origin, dest, mode=mode)).rows[0][-1]
+
+
+def _surrounding(cache, center, radius_m, label):
+    params = {"center_lat": center.latitude, "center_lon": center.longitude,
+              "radius_m": radius_m, "label": label}
+    return cache.call("surrounding_pois_query", params)
+
+
+class CountingProvider(SyntheticProvider):
+    """The synthetic provider, recording the key of every request it resolves."""
+
+    def __init__(self, store):
+        super().__init__(store)
+        self.resolved = []
+
+    def resolve(self, request):
+        self.resolved.append(request.key())
+        return super().resolve(request)
+
+
 # --- time_query ---------------------------------------------------------------
 
 
 def test_zero_distance_zero_seconds_all_modes(cache):
     p = GeoPoint(23.13, 113.26)
     for mode in ("walking", "driving", "cycling", "transit"):
-        assert cache.time_query(p, p, mode) == 0
+        assert _time(cache, p, p, mode) == 0
 
 
 def test_walking_duration_hand_arithmetic(cache):
@@ -60,16 +91,16 @@ def test_walking_duration_hand_arithmetic(cache):
     assert straight == pytest.approx(1000.0, abs=1e-6)
     expected = int(round(straight * 1.3 / (5000 / 3600)))
     assert expected == 936
-    assert cache.time_query(origin, dest, "walking") == 936
+    assert _time(cache, origin, dest, "walking") == 936
 
 
 def test_cycling_and_driving_hand_arithmetic(cache):
     origin, dest = _pair(3000.0)
     straight = haversine(origin, dest)
-    assert cache.time_query(origin, dest, "cycling") == int(
+    assert _time(cache, origin, dest, "cycling") == int(
         round(straight * 1.3 / (15000 / 3600))
     )
-    assert cache.time_query(origin, dest, "driving") == int(
+    assert _time(cache, origin, dest, "driving") == int(
         round(straight * 1.4 / (40000 / 3600))
     )
 
@@ -78,19 +109,19 @@ def test_transit_overhead_and_midnight_rekey(cache):
     origin, dest = _pair(4000.0)
     straight = haversine(origin, dest)
     expected = int(round(straight * 1.4 / (28000 / 3600) + 300))
-    assert cache.time_query(origin, dest, "transit", BUCKET_OFFPEAK) == expected
+    assert _time(cache, origin, dest, "transit", BUCKET_OFFPEAK) == expected
     # no midnight transit service: the request re-keys to the off-peak proxy
     request = ToolRequest.build(
         "time_query", _route_params(origin, dest, mode="transit"), BUCKET_MIDNIGHT
     )
     assert request.time_bucket == BUCKET_OFFPEAK
-    assert cache.time_query(origin, dest, "transit", BUCKET_MIDNIGHT) == expected
+    assert _time(cache, origin, dest, "transit", BUCKET_MIDNIGHT) == expected
 
 
 def test_invalid_mode_rejected(cache):
     origin, dest = _pair(1000.0)
     with pytest.raises(InvalidParams):
-        cache.time_query(origin, dest, "teleport")
+        _time(cache, origin, dest, "teleport")
     with pytest.raises(InvalidParams):
         cache.call("time_query", {"origin_lat": 1.0})
 
@@ -107,7 +138,7 @@ def test_replay_returns_identical_payload(cache):
 
 def test_straight_distance_equals_haversine(cache):
     origin, dest = _pair(2750.4)
-    assert cache.distance_query(origin, dest, "straight") == int(
+    assert _distance(cache, origin, dest, "straight") == int(
         round(haversine(origin, dest))
     )
 
@@ -117,29 +148,27 @@ def test_route_distances_dominate_straight(cache):
     for _ in range(1000):
         origin = GeoPoint(23.0 + rng.uniform(-0.03, 0.03), 113.0 + rng.uniform(-0.03, 0.03))
         dest = GeoPoint(23.0 + rng.uniform(-0.03, 0.03), 113.0 + rng.uniform(-0.03, 0.03))
-        straight = cache.distance_query(origin, dest, "straight")
-        assert cache.distance_query(origin, dest, "walking") >= straight
-        assert cache.distance_query(origin, dest, "driving") >= straight
+        straight = _distance(cache, origin, dest, "straight")
+        assert _distance(cache, origin, dest, "walking") >= straight
+        assert _distance(cache, origin, dest, "driving") >= straight
 
 
 def test_identical_points_zero_for_all_kinds(cache):
     p = GeoPoint(30.0, 120.0)
     for kind in ("straight", "walking", "driving"):
-        assert cache.distance_query(p, p, kind) == 0
+        assert _distance(cache, p, p, kind) == 0
 
 
 def test_straight_distance_symmetric(cache):
     origin, dest = _pair(1500.0)
-    assert cache.distance_query(origin, dest, "straight") == cache.distance_query(
-        dest, origin, "straight"
-    )
+    assert _distance(cache, origin, dest, "straight") == _distance(cache, dest, origin, "straight")
 
 
 # --- surrounding_pois_query -------------------------------------------------------
 
 
 def test_tiny_radius_empty_result(cache):
-    result = cache.surrounding_pois_query(GeoPoint(0.0, 0.0), 0.5, "park")
+    result = _surrounding(cache, GeoPoint(0.0, 0.0), 0.5, "park")
     assert result.rows == ()
 
 
@@ -147,7 +176,7 @@ def test_surrounding_matches_brute_force_scan(cache, desk_store):
     center = desk_store.communities("Guangzhou")[0].location
     radius = 2000.0
     label = "primary school"
-    result = cache.surrounding_pois_query(center, radius, label)
+    result = _surrounding(cache, center, radius, label)
     expected = []
     for poi in desk_store.all_pois():
         if poi.label != label:
@@ -165,7 +194,7 @@ def test_surrounding_matches_brute_force_scan(cache, desk_store):
 
 def test_surrounding_sorted_and_within_radius(cache, desk_store):
     center = desk_store.communities("Suzhou")[3].location
-    result = cache.surrounding_pois_query(center, 2500.0, "supermarket")
+    result = _surrounding(cache, center, 2500.0, "supermarket")
     distances = [row[4] for row in result.rows]
     assert distances == sorted(distances)
     assert all(d <= 2500.0 for d in distances)
@@ -174,9 +203,9 @@ def test_surrounding_sorted_and_within_radius(cache, desk_store):
 
 def test_unknown_label_invalid(cache):
     with pytest.raises(InvalidParams, match="label"):
-        cache.surrounding_pois_query(GeoPoint(23.0, 113.0), 1000.0, "volcano")
+        _surrounding(cache, GeoPoint(23.0, 113.0), 1000.0, "volcano")
     with pytest.raises(InvalidParams, match="radius"):
-        cache.surrounding_pois_query(GeoPoint(23.0, 113.0), 0.0, "park")
+        _surrounding(cache, GeoPoint(23.0, 113.0), 0.0, "park")
 
 
 # --- rush_hour_query ------------------------------------------------------------------
@@ -201,12 +230,12 @@ def test_step_params_carry_the_bucket_and_split_back():
 def test_rush_hour_walking_rejected(cache):
     origin, dest = _pair(1000.0)
     with pytest.raises(InvalidParams):
-        cache.rush_hour_query(origin, dest, "walking")
+        _rush_hour(cache, origin, dest, "walking")
 
 
 def test_rush_hour_identical_points_zero(cache):
     p = GeoPoint(23.5, 113.5)
-    assert cache.rush_hour_query(p, p, "driving") == 0
+    assert _rush_hour(cache, p, p, "driving") == 0
 
 
 def test_peak_strictly_slower_than_offpeak(cache):
@@ -217,8 +246,8 @@ def test_peak_strictly_slower_than_offpeak(cache):
         dest = GeoPoint(23.0 + rng.uniform(-0.03, 0.03), 113.0 + rng.uniform(-0.03, 0.03))
         if haversine(origin, dest) == 0.0:
             continue
-        peak = cache.rush_hour_query(origin, dest, "driving")
-        offpeak = cache.time_query(origin, dest, "driving", BUCKET_OFFPEAK)
+        peak = _rush_hour(cache, origin, dest, "driving")
+        offpeak = _time(cache, origin, dest, "driving", BUCKET_OFFPEAK)
         assert peak > offpeak
         checked += 1
 
@@ -241,7 +270,9 @@ def test_coordinate_rounding_stabilizes_keys():
 
 
 def test_populate_dedups(desk_store):
-    cache = ToolCache(provider=SyntheticProvider(desk_store))
+    """Executing a request resolves it once; a repeat replays its one entry."""
+    provider = CountingProvider(desk_store)
+    cache = ToolCache(provider=provider)
     origin, dest = _pair(1000.0)
     requests = [
         ToolRequest.build("time_query", _route_params(origin, dest, mode=mode))
@@ -251,41 +282,45 @@ def test_populate_dedups(desk_store):
         ToolRequest.build("distance_query", _route_params(origin, dest, kind=kind))
         for kind in ("straight", "walking", "driving")
     ]
-    report = cache.populate(requests)
-    assert report["entries"] == 7
-    assert report["resolved"] == 7
-    assert report["duplicates_or_present"] == 3
+    for request in requests:
+        cache.execute(request)
+    assert len(cache) == 7
+    assert len(provider.resolved) == len(set(provider.resolved)) == 7  # 3 repeats replayed
     # idempotent
-    again = cache.populate(requests)
-    assert again["entries"] == 7
-    assert again["resolved"] == 0
+    for request in requests:
+        cache.execute(request)
+    assert len(cache) == 7
+    assert len(provider.resolved) == 7
 
 
-def test_cache_miss_without_provider(desk_store):
+def test_cache_miss_without_provider(tmp_path, desk_store):
     cache = ToolCache(provider=SyntheticProvider(desk_store))
     origin, dest = _pair(900.0)
-    recorded = cache.time_query(origin, dest, "walking")
-    cache.freeze()
-    assert cache.time_query(origin, dest, "walking") == recorded  # replay still works
+    recorded = _time(cache, origin, dest, "walking")
+    cache.save(tmp_path / "cache.jsonl")
+    replay = ToolCache.load(tmp_path / "cache.jsonl")  # no provider
+    assert _time(replay, origin, dest, "walking") == recorded  # replay still works
     with pytest.raises(CacheMiss):
-        cache.time_query(origin, dest, "driving")
+        _time(replay, origin, dest, "driving")
+    with pytest.raises(CacheMiss):
+        _time(ToolCache(), origin, dest, "walking")
 
 
 def test_persistence_round_trip(tmp_path, desk_store):
     cache = ToolCache(provider=SyntheticProvider(desk_store))
     origin, dest = _pair(2000.0)
     values = {
-        mode: cache.time_query(origin, dest, mode)
+        mode: _time(cache, origin, dest, mode)
         for mode in ("walking", "driving", "cycling", "transit")
     }
-    cache.surrounding_pois_query(desk_store.communities("Guangzhou")[0].location, 1500, "park")
+    _surrounding(cache, desk_store.communities("Guangzhou")[0].location, 1500, "park")
     path = tmp_path / "cache.jsonl"
     count = cache.save(path)
     assert count == len(cache)
 
     reloaded = ToolCache.load(path)
     for mode, value in values.items():
-        assert reloaded.time_query(origin, dest, mode) == value
+        assert _time(reloaded, origin, dest, mode) == value
     # byte-identical dump of identical contents
     second_path = tmp_path / "cache2.jsonl"
     reloaded.save(second_path)
@@ -301,7 +336,8 @@ def test_two_from_scratch_populations_byte_identical(tmp_path, desk_store):
     paths = []
     for name in ("a.jsonl", "b.jsonl"):
         cache = ToolCache(provider=SyntheticProvider(desk_store))
-        cache.populate(corpus)
+        for request in corpus:
+            cache.execute(request)
         path = tmp_path / name
         cache.save(path)
         paths.append(path)
@@ -309,6 +345,7 @@ def test_two_from_scratch_populations_byte_identical(tmp_path, desk_store):
 
 
 def test_populate_reports_failures(desk_store):
+    """A request the provider rejects raises and records no entry."""
     cache = ToolCache(provider=SyntheticProvider(desk_store))
     good = ToolRequest.build(
         "surrounding_pois_query",
@@ -319,6 +356,7 @@ def test_populate_reports_failures(desk_store):
         "surrounding_pois_query",
         {"center_lat": 23.0, "center_lon": 113.0, "radius_m": 100.0, "label": "x" * 3},
     )
-    report = cache.populate([good, bad])
-    assert report["resolved"] == 1
-    assert len(report["failures"]) == 1
+    cache.execute(good)
+    with pytest.raises(InvalidParams, match="unknown label"):
+        cache.execute(bad)
+    assert len(cache) == 1
