@@ -137,20 +137,18 @@ def _templates(opts: argparse.Namespace):
     return load_template_dir(opts.templates) if opts.templates else default_templates()
 
 
-def _prepare_run_dir(path: str, overwrite: bool) -> Path:
-    run_dir = Path(path)
-    if run_dir.exists() and any(run_dir.iterdir()) and not overwrite:
-        raise CliError(f"run directory {run_dir} is not empty (use --overwrite)")
-    run_dir.mkdir(parents=True, exist_ok=True)
-    return run_dir
-
-
 def _build_backend(opts: argparse.Namespace, instances, store):
-    if opts.backend == "oracle":
-        return make_oracle_backend(instances, store)
     for key in ("endpoint", "model"):  # required by the http backend only
-        if getattr(opts, key) is None:
+        if opts.backend == "http" and getattr(opts, key) is None:
             raise CliError(f"missing required setting {_flag(key)}")
+    # built for every run: injected specialists ask it, and it refuses a
+    # dataset that repeats a question, since it keys gold by question text
+    try:
+        oracle = make_oracle_backend(instances, store)
+    except ValueError as exc:
+        raise MalformedRecordError(f"{opts.dataset}: {exc}") from None
+    if opts.backend == "oracle":
+        return oracle
     return HttpBackend(endpoint=opts.endpoint, model=opts.model, api_key_env=opts.key_env)
 
 
@@ -278,7 +276,12 @@ def _write_report(run_dir: Path, name: str, report: EvalReport) -> None:
 
 def _suite_inputs(opts: argparse.Namespace) -> tuple[tuple, Path]:
     """The set-up `run` and `ablate` share: the positional arguments of
-    :func:`run_suite` / :func:`run_ablation`, and the prepared run directory."""
+    :func:`run_suite` / :func:`run_ablation`, and the run directory. A
+    non-empty directory is refused before any input is read, and the
+    directory is made only once the rest of the set-up has succeeded."""
+    run_dir = Path(opts.out)
+    if run_dir.exists() and any(run_dir.iterdir()) and not opts.overwrite:
+        raise CliError(f"run directory {run_dir} is not empty (use --overwrite)")
     store = GeoStore.open(opts.store)
     cache = ToolCache.load(opts.cache)
     instances = list(read_instances(opts.dataset))
@@ -290,7 +293,7 @@ def _suite_inputs(opts: argparse.Namespace) -> tuple[tuple, Path]:
     fewshot_pool = None
     if opts.fewshot_pool:
         fewshot_pool = build_fewshot_pool(list(read_instances(opts.fewshot_pool)), seed=opts.seed)
-    run_dir = _prepare_run_dir(opts.out, opts.overwrite)
+    run_dir.mkdir(parents=True, exist_ok=True)
     return (instances, store, cache, backend, run_config, templates, fewshot_pool), run_dir
 
 
@@ -364,7 +367,7 @@ _SUITE = (  # `run` and `ablate`, in help order
     Setting("endpoint"),
     Setting("model"),
     Setting("key_env", default="ESTATEQA_API_KEY"),
-    Setting("agents", default="live", choices=("live", "oracle")),
+    Setting("agents", default="live", choices=("live",)),
     Setting("slu", default="lexicon", choices=("lexicon", "fewshot")),
     Setting("fewshot_pool", "file"),
     _TEMPLATES, _INJECT, _STEP_CAP, _SEED,

@@ -1,23 +1,23 @@
 """Database interaction specialist: hypothetical-caption retrieval over BM25,
-few-shot SQL generation, read-only execution, and coordinate packaging.
+few-shot SQL generation, and read-only execution.
 
 The caption stage asks the backend for a one-line description of the ideal
 table ("hypothetical caption"), ranks the real caption catalog against it with
 BM25, and hands the winning schema to the SQL stage. Generated SQL must arrive
 inside a fenced ```sql block; one reprompt is allowed before the dispatch
-fails. With gold SQL injected, generation is skipped entirely.
+fails.
 """
 
 from __future__ import annotations
 
 import re
 from functools import partial
-from typing import Any, Mapping, Sequence
+from typing import Any
 
 from .backends import BackendError, ChatBackend, ask, build_task_message, reprompt_once
 from .bm25 import Bm25Index
 from .prompts import load_prompt
-from .store import GeoStore, SqlExecutionError, TableCaption, extract_coordinates
+from .store import GeoStore, SqlExecutionError, TableCaption
 from .supervisor import AgentResult, AgentTask
 
 _SQL_FENCE_RE = re.compile(r"```sql\s+(.*?)```", re.DOTALL | re.IGNORECASE)
@@ -49,22 +49,11 @@ def _sql_or_none(reply: str) -> str | None:
         return None
 
 
-def coordinates_payload(
-    columns: Sequence[str], rows: Sequence[Sequence[Any]]
-) -> dict[str, Any] | None:
-    """The coordinates evidence for a result's name/lat/lon columns, or None
-    when the result carries no coordinates."""
-    coordinates = extract_coordinates(columns, rows)
-    entries = {name: [p.latitude, p.longitude] for name, p in coordinates.items()}
-    return {"type": "coordinates", "entries": entries} if entries else None
-
-
 def execute_and_package(store: GeoStore, statement: str) -> AgentResult:
     """Run a candidate statement and fold the outcome into an AgentResult.
 
-    Success carries the SQL payload with its columns and rows, plus a
-    coordinate map extracted from name/lat/lon columns; failure carries the
-    engine message so the supervisor can replan.
+    Success carries the SQL payload with its columns and rows; failure
+    carries the engine message so the supervisor can replan.
     The SQL payload itself is always recorded (executable-ratio accounting
     needs failed candidates too).
     """
@@ -75,23 +64,13 @@ def execute_and_package(store: GeoStore, statement: str) -> AgentResult:
         sql_payload.update(ok=False, error=str(exc))
         return AgentResult(status="error", evidence=[sql_payload], error_report=str(exc))
     sql_payload.update(ok=True, columns=list(columns), rows=[list(r) for r in rows])
-    evidence: list[dict[str, Any]] = [sql_payload]
-    coordinates = coordinates_payload(columns, rows)
-    if coordinates:
-        evidence.append(coordinates)
-    return AgentResult(status="success", evidence=evidence)
+    return AgentResult(status="success", evidence=[sql_payload])
 
 
 class DbAgent:
-    def __init__(
-        self,
-        store: GeoStore,
-        backend: ChatBackend,
-        inject_gold_sql: Mapping[str, str] | None = None,
-    ) -> None:
+    def __init__(self, store: GeoStore, backend: ChatBackend) -> None:
         self.store = store
         self.backend = backend
-        self.inject_gold_sql = dict(inject_gold_sql or {})
         self.system_prompt = load_prompt("db_agent_system")
         self.caption_examples = load_prompt("db_fewshot_caption")
         self.sql_examples = load_prompt("db_fewshot_sql")
@@ -140,25 +119,21 @@ class DbAgent:
     # --- dispatch entry point ---------------------------------------------------
 
     def handle(self, task: AgentTask) -> AgentResult:
-        injected = self.inject_gold_sql.get(task.question)
-        caption_payload: dict[str, Any] | None = None
-        if injected is not None:
-            statement = injected
-        else:
-            try:
-                summary = self.caption_summary(task)
-                caption, score = self.retrieve_caption(summary)
-                caption_payload = {
-                    "type": "caption",
-                    "summary": summary,
-                    "caption": caption.caption,
-                    "table_id": caption.table_id,
-                    "score": score,
-                }
-                statement = self.generate_sql(task, caption)
-            except (BackendError, SqlExtractionError) as exc:
-                return AgentResult(status="error", error_report=str(exc))
+        try:
+            summary = self.caption_summary(task)
+            caption, score = self.retrieve_caption(summary)
+            statement = self.generate_sql(task, caption)
+        except (BackendError, SqlExtractionError) as exc:
+            return AgentResult(status="error", error_report=str(exc))
         result = execute_and_package(self.store, statement)
-        if caption_payload is not None:
-            result.evidence.insert(0, caption_payload)
+        result.evidence.insert(
+            0,
+            {
+                "type": "caption",
+                "summary": summary,
+                "caption": caption.caption,
+                "table_id": caption.table_id,
+                "score": score,
+            },
+        )
         return result

@@ -28,12 +28,12 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .backends import ChatBackend, OracleBackend
-from .db_agent import DbAgent, coordinates_payload
+from .db_agent import DbAgent
 from .domain import CanonicalAnswer, QAInstance, answer_equal
 from .map_agent import MapAgent
 from .slu import FewShotSlu, Gazetteer, LexiconSlu, SluPrediction, slu_metrics
 from .store import GeoStore
-from .supervisor import AgentResult, AgentTask, EpisodeTranscript, Supervisor
+from .supervisor import EpisodeTranscript, Supervisor
 from .templates import Template
 from .tools import ToolCache
 
@@ -103,60 +103,6 @@ def trace_metrics(
     }
 
 
-# --- oracle specialists ---------------------------------------------------------------
-
-
-class OracleDbAgent:
-    """Replays the gold SQL trace verbatim; the harness's db-side self-test."""
-
-    def __init__(self, golds: Sequence[QAInstance]) -> None:
-        self._by_question = {g.question: g for g in golds}
-
-    def handle(self, task: AgentTask) -> AgentResult:
-        gold = self._by_question.get(task.question)
-        if gold is None:
-            return AgentResult(status="unable", error_report="no gold trace for question")
-        evidence: list[dict[str, Any]] = []
-        for step in gold.sql_trace:
-            evidence.append(
-                {
-                    "type": "sql",
-                    "statement": step.statement,
-                    "ok": True,
-                    "columns": list(step.expected_columns),
-                    "rows": [list(r) for r in step.expected_rows],
-                }
-            )
-            coordinates = coordinates_payload(step.expected_columns, step.expected_rows)
-            if coordinates:
-                evidence.append(coordinates)
-        return AgentResult(status="success", evidence=evidence)
-
-
-class OracleMapAgent:
-    """Replays the gold tool trace verbatim."""
-
-    def __init__(self, golds: Sequence[QAInstance]) -> None:
-        self._by_question = {g.question: g for g in golds}
-
-    def handle(self, task: AgentTask) -> AgentResult:
-        gold = self._by_question.get(task.question)
-        if gold is None or not gold.tool_trace:
-            return AgentResult(status="unable", error_report="no gold tool trace for question")
-        evidence: list[dict[str, Any]] = [
-            {
-                "type": "tool_call",
-                "function": step.function,
-                "params": dict(step.params),
-                "ok": True,
-                "columns": list(step.expected_columns),
-                "rows": [list(r) for r in step.expected_rows],
-            }
-            for step in gold.tool_trace
-        ]
-        return AgentResult(status="success", evidence=evidence)
-
-
 # --- experiment runner ------------------------------------------------------------------
 
 
@@ -169,7 +115,7 @@ class RunConfig:
     seed: int = 0
     parallelism: int = 1
     slu_strategy: str = "lexicon"  # lexicon | fewshot
-    agents: str = "live"  # live | oracle
+    agents: str = "live"  # the only value; recorded in the report's config
 
     def __post_init__(self) -> None:
         if self.step_cap < 1:
@@ -232,32 +178,14 @@ def build_supervisor(
     backend: ChatBackend,
     config: RunConfig,
 ) -> Supervisor:
-    if config.agents == "oracle":
-        specialists = {
-            "db_agent": OracleDbAgent(instances),
-            "map_agent": OracleMapAgent(instances),
-        }
-    else:
-        specialists = {
-            "db_agent": DbAgent(
-                store,
-                backend,
-                inject_gold_sql=(
-                    {i.question: i.sql_trace[0].statement for i in instances}
-                    if config.inject_sql
-                    else None
-                ),
-            ),
-            "map_agent": MapAgent(
-                cache,
-                backend,
-                inject_gold_tools=(
-                    {i.question: i.tool_trace for i in instances}
-                    if config.inject_api
-                    else None
-                ),
-            ),
-        }
+    """The supervisor over the run's backend. An injected specialist asks the
+    oracle instead, whose replies are the gold caption, SQL or tool calls."""
+    injected = config.inject_sql or config.inject_api
+    oracle = make_oracle_backend(instances, store) if injected else backend
+    specialists = {
+        "db_agent": DbAgent(store, oracle if config.inject_sql else backend),
+        "map_agent": MapAgent(cache, oracle if config.inject_api else backend),
+    }
     return Supervisor(backend, specialists, step_cap=config.step_cap)
 
 

@@ -19,13 +19,13 @@ import json
 import re
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping
 
 from .backends import BackendError, ChatBackend, ask, build_task_message, reprompt_once
-from .domain import GeoPoint, ToolStep
+from .domain import GeoPoint
 from .prompts import load_prompt
 from .supervisor import AgentResult, AgentTask
-from .tools import InvalidParams, CacheMiss, ToolCache, ToolRequest, split_step_params
+from .tools import InvalidParams, CacheMiss, ToolCache, ToolRequest
 
 DEFAULT_ATTEMPT_CAP = 3
 
@@ -105,15 +105,9 @@ def _decisions_or_none(reply: str) -> tuple[list[ToolDecision], SynthesisRule, s
 
 
 class MapAgent:
-    def __init__(
-        self,
-        cache: ToolCache,
-        backend: ChatBackend,
-        inject_gold_tools: Mapping[str, Sequence[ToolStep]] | None = None,
-    ) -> None:
+    def __init__(self, cache: ToolCache, backend: ChatBackend) -> None:
         self.cache = cache
         self.backend = backend
-        self.inject_gold_tools = dict(inject_gold_tools or {})
         self.system_prompt = load_prompt("map_agent_system")
         self.tool_descriptions = load_prompt("tool_descriptions")
 
@@ -303,24 +297,16 @@ class MapAgent:
     # --- dispatch entry point ------------------------------------------------------------
 
     def handle(self, task: AgentTask) -> AgentResult:
-        injected = self.inject_gold_tools.get(task.question)
-        if injected is not None:
-            decisions = [
-                ToolDecision(step.function, *split_step_params(step.params))
-                for step in injected
-            ]
-            rule = SynthesisRule(kind="passthrough")
-        else:
-            try:
-                decided = self.decide_tools(task)
-            except BackendError as exc:
-                return AgentResult(status="error", error_report=str(exc))
-            if decided is None:
-                return AgentResult(
-                    status="unable",
-                    error_report="no parseable tool decisions for this sub-task",
-                )
-            decisions, rule, unable = decided
-            if unable:
-                return AgentResult(status="unable", error_report=unable)
+        try:
+            decided = self.decide_tools(task)
+        except BackendError as exc:
+            return AgentResult(status="error", error_report=str(exc))
+        if decided is None:
+            return AgentResult(
+                status="unable",
+                error_report="no parseable tool decisions for this sub-task",
+            )
+        decisions, rule, unable = decided
+        if unable:
+            return AgentResult(status="unable", error_report=unable)
         return self.invoke_and_synthesize(decisions, rule, task.coordinates)

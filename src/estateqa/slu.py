@@ -3,10 +3,11 @@
 Two pluggable strategies:
 
 - ``LexiconSlu``: deterministic gazetteer matching (longest match wins, equal
-  lengths break to the earliest span, then to the slot-type name) plus numeric
-  patterns; intents are those of the first template whose question pattern
-  the question fully matches. A stand-in for a trained tagger; on
-  template-derived questions it is near-exact by construction.
+  lengths break to the earliest span, then to the slot-type name); intents,
+  and the numeric slots no gazetteer entry carries, come from the first
+  template whose question pattern the question fully matches. A stand-in for
+  a trained tagger; on template-derived questions it is near-exact by
+  construction.
 - ``FewShotSlu``: prompts a chat backend with worked examples covering every
   intent and parses a JSON reply; malformed output degrades to an empty
   prediction instead of crashing.
@@ -28,7 +29,7 @@ from .backends import BackendError, ChatBackend, ask, build_task_message
 from .domain import QAInstance, SlotAnnotation, locate_slot
 from .prompts import load_prompt
 from .store import GeoStore
-from .templates import Template
+from .templates import PLACEHOLDER_RE, Template, slot_type_for
 
 log = logging.getLogger(__name__)
 
@@ -37,13 +38,6 @@ log = logging.getLogger(__name__)
 class SluPrediction:
     intents: tuple[str, ...]
     slots: tuple[SlotAnnotation, ...]
-
-
-_NUMERIC_PATTERNS: tuple[tuple[str, re.Pattern[str]], ...] = (
-    ("radius_km", re.compile(r"within (\d+(?:\.\d+)?) km\b", re.IGNORECASE)),
-    ("minutes", re.compile(r"within (\d+) minutes\b", re.IGNORECASE)),
-    ("count", re.compile(r"nearest (\d+)\b", re.IGNORECASE)),
-)
 
 
 class Gazetteer:
@@ -94,9 +88,11 @@ def _lead(surface: str) -> str:
 
 
 class LexiconSlu:
-    """Gazetteer spans bounded by non-alphanumerics and numeric patterns;
-    intents from the first template whose pattern the question fully matches,
-    else ``("unknown",)``.
+    """Gazetteer spans bounded by non-alphanumerics; intents from the first
+    template whose pattern the question fully matches, else ``("unknown",)``.
+    That match also supplies, as candidates, the placeholder groups whose slot
+    type no gazetteer entry carries (``count``, ``radius_km`` and ``minutes``
+    with a store's gazetteer).
 
     A surface can only match, whole-word, where the question's own leading
     run (:func:`_lead` of the rest of the question) equals the surface's, so
@@ -107,7 +103,13 @@ class LexiconSlu:
 
     def __init__(self, gazetteer: Gazetteer, templates: Sequence[Template]) -> None:
         self.gazetteer = gazetteer
-        self.templates = tuple(templates)
+        carried = set(gazetteer.entries.values())
+        # each template with the (group, slot type) of its placeholders not carried
+        self._templates: list[tuple[Template, list[tuple[int, str]]]] = []
+        for template in templates:
+            types = map(slot_type_for, PLACEHOLDER_RE.findall(template.question_pattern))
+            groups = [(g, t) for g, t in enumerate(types, 1) if t and t not in carried]
+            self._templates.append((template, groups))
         self._by_lead: dict[str, list[tuple[str, str]]] = {}
         for surface, slot_type in gazetteer.entries.items():
             self._by_lead.setdefault(_lead(surface), []).append((surface, slot_type))
@@ -127,11 +129,16 @@ class LexiconSlu:
         for _, slot_type in self._by_lead.get("", ()):
             for gap in _GAP_RE.finditer(question):
                 candidates.append(SlotAnnotation(slot_type, "", gap.start(), gap.start()))
-        for slot_type, pattern in _NUMERIC_PATTERNS:
-            for match in pattern.finditer(question):
-                candidates.append(
-                    SlotAnnotation(slot_type, match.group(1), match.start(1), match.end(1))
-                )
+        intents: tuple[str, ...] = ("unknown",)
+        for template, groups in self._templates:
+            match = template.match(question)
+            if match:
+                intents = template.intents
+                for g, slot_type in groups:
+                    candidates.append(
+                        SlotAnnotation(slot_type, match.group(g), match.start(g), match.end(g))
+                    )
+                break
 
         # longest match wins; equal lengths -> earliest span; then type name
         candidates.sort(key=lambda s: (-(s.end - s.start), s.start, s.slot_type))
@@ -140,10 +147,6 @@ class LexiconSlu:
             if all(cand.start >= c.end or c.start >= cand.end for c in chosen):
                 chosen.append(cand)
         chosen.sort(key=lambda s: s.start)
-
-        intents = next(
-            (t.intents for t in self.templates if t.matches(question)), ("unknown",)
-        )
         return SluPrediction(intents=intents, slots=tuple(chosen))
 
 

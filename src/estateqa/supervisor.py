@@ -2,11 +2,11 @@
 
 The supervisor turns SLU output into an ordered plan of specialist directives,
 dispatches them one at a time, folds returned evidence into its context
-(coordinates feed later map calls), and replans on specialist error or
-inability. It finalizes once a dispatch succeeds with the plan queue empty,
-sending the evidence gathered so far. Episodes always halt: every loop
-iteration consumes step budget and the cap (default 25) converts exhaustion
-into an "unanswerable" verdict.
+(the coordinates in SQL results feed later map calls), and replans on
+specialist error or inability. It finalizes once a dispatch succeeds with the
+plan queue empty, sending the evidence gathered so far. Episodes always halt:
+every loop iteration consumes step budget and the cap (default 25) converts
+exhaustion into an "unanswerable" verdict.
 
 Directive and answer envelopes are strict line-oriented formats (see
 :mod:`estateqa.backends`); chain-of-thought text around them is ignored.
@@ -31,6 +31,7 @@ from .backends import (
 )
 from .domain import CanonicalAnswer, GeoPoint, SlotAnnotation
 from .prompts import load_prompt
+from .store import extract_coordinates
 
 DEFAULT_STEP_CAP = 25
 
@@ -275,9 +276,10 @@ class Supervisor:
             if result.status == "success":
                 evidence.extend(result.evidence)
                 for payload in result.evidence:
-                    if payload.get("type") == "coordinates":
-                        for name, (lat, lon) in payload.get("entries", {}).items():
-                            coordinates[name] = GeoPoint(float(lat), float(lon))
+                    if payload.get("type") == "sql" and payload.get("ok"):
+                        coordinates.update(
+                            extract_coordinates(payload["columns"], payload["rows"])
+                        )
                 if not queue:
                     finalize_now = True
                 continue

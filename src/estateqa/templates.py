@@ -186,10 +186,11 @@ class Template:
         body = "".join("(.+?)" if i % 2 else re.escape(part) for i, part in enumerate(parts))
         return re.compile(body, re.DOTALL)
 
-    def matches(self, question: str) -> bool:
-        """Whether ``question`` fully matches the question pattern: literal text
-        verbatim, each placeholder one non-empty lazy group."""
-        return self._question_re.fullmatch(question) is not None
+    def match(self, question: str) -> re.Match[str] | None:
+        """The full match of ``question`` against the question pattern, or None:
+        literal text verbatim, each placeholder one non-empty lazy group, the
+        groups in the pattern's placeholder order."""
+        return self._question_re.fullmatch(question)
 
     @property
     def agent_route(self) -> tuple[str, ...]:

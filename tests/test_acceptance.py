@@ -57,7 +57,7 @@ def test_criterion_1_oracle_closure(desk_instances, desk_store, desk_cache, desk
         desk_store,
         desk_cache,
         backend,
-        RunConfig(agents="oracle", inject_slu=True),
+        RunConfig(inject_slu=True, inject_sql=True, inject_api=True),
         desk_templates,
     )
     elapsed = time.monotonic() - started
@@ -456,7 +456,7 @@ def test_criterion_9_ablation_ladder(
     exit_code = main(
         ["ablate", "--store", str(store_path), "--cache", str(cache_path),
          "--dataset", str(dataset), "--out", str(ladder_dir),
-         "--backend", "oracle", "--agents", "oracle"]
+         "--backend", "oracle", "--inject", "sql,api"]
     )
     rung_files = sorted(p.name for p in ladder_dir.glob("ablation_*.json"))
     cmd_ok = exit_code == 0 and len(rung_files) == 4 and all(

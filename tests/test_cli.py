@@ -89,8 +89,7 @@ def test_oracle_run_and_eval(workdir, tmp_path):
     assert main(["run", "--store", str(workdir / "store.db"),
                  "--cache", str(workdir / "cache.jsonl"),
                  "--dataset", str(workdir / "splits" / "test.jsonl"),
-                 "--out", str(run_dir), "--backend", "oracle", "--agents", "oracle",
-                 "--inject", "slu"]) == 0
+                 "--out", str(run_dir), "--backend", "oracle", "--inject", "slu,sql,api"]) == 0
     report = json.loads((run_dir / "report.json").read_text())
     assert report["overall"]["acc"] == 1.0
     assert (run_dir / "transcripts.jsonl").exists()
@@ -106,11 +105,30 @@ def test_run_dir_append_only(workdir, tmp_path):
     args = ["run", "--store", str(workdir / "store.db"),
             "--cache", str(workdir / "cache.jsonl"),
             "--dataset", str(workdir / "splits" / "test.jsonl"),
-            "--out", str(run_dir), "--backend", "oracle", "--agents", "oracle",
-            "--inject", "slu"]
+            "--out", str(run_dir), "--backend", "oracle", "--inject", "slu,sql,api"]
     assert main(args) == 0
     assert main(args) == 2  # refuses to clobber
     assert main(args + ["--overwrite"]) == 0
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
+@pytest.mark.parametrize("fault", ["truncated_dataset", "http_without_endpoint"])
+def test_non_empty_run_dir_is_reported_before_set_up(workdir, tmp_path, capsys, command, fault):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "kept").write_bytes(b"kept")
+    dataset = workdir / "splits" / "test.jsonl"
+    if fault == "truncated_dataset":
+        dataset = tmp_path / "truncated.jsonl"
+        dataset.write_bytes((workdir / "splits" / "test.jsonl").read_bytes()[:300])
+    argv = [command, "--store", str(workdir / "store.db"), "--cache", str(workdir / "cache.jsonl"),
+            "--dataset", str(dataset), "--out", str(run_dir),
+            "--backend", "oracle" if fault == "truncated_dataset" else "http"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"run directory {run_dir} is not empty (use --overwrite)" in err
+    assert "Traceback" not in err
+    assert [p.name for p in run_dir.iterdir()] == ["kept"]
 
 
 def test_run_without_backend_is_config_error(workdir, tmp_path):
@@ -133,6 +151,7 @@ def test_http_backend_requires_endpoint(workdir, tmp_path):
                  "--cache", str(workdir / "cache.jsonl"),
                  "--dataset", str(workdir / "splits" / "test.jsonl"),
                  "--out", str(tmp_path / "r3"), "--backend", "http"]) == 2
+    assert not (tmp_path / "r3").exists()  # the run directory is made after set-up
 
 
 def test_unreachable_http_backend_exits_backend_failure(workdir, tmp_path):
@@ -155,26 +174,40 @@ def test_validate_catches_tampering(workdir, tmp_path):
                  "--dataset", str(tampered)]) == 1
 
 
-@pytest.mark.parametrize("damaged", ["cache", "dataset", "transcripts"])
+@pytest.mark.parametrize("damaged", ["cache", "dataset", "transcripts", "repeated_question"])
 def test_validate_truncated_input_is_validation_failure(workdir, tmp_path, capsys, damaged):
     paths = {name: workdir / f"{name}.jsonl" for name in ("cache", "dataset")}
+    test_split = str(workdir / "splits" / "test.jsonl")
+    run_dir = tmp_path / "run"
     if damaged == "transcripts":
-        run_dir = tmp_path / "run"
-        test_split = str(workdir / "splits" / "test.jsonl")
         assert main(["run", "--store", str(workdir / "store.db"),
                      "--cache", str(paths["cache"]), "--dataset", test_split,
-                     "--out", str(run_dir), "--backend", "oracle", "--agents", "oracle",
-                     "--inject", "slu"]) == 0
+                     "--out", str(run_dir), "--backend", "oracle", "--inject", "slu,sql,api"]) == 0
         truncated = run_dir / "transcripts.jsonl"
         truncated.write_bytes(truncated.read_bytes()[:300])
         argv = ["eval", "--run", str(run_dir), "--dataset", test_split]
+    elif damaged == "repeated_question":
+        # the oracle keys gold by question text; an injected specialist asks it
+        lines = Path(test_split).read_text().splitlines(keepends=True)
+        repeated = tmp_path / "repeated.jsonl"
+        repeated.write_text("".join(lines + lines[:1]))
+        argv = ["run", "--store", str(workdir / "store.db"), "--cache", str(paths["cache"]),
+                "--dataset", str(repeated), "--out", str(run_dir), "--backend", "http",
+                "--endpoint", "http://127.0.0.1:9/unreachable", "--model", "m",
+                "--inject", "sql"]
+        question = json.loads(lines[0])["question"]
     else:
         truncated = paths[damaged] = tmp_path / f"{damaged}.jsonl"
         truncated.write_bytes((workdir / f"{damaged}.jsonl").read_bytes()[:300])
         argv = ["validate", "--store", str(workdir / "store.db"),
                 "--cache", str(paths["cache"]), "--dataset", str(paths["dataset"])]
     assert main(argv) == 1
-    assert f"{truncated}:1:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if damaged == "repeated_question":
+        assert err.startswith("validation error:") and repr(question) in err
+        assert "Traceback" not in err and not run_dir.exists()  # no episode ran
+    else:
+        assert f"{truncated}:1:" in err
 
 
 def test_ingest_refuses_existing_store(workdir, tmp_path):
@@ -274,7 +307,7 @@ def finished_run(workdir):
     assert main(["run", "--store", str(workdir / "store.db"),
                  "--cache", str(workdir / "cache.jsonl"),
                  "--dataset", str(workdir / "splits" / "test.jsonl"), "--out", str(run_dir),
-                 "--backend", "oracle", "--agents", "oracle"]) == 0
+                 "--backend", "oracle", "--inject", "sql,api"]) == 0
     return run_dir
 
 
@@ -284,7 +317,7 @@ def _valid_settings(workdir, tmp_path, command):
     dataset, test_split = str(workdir / "dataset.jsonl"), str(workdir / "splits" / "test.jsonl")
     out = str(tmp_path / "out")
     suite = {"store": store, "cache": cache, "dataset": test_split, "out": out,
-             "backend": "oracle", "agents": "oracle"}
+             "backend": "oracle", "inject": "sql,api"}
     return {
         "fixture": {"out": out, "cities": CITIES},
         "ingest": {"fixtures": str(workdir / "fx"), "store": out, "cities": CITIES,
@@ -532,7 +565,7 @@ def test_config_file_supplies_defaults(workdir, tmp_path):
     }))
     run_dir = tmp_path / "cfg_run"
     assert main(["run", "--config", str(config), "--out", str(run_dir),
-                 "--backend", "oracle", "--agents", "oracle", "--inject", "slu"]) == 0
+                 "--backend", "oracle", "--inject", "slu,sql,api"]) == 0
 
 
 def test_ablate_writes_four_reports(workdir, tmp_path):
@@ -540,7 +573,7 @@ def test_ablate_writes_four_reports(workdir, tmp_path):
     assert main(["ablate", "--store", str(workdir / "store.db"),
                  "--cache", str(workdir / "cache.jsonl"),
                  "--dataset", str(workdir / "splits" / "test.jsonl"),
-                 "--out", str(out), "--backend", "oracle", "--agents", "oracle"]) == 0
+                 "--out", str(out), "--backend", "oracle", "--inject", "sql,api"]) == 0
     names = sorted(p.name for p in out.glob("ablation_*.json"))
     assert names == [
         "ablation_gt_slu.json",
@@ -567,7 +600,7 @@ def test_ablate_fewshot_pool_reaches_every_rung(workdir, tmp_path, monkeypatch):
                  "--cache", str(workdir / "cache.jsonl"),
                  "--dataset", str(workdir / "splits" / "test.jsonl"),
                  "--out", str(tmp_path / "ablation"), "--backend", "oracle",
-                 "--agents", "oracle", "--slu", "fewshot",
+                 "--inject", "sql,api", "--slu", "fewshot",
                  "--fewshot-pool", str(train), "--seed", "5"]) == 0
     expected = build_fewshot_pool(list(read_instances(str(train))), seed=5)
     assert expected

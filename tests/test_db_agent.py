@@ -1,5 +1,5 @@
 """Database agent: SQL envelope extraction, caption retrieval, execution
-packaging, write protection, and gold-SQL injection."""
+packaging, write protection, and gold-SQL injection through the oracle."""
 
 from __future__ import annotations
 
@@ -7,6 +7,8 @@ import pytest
 
 from doubles import RaisingBackend, ScriptedBackend
 from estateqa.db_agent import DbAgent, SqlExtractionError, execute_and_package, extract_sql
+from estateqa.evaluator import make_oracle_backend
+from estateqa.store import extract_coordinates
 from estateqa.supervisor import AgentTask
 
 
@@ -44,10 +46,10 @@ def test_execute_and_package_coordinates(desk_store):
         f"SELECT name, latitude, longitude FROM community_guangzhou WHERE name IN ({quoted})",
     )
     assert result.status == "success"
-    assert [p["type"] for p in result.evidence] == ["sql", "coordinates"]
-    coords = next(p for p in result.evidence if p["type"] == "coordinates")
-    assert set(coords["entries"]) == set(names)
-    sql_payload = next(p for p in result.evidence if p["type"] == "sql")
+    assert [p["type"] for p in result.evidence] == ["sql"]
+    sql_payload = result.evidence[0]
+    coords = extract_coordinates(sql_payload["columns"], sql_payload["rows"])
+    assert set(coords) == set(names)
     assert sql_payload["ok"] is True
     assert len(sql_payload["rows"]) == 2
 
@@ -71,9 +73,9 @@ def test_coordinate_map_keys_are_name_values(desk_store):
         desk_store,
         "SELECT name, latitude, longitude FROM community_suzhou LIMIT 5",
     )
-    coords = next(p for p in result.evidence if p["type"] == "coordinates")
     sql_payload = next(p for p in result.evidence if p["type"] == "sql")
-    assert set(coords["entries"]) == {r[0] for r in sql_payload["rows"]}
+    coords = extract_coordinates(sql_payload["columns"], sql_payload["rows"])
+    assert set(coords) == {r[0] for r in sql_payload["rows"]}
 
 
 # --- full dispatch ----------------------------------------------------------------
@@ -124,11 +126,8 @@ def test_backend_failure_is_error_result(desk_store):
 
 def test_injected_gold_sql_skips_backend(desk_store, desk_instances):
     inst = desk_instances[0]
-    agent = DbAgent(
-        desk_store,
-        RaisingBackend(),  # would explode if consulted
-        inject_gold_sql={inst.question: inst.sql_trace[0].statement},
-    )
+    # the agent asks only the oracle; no other backend exists to consult
+    agent = DbAgent(desk_store, make_oracle_backend([inst], desk_store))
     result = agent.handle(_task(inst.question))
     assert result.status == "success"
     sql_payload = next(p for p in result.evidence if p["type"] == "sql")
@@ -137,11 +136,7 @@ def test_injected_gold_sql_skips_backend(desk_store, desk_instances):
 
 
 def test_injection_succeeds_on_all_generated_instances(desk_store, desk_instances):
-    agent = DbAgent(
-        desk_store,
-        RaisingBackend(),
-        inject_gold_sql={i.question: i.sql_trace[0].statement for i in desk_instances},
-    )
+    agent = DbAgent(desk_store, make_oracle_backend(desk_instances, desk_store))
     for inst in desk_instances:
         assert agent.handle(_task(inst.question)).status == "success"
 

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from estateqa.backends import OracleBackend, parse_task_header
+from estateqa.backends import BackendError, OracleBackend, parse_task_header
 from estateqa.domain import CanonicalAnswer
 from estateqa.evaluator import (
     ABLATION_LADDER,
@@ -251,15 +251,19 @@ def test_render_table_layout(desk_instances):
 
 
 class SabotageBackend:
-    """Oracle everywhere except one broken stage; that stage emits garbage."""
+    """Oracle everywhere except the broken stages; those emit garbage, or
+    raise ``BackendError`` when ``raises`` is set."""
 
-    def __init__(self, oracle: OracleBackend, broken_stage: str) -> None:
+    def __init__(self, oracle: OracleBackend, *broken_stages: str, raises: bool = False) -> None:
         self.oracle = oracle
-        self.broken_stage = broken_stage
+        self.broken_stages = broken_stages
+        self.raises = raises
 
     def complete(self, system_prompt, messages):
         header = parse_task_header(messages)
-        if header.get("task") == self.broken_stage:
+        if header.get("task") in self.broken_stages:
+            if self.raises:
+                raise BackendError(f"sabotaged stage {header['task']}")
             return "I cannot comply with the requested format."
         return self.oracle.complete(system_prompt, messages)
 
@@ -276,7 +280,7 @@ def eval_slice(desk_instances):
 def test_oracle_suite_is_perfect(eval_slice, desk_store, desk_cache, desk_templates):
     backend = make_oracle_backend(eval_slice, desk_store)
     report, records = run_suite(
-        eval_slice, desk_store, desk_cache, backend, RunConfig(agents="oracle", inject_slu=True),
+        eval_slice, desk_store, desk_cache, backend, RunConfig(inject_slu=True, inject_sql=True, inject_api=True),
         desk_templates,
     )
     assert report.overall == {"acc": 1.0, "f1": 1.0, "count": len(eval_slice)}
@@ -287,7 +291,7 @@ def test_oracle_suite_is_perfect(eval_slice, desk_store, desk_cache, desk_templa
 def test_parallel_suite_matches_serial(eval_slice, desk_store, desk_cache, desk_templates):
     backend = make_oracle_backend(eval_slice, desk_store)
     serial, _ = run_suite(
-        eval_slice, desk_store, desk_cache, backend, RunConfig(agents="oracle", inject_slu=True),
+        eval_slice, desk_store, desk_cache, backend, RunConfig(inject_slu=True, inject_sql=True, inject_api=True),
         desk_templates,
     )
     parallel, _ = run_suite(
@@ -295,7 +299,7 @@ def test_parallel_suite_matches_serial(eval_slice, desk_store, desk_cache, desk_
         desk_store,
         desk_cache,
         backend,
-        RunConfig(agents="oracle", inject_slu=True, parallelism=4),
+        RunConfig(inject_slu=True, inject_sql=True, inject_api=True, parallelism=4),
         desk_templates,
     )
     assert parallel.to_dict()["overall"] == serial.to_dict()["overall"]
@@ -333,6 +337,28 @@ def test_api_sabotage_recovered_by_gt_api(eval_slice, desk_store, desk_cache, de
     assert rung.per_type[3]["acc"] == 0.0
     full = reports["gt_slu_sql_api"]
     assert full.overall["acc"] == 1.0
+
+
+def test_injected_specialists_never_reach_the_run_backend(
+    eval_slice, desk_store, desk_cache, desk_templates
+):
+    """Under inject sql,api both specialists ask the oracle, so a run backend
+    that fails every specialist stage still scores 1.0."""
+    backend = SabotageBackend(
+        make_oracle_backend(eval_slice, desk_store),
+        "caption_summary", "generate_sql", "decide_tools",
+        raises=True,
+    )
+    live, _ = run_suite(
+        eval_slice, desk_store, desk_cache, backend, RunConfig(step_cap=9), desk_templates
+    )
+    assert live.overall["acc"] == 0.0  # every route needs the db stage
+    injected, _ = run_suite(
+        eval_slice, desk_store, desk_cache, backend,
+        RunConfig(inject_sql=True, inject_api=True, step_cap=9), desk_templates,
+    )
+    assert injected.overall == {"acc": 1.0, "f1": 1.0, "count": len(eval_slice)}
+    assert injected.failures == {}
 
 
 def test_run_config_validation():

@@ -1,10 +1,11 @@
 """Map agent: decision parsing, coordinate resolution from context, synthesis
-rules, attempt cap, and gold tool injection."""
+rules, attempt cap, and gold tool injection through the oracle."""
 
 from __future__ import annotations
 
 from doubles import ScriptedBackend
 from estateqa.domain import GeoPoint
+from estateqa.evaluator import make_oracle_backend
 from estateqa.map_agent import (
     MapAgent,
     SynthesisRule,
@@ -48,9 +49,9 @@ def _decision(origin_lat, mode="driving", function="time_query", label=""):
     )
 
 
-def _agent(durations, backend=None, **kwargs):
+def _agent(durations, backend=None):
     cache = ToolCache(provider=StubProvider(durations))
-    return MapAgent(cache, backend or ScriptedBackend(), **kwargs)
+    return MapAgent(cache, backend or ScriptedBackend())
 
 
 def _task(question="q", coordinates=None):
@@ -253,13 +254,9 @@ def test_handle_no_decisions_after_reprompt_is_unable():
     assert "no parseable tool decisions" in result.error_report
 
 
-def test_handle_injected_gold_tools(desk_cache, desk_instances):
+def test_handle_injected_gold_tools(desk_cache, desk_store, desk_instances):
     inst = next(i for i in desk_instances if i.question_type == 2)
-    agent = MapAgent(
-        desk_cache,
-        ScriptedBackend(default="should not be needed"),
-        inject_gold_tools={inst.question: inst.tool_trace},
-    )
+    agent = MapAgent(desk_cache, make_oracle_backend([inst], desk_store))
     result = agent.handle(_task(inst.question))
     assert result.status == "success"
     calls = [p for p in result.evidence if p["type"] == "tool_call"]
@@ -272,20 +269,18 @@ def test_handle_injected_gold_tools(desk_cache, desk_instances):
     )
 
 
-def test_gold_injection_passthrough_carries_type2_answers(desk_cache, desk_instances, desk_templates):
+def test_gold_injection_passthrough_carries_type2_answers(
+    desk_cache, desk_store, desk_instances, desk_templates
+):
     """With gold calls injected, passthrough evidence carries the gold answer
     for every type 2 instance: the scalar value for duration/distance rules,
     and the (sorted, limit-prefixed) entity list for listing rules."""
     registry = {t.template_id: t for t in desk_templates}
+    agent = MapAgent(desk_cache, make_oracle_backend(desk_instances, desk_store))
     checked = 0
     for inst in desk_instances:
         if inst.question_type != 2:
             continue
-        agent = MapAgent(
-            desk_cache,
-            ScriptedBackend(),
-            inject_gold_tools={inst.question: inst.tool_trace},
-        )
         result = agent.handle(_task(inst.question))
         assert result.status == "success", (inst.id, result.error_report)
         rule = registry[inst.template_id].answer_rule

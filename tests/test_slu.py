@@ -14,7 +14,6 @@ from doubles import RaisingBackend, ScriptedBackend
 from estateqa.domain import SlotAnnotation
 from estateqa.generator import stratified_split
 from estateqa.slu import (
-    _NUMERIC_PATTERNS,
     FewShotSlu,
     Gazetteer,
     LexiconSlu,
@@ -71,8 +70,12 @@ def test_word_boundary_guard():
     assert [s.value for s in slu.predict("a park nearby").slots] == ["park"]
 
 
-def _reference_slots(gazetteer: Gazetteer, question: str) -> tuple[SlotAnnotation, ...]:
-    """Brute-force oracle: one ``str.find`` scan per gazetteer surface."""
+def _reference_slots(
+    gazetteer: Gazetteer, question: str, numeric: tuple[SlotAnnotation, ...] = ()
+) -> tuple[SlotAnnotation, ...]:
+    """Brute-force oracle: one ``str.find`` scan per gazetteer surface, plus
+    the ``numeric`` slots, which the lexicon reads from the matching template
+    (the gold slots of the types no gazetteer entry carries)."""
 
     def is_boundary(start: int, end: int) -> bool:
         before = question[start - 1] if start > 0 else " "
@@ -90,11 +93,7 @@ def _reference_slots(gazetteer: Gazetteer, question: str) -> tuple[SlotAnnotatio
             if is_boundary(idx, end):
                 candidates.append(SlotAnnotation(slot_type, surface, idx, end))
             start = idx + 1
-    for slot_type, pattern in _NUMERIC_PATTERNS:
-        for match in pattern.finditer(question):
-            candidates.append(
-                SlotAnnotation(slot_type, match.group(1), match.start(1), match.end(1))
-            )
+    candidates.extend(numeric)
     candidates.sort(key=lambda s: (-(s.end - s.start), s.start, s.slot_type))
     chosen = []
     for cand in candidates:
@@ -106,17 +105,19 @@ def _reference_slots(gazetteer: Gazetteer, question: str) -> tuple[SlotAnnotatio
 
 def test_indexed_matcher_equals_reference_on_desk_questions(lexicon, desk_instances):
     assert desk_instances
+    carried = set(lexicon.gazetteer.entries.values())
     for inst in desk_instances:
         prediction = lexicon.predict(inst.question)
-        assert prediction.slots == _reference_slots(lexicon.gazetteer, inst.question), (
-            inst.question
-        )
+        numeric = tuple(s for s in inst.slots if s.slot_type not in carried)
+        assert prediction.slots == _reference_slots(
+            lexicon.gazetteer, inst.question, numeric
+        ), inst.question
         assert prediction.intents == inst.intents, inst.question
 
 
 def test_each_desk_question_fully_matches_only_its_own_template(desk_instances, desk_templates):
     for inst in desk_instances:
-        matched = [t.template_id for t in desk_templates if t.matches(inst.question)]
+        matched = [t.template_id for t in desk_templates if t.match(inst.question)]
         assert matched == [inst.template_id], inst.question
 
 
@@ -154,7 +155,7 @@ def test_swapped_template_set_predicts_its_own_intents(desk_store):
     ],
 )
 def test_question_pattern_matching(question, matches):
-    assert _swapped_template().matches(question) is matches
+    assert (_swapped_template().match(question) is not None) is matches
 
 
 ADVERSARIAL = [
@@ -194,7 +195,7 @@ ADVERSARIAL = [
         ["Bay Bay Bay Bay Bay", "Alpha Park or Alpha Park?\nAlpha Park"],
         [("poi_name", "Bay Bay"), ("poi_name", "Bay Bay"), ("poi_label", "Bay")],
     ),
-    # a span the gazetteer and a numeric pattern both claim breaks to the type name
+    # a gazetteer entry may carry a numeric slot type; its longer span wins
     (
         {"2": "poi_name", "2 km": "radius_km"},
         ["Which POIs are within 2 km of 2?"],
@@ -250,6 +251,22 @@ def test_numeric_patterns(lexicon):
     values = {(s.slot_type, s.value) for s in prediction.slots}
     assert ("count", "3") in values
     assert ("radius_km", "2") in values
+
+
+def test_numeric_slot_of_a_reworded_template(desk_store):
+    """A numeric slot comes from the template, however the template words it."""
+    shipped = next(t for t in default_templates() if t.template_id == "t3_nearby_count")
+    reworded = Template.from_dict({
+        **shipped.to_dict(),
+        "question_pattern": "How many {poi_label} POIs lie inside a {radius_km} km radius"
+                            " of {community_name} in {city}?",
+    })
+    slu = LexiconSlu(Gazetteer.from_store(desk_store), [reworded])
+    name = desk_store.communities("Suzhou")[0].name
+    question = f"How many park POIs lie inside a 2 km radius of {name} in Suzhou?"
+    prediction = slu.predict(question)
+    assert prediction.intents == shipped.intents
+    assert ("radius_km", "2") in {(s.slot_type, s.value) for s in prediction.slots}
 
 
 def test_lexicon_quality_on_test_split(lexicon, desk_instances):

@@ -156,7 +156,8 @@ def test_coordinates_flow_between_specialists():
         }
     )
     db = StubSpecialist(
-        ok([{"type": "coordinates", "entries": {"Jade Court": [23.0, 113.0]}}])
+        ok([{"type": "sql", "statement": "SELECT ...", "ok": True,
+             "columns": ["name", "latitude", "longitude"], "rows": [["Jade Court", 23.0, 113.0]]}])
     )
     map_stub = StubSpecialist(ok([{"type": "value", "kind": "duration", "value": 10}]))
     supervisor = Supervisor(backend, {"db_agent": db, "map_agent": map_stub})
