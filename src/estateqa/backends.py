@@ -21,10 +21,10 @@ when a reply lacks its envelope).
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import re
-import urllib.error
 import urllib.request
 from typing import Callable, Mapping, Protocol, Sequence, TypeVar
 
@@ -209,31 +209,27 @@ def _first_table(statement: str) -> str | None:
     return match.group(1) if match else None
 
 
+HTTP_TIMEOUT_S = 60.0
+
+
 class HttpBackend:
     """Chat-completion client over HTTP in the standard message-list format.
 
     The API key is read from the named environment variable at call time and
-    sent as a bearer token; requests carry {model, messages, temperature}.
+    sent as a bearer token; requests carry {model, messages, temperature 0}.
+    Any transport, HTTP-protocol or decoding failure, and a reply whose
+    content is not text, raises :class:`BackendError`.
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        api_key_env: str = "ESTATEQA_API_KEY",
-        temperature: float = 0.0,
-        timeout_s: float = 60.0,
-    ) -> None:
+    def __init__(self, endpoint: str, model: str, api_key_env: str = "ESTATEQA_API_KEY") -> None:
         self.endpoint = endpoint
         self.model = model
         self.api_key_env = api_key_env
-        self.temperature = temperature
-        self.timeout_s = timeout_s
 
     def complete(self, system_prompt: str, messages: Sequence[Message]) -> str:
         payload = {
             "model": self.model,
-            "temperature": self.temperature,
+            "temperature": 0.0,
             "messages": [{"role": "system", "content": system_prompt}, *map(dict, messages)],
         }
         headers = {"Content-Type": "application/json"}
@@ -247,11 +243,15 @@ class HttpBackend:
             method="POST",
         )
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout_s) as response:
+            with urllib.request.urlopen(request, timeout=HTTP_TIMEOUT_S) as response:
                 body = json.loads(response.read().decode("utf-8"))
-        except (urllib.error.URLError, json.JSONDecodeError, OSError) as exc:
+        except (OSError, ValueError, http.client.HTTPException) as exc:
+            # URLError is an OSError; JSON and UTF-8 decoding errors are ValueErrors
             raise BackendError(f"chat backend request failed: {exc}") from exc
         try:
-            return body["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise BackendError(f"malformed chat completion response: {body!r}") from exc
+            content = body["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError):
+            content = None
+        if not isinstance(content, str):
+            raise BackendError(f"malformed chat completion response: {body!r}")
+        return content

@@ -1,7 +1,7 @@
 """BM25 ranking over table captions.
 
 Standard Okapi scoring with the non-negative idf variant
-idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)), k1=1.2, b=0.75.
+idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)), with the fixed K1=1.2 and B=0.75.
 
 Tokenization: lowercase, split on non-alphanumeric boundaries; runs of CJK
 characters additionally emit character bigrams so retrieval stays meaningful
@@ -14,6 +14,9 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+
+K1 = 1.2
+B = 0.75
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 _CJK_RE = re.compile(r"[一-鿿㐀-䶿]+")
@@ -42,12 +45,10 @@ class ScoredCaption:
 
 
 class Bm25Index:
-    def __init__(self, captions: list[str], k1: float = 1.2, b: float = 0.75) -> None:
+    def __init__(self, captions: list[str]) -> None:
         if not captions:
             raise ValueError("cannot build an index over an empty caption corpus")
         self.captions = list(captions)
-        self.k1 = k1
-        self.b = b
         self._tf = [Counter(tokenize(c)) for c in captions]
         self._doc_len = [sum(tf.values()) for tf in self._tf]
         self.avgdl = sum(self._doc_len) / len(captions)
@@ -62,13 +63,13 @@ class Bm25Index:
     def score(self, query: str, doc_index: int) -> float:
         tf = self._tf[doc_index]
         dl = self._doc_len[doc_index]
-        norm = self.k1 * (1.0 - self.b + self.b * dl / self.avgdl) if self.avgdl else self.k1
+        norm = K1 * (1.0 - B + B * dl / self.avgdl) if self.avgdl else K1
         total = 0.0
         for term in tokenize(query):
             f = tf.get(term)
             if not f:
                 continue
-            total += self._idf[term] * f * (self.k1 + 1.0) / (f + norm)
+            total += self._idf[term] * f * (K1 + 1.0) / (f + norm)
         return total
 
     def rank(self, query: str, k: int = 1) -> list[ScoredCaption]:

@@ -36,7 +36,7 @@ from .fixtures import write_fixture
 from .generator import generate, revalidate_instance, stratified_split
 from .slu import build_fewshot_pool
 from .store import GeoStore, IngestError, StoreConfig
-from .supervisor import EpisodeTranscript
+from .supervisor import DEFAULT_STEP_CAP, EpisodeTranscript
 from .templates import TemplateError, default_templates, load_template_dir
 from .tools import SyntheticProvider, ToolCache
 
@@ -300,7 +300,9 @@ def _suite_inputs(opts: argparse.Namespace) -> tuple[tuple, Path]:
 def cmd_run(opts: argparse.Namespace) -> int:
     suite_args, run_dir = _suite_inputs(opts)
     report, records = run_suite(*suite_args)
-    with open(run_dir / "transcripts.jsonl", "w", encoding="utf-8") as fh:
+    # a lone surrogate from a model reply is written as its JSON escape
+    path = run_dir / "transcripts.jsonl"
+    with open(path, "w", encoding="utf-8", errors="backslashreplace") as fh:
         for record in records:
             fh.write(json.dumps(record.transcript.to_dict(), ensure_ascii=False) + "\n")
     _write_report(run_dir, "report", report)
@@ -360,7 +362,7 @@ _CITIES = Setting("cities", "list", required=True)
 _OVERWRITE = Setting("overwrite", "flag", False)
 _TEMPLATES = Setting("templates")
 _INJECT = Setting("inject", "list", (), choices=("slu", "sql", "api"))
-_STEP_CAP = Setting("step_cap", "int", 25, minimum=1)
+_STEP_CAP = Setting("step_cap", "int", DEFAULT_STEP_CAP, minimum=1)
 _SUITE = (  # `run` and `ablate`, in help order
     _STORE, _CACHE, _DATASET, _OUT,
     Setting("backend", required=True, choices=("oracle", "http")),

@@ -4,8 +4,8 @@ few-shot SQL generation, and read-only execution.
 The caption stage asks the backend for a one-line description of the ideal
 table ("hypothetical caption"), ranks the real caption catalog against it with
 BM25, and hands the winning schema to the SQL stage. Generated SQL must arrive
-inside a fenced ```sql block; one reprompt is allowed before the dispatch
-fails.
+inside a fenced ```sql block: :func:`extract_sql` returns the statement or
+None, and a reply without one gets one reprompt before the dispatch fails.
 """
 
 from __future__ import annotations
@@ -27,26 +27,12 @@ _SQL_NUDGE = (
 )
 
 
-class SqlExtractionError(RuntimeError):
-    pass
-
-
-def extract_sql(reply: str) -> str:
-    """Pull the single statement out of a mandated ```sql fenced envelope."""
+def extract_sql(reply: str) -> str | None:
+    """The single statement of the mandated ```sql fenced envelope, or None
+    when the reply has no such block or only an empty one."""
     match = _SQL_FENCE_RE.search(reply)
-    if not match:
-        raise SqlExtractionError("no ```sql fenced block in reply")
-    statement = match.group(1).strip().rstrip(";")
-    if not statement:
-        raise SqlExtractionError("empty ```sql fenced block")
-    return statement
-
-
-def _sql_or_none(reply: str) -> str | None:
-    try:
-        return extract_sql(reply)
-    except SqlExtractionError:
-        return None
+    statement = match.group(1).strip().rstrip(";") if match else ""
+    return statement or None
 
 
 def execute_and_package(store: GeoStore, statement: str) -> AgentResult:
@@ -101,7 +87,7 @@ class DbAgent:
         (best,) = self.index.rank(summary, k=1)
         return self._by_text[best.caption], best.score
 
-    def generate_sql(self, task: AgentTask, caption: TableCaption) -> str:
+    def generate_sql(self, task: AgentTask, caption: TableCaption) -> str | None:
         content = self._prompt(
             "generate_sql",
             task,
@@ -111,10 +97,7 @@ class DbAgent:
             columns=", ".join(caption.columns),
         )
         send = partial(ask, self.backend, self.system_prompt)
-        statement = reprompt_once(send, content, _sql_or_none, _SQL_NUDGE)
-        if statement is None:
-            raise SqlExtractionError("no ```sql fenced block after reprompt")
-        return statement
+        return reprompt_once(send, content, extract_sql, _SQL_NUDGE)
 
     # --- dispatch entry point ---------------------------------------------------
 
@@ -123,8 +106,12 @@ class DbAgent:
             summary = self.caption_summary(task)
             caption, score = self.retrieve_caption(summary)
             statement = self.generate_sql(task, caption)
-        except (BackendError, SqlExtractionError) as exc:
+        except BackendError as exc:
             return AgentResult(status="error", error_report=str(exc))
+        if statement is None:
+            return AgentResult(
+                status="error", error_report="no ```sql fenced block after reprompt"
+            )
         result = execute_and_package(self.store, statement)
         result.evidence.insert(
             0,

@@ -33,7 +33,7 @@ from .domain import CanonicalAnswer, QAInstance, answer_equal
 from .map_agent import MapAgent
 from .slu import FewShotSlu, Gazetteer, LexiconSlu, SluPrediction, slu_metrics
 from .store import GeoStore
-from .supervisor import EpisodeTranscript, Supervisor
+from .supervisor import DEFAULT_STEP_CAP, EpisodeTranscript, Supervisor
 from .templates import Template
 from .tools import ToolCache
 
@@ -111,15 +111,11 @@ class RunConfig:
     inject_slu: bool = False
     inject_sql: bool = False
     inject_api: bool = False
-    step_cap: int = 25
+    step_cap: int = DEFAULT_STEP_CAP
     seed: int = 0
     parallelism: int = 1
     slu_strategy: str = "lexicon"  # lexicon | fewshot
     agents: str = "live"  # the only value; recorded in the report's config
-
-    def __post_init__(self) -> None:
-        if self.step_cap < 1:
-            raise ValueError("step_cap must be >= 1")
 
 
 @dataclass

@@ -63,21 +63,13 @@ class ToolDecision:
     label: str = ""
 
 
-@dataclass
-class MissingCoordinates(Exception):
-    entity: str
-
-    def __str__(self) -> str:
-        return (
-            f"geographical coordinates required for the task are missing for {self.entity!r}"
-        )
-
-
-def parse_decisions(reply: str) -> tuple[list[ToolDecision], SynthesisRule, str]:
-    """Parse (decisions, synthesis rule, unable-reason) from a backend reply."""
+def parse_decisions(reply: str) -> tuple[list[ToolDecision], SynthesisRule, str] | None:
+    """(decisions, synthesis rule, unable-reason) of a backend reply, or None
+    when it holds no usable TOOL line and no UNABLE line with a reason."""
     unable = _UNABLE_RE.search(reply)
     if unable:
-        return [], SynthesisRule(), unable.group(1).strip()
+        reason = unable.group(1).strip()
+        return ([], SynthesisRule(), reason) if reason else None
     decisions = []
     for function, params_json, bucket in _TOOL_LINE_RE.findall(reply):
         try:
@@ -85,6 +77,8 @@ def parse_decisions(reply: str) -> tuple[list[ToolDecision], SynthesisRule, str]
         except json.JSONDecodeError:
             continue
         decisions.append(ToolDecision(function=function, params=params, bucket=bucket or None))
+    if not decisions:
+        return None
     synth = SynthesisRule()
     match = _SYNTH_RE.search(reply)
     if match:
@@ -97,11 +91,6 @@ def parse_decisions(reply: str) -> tuple[list[ToolDecision], SynthesisRule, str]
             value=float(match.group(3)) if match.group(3) else None,
         )
     return decisions, synth, ""
-
-
-def _decisions_or_none(reply: str) -> tuple[list[ToolDecision], SynthesisRule, str] | None:
-    decisions, _, unable = parsed = parse_decisions(reply)
-    return parsed if decisions or unable else None
 
 
 class MapAgent:
@@ -131,24 +120,26 @@ class MapAgent:
         content += "\n\nCONTEXT coordinates:\n" + (context or "(none)")
         content += "\n\n" + self.tool_descriptions
         send = partial(ask, self.backend, self.system_prompt)
-        return reprompt_once(send, content, _decisions_or_none, _TOOLS_NUDGE)
+        return reprompt_once(send, content, parse_decisions, _TOOLS_NUDGE)
 
     def _resolve_params(
         self, decision: ToolDecision, coordinates: Mapping[str, GeoPoint]
-    ) -> dict[str, Any]:
-        """Swap entity-name references for coordinates from the task context."""
+    ) -> tuple[dict[str, Any], str | None]:
+        """Swap entity-name references for coordinates from the task context.
+        The second item names the first entity the context has no coordinates
+        for, or is None when every name resolves."""
         params = dict(decision.params)
         for name_key, (lat_key, lon_key) in _NAME_PARAM_PREFIXES.items():
             if name_key in params:
                 entity = str(params.pop(name_key))
                 point = coordinates.get(entity)
                 if point is None:
-                    raise MissingCoordinates(entity)
+                    return params, entity
                 params[lat_key] = point.latitude
                 params[lon_key] = point.longitude
                 if not decision.label:
                     decision.label = entity
-        return params
+        return params, None
 
     def _label_for(
         self,
@@ -180,10 +171,13 @@ class MapAgent:
         origins = set()
         resolved: list[tuple[ToolDecision, dict[str, Any]]] = []
         for decision in decisions:
-            try:
-                params = self._resolve_params(decision, coordinates)
-            except MissingCoordinates as exc:
-                return AgentResult(status="unable", error_report=str(exc))
+            params, missing = self._resolve_params(decision, coordinates)
+            if missing is not None:
+                return AgentResult(
+                    status="unable",
+                    error_report="geographical coordinates required for the task"
+                    f" are missing for {missing!r}",
+                )
             resolved.append((decision, params))
             if "origin_lat" in params:
                 origins.add((params["origin_lat"], params["origin_lon"]))
@@ -288,10 +282,6 @@ class MapAgent:
                 evidence.append(
                     {"type": "entities", "names": [str(r[name_idx]) for r in last_rows]}
                 )
-        if not evidence:
-            return AgentResult(
-                status="error", evidence=[], error_report="tool execution produced no evidence"
-            )
         return AgentResult(status="success", evidence=evidence)
 
     # --- dispatch entry point ------------------------------------------------------------

@@ -153,9 +153,7 @@ class LexiconSlu:
 FEWSHOT_EXAMPLE_COUNT = 26
 
 
-def build_fewshot_pool(
-    training: Sequence[QAInstance], seed: int, count: int = FEWSHOT_EXAMPLE_COUNT
-) -> list[QAInstance]:
+def build_fewshot_pool(training: Sequence[QAInstance], seed: int) -> list[QAInstance]:
     """Sample a worked-example pool covering the full spectrum of intents."""
     rng = random.Random(f"fewshot:{seed}")
     by_intent: dict[str, list[QAInstance]] = {}
@@ -171,8 +169,8 @@ def build_fewshot_pool(
             seen.add(pick.id)
     remaining = [i for i in training if i.id not in seen]
     rng.shuffle(remaining)
-    pool.extend(remaining[: max(0, count - len(pool))])
-    return pool[:count]
+    pool.extend(remaining[: max(0, FEWSHOT_EXAMPLE_COUNT - len(pool))])
+    return pool[:FEWSHOT_EXAMPLE_COUNT]
 
 
 class FewShotSlu:

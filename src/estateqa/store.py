@@ -445,8 +445,9 @@ class GeoStore:
                 cursor.execute(statement)
                 rows = cursor.fetchmany(SQL_ROW_CAP + 1)
                 columns = tuple(d[0] for d in cursor.description or ())
-            except (sqlite3.Error, sqlite3.Warning) as exc:
-                # Warning covers multi-statement input, which is not an Error
+            except (sqlite3.Error, sqlite3.Warning, UnicodeEncodeError) as exc:
+                # Warning covers multi-statement input, which is not an Error;
+                # a lone surrogate (a JSON "\ud800" escape) cannot be encoded
                 if ticks > _BUDGET_TICKS:
                     raise SqlExecutionError(
                         f"statement exceeded the budget of {SQL_OP_BUDGET:,} VM operations"

@@ -3,10 +3,12 @@
 The supervisor turns SLU output into an ordered plan of specialist directives,
 dispatches them one at a time, folds returned evidence into its context
 (the coordinates in SQL results feed later map calls), and replans on
-specialist error or inability. It finalizes once a dispatch succeeds with the
-plan queue empty, sending the evidence gathered so far. Episodes always halt:
-every loop iteration consumes step budget and the cap (default 25) converts
-exhaustion into an "unanswerable" verdict.
+specialist error or inability. An episode is one loop of steps: each step
+either plans (at the start, or as a replan after a failed dispatch) or
+dispatches one directive. It finalizes once a dispatch succeeds with the plan
+queue empty, sending the evidence gathered so far. Episodes always halt: the
+step cap (default 25) converts exhaustion into an "unanswerable" verdict, and
+a plan or replan without directives ends the episode as its stage's failure.
 
 Directive and answer envelopes are strict line-oriented formats (see
 :mod:`estateqa.backends`); chain-of-thought text around them is ignored.
@@ -141,10 +143,6 @@ class EpisodeTranscript:
         )
 
 
-class PlanParseFailure(RuntimeError):
-    pass
-
-
 class Supervisor:
     """Orchestrates one episode per question over registered specialists."""
 
@@ -186,10 +184,10 @@ class Supervisor:
         intents: Sequence[str],
         slots: Sequence[SlotAnnotation],
         stage: str = "plan",
-        extra: str = "",
-    ) -> list[Directive]:
-        """One planning (or replanning) call; a reply without directives gets
-        exactly one reprompt before failing."""
+    ) -> list[Directive] | None:
+        """One planning (or replanning) call: the directives, or None when
+        neither the reply nor its one reprompt holds any. A replan shows the
+        backend the transcript's last, failed dispatch."""
         content = build_task_message(
             stage,
             question,
@@ -197,13 +195,14 @@ class Supervisor:
             slots="; ".join(f"{s.slot_type}={s.value}" for s in slots),
             specialists=", ".join(sorted(self.specialists)),
         )
-        if extra:
-            content += "\n" + extra
+        if stage == "replan":
+            failed = transcript.dispatches[-1]
+            content += (
+                f"\nPREVIOUS_FAILURE: {failed.specialist} reported"
+                f" {failed.status}: {failed.error_report}"
+            )
         send = partial(self._complete, transcript, stage)
-        directives = reprompt_once(send, content, self._parse_directives, _PLAN_NUDGE)
-        if directives is None:
-            raise PlanParseFailure(f"no parseable directives after reprompt ({stage})")
-        return directives
+        return reprompt_once(send, content, self._parse_directives, _PLAN_NUDGE)
 
     def finalize(
         self,
@@ -236,18 +235,23 @@ class Supervisor:
         transcript = EpisodeTranscript(instance_id=instance_id, question=question)
         evidence: list[dict[str, Any]] = []
         coordinates: dict[str, GeoPoint] = {}
+        queue: deque[Directive] = deque()
 
-        try:
-            transcript.step_count += 1  # planning consumes budget
-            queue = deque(self.plan(transcript, question, intents, slots))
-        except (PlanParseFailure, BackendError):
-            transcript.failure = "plan_failure"
-            return transcript
-
-        finalize_now = False
-        while queue and transcript.step_count < self.step_cap:
-            directive = queue.popleft()
+        while transcript.step_count < self.step_cap:
             transcript.step_count += 1
+            if not queue:  # the start, or the last dispatch failed
+                stage = "replan" if transcript.dispatches else "plan"
+                try:
+                    directives = self.plan(transcript, question, intents, slots, stage=stage)
+                except BackendError:
+                    directives = None
+                if directives is None:
+                    transcript.failure = f"{stage}_failure"
+                    return transcript
+                queue.extend(directives)
+                continue
+
+            directive = queue.popleft()
             task = AgentTask(
                 description=directive.description,
                 question=question,
@@ -273,44 +277,21 @@ class Supervisor:
                 )
             )
 
-            if result.status == "success":
-                evidence.extend(result.evidence)
-                for payload in result.evidence:
-                    if payload.get("type") == "sql" and payload.get("ok"):
-                        coordinates.update(
-                            extract_coordinates(payload["columns"], payload["rows"])
-                        )
-                if not queue:
-                    finalize_now = True
+            if result.status != "success":
+                queue.clear()  # replan with the failure in view
                 continue
-
-            # error or inability: replan with the failure in view
-            if transcript.step_count >= self.step_cap:
-                break
-            transcript.step_count += 1
-            try:
-                directives = self.plan(
-                    transcript,
-                    question,
-                    intents,
-                    slots,
-                    stage="replan",
-                    extra=(
-                        f"PREVIOUS_FAILURE: {directive.specialist} reported"
-                        f" {result.status}: {result.error_report}"
-                    ),
-                )
-            except (PlanParseFailure, BackendError):
-                transcript.failure = "replan_failure"
+            evidence.extend(result.evidence)
+            for payload in result.evidence:
+                if payload.get("type") == "sql" and payload.get("ok"):
+                    coordinates.update(
+                        extract_coordinates(payload["columns"], payload["rows"])
+                    )
+            if not queue:
+                try:
+                    transcript.final_answer = self.finalize(transcript, question, evidence)
+                except BackendError:
+                    transcript.failure = "finalize_backend_failure"
                 return transcript
-            queue = deque(directives)
 
-        if not finalize_now:
-            transcript.failure = transcript.failure or "step_cap_exhausted"
-            return transcript  # final_answer stays None: unanswerable
-
-        try:
-            transcript.final_answer = self.finalize(transcript, question, evidence)
-        except BackendError:
-            transcript.failure = "finalize_backend_failure"
-        return transcript
+        transcript.failure = "step_cap_exhausted"
+        return transcript  # final_answer stays None: unanswerable

@@ -249,6 +249,7 @@ class _Handler(BaseHTTPRequestHandler):
     requests: list[dict] = []
     response_body: bytes = b""
     status: int = 200
+    raw: bool = False  # write response_body as the whole response, status line included
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
@@ -256,6 +257,9 @@ class _Handler(BaseHTTPRequestHandler):
         type(self).requests.append(
             {"body": body, "auth": self.headers.get("Authorization")}
         )
+        if self.raw:
+            self.wfile.write(self.response_body)
+            return
         self.send_response(self.status)
         self.send_header("Content-Type", "application/json")
         self.end_headers()
@@ -272,6 +276,7 @@ def http_server():
         {"choices": [{"message": {"role": "assistant", "content": "pong"}}]}
     ).encode()
     _Handler.status = 200
+    _Handler.raw = False
     server = HTTPServer(("127.0.0.1", 0), _Handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -303,13 +308,21 @@ def test_http_backend_no_key_no_header(http_server, monkeypatch):
 
 def test_http_backend_malformed_response(http_server):
     endpoint, handler = http_server
-    handler.response_body = json.dumps({"unexpected": True}).encode()
     backend = HttpBackend(endpoint, model="m")
-    with pytest.raises(BackendError, match="malformed"):
-        backend.complete("s", [])
+    # (raw response, body, expected message)
+    for raw, body, match in (
+        (False, json.dumps({"unexpected": True}).encode(), "malformed"),
+        (False, b'{"choices": [{"message": {"content": null}}]}', "malformed"),
+        (False, b"\xff\xfe not utf-8", "request failed"),
+        (True, b"HTTP/1.0 200 OK\r\nContent-Length: 100\r\n\r\n{\"choices\"", "request failed"),
+        (True, b"NOT-HTTP garbage\r\n\r\n", "request failed"),
+    ):
+        handler.raw, handler.response_body = raw, body
+        with pytest.raises(BackendError, match=match):
+            backend.complete("s", [])
 
 
 def test_http_backend_unreachable():
-    backend = HttpBackend("http://127.0.0.1:9/nothing", model="m", timeout_s=0.5)
+    backend = HttpBackend("http://127.0.0.1:9/nothing", model="m")
     with pytest.raises(BackendError):
         backend.complete("s", [])

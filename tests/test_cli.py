@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from estateqa import cli, evaluator
+from estateqa.backends import parse_task_header
 from estateqa.cli import _flag, build_parser, main
 from estateqa.domain import read_instances
 from estateqa.slu import build_fewshot_pool
@@ -161,6 +162,34 @@ def test_unreachable_http_backend_exits_backend_failure(workdir, tmp_path):
                  "--out", str(tmp_path / "r4"), "--backend", "http",
                  "--endpoint", "http://127.0.0.1:9/unreachable",
                  "--model", "m"]) == 3
+
+
+def test_run_keeps_a_lone_surrogate_of_agent_sql(workdir, tmp_path, monkeypatch):
+    """A model reply can carry a lone surrogate through the JSON escape
+    \\ud800: its SQL fails as an error result, the run goes on, and the
+    transcript keeps the statement as written."""
+    build_backend = cli._build_backend
+
+    class SurrogateSql:
+        def __init__(self, oracle):
+            self.oracle = oracle
+
+        def complete(self, system_prompt, messages):
+            if parse_task_header(messages).get("task") == "generate_sql":
+                return "```sql\nSELECT '\ud800'\n```"
+            return self.oracle.complete(system_prompt, messages)
+
+    monkeypatch.setattr(cli, "_build_backend", lambda *args: SurrogateSql(build_backend(*args)))
+    out = tmp_path / "surrogate"
+    assert main(["run", "--store", str(workdir / "store.db"),
+                 "--cache", str(workdir / "cache.jsonl"),
+                 "--dataset", str(workdir / "splits" / "test.jsonl"),
+                 "--out", str(out), "--backend", "oracle"]) == 0
+    lines = (out / "transcripts.jsonl").read_text(encoding="utf-8").splitlines()
+    sql = [p for line in lines for d in json.loads(line)["dispatches"]
+           for p in d["evidence"] if p["type"] == "sql"]
+    assert sql and all(p["statement"] == "SELECT '\ud800'" for p in sql)
+    assert all(p["ok"] is False and "surrogates not allowed" in p["error"] for p in sql)
 
 
 def test_validate_catches_tampering(workdir, tmp_path):

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from doubles import RaisingBackend, ScriptedBackend
-from estateqa.db_agent import DbAgent, SqlExtractionError, execute_and_package, extract_sql
+from estateqa.db_agent import DbAgent, execute_and_package, extract_sql
 from estateqa.evaluator import make_oracle_backend
 from estateqa.store import extract_coordinates
 from estateqa.supervisor import AgentTask
@@ -29,10 +29,8 @@ def test_extract_sql_strips_trailing_semicolon():
 
 
 def test_extract_sql_requires_fence():
-    with pytest.raises(SqlExtractionError):
-        extract_sql("SELECT 1")
-    with pytest.raises(SqlExtractionError):
-        extract_sql("```sql\n\n```")
+    assert extract_sql("SELECT 1") is None
+    assert extract_sql("```sql\n\n```") is None
 
 
 # --- execute/package -------------------------------------------------------------
@@ -116,6 +114,21 @@ def test_generate_sql_double_failure_is_error(desk_store):
     result = agent.handle(_task())
     assert result.status == "error"
     assert "fenced" in result.error_report
+
+
+def test_unencodable_sql_is_error_result(desk_store):
+    # a chat reply can carry a lone surrogate through the JSON escape \ud800
+    backend = ScriptedBackend(
+        responses={
+            "caption_summary": "Table for Communities in Guangzhou",
+            "generate_sql": "```sql\nSELECT name FROM community_guangzhou WHERE name = '\ud800'\n```",
+        }
+    )
+    result = DbAgent(desk_store, backend).handle(_task())
+    assert result.status == "error"
+    assert "surrogates not allowed" in result.error_report
+    sql_payload = next(p for p in result.evidence if p["type"] == "sql")
+    assert sql_payload["ok"] is False
 
 
 def test_backend_failure_is_error_result(desk_store):

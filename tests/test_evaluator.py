@@ -361,6 +361,9 @@ def test_injected_specialists_never_reach_the_run_backend(
     assert injected.failures == {}
 
 
-def test_run_config_validation():
+def test_run_config_validation(eval_slice, desk_store, desk_cache, desk_templates):
+    backend = make_oracle_backend(eval_slice, desk_store)
     with pytest.raises(ValueError):
-        RunConfig(step_cap=0)
+        run_suite(
+            eval_slice, desk_store, desk_cache, backend, RunConfig(step_cap=0), desk_templates
+        )

@@ -92,13 +92,15 @@ def test_parse_decisions_unable():
 
 
 def test_parse_decisions_garbage():
-    decisions, rule, unable = parse_decisions("I'd rather write a poem")
-    assert decisions == [] and not unable
+    assert parse_decisions("I'd rather write a poem") is None
+    assert parse_decisions("SYNTHESIZE: passthrough") is None  # no TOOL line
+    _, rule, unable = parse_decisions('TOOL: time_query PARAMS: {"mode": "driving"}')
+    assert not unable
     assert rule.kind == "passthrough"
 
 
 def test_parse_compare_aliases_argmin():
-    _, rule, _ = parse_decisions("SYNTHESIZE: compare")
+    _, rule, _ = parse_decisions('TOOL: time_query PARAMS: {}\nSYNTHESIZE: compare')
     assert rule.kind == "argmin"
 
 

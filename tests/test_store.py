@@ -508,6 +508,7 @@ def test_non_select_statements_rejected(desk_store):
         "UPDATE community_guangzhou SET name = 'x'",
         "PRAGMA journal_mode = DELETE",
         "",
+        "SELECT '\ud800'",  # a lone surrogate cannot be encoded for the engine
     ):
         with pytest.raises(SqlExecutionError):
             desk_store.execute_sql(statement)

@@ -115,6 +115,22 @@ def test_always_error_specialist_terminates_unanswerable():
     assert all(e.status == "error" for e in transcript.dispatches)
 
 
+@pytest.mark.parametrize("cap", range(1, 7))
+def test_step_accounting_with_an_always_failing_specialist(cap):
+    # steps alternate plan, dispatch, replan, dispatch, ...: each uses one step
+    backend = ScriptedBackend(
+        responses={"plan": "DISPATCH db_agent: try", "replan": "DISPATCH db_agent: try again"}
+    )
+    supervisor = Supervisor(backend, {"db_agent": StubSpecialist(error())}, step_cap=cap)
+    transcript = supervisor.run_episode("q", [], [])
+    stages = [e["stage"] for e in transcript.backend_events]
+    assert transcript.step_count == cap
+    assert len(transcript.dispatches) == cap // 2
+    assert stages == ["plan"] + ["replan"] * ((cap - 1) // 2)
+    assert transcript.failure == "step_cap_exhausted"
+    assert transcript.final_answer is None
+
+
 def test_misroute_recovery_via_replanning():
     # type-1 shaped question wrongly routed to map_agent first
     backend = ScriptedBackend(
