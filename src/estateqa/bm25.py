@@ -61,11 +61,14 @@ class Bm25Index:
         }
 
     def score(self, query: str, doc_index: int) -> float:
+        return self._score(tokenize(query), doc_index)
+
+    def _score(self, terms: list[str], doc_index: int) -> float:
         tf = self._tf[doc_index]
         dl = self._doc_len[doc_index]
         norm = K1 * (1.0 - B + B * dl / self.avgdl) if self.avgdl else K1
         total = 0.0
-        for term in tokenize(query):
+        for term in terms:
             f = tf.get(term)
             if not f:
                 continue
@@ -73,7 +76,10 @@ class Bm25Index:
         return total
 
     def rank(self, query: str, k: int = 1) -> list[ScoredCaption]:
-        """Top-k captions by score; ties break by caption lexicographic order."""
-        scored = [ScoredCaption(c, self.score(query, i)) for i, c in enumerate(self.captions)]
+        """Top-k captions by score; ties break by caption lexicographic order.
+        The query is tokenized once; a term no caption holds adds nothing to
+        any score, so it is dropped before scoring."""
+        terms = [t for t in tokenize(query) if t in self._idf]
+        scored = [ScoredCaption(c, self._score(terms, i)) for i, c in enumerate(self.captions)]
         scored.sort(key=lambda s: (-s.score, s.caption))
         return scored[: max(1, k)]

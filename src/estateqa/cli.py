@@ -29,6 +29,7 @@ from .evaluator import (
     RunConfig,
     aggregate,
     make_oracle_backend,
+    parse_episode_line,
     run_ablation,
     run_suite,
 )
@@ -36,7 +37,7 @@ from .fixtures import write_fixture
 from .generator import generate, revalidate_instance, stratified_split
 from .slu import build_fewshot_pool
 from .store import GeoStore, IngestError, StoreConfig
-from .supervisor import DEFAULT_STEP_CAP, EpisodeTranscript
+from .supervisor import DEFAULT_STEP_CAP
 from .templates import TemplateError, default_templates, load_template_dir
 from .tools import SyntheticProvider, ToolCache
 
@@ -304,7 +305,7 @@ def cmd_run(opts: argparse.Namespace) -> int:
     path = run_dir / "transcripts.jsonl"
     with open(path, "w", encoding="utf-8", errors="backslashreplace") as fh:
         for record in records:
-            fh.write(json.dumps(record.transcript.to_dict(), ensure_ascii=False) + "\n")
+            fh.write(json.dumps(record.to_dict(), ensure_ascii=False) + "\n")
     _write_report(run_dir, "report", report)
     print(report.render_table())
 
@@ -325,16 +326,13 @@ def cmd_eval(opts: argparse.Namespace) -> int:
     if not transcripts_path.exists():
         raise CliError(f"{transcripts_path} does not exist")
     instances = {i.id: i for i in read_instances(opts.dataset)}
-    transcripts: list[EpisodeTranscript] = []
-    golds = []
-    for transcript in read_json_lines(transcripts_path, EpisodeTranscript.from_dict):
+    records = []
+    for transcript, prediction in read_json_lines(transcripts_path, parse_episode_line):
         gold = instances.get(transcript.instance_id)
         if gold is None:
             print(f"no gold instance for {transcript.instance_id}", file=sys.stderr)
             return EXIT_VALIDATION
-        transcripts.append(transcript)
-        golds.append(gold)
-    records = [EpisodeRecord(g, t, None) for g, t in zip(golds, transcripts)]
+        records.append(EpisodeRecord(gold, transcript, prediction))
     report = aggregate(records, _run_config(opts))
     _write_report(run_dir, "eval", report)
     print(report.render_table())

@@ -244,6 +244,13 @@ class SlotAnnotation:
     start: int
     end: int
 
+    def to_dict(self) -> dict[str, Any]:
+        return {"slot_type": self.slot_type, "value": self.value, "start": self.start, "end": self.end}
+
+    @classmethod
+    def from_dict(cls, data: dict[str, Any]) -> "SlotAnnotation":
+        return cls(data["slot_type"], data["value"], int(data["start"]), int(data["end"]))
+
     def check_against(self, question: str) -> None:
         if question[self.start : self.end] != self.value:
             raise DomainError(
@@ -348,10 +355,7 @@ def instance_to_dict(inst: QAInstance) -> dict[str, Any]:
         "question": inst.question,
         "question_type": inst.question_type,
         "intents": list(inst.intents),
-        "slots": [
-            {"slot_type": s.slot_type, "value": s.value, "start": s.start, "end": s.end}
-            for s in inst.slots
-        ],
+        "slots": [s.to_dict() for s in inst.slots],
         # span annotations are canonical; IOB rides along for tagger training
         "iob": iob_tags(inst.question, inst.slots),
         "sql_trace": [
@@ -385,10 +389,7 @@ def instance_from_dict(data: dict[str, Any]) -> QAInstance:
         question=data["question"],
         question_type=int(data["question_type"]),
         intents=tuple(data["intents"]),
-        slots=tuple(
-            SlotAnnotation(s["slot_type"], s["value"], int(s["start"]), int(s["end"]))
-            for s in data["slots"]
-        ),
+        slots=tuple(SlotAnnotation.from_dict(s) for s in data["slots"]),
         sql_trace=tuple(
             SqlStep(
                 statement=s["statement"],

@@ -6,11 +6,12 @@ accuracy), ground-truth injection ablations, and report emission in both a
 human table layout and a machine-readable document.
 
 Metric definitions:
-- accuracy: strict exact match via :func:`estateqa.domain.answer_equal`; an
+- accuracy: strict exact match, as :func:`estateqa.domain.answer_equal`; an
   unanswerable verdict scores 0 against any gold.
 - item F1: answers decompose to item multisets (entity sets to their elements,
-  scalars to a single normalized item); F1 = 2PR/(P+R), computed in exact
-  rational arithmetic, 0 when either side is empty.
+  scalars to a single normalized item); F1 = 2PR/(P+R), which is
+  2*overlap/(|pred|+|gold|) and is computed as that one integer division,
+  0 when either side is empty.
 - ECR: fraction of episodes whose first generated SQL executed without error.
 - pass@1: fraction whose first candidate's result rows equal the gold rows
   (order-insensitive multiset comparison).
@@ -24,12 +25,11 @@ from __future__ import annotations
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Any, Sequence
 
 from .backends import ChatBackend, OracleBackend
 from .db_agent import DbAgent
-from .domain import CanonicalAnswer, QAInstance, answer_equal
+from .domain import CanonicalAnswer, QAInstance
 from .map_agent import MapAgent
 from .slu import FewShotSlu, Gazetteer, LexiconSlu, SluPrediction, slu_metrics
 from .store import GeoStore
@@ -40,25 +40,27 @@ from .tools import ToolCache
 # --- per-answer metrics ----------------------------------------------------------
 
 
-def accuracy(pred: CanonicalAnswer | None, gold: CanonicalAnswer) -> int:
+def answer_scores(pred: CanonicalAnswer | None, gold: CanonicalAnswer) -> tuple[int, float]:
+    """(accuracy, item F1) of one answer, from one decomposition of each side."""
     if pred is None:
-        return 0
-    return int(answer_equal(pred, gold))
+        return 0, 0.0
+    pred_items, gold_items = pred.items(), gold.items()
+    # the comparison of domain.answer_equal, on the items already at hand
+    exact = int(pred.kind == gold.kind and pred_items == gold_items)
+    if not pred_items or not gold_items:
+        return exact, 0.0
+    overlap = sum((Counter(pred_items) & Counter(gold_items)).values())
+    # 2PR/(P+R) with P = overlap/|pred| and R = overlap/|gold| is
+    # 2*overlap/(|pred|+|gold|): one correctly rounded division of integers
+    return exact, 2 * overlap / (len(pred_items) + len(gold_items))
+
+
+def accuracy(pred: CanonicalAnswer | None, gold: CanonicalAnswer) -> int:
+    return answer_scores(pred, gold)[0]
 
 
 def item_f1(pred: CanonicalAnswer | None, gold: CanonicalAnswer) -> float:
-    if pred is None:
-        return 0.0
-    pred_items = Counter(pred.items())
-    gold_items = Counter(gold.items())
-    if not pred_items or not gold_items:
-        return 0.0
-    overlap = sum((pred_items & gold_items).values())
-    if overlap == 0:
-        return 0.0
-    precision = Fraction(overlap, sum(pred_items.values()))
-    recall = Fraction(overlap, sum(gold_items.values()))
-    return float(2 * precision * recall / (precision + recall))
+    return answer_scores(pred, gold)[1]
 
 
 # --- trace metrics -----------------------------------------------------------------
@@ -166,6 +168,20 @@ class EpisodeRecord:
     transcript: EpisodeTranscript
     slu_prediction: SluPrediction | None
 
+    def to_dict(self) -> dict[str, Any]:
+        """The episode's transcript line: the transcript, and under ``slu`` the
+        prediction it started from (null when gold SLU was injected)."""
+        line = self.transcript.to_dict()
+        line["slu"] = None if self.slu_prediction is None else self.slu_prediction.to_dict()
+        return line
+
+
+def parse_episode_line(data: dict[str, Any]) -> tuple[EpisodeTranscript, SluPrediction | None]:
+    """The transcript and SLU prediction of a line written by
+    :meth:`EpisodeRecord.to_dict`; a line with no ``slu`` key has none."""
+    slu = data.get("slu")
+    return EpisodeTranscript.from_dict(data), None if slu is None else SluPrediction.from_dict(slu)
+
 
 def build_supervisor(
     instances: Sequence[QAInstance],
@@ -236,9 +252,8 @@ def aggregate(records: Sequence[EpisodeRecord], config: RunConfig) -> EvalReport
     for record in records:
         pred = record.transcript.final_answer
         gold = record.instance.answer
-        buckets[record.instance.question_type].append(
-            (float(accuracy(pred, gold)), item_f1(pred, gold))
-        )
+        exact, f1 = answer_scores(pred, gold)
+        buckets[record.instance.question_type].append((float(exact), f1))
         if pred is None:
             failures["unanswerable"] += 1
         if record.transcript.failure:

@@ -8,13 +8,11 @@ re-validation pass (SQL re-execution, tool replay, answer re-derivation).
 
 from __future__ import annotations
 
-import logging
 import random
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .backends import BackendError, ChatBackend, ask
 from .domain import (
     CanonicalAnswer,
     GeoPoint,
@@ -24,13 +22,10 @@ from .domain import (
     ToolStep,
     answer_equal,
     haversine,
-    locate_slot,
 )
 from .store import GeoStore, SqlExecutionError, city_slug, extract_coordinates
 from .templates import PLACEHOLDER_RE, Template, derived_value, slot_type_for
 from .tools import CacheMiss, InvalidParams, ToolCache, ToolRequest, split_step_params
-
-log = logging.getLogger(__name__)
 
 WALKING_PLAUSIBILITY_M = 10_000.0
 CYCLING_PLAUSIBILITY_M = 20_000.0
@@ -582,51 +577,3 @@ def stratified_split(
         splits["test"].extend(members[n_val : n_val + n_test])
         splits["train"].extend(members[n_val + n_test :])
     return splits, warnings
-
-
-# --- optional paraphrase hook -----------------------------------------------------------
-
-
-PARAPHRASE_SYSTEM = (
-    "You rewrite questions to sound natural while keeping every quoted value"
-    " verbatim. Reply with the rewritten question only."
-)
-
-
-def paraphrase_hook(instance: QAInstance, backend: ChatBackend) -> QAInstance:
-    """Rewrite the question through a chat backend, keeping the instance only
-    if every slot value survives verbatim; otherwise (or on backend failure)
-    the original instance is returned unchanged."""
-    prompt = (
-        "Rewrite the question below. Keep these values exactly as written: "
-        + "; ".join(f"{s.slot_type}={s.value!r}" for s in instance.slots)
-        + "\n\nQuestion: "
-        + instance.question
-    )
-    try:
-        rewritten = ask(backend, PARAPHRASE_SYSTEM, prompt)
-    except BackendError as exc:
-        log.warning("paraphrase backend failed for %s: %s", instance.id, exc)
-        return instance
-    rewritten = rewritten.strip().splitlines()[0].strip() if rewritten.strip() else ""
-    if not rewritten:
-        return instance
-    relocated = _relocate_slots(rewritten, instance.slots)
-    if relocated is None:
-        log.warning("paraphrase dropped a slot value for %s; keeping original", instance.id)
-        return instance
-    return replace(instance, question=rewritten, slots=relocated)
-
-
-def _relocate_slots(
-    question: str, slots: tuple[SlotAnnotation, ...]
-) -> tuple[SlotAnnotation, ...] | None:
-    """Greedy non-overlapping re-location of slot values, longest value first."""
-    taken: list[tuple[int, int]] = []
-    out: list[SlotAnnotation] = []
-    for slot in sorted(slots, key=lambda s: -len(s.value)):
-        placed = locate_slot(question, slot.slot_type, slot.value, taken)
-        if placed is None:
-            return None
-        out.append(placed)
-    return tuple(sorted(out, key=lambda s: s.start))

@@ -37,7 +37,8 @@ _SYNTH_RE = re.compile(
     r"\s*(?:(<=|>=)\s*([0-9.]+))?\s*$",
     re.IGNORECASE | re.MULTILINE,
 )
-_UNABLE_RE = re.compile(r"^\s*UNABLE:\s*(.+)$", re.MULTILINE)
+# one line: a reason never runs on into the lines after an empty UNABLE:
+_UNABLE_RE = re.compile(r"^[ \t]*UNABLE:[ \t]*(.+)$", re.MULTILINE)
 _TOOLS_NUDGE = (
     "\n\nYour previous reply contained no TOOL lines. Use the"
     " `TOOL: <function> PARAMS: {...}` format, or `UNABLE: <reason>`."
@@ -66,10 +67,9 @@ class ToolDecision:
 def parse_decisions(reply: str) -> tuple[list[ToolDecision], SynthesisRule, str] | None:
     """(decisions, synthesis rule, unable-reason) of a backend reply, or None
     when it holds no usable TOOL line and no UNABLE line with a reason."""
-    unable = _UNABLE_RE.search(reply)
-    if unable:
-        reason = unable.group(1).strip()
-        return ([], SynthesisRule(), reason) if reason else None
+    reason = next((r.strip() for r in _UNABLE_RE.findall(reply) if r.strip()), "")
+    if reason:
+        return [], SynthesisRule(), reason
     decisions = []
     for function, params_json, bucket in _TOOL_LINE_RE.findall(reply):
         try:

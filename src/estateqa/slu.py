@@ -23,7 +23,7 @@ import logging
 import random
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Sequence
 
 from .backends import BackendError, ChatBackend, ask, build_task_message
 from .domain import QAInstance, SlotAnnotation, locate_slot
@@ -38,6 +38,16 @@ log = logging.getLogger(__name__)
 class SluPrediction:
     intents: tuple[str, ...]
     slots: tuple[SlotAnnotation, ...]
+
+    def to_dict(self) -> dict[str, Any]:
+        return {"intents": list(self.intents), "slots": [s.to_dict() for s in self.slots]}
+
+    @classmethod
+    def from_dict(cls, data: dict[str, Any]) -> "SluPrediction":
+        return cls(
+            intents=tuple(data["intents"]),
+            slots=tuple(SlotAnnotation.from_dict(s) for s in data["slots"]),
+        )
 
 
 class Gazetteer:
@@ -95,10 +105,11 @@ class LexiconSlu:
     with a store's gazetteer).
 
     A surface can only match, whole-word, where the question's own leading
-    run (:func:`_lead` of the rest of the question) equals the surface's, so
-    each word start looks up one bucket of surfaces instead of scanning the
-    whole gazetteer. The candidates are the same as a ``str.find`` for every
-    surface, so the output is too.
+    run (:func:`_lead` of the rest of the question) equals the surface's. So
+    each leading run is indexed by the sorted distinct lengths of the surfaces
+    it leads, and each word start tries only those lengths: a slice that ends
+    on a word boundary is one dict lookup in the gazetteer. The candidates are
+    the same as a ``str.find`` for every surface, so the output is too.
     """
 
     def __init__(self, gazetteer: Gazetteer, templates: Sequence[Template]) -> None:
@@ -110,25 +121,35 @@ class LexiconSlu:
             types = map(slot_type_for, PLACEHOLDER_RE.findall(template.question_pattern))
             groups = [(g, t) for g, t in enumerate(types, 1) if t and t not in carried]
             self._templates.append((template, groups))
-        self._by_lead: dict[str, list[tuple[str, str]]] = {}
-        for surface, slot_type in gazetteer.entries.items():
-            self._by_lead.setdefault(_lead(surface), []).append((surface, slot_type))
+        lengths: dict[str, set[int]] = {}
+        for surface in gazetteer.entries:
+            if surface:
+                lengths.setdefault(_lead(surface), set()).add(len(surface))
+        self._lengths = {lead: sorted(sizes) for lead, sizes in lengths.items()}
 
     def predict(self, question: str) -> SluPrediction:
+        entries = self.gazetteer.entries
         size = len(question)
         candidates: list[SlotAnnotation] = []
         for word in _WORD_START_RE.finditer(question):
+            lengths = self._lengths.get(word.group())
+            if lengths is None:
+                continue
             start = word.start()
-            for surface, slot_type in self._by_lead.get(word.group(), ()):
-                end = start + len(surface)
-                if question.startswith(surface, start) and (
-                    end == size or not question[end].isalnum()
-                ):
+            for length in lengths:
+                end = start + length
+                if end > size:
+                    break
+                if end < size and question[end].isalnum():
+                    continue
+                surface = question[start:end]
+                slot_type = entries.get(surface)
+                if slot_type is not None:
                     candidates.append(SlotAnnotation(slot_type, surface, start, end))
         # an empty surface has no leading character to index it by
-        for _, slot_type in self._by_lead.get("", ()):
+        if "" in entries:
             for gap in _GAP_RE.finditer(question):
-                candidates.append(SlotAnnotation(slot_type, "", gap.start(), gap.start()))
+                candidates.append(SlotAnnotation(entries[""], "", gap.start(), gap.start()))
         intents: tuple[str, ...] = ("unknown",)
         for template, groups in self._templates:
             match = template.match(question)

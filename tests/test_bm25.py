@@ -111,3 +111,21 @@ def test_rank_k_defaults_to_one():
     index = Bm25Index(TOY_DOCS)
     assert len(index.rank("Guangzhou")) == 1
     assert len(index.rank("Guangzhou", k=2)) == 2
+
+
+def test_rank_scores_equal_score_for_every_caption(desk_store):
+    """rank tokenizes the query once; each score it returns is bit-identical
+    to ``score(query, i)``, repeated and unknown terms included."""
+    captions = [c.caption for c in desk_store.list_captions()] + TOY_DOCS + ["广州市社区表"]
+    index = Bm25Index(captions)
+    queries = captions + [
+        "communities communities around POIs in Guangzhou zzz",
+        "Table 广州 社区 pois pois",
+        "",
+        "no term here matches",
+    ]
+    for query in queries:
+        ranked = index.rank(query, k=len(captions))
+        assert len(ranked) == len(captions)
+        expected = {c: index.score(query, i) for i, c in enumerate(captions)}
+        assert {s.caption: s.score for s in ranked} == expected, query

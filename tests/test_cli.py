@@ -101,6 +101,25 @@ def test_oracle_run_and_eval(workdir, tmp_path):
     assert recomputed["trace"] == report["trace"]
 
 
+@pytest.mark.parametrize("inject", [[], ["--inject", "slu"]])
+def test_eval_of_a_run_equals_its_report(workdir, tmp_path, inject):
+    run_dir = tmp_path / "run"
+    test_split = str(workdir / "splits" / "test.jsonl")
+    assert main(["run", "--store", str(workdir / "store.db"),
+                 "--cache", str(workdir / "cache.jsonl"), "--dataset", test_split,
+                 "--out", str(run_dir), "--backend", "oracle", *inject]) == 0
+    lines = [json.loads(line) for line in
+             (run_dir / "transcripts.jsonl").read_text(encoding="utf-8").splitlines()]
+    if inject:
+        assert all(line["slu"] is None for line in lines)
+    else:
+        assert all(line["slu"]["intents"] for line in lines)
+    assert main(["eval", "--run", str(run_dir), "--dataset", test_split, *inject]) == 0
+    report = json.loads((run_dir / "report.json").read_text())
+    assert (report["slu"] is None) == bool(inject)
+    assert json.loads((run_dir / "eval.json").read_text()) == report
+
+
 def test_run_dir_append_only(workdir, tmp_path):
     run_dir = tmp_path / "run"
     args = ["run", "--store", str(workdir / "store.db"),

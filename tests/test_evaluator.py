@@ -4,11 +4,14 @@ naive tally, aggregation properties, and the GT-injection ablation mechanism."""
 from __future__ import annotations
 
 import random
+from collections import Counter
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from estateqa.backends import BackendError, OracleBackend, parse_task_header
-from estateqa.domain import CanonicalAnswer
+from estateqa.domain import CanonicalAnswer, answer_equal
 from estateqa.evaluator import (
     ABLATION_LADDER,
     EpisodeRecord,
@@ -83,6 +86,73 @@ def test_accuracy_one_implies_f1_one():
             other = answer
         if accuracy(other, answer) == 1:
             assert item_f1(other, answer) == 1.0
+
+
+def _reference_item_f1(pred, gold) -> float:
+    """Item F1 as 2PR/(P+R) in exact rational arithmetic, from Counters."""
+    if pred is None:
+        return 0.0
+    pred_items, gold_items = Counter(pred.items()), Counter(gold.items())
+    overlap = sum((pred_items & gold_items).values())
+    if not overlap:
+        return 0.0
+    precision = Fraction(overlap, sum(pred_items.values()))
+    recall = Fraction(overlap, sum(gold_items.values()))
+    return float(2 * precision * recall / (precision + recall))
+
+
+# one answer of every kind, entity sets with whitespace variants of one name,
+# and numbers whose units normalize to the same dimension
+ANSWERS = [
+    CanonicalAnswer.entity_set(["Jade Court"]),
+    CanonicalAnswer.entity_set(["  Jade   Court "]),
+    CanonicalAnswer.entity_set(["Jade\tCourt", "Bay Park"]),
+    CanonicalAnswer.entity_set(["Bay Park", "Jade Court", "Jade Court"]),
+    CanonicalAnswer.entity_set(["A", "B", "C", "D", "E", "F", "G"]),
+    CanonicalAnswer.number(3, "count"),
+    CanonicalAnswer.number(1500, "m"),
+    CanonicalAnswer.number(1.5, " KM "),
+    CanonicalAnswer.duration(600),
+    CanonicalAnswer.distance(1500),
+    CanonicalAnswer.boolean(True),
+    CanonicalAnswer.boolean(False),
+    CanonicalAnswer.from_text("Jade Court"),
+    CanonicalAnswer.from_text(" Jade  Court"),
+]
+
+
+def test_answer_metrics_equal_answer_equal_and_exact_rational_f1():
+    for gold in ANSWERS:
+        for pred in [None, *ANSWERS]:
+            expected = 0 if pred is None else int(answer_equal(pred, gold))
+            assert accuracy(pred, gold) == expected, (pred, gold)
+            assert item_f1(pred, gold) == _reference_item_f1(pred, gold), (pred, gold)
+
+
+def test_aggregate_per_type_equals_naive_tally(desk_instances):
+    """Per-type and overall acc and F1 over every (prediction, gold) pair of
+    kinds, unanswerable predictions included, equal a tally of accuracy and
+    item_f1."""
+    rng = random.Random(17)
+    by_type = {t: next(i for i in desk_instances if i.question_type == t) for t in (1, 2, 3)}
+    records, tally = [], {}
+    for n, (pred, gold) in enumerate((p, g) for g in ANSWERS for p in [None, *ANSWERS]):
+        template = by_type[rng.choice((1, 2, 3))]
+        instance = replace(template, id=f"x{n:04d}", answer=gold)
+        transcript = EpisodeTranscript(instance_id=instance.id, question=instance.question,
+                                       dispatches=_transcript_for(template).dispatches,
+                                       final_answer=pred)
+        records.append(EpisodeRecord(instance, transcript, None))
+        for key in (instance.question_type, "overall"):
+            tally.setdefault(key, []).append((accuracy(pred, gold), item_f1(pred, gold)))
+    report = aggregate(records, RunConfig())
+    rows = {**report.per_type, "overall": report.overall}
+    assert set(rows) == set(tally)
+    for key, pairs in tally.items():
+        assert rows[key]["count"] == len(pairs)
+        assert rows[key]["acc"] == sum(float(a) for a, _ in pairs) / len(pairs)
+        assert rows[key]["f1"] == sum(f for _, f in pairs) / len(pairs)
+    assert report.failures["unanswerable"] == len(ANSWERS)
 
 
 # --- trace metrics --------------------------------------------------------------------

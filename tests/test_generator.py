@@ -1,5 +1,5 @@
 """Generator pipeline: binding sampling, span tracking, answer rules,
-plausibility, splitting, paraphrase hook, and re-validation."""
+plausibility, splitting, and re-validation."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import re
 import pytest
 
 from estateqa import generator as generator_module
-from doubles import RaisingBackend, ScriptedBackend
 from estateqa.domain import CanonicalAnswer, DomainError, SqlStep, ToolStep
 from estateqa.generator import (
     AnswerUnderivable,
@@ -20,7 +19,6 @@ from estateqa.generator import (
     fill_question,
     generate,
     instantiate,
-    paraphrase_hook,
     plausibility_check,
     revalidate_instance,
     sample_bindings,
@@ -600,43 +598,3 @@ def test_split_per_stratum_within_one(desk_instances):
         assert abs(counts.get("val", 0) - n * 0.1) <= 1
         assert abs(counts.get("test", 0) - n * 0.1) <= 1
         assert abs(counts.get("train", 0) - n * 0.8) <= 1
-
-
-# --- paraphrase hook ------------------------------------------------------------------------
-
-
-def test_paraphrase_keeps_slots_and_relocates_spans(desk_instances):
-    victim = next(i for i in desk_instances if i.question_type == 2)
-    values = [s.value for s in victim.slots]
-    rewritten = "Please tell me: " + victim.question
-    backend = ScriptedBackend(default=rewritten)
-    out = paraphrase_hook(victim, backend)
-    assert out.question == rewritten
-    assert sorted((s.slot_type, s.value) for s in out.slots) == sorted(
-        (s.slot_type, s.value) for s in victim.slots
-    )
-    for slot in out.slots:
-        assert out.question[slot.start : slot.end] == slot.value
-    assert all(v in out.question for v in values)
-
-
-def test_paraphrase_dropping_slot_keeps_original(desk_instances):
-    victim = desk_instances[0]
-    backend = ScriptedBackend(default="A completely unrelated question?")
-    out = paraphrase_hook(victim, backend)
-    assert out == victim
-
-
-def test_paraphrase_backend_failure_keeps_original(desk_instances):
-    victim = desk_instances[0]
-    out = paraphrase_hook(victim, RaisingBackend())
-    assert out == victim
-
-
-def test_paraphrased_instance_still_revalidates(desk_instances, desk_store, desk_cache, desk_templates):
-    registry = {t.template_id: t for t in desk_templates}
-    victim = next(i for i in desk_instances if i.template_id == "t3_least_drive")
-    backend = ScriptedBackend(default="Rewritten: " + victim.question)
-    out = paraphrase_hook(victim, backend)
-    assert out.question != victim.question
-    assert revalidate_instance(out, desk_store, desk_cache, registry) == []

@@ -91,6 +91,29 @@ def test_parse_decisions_unable():
     assert unable == "no coordinates in context"
 
 
+def test_parse_decisions_empty_unable_does_not_take_the_next_line_as_reason():
+    decisions, _, unable = parse_decisions(
+        'UNABLE:\nTOOL: time_query PARAMS: {"mode": "driving"}'
+    )
+    assert unable == ""
+    assert [d.function for d in decisions] == ["time_query"]
+    assert decisions[0].params == {"mode": "driving"}
+
+
+def test_parse_decisions_trailing_empty_unable_keeps_tool_lines():
+    decisions, _, unable = parse_decisions(
+        'TOOL: time_query PARAMS: {"mode": "driving"}\n'
+        'TOOL: distance_query PARAMS: {"mode": "walking"}\nUNABLE: '
+    )
+    assert unable == ""
+    assert [d.function for d in decisions] == ["time_query", "distance_query"]
+
+
+def test_parse_decisions_unable_reason_after_an_empty_one():
+    assert parse_decisions("UNABLE: \t\nUNABLE: no coordinates")[2] == "no coordinates"
+    assert parse_decisions("UNABLE: \t") is None
+
+
 def test_parse_decisions_garbage():
     assert parse_decisions("I'd rather write a poem") is None
     assert parse_decisions("SYNTHESIZE: passthrough") is None  # no TOOL line

@@ -203,6 +203,17 @@ ADVERSARIAL = [
     ),
     ({"": "district", "a b": "poi_name"}, ["a b, c", "", "!?"],
      [("poi_name", "a b"), ("district", "")]),
+    # one lead word over several surfaces of one length, a surface that ends in
+    # punctuation (and so needs its own boundary after the "."), and surfaces
+    # that end the question
+    (
+        {"Oak Bay": "community_name", "Oak Hub": "poi_name", "Oak Lea": "district",
+         "Oak": "poi_label", "Oak Hub Rd.": "poi_name", "Rd.": "poi_label"},
+        ["Is Oak Hub near Oak Bay, Oak Lea or Oak Hub Rd.? Oak Hub",
+         "Oak Hub Rd.2 Oak Lea", "Oak Hub Rd.", "Rd. Oak", "Oak Hub Rd", "Oak Hu"],
+        [("poi_name", "Oak Hub"), ("community_name", "Oak Bay"), ("district", "Oak Lea"),
+         ("poi_name", "Oak Hub Rd."), ("poi_name", "Oak Hub")],
+    ),
 ]
 
 
