@@ -1,8 +1,8 @@
 """Shared vocabulary: geographic entities, QA instances, answers, supervision traces.
 
 Everything here is an immutable value object. Instances serialize to
-line-delimited JSON (one instance per line, UTF-8) and round-trip
-bit-identically; see :func:`instance_to_json` / :func:`instance_from_json`.
+line-delimited JSON (one instance per line, UTF-8) by :func:`instance_to_json`
+and round-trip bit-identically through :func:`decode`, which reads every record.
 """
 
 from __future__ import annotations
@@ -10,9 +10,12 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import cache
+from itertools import chain
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, TypeVar
+from types import NoneType, UnionType
+from typing import Any, Callable, Iterable, Iterator, TypeVar, get_args, get_origin, get_type_hints
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -34,6 +37,128 @@ class DomainError(ValueError):
 
 class MalformedRecordError(ValueError):
     """A line of a JSON-lines file does not parse; the message names file:line."""
+
+
+# --- decoding ----------------------------------------------------------------
+
+Cell = str | int | float | None  # one value of a SQL or tool result row
+_LIST = frozenset((list,))
+
+
+class RecordTypeError(ValueError):
+    """A JSON value does not have the type its field declares; the message
+    names the field path, as ``sql_trace[0].expected_rows[2][1]``."""
+
+    def __init__(self, path: str, detail: str) -> None:
+        super().__init__(f"{path}: {detail}" if path else detail)
+        self.path, self.detail = path, detail
+
+    def under(self, key: str | int) -> RecordTypeError:
+        """This error as seen from the list or object holding it at ``key``."""
+        head = f"[{key}]" if isinstance(key, int) else key
+        joint = "." if self.path[:1] not in ("", "[") else ""
+        return RecordTypeError(head + joint + self.path, self.detail)
+
+
+def decode(cls: type[T], data: Any) -> T:
+    """Build ``cls`` from a JSON value, checking each value as it is built
+    against its annotation: a dataclass, ``str``, ``int`` (not a bool),
+    ``float`` (an int is read as a float), ``bool``, ``Any``, ``X | None``,
+    ``Cell``, ``tuple[X, ...]``, ``list[X]`` or ``dict[str, X]``. A field reads
+    the key of its name or takes its default; unknown keys are ignored. A
+    wrong type raises :class:`RecordTypeError`; a missing field, ``TypeError``."""
+    return _decoder(cls)(data)
+
+
+def _kept(t: Any) -> frozenset[type]:
+    """The JSON types of a value that decodes to itself as annotation ``t``
+    after one check of its type; empty if decoding converts or recurses."""
+    if isinstance(t, UnionType):
+        kinds = [_kept(a) for a in get_args(t)]
+        return frozenset().union(*kinds) if all(kinds) else frozenset()
+    if t in (str, int, float, bool, NoneType, dict[str, Any], list[Any]):
+        return frozenset((get_origin(t) or t,))
+    return frozenset()
+
+
+def _mismatch(expected: Any, value: Any) -> RecordTypeError:
+    name = getattr(expected, "__name__", expected)
+    return RecordTypeError("", f"expected {name}, got {type(value).__name__}")
+
+
+@cache
+def _decoder(t: Any) -> Callable[[Any], Any]:
+    """The decode function of annotation ``t``, built once per annotation."""
+    kinds, origin, args = _kept(t), get_origin(t), get_args(t)
+    if kinds:
+
+        def scalar(value: Any) -> Any:
+            if type(value) in kinds:
+                return value
+            if float in kinds and type(value) is int:
+                return float(value)
+            raise _mismatch(t, value)
+
+        return scalar
+    if t is Any:
+        return lambda value: value
+    if isinstance(t, UnionType) and len(args) == 2 and NoneType in args:
+        inner = _decoder(args[0] if args[1] is NoneType else args[1])
+        return lambda value: None if value is None else inner(value)
+    if origin is list or (origin is tuple and args[1:] == (Ellipsis,)):
+        return _container(origin, list, args[0])
+    if origin is dict and args[0] is str:
+        return _container(dict, dict, args[1])
+    if is_dataclass(t):
+        return _record(t)
+    raise TypeError(f"decode does not support the annotation {t!r}")
+
+
+def _container(make: type, shape: type, item_t: Any) -> Callable[[Any], Any]:
+    """The decode function of a JSON ``shape`` (list or dict) read as ``make``."""
+    decode_item, kinds = _decoder(item_t), _kept(item_t)
+    # rows: a list of lists of scalars is checked in one pass over its cells
+    row = get_origin(item_t)
+    cells = _kept(get_args(item_t)[0]) if shape is list and row in (tuple, list) else frozenset()
+
+    def build(value: Any) -> Any:
+        if type(value) is not shape:
+            raise _mismatch(shape, value)
+        if kinds.issuperset(map(type, value.values() if shape is dict else value)):
+            return value if make is shape else make(value)
+        if cells and _LIST.issuperset(map(type, value)):
+            if cells.issuperset(map(type, chain.from_iterable(value))):
+                return make(map(row, value))
+        items = []
+        try:
+            for key, item in value.items() if shape is dict else enumerate(value):
+                items.append(decode_item(item))
+        except RecordTypeError as exc:
+            raise exc.under(key) from None
+        return dict(zip(value, items)) if shape is dict else make(items)
+
+    return build
+
+
+def _record(cls: type) -> Callable[[Any], Any]:
+    hints = get_type_hints(cls)
+    # a value of one of its field's kinds is kept without a decoder call
+    specs = [(f.name, _decoder(hints[f.name]), _kept(hints[f.name])) for f in fields(cls)]
+
+    def build(value: Any) -> Any:
+        if type(value) is not dict:
+            raise _mismatch(dict, value)
+        kwargs = {}
+        try:
+            for name, decode_field, kinds in specs:
+                item = value.get(name, MISSING)
+                if item is not MISSING:
+                    kwargs[name] = item if type(item) in kinds else decode_field(item)
+        except RecordTypeError as exc:
+            raise exc.under(name) from None
+        return cls(**kwargs)
+
+    return build
 
 
 @dataclass(frozen=True)
@@ -209,20 +334,7 @@ class CanonicalAnswer:
             out["text"] = self.text
         return out
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "CanonicalAnswer":
-        kind = data["kind"]
-        if kind == "entity_set":
-            return cls.entity_set(data["entities"])
-        if kind == "number":
-            return cls.number(data["value"], data.get("unit", ""))
-        if kind == "duration":
-            return cls(kind="duration", value=float(data["value"]))
-        if kind == "distance":
-            return cls(kind="distance", value=float(data["value"]))
-        if kind == "boolean":
-            return cls.boolean(data["flag"])
-        return cls.from_text(data["text"])
+    from_dict = classmethod(decode)
 
 
 def answer_equal(pred: CanonicalAnswer, gold: CanonicalAnswer) -> bool:
@@ -246,10 +358,6 @@ class SlotAnnotation:
 
     def to_dict(self) -> dict[str, Any]:
         return {"slot_type": self.slot_type, "value": self.value, "start": self.start, "end": self.end}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "SlotAnnotation":
-        return cls(data["slot_type"], data["value"], int(data["start"]), int(data["end"]))
 
     def check_against(self, question: str) -> None:
         if question[self.start : self.end] != self.value:
@@ -276,17 +384,17 @@ def locate_slot(
 @dataclass(frozen=True)
 class SqlStep:
     statement: str
-    # rows of typed cells (str | int | float | None), column order preserved
+    # column order preserved
     expected_columns: tuple[str, ...]
-    expected_rows: tuple[tuple[Any, ...], ...]
+    expected_rows: tuple[tuple[Cell, ...], ...]
 
 
 @dataclass(frozen=True)
 class ToolStep:
     function: str
-    params: dict[str, Any] = field(default_factory=dict)
+    params: dict[str, Cell] = field(default_factory=dict)
     expected_columns: tuple[str, ...] = ()
-    expected_rows: tuple[tuple[Any, ...], ...] = ()
+    expected_rows: tuple[tuple[Cell, ...], ...] = ()
 
     def __post_init__(self) -> None:
         if self.function not in TOOL_FUNCTIONS:
@@ -339,12 +447,8 @@ class QAInstance:
 # --- serialization -----------------------------------------------------------
 
 
-def _rows_to_jsonable(rows: tuple[tuple[Any, ...], ...]) -> list[list[Any]]:
+def _rows_to_jsonable(rows: tuple[tuple[Cell, ...], ...]) -> list[list[Cell]]:
     return [list(r) for r in rows]
-
-
-def _rows_from_jsonable(rows: list[list[Any]]) -> tuple[tuple[Any, ...], ...]:
-    return tuple(tuple(r) for r in rows)
 
 
 def instance_to_dict(inst: QAInstance) -> dict[str, Any]:
@@ -381,44 +485,8 @@ def instance_to_dict(inst: QAInstance) -> dict[str, Any]:
     }
 
 
-def instance_from_dict(data: dict[str, Any]) -> QAInstance:
-    return QAInstance(
-        id=data["id"],
-        template_id=data["template_id"],
-        city=data["city"],
-        question=data["question"],
-        question_type=int(data["question_type"]),
-        intents=tuple(data["intents"]),
-        slots=tuple(SlotAnnotation.from_dict(s) for s in data["slots"]),
-        sql_trace=tuple(
-            SqlStep(
-                statement=s["statement"],
-                expected_columns=tuple(s["expected_columns"]),
-                expected_rows=_rows_from_jsonable(s["expected_rows"]),
-            )
-            for s in data["sql_trace"]
-        ),
-        tool_trace=tuple(
-            ToolStep(
-                function=t["function"],
-                params=t["params"],
-                expected_columns=tuple(t["expected_columns"]),
-                expected_rows=_rows_from_jsonable(t["expected_rows"]),
-            )
-            for t in data["tool_trace"]
-        ),
-        agent_route=tuple(data["agent_route"]),
-        answer=CanonicalAnswer.from_dict(data["answer"]),
-        nl_answer=data["nl_answer"],
-    )
-
-
 def instance_to_json(inst: QAInstance) -> str:
     return json.dumps(instance_to_dict(inst), ensure_ascii=False, sort_keys=True)
-
-
-def instance_from_json(line: str) -> QAInstance:
-    return instance_from_dict(json.loads(line))
 
 
 def write_instances(path: str, instances: Iterable[QAInstance]) -> int:
@@ -443,14 +511,15 @@ def read_json_lines(path: str | Path, parse: Callable[[Any], T]) -> Iterator[T]:
             try:
                 record = parse(json.loads(line))
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise MalformedRecordError(f"{path}:{lineno}: {exc!r}") from exc
+                name = type(exc).__name__
+                raise MalformedRecordError(f"{path}:{lineno}: {name}: {exc}") from exc
             yield record
 
 
 def read_instances(path: str) -> Iterator[QAInstance]:
     """Yield the instances of a JSON-lines file; a line that does not parse
     raises :class:`MalformedRecordError`."""
-    yield from read_json_lines(path, instance_from_dict)
+    yield from read_json_lines(path, _decoder(QAInstance))
 
 
 # --- IOB export ---------------------------------------------------------------

@@ -29,7 +29,7 @@ from typing import Any, Sequence
 
 from .backends import ChatBackend, OracleBackend
 from .db_agent import DbAgent
-from .domain import CanonicalAnswer, QAInstance
+from .domain import CanonicalAnswer, QAInstance, RecordTypeError, decode
 from .map_agent import MapAgent
 from .slu import FewShotSlu, Gazetteer, LexiconSlu, SluPrediction, slu_metrics
 from .store import GeoStore
@@ -53,14 +53,6 @@ def answer_scores(pred: CanonicalAnswer | None, gold: CanonicalAnswer) -> tuple[
     # 2PR/(P+R) with P = overlap/|pred| and R = overlap/|gold| is
     # 2*overlap/(|pred|+|gold|): one correctly rounded division of integers
     return exact, 2 * overlap / (len(pred_items) + len(gold_items))
-
-
-def accuracy(pred: CanonicalAnswer | None, gold: CanonicalAnswer) -> int:
-    return answer_scores(pred, gold)[0]
-
-
-def item_f1(pred: CanonicalAnswer | None, gold: CanonicalAnswer) -> float:
-    return answer_scores(pred, gold)[1]
 
 
 # --- trace metrics -----------------------------------------------------------------
@@ -179,8 +171,11 @@ class EpisodeRecord:
 def parse_episode_line(data: dict[str, Any]) -> tuple[EpisodeTranscript, SluPrediction | None]:
     """The transcript and SLU prediction of a line written by
     :meth:`EpisodeRecord.to_dict`; a line with no ``slu`` key has none."""
-    slu = data.get("slu")
-    return EpisodeTranscript.from_dict(data), None if slu is None else SluPrediction.from_dict(slu)
+    transcript = decode(EpisodeTranscript, data)
+    try:
+        return transcript, decode(SluPrediction | None, data.get("slu"))
+    except RecordTypeError as exc:
+        raise exc.under("slu") from None
 
 
 def build_supervisor(

@@ -42,13 +42,6 @@ class SluPrediction:
     def to_dict(self) -> dict[str, Any]:
         return {"intents": list(self.intents), "slots": [s.to_dict() for s in self.slots]}
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "SluPrediction":
-        return cls(
-            intents=tuple(data["intents"]),
-            slots=tuple(SlotAnnotation.from_dict(s) for s in data["slots"]),
-        )
-
 
 class Gazetteer:
     """Surface-form lexicon mapping entity strings to slot types.

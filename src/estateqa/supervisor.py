@@ -126,22 +126,6 @@ class EpisodeTranscript:
             "failure": self.failure,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "EpisodeTranscript":
-        return cls(
-            instance_id=data["instance_id"],
-            question=data["question"],
-            dispatches=[Exchange(**d) for d in data["dispatches"]],
-            backend_events=list(data.get("backend_events", [])),
-            final_answer=(
-                None
-                if data.get("final_answer") is None
-                else CanonicalAnswer.from_dict(data["final_answer"])
-            ),
-            step_count=int(data["step_count"]),
-            failure=data.get("failure", ""),
-        )
-
 
 class Supervisor:
     """Orchestrates one episode per question over registered specialists."""

@@ -22,7 +22,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any
 
-from .domain import DomainError
+from .domain import DomainError, decode
 
 PLACEHOLDER_RE = re.compile(r"\{([a-z_A-Z][a-zA-Z0-9_]*)\}")
 
@@ -196,33 +196,6 @@ class Template:
     def agent_route(self) -> tuple[str, ...]:
         return ("db_agent",) if self.question_type == 1 else ("db_agent", "map_agent")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "template_id": self.template_id,
-            "question_type": self.question_type,
-            "intents": list(self.intents),
-            "question_pattern": self.question_pattern,
-            "bindings": self.bindings,
-            "derived": self.derived,
-            "sql_patterns": list(self.sql_patterns),
-            "tool_patterns": [dict(t) for t in self.tool_patterns],
-            "answer_rule": self.answer_rule,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Template":
-        return cls(
-            template_id=data["template_id"],
-            question_type=int(data["question_type"]),
-            intents=tuple(data["intents"]),
-            question_pattern=data["question_pattern"],
-            bindings=data["bindings"],
-            sql_patterns=tuple(data["sql_patterns"]),
-            tool_patterns=tuple(data["tool_patterns"]),
-            answer_rule=data["answer_rule"],
-            derived=data.get("derived", {}),
-        )
-
 
 def load_template_dir(path: str | Path) -> list[Template]:
     """Load every ``*.json`` template document under a directory; a file that
@@ -232,21 +205,12 @@ def load_template_dir(path: str | Path) -> list[Template]:
         try:
             data = json.loads(file.read_text(encoding="utf-8"))
             docs = data if isinstance(data, list) else [data]
-            templates.extend(Template.from_dict(d) for d in docs)
+            templates.extend(decode(Template, d) for d in docs)
         except (OSError, KeyError, ValueError, TypeError, AttributeError) as exc:
             raise TemplateError(f"{file}: {type(exc).__name__}: {exc}") from None
     if not templates:
         raise TemplateError(f"no template documents found under {path}")
     return templates
-
-
-def dump_templates(templates: list[Template], path: str | Path) -> None:
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    for t in templates:
-        (out / f"{t.template_id}.json").write_text(
-            json.dumps(t.to_dict(), indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-        )
 
 
 # --- shipped default set ------------------------------------------------------
@@ -645,4 +609,4 @@ DEFAULT_TEMPLATE_DICTS: list[dict[str, Any]] = [
 
 
 def default_templates() -> list[Template]:
-    return [Template.from_dict(d) for d in DEFAULT_TEMPLATE_DICTS]
+    return [decode(Template, d) for d in DEFAULT_TEMPLATE_DICTS]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Protocol
 
-from .domain import GeoPoint, haversine, read_json_lines
+from .domain import Cell, GeoPoint, decode, haversine, read_json_lines
 from .store import GeoStore
 
 BUCKET_MIDNIGHT = "midnight_00"
@@ -65,14 +65,10 @@ class CacheMiss(ToolError):
 @dataclass(frozen=True)
 class ToolResult:
     columns: tuple[str, ...]
-    rows: tuple[tuple[Any, ...], ...]
+    rows: tuple[tuple[Cell, ...], ...]
 
     def to_jsonable(self) -> dict[str, Any]:
         return {"columns": list(self.columns), "rows": [list(r) for r in self.rows]}
-
-    @classmethod
-    def from_jsonable(cls, data: dict[str, Any]) -> "ToolResult":
-        return cls(tuple(data["columns"]), tuple(tuple(r) for r in data["rows"]))
 
 
 def _norm_coord(value: Any, name: str) -> float:
@@ -276,7 +272,11 @@ class SyntheticProvider:
 
 @dataclass
 class CacheEntry:
-    request: ToolRequest
+    """A recorded result and the request it answers: one line of a saved cache."""
+
+    function: str
+    params: dict[str, Cell]
+    bucket: str
     payload: ToolResult
     provenance: dict[str, str]
 
@@ -291,7 +291,7 @@ class ToolCache:
 
     def __init__(self, provider: Provider | None = None) -> None:
         self.provider = provider
-        self._entries: dict[str, CacheEntry] = {}
+        self._entries: dict[ToolRequest, CacheEntry] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -300,17 +300,15 @@ class ToolCache:
         return self.execute(ToolRequest.build(function, params, bucket))
 
     def execute(self, request: ToolRequest) -> ToolResult:
-        key = request.key()
-        entry = self._entries.get(key)
+        entry = self._entries.get(request)
         if entry is not None:
             return entry.payload
         if self.provider is None:
-            raise CacheMiss(f"no cache entry and no provider for {key}")
+            raise CacheMiss(f"no cache entry and no provider for {request.key()}")
         payload = self.provider.resolve(request)
         self._validate_payload(request.function, payload)
-        self._entries[key] = CacheEntry(
-            request=request,
-            payload=payload,
+        self._entries[request] = CacheEntry(
+            request.function, request.params_dict, request.time_bucket, payload,
             provenance={
                 "provider_name": self.provider.name,
                 "recorded_at": _BUCKET_STAMPS[request.time_bucket],
@@ -330,15 +328,16 @@ class ToolCache:
     def save(self, path: str | Path) -> int:
         """Dump entries as sorted JSON lines; byte-stable for equal contents."""
         lines = []
-        for key in sorted(self._entries):
-            entry = self._entries[key]
+        keyed = {request.key(): entry for request, entry in self._entries.items()}
+        for key in sorted(keyed):
+            entry = keyed[key]
             lines.append(
                 json.dumps(
                     {
                         "key": key,
-                        "function": entry.request.function,
-                        "params": entry.request.params_dict,
-                        "bucket": entry.request.time_bucket,
+                        "function": entry.function,
+                        "params": entry.params,
+                        "bucket": entry.bucket,
                         "payload": entry.payload.to_jsonable(),
                         "provenance": entry.provenance,
                     },
@@ -355,17 +354,12 @@ class ToolCache:
         """Read a file written by :meth:`save`; a line that does not parse
         raises :class:`MalformedRecordError`."""
 
-        def entry_from_dict(data: dict[str, Any]) -> CacheEntry:
-            request = ToolRequest(
-                function=data["function"],
-                params=tuple(sorted(data["params"].items())),
-                time_bucket=data["bucket"],
-            )
-            payload = ToolResult.from_jsonable(data["payload"])
-            cls._validate_payload(request.function, payload)
-            return CacheEntry(request=request, payload=payload, provenance=data["provenance"])
+        def keyed_entry(data: dict[str, Any]) -> tuple[ToolRequest, CacheEntry]:
+            entry = decode(CacheEntry, data)
+            cls._validate_payload(entry.function, entry.payload)
+            params = tuple(sorted(entry.params.items()))
+            return ToolRequest(entry.function, params, entry.bucket), entry
 
         cache = cls(provider=provider)
-        for entry in read_json_lines(path, entry_from_dict):
-            cache._entries[entry.request.key()] = entry
+        cache._entries.update(read_json_lines(path, keyed_entry))
         return cache

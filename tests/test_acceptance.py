@@ -22,8 +22,7 @@ from estateqa.domain import CanonicalAnswer, answer_equal, haversine, write_inst
 from estateqa.evaluator import (
     ABLATION_LADDER,
     RunConfig,
-    accuracy,
-    item_f1,
+    answer_scores,
     make_oracle_backend,
     run_ablation,
     run_suite,
@@ -201,21 +200,21 @@ def _random_answer(rng: random.Random) -> CanonicalAnswer:
 def test_criterion_5_metric_oracle_equivalence(desk_instances):
     rng = random.Random(41)
     max_drift = 0.0
-    forced = item_f1(
+    forced = answer_scores(
         CanonicalAnswer.entity_set(["A", "B", "D"]),
         CanonicalAnswer.entity_set(["A", "B", "C"]),
-    )
+    )[1]
     ok = forced == 2 / 3
     from test_evaluator import _transcript_for
 
     for trial in range(100):
         # answer-level: random prediction sets against random golds
         pairs = [(_random_answer(rng), _random_answer(rng)) for _ in range(20)]
-        acc_counts = sum(accuracy(p, g) for p, g in pairs)
+        acc_counts = sum(answer_scores(p, g)[0] for p, g in pairs)
         naive_acc = sum(1 for p, g in pairs if answer_equal(p, g))
         ok = ok and acc_counts == naive_acc
         for p, g in pairs:
-            drift = abs(item_f1(p, g) - _naive_item_f1(p, g))
+            drift = abs(answer_scores(p, g)[1] - _naive_item_f1(p, g))
             max_drift = max(max_drift, drift)
             ok = ok and drift <= 1e-9
 
@@ -381,9 +380,8 @@ def test_criterion_8_cache_determinism(desk_store, desk_templates, desk_cache, t
 
     rng = random.Random(13)
     requests = [
-        ToolRequest(function=e.request.function, params=e.request.params,
-                    time_bucket=e.request.time_bucket)
-        for e in list(desk_cache._entries.values())[:100]
+        ToolRequest(function=r.function, params=r.params, time_bucket=r.time_bucket)
+        for r in list(desk_cache._entries)[:100]
     ]
     frozen = ToolCache.load(paths[0])
     frozen._entries = desk_cache._entries  # replay against the big frozen set

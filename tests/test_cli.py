@@ -21,7 +21,7 @@ from estateqa.cli import _flag, build_parser, main
 from estateqa.domain import read_instances
 from estateqa.slu import build_fewshot_pool
 from estateqa.store import GeoStore, StoreConfig
-from estateqa.templates import default_templates
+from estateqa.templates import DEFAULT_TEMPLATE_DICTS
 
 CITIES = "Guangzhou,Suzhou"
 
@@ -258,6 +258,63 @@ def test_validate_truncated_input_is_validation_failure(workdir, tmp_path, capsy
         assert f"{truncated}:1:" in err
 
 
+def _set(path, value):
+    """A change to a record that sets the value at ``path`` (keys and indexes)."""
+
+    def change(record):
+        for step in path[:-1]:
+            record = record[step]
+        record[path[-1]] = value
+
+    return change
+
+
+@pytest.mark.parametrize(
+    "command, damaged, change, field",
+    [
+        ("split", "dataset", _set(["id"], 7), "id"),
+        ("run", "dataset", _set(["id"], 7), "id"),
+        ("run", "dataset", _set(["sql_trace", 0, "expected_rows"], [[[1]]]),
+         "sql_trace[0].expected_rows[0][0]"),
+        ("eval", "transcripts", _set(["dispatches", 0, "evidence"], 5), "dispatches[0].evidence"),
+        ("eval", "transcripts", _set(["failure"], ["x"]), "failure"),
+        ("eval", "transcripts", _set(["final_answer"], {"kind": "entity_set", "entities": "abc"}),
+         "final_answer.entities"),
+        ("validate", "cache", _set(["bucket"], [1]), "bucket"),
+        ("validate", "cache", _set(["params", "mode"], [1]), "params.mode"),
+    ],
+    ids=["split-id", "run-id", "run-row_cell", "eval-evidence", "eval-failure",
+         "eval-entities_string", "validate-bucket", "validate-param"],
+)
+def test_wrong_json_type_is_validation_failure(
+    workdir, finished_run, tmp_path, capsys, command, damaged, change, field
+):
+    """A record with one value of the wrong JSON type exits 1, naming the
+    file, line and field, with no traceback."""
+    test_split = workdir / "splits" / "test.jsonl"
+    source = {"dataset": test_split, "cache": workdir / "cache.jsonl",
+              "transcripts": finished_run / "transcripts.jsonl"}[damaged]
+    path = tmp_path / source.name
+    lines = source.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[0])
+    change(record)
+    path.write_text(json.dumps(record) + "\n" + "".join(lines[1:]), encoding="utf-8")
+    dataset = path if damaged == "dataset" else test_split
+    cache = path if damaged == "cache" else workdir / "cache.jsonl"
+    store = ["--store", str(workdir / "store.db")]
+    argv = {
+        "split": ["split", "--dataset", str(dataset), "--out-dir", str(tmp_path / "splits")],
+        "run": ["run", *store, "--cache", str(cache), "--dataset", str(dataset),
+                "--out", str(tmp_path / "run"), "--backend", "oracle"],
+        "eval": ["eval", "--run", str(tmp_path), "--dataset", str(dataset)],
+        "validate": ["validate", *store, "--cache", str(cache), "--dataset", str(dataset)],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and "Traceback" not in err
+    assert f"{path}:1: RecordTypeError: {field}: expected " in err
+
+
 def test_ingest_refuses_existing_store(workdir, tmp_path):
     assert main(["ingest", "--fixtures", str(workdir / "fx"),
                  "--store", str(workdir / "store.db"), "--cities", CITIES]) == 2
@@ -305,7 +362,7 @@ def test_corrupt_store_config_is_validation_failure(tmp_path, capsys, config_tex
 def _template_dir(tmp_path, case):
     directory = tmp_path / "templates"
     directory.mkdir()
-    doc = default_templates()[0].to_dict()
+    doc = dict(DEFAULT_TEMPLATE_DICTS[0])
     if case == "bad_json":
         (directory / "t.json").write_text("{not json")
     elif case == "missing_key":

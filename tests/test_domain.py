@@ -3,6 +3,7 @@ answer comparison, serialization round-trips, IOB export."""
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -12,10 +13,11 @@ from estateqa.domain import (
     CanonicalAnswer,
     DomainError,
     GeoPoint,
+    QAInstance,
     SlotAnnotation,
     answer_equal,
+    decode,
     haversine,
-    instance_from_json,
     instance_to_json,
     iob_tags,
     locate_slot,
@@ -156,14 +158,12 @@ def test_negative_duration_rejected():
 def test_serialization_round_trip_bit_identical(desk_instances):
     for inst in desk_instances:
         line = instance_to_json(inst)
-        again = instance_from_json(line)
+        again = decode(QAInstance, json.loads(line))
         assert again == inst
         assert instance_to_json(again) == line
 
 
 def test_export_carries_iob_with_tokenization_id(desk_instances):
-    import json
-
     record = json.loads(instance_to_json(desk_instances[0]))
     assert record["iob"]["tokenization"] == "ws-regex-v1"
     assert len(record["iob"]["tokens"]) == len(record["iob"]["tags"])

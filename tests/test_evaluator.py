@@ -16,9 +16,8 @@ from estateqa.evaluator import (
     ABLATION_LADDER,
     EpisodeRecord,
     RunConfig,
-    accuracy,
     aggregate,
-    item_f1,
+    answer_scores,
     make_oracle_backend,
     run_ablation,
     run_suite,
@@ -32,13 +31,13 @@ from estateqa.supervisor import EpisodeTranscript, Exchange
 
 def test_identical_answers_f1_one():
     a = CanonicalAnswer.entity_set(["A", "B"])
-    assert item_f1(a, a) == 1.0
+    assert answer_scores(a, a)[1] == 1.0
 
 
 def test_forced_two_thirds_case():
     gold = CanonicalAnswer.entity_set(["A", "B", "C"])
     pred = CanonicalAnswer.entity_set(["A", "B", "D"])
-    assert item_f1(pred, gold) == 2 / 3
+    assert answer_scores(pred, gold)[1] == 2 / 3
 
 
 def test_single_item_f1_equals_accuracy():
@@ -46,26 +45,25 @@ def test_single_item_f1_equals_accuracy():
     for _ in range(100):
         gold = CanonicalAnswer.number(rng.randint(0, 5), "count")
         pred = CanonicalAnswer.number(rng.randint(0, 5), "count")
-        assert item_f1(pred, gold) == float(accuracy(pred, gold))
+        acc, f1 = answer_scores(pred, gold)
+        assert f1 == float(acc)
 
 
 def test_cross_kind_f1_zero():
     gold = CanonicalAnswer.number(3, "count")
     pred = CanonicalAnswer.entity_set(["A", "B", "C"])
-    assert item_f1(pred, gold) == 0.0
-    assert accuracy(pred, gold) == 0
+    assert answer_scores(pred, gold) == (0, 0.0)
 
 
 def test_unanswerable_scores_zero():
     gold = CanonicalAnswer.entity_set(["A"])
-    assert accuracy(None, gold) == 0
-    assert item_f1(None, gold) == 0.0
+    assert answer_scores(None, gold) == (0, 0.0)
 
 
 def test_reversed_order_entity_set_accuracy_one():
     gold = CanonicalAnswer.entity_set(["A", "B", "C"])
     pred = CanonicalAnswer.entity_set(["C", "B", "A"])
-    assert accuracy(pred, gold) == 1
+    assert answer_scores(pred, gold)[0] == 1
 
 
 def test_accuracy_one_implies_f1_one():
@@ -84,8 +82,9 @@ def test_accuracy_one_implies_f1_one():
         else:
             answer = CanonicalAnswer.duration(rng.randint(0, 100))
             other = answer
-        if accuracy(other, answer) == 1:
-            assert item_f1(other, answer) == 1.0
+        acc, f1 = answer_scores(other, answer)
+        if acc == 1:
+            assert f1 == 1.0
 
 
 def _reference_item_f1(pred, gold) -> float:
@@ -125,14 +124,14 @@ def test_answer_metrics_equal_answer_equal_and_exact_rational_f1():
     for gold in ANSWERS:
         for pred in [None, *ANSWERS]:
             expected = 0 if pred is None else int(answer_equal(pred, gold))
-            assert accuracy(pred, gold) == expected, (pred, gold)
-            assert item_f1(pred, gold) == _reference_item_f1(pred, gold), (pred, gold)
+            acc, f1 = answer_scores(pred, gold)
+            assert acc == expected, (pred, gold)
+            assert f1 == _reference_item_f1(pred, gold), (pred, gold)
 
 
 def test_aggregate_per_type_equals_naive_tally(desk_instances):
     """Per-type and overall acc and F1 over every (prediction, gold) pair of
-    kinds, unanswerable predictions included, equal a tally of accuracy and
-    item_f1."""
+    kinds, unanswerable predictions included, equal a tally of answer_scores."""
     rng = random.Random(17)
     by_type = {t: next(i for i in desk_instances if i.question_type == t) for t in (1, 2, 3)}
     records, tally = [], {}
@@ -144,7 +143,7 @@ def test_aggregate_per_type_equals_naive_tally(desk_instances):
                                        final_answer=pred)
         records.append(EpisodeRecord(instance, transcript, None))
         for key in (instance.question_type, "overall"):
-            tally.setdefault(key, []).append((accuracy(pred, gold), item_f1(pred, gold)))
+            tally.setdefault(key, []).append(answer_scores(pred, gold))
     report = aggregate(records, RunConfig())
     rows = {**report.per_type, "overall": report.overall}
     assert set(rows) == set(tally)

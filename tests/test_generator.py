@@ -10,7 +10,7 @@ import re
 import pytest
 
 from estateqa import generator as generator_module
-from estateqa.domain import CanonicalAnswer, DomainError, SqlStep, ToolStep
+from estateqa.domain import CanonicalAnswer, DomainError, SqlStep, ToolStep, decode
 from estateqa.generator import (
     AnswerUnderivable,
     Rejection,
@@ -25,7 +25,7 @@ from estateqa.generator import (
     stratified_split,
 )
 from estateqa.store import GeoStore, StoreConfig
-from estateqa.templates import Template, _route_params, default_templates
+from estateqa.templates import DEFAULT_TEMPLATE_DICTS, Template, _route_params, default_templates
 from estateqa.tools import SyntheticProvider, ToolCache
 
 from test_store import COMMUNITY_HEADER, POI_HEADER, _community_row, _write_rows
@@ -35,6 +35,11 @@ METERS_PER_DEG = 6_371_000 * math.pi / 180
 
 def template_by_id(template_id: str) -> Template:
     return next(t for t in default_templates() if t.template_id == template_id)
+
+
+def template_doc(template_id: str) -> dict:
+    """The shipped template document of ``template_id``."""
+    return next(d for d in DEFAULT_TEMPLATE_DICTS if d["template_id"] == template_id)
 
 
 # --- binding sampling ---------------------------------------------------------
@@ -96,13 +101,13 @@ def _surrounding(placeholder: str) -> dict:
 CUSTOM_TEMPLATES = {
     # seconds = minutes, so a ">=" threshold keeps every community
     "derived_without_op": {
-        **template_by_id("t3_reach_within").to_dict(),
+        **template_doc("t3_reach_within"),
         "derived": {"seconds": {"from": "minutes"}},
         "answer_rule": {**template_by_id("t3_reach_within").answer_rule, "op": ">="},
     },
     # argmin labels resolved from each surrounding_pois_query step's center
     "labels_at_center": {
-        **template_by_id("t3_closest_walk").to_dict(),
+        **template_doc("t3_closest_walk"),
         "question_pattern": "Which is nearer to a {poi_label} in {city}: {community_name} or"
                             " {community_name_2}?",
         "bindings": {"poi_label": {"kind": "poi_label"}, "community_name": {"kind": "community"},
@@ -113,7 +118,7 @@ CUSTOM_TEMPLATES = {
     },
     # argmin labels resolved from each route's destination, not its origin
     "labels_at_destination": {
-        **template_by_id("t3_closest_walk").to_dict(),
+        **template_doc("t3_closest_walk"),
         "question_pattern": "Which is closer on foot to {community_name} in {city}: {poi_name} or"
                             " {poi_name_2}?",
         "bindings": {"community_name": {"kind": "community"}, "poi_name": {"kind": "poi"},
@@ -130,7 +135,7 @@ CUSTOM_TEMPLATES = {
     },
     # a whole-number factor written as a float, and a value derived from the implicit {city}
     "float_factor_and_city": {
-        **template_by_id("t3_reach_within").to_dict(),
+        **template_doc("t3_reach_within"),
         "derived": {"seconds": {"from": "minutes", "op": "mul", "factor": 60.0},
                     "town": {"from": "city"}},
     },
@@ -139,7 +144,7 @@ CUSTOM_TEMPLATES = {
 
 @pytest.mark.parametrize("name", sorted(CUSTOM_TEMPLATES))
 def test_custom_template_instances_revalidate(desk_store, name):
-    template = Template.from_dict(CUSTOM_TEMPLATES[name])
+    template = decode(Template, CUSTOM_TEMPLATES[name])
     cache = ToolCache(provider=SyntheticProvider(desk_store))
     instances, _ = generate([template], desk_store, cache, seed=11, per_template=5)
     assert len(instances) == 5
@@ -177,14 +182,14 @@ def test_custom_template_instances_revalidate(desk_store, name):
 )
 def test_template_rejects_unresolvable_derivations(template_id, change):
     with pytest.raises(DomainError):
-        Template.from_dict({**template_by_id(template_id).to_dict(), **change})
+        decode(Template, {**template_doc(template_id), **change})
 
 
 def test_rule_that_cannot_derive_is_a_rejection(desk_store):
     # the threshold reads a POI name as its number: every attempt is rejected, none raises
-    base = template_by_id("t3_reach_within")
-    template = Template.from_dict(
-        {**base.to_dict(), "answer_rule": {**base.answer_rule, "value": "{poi_name}"}}
+    base = template_doc("t3_reach_within")
+    template = decode(
+        Template, {**base, "answer_rule": {**base["answer_rule"], "value": "{poi_name}"}}
     )
     cache = ToolCache(provider=SyntheticProvider(desk_store))
     instances, report = generate([template], desk_store, cache, seed=11, per_template=2)

@@ -11,7 +11,7 @@ import re
 import pytest
 
 from doubles import RaisingBackend, ScriptedBackend
-from estateqa.domain import SlotAnnotation
+from estateqa.domain import SlotAnnotation, decode
 from estateqa.generator import stratified_split
 from estateqa.slu import (
     FewShotSlu,
@@ -22,7 +22,7 @@ from estateqa.slu import (
     parse_slu_reply,
     slu_metrics,
 )
-from estateqa.templates import Template, default_templates
+from estateqa.templates import DEFAULT_TEMPLATE_DICTS, Template, default_templates
 
 
 @pytest.fixture(scope="module")
@@ -126,9 +126,9 @@ SWAPPED_PATTERN = "Per square meter, what does {community_name} in {city} cost?"
 
 def _swapped_template() -> Template:
     """The shipped average-price template, reworded under a new intent name."""
-    shipped = next(t for t in default_templates() if t.template_id == "t1_avg_price")
-    return Template.from_dict(
-        {**shipped.to_dict(), "intents": ["unit_price"], "question_pattern": SWAPPED_PATTERN}
+    shipped = next(d for d in DEFAULT_TEMPLATE_DICTS if d["template_id"] == "t1_avg_price")
+    return decode(
+        Template, {**shipped, "intents": ["unit_price"], "question_pattern": SWAPPED_PATTERN}
     )
 
 
@@ -266,9 +266,9 @@ def test_numeric_patterns(lexicon):
 
 def test_numeric_slot_of_a_reworded_template(desk_store):
     """A numeric slot comes from the template, however the template words it."""
-    shipped = next(t for t in default_templates() if t.template_id == "t3_nearby_count")
-    reworded = Template.from_dict({
-        **shipped.to_dict(),
+    shipped = next(d for d in DEFAULT_TEMPLATE_DICTS if d["template_id"] == "t3_nearby_count")
+    reworded = decode(Template, {
+        **shipped,
         "question_pattern": "How many {poi_label} POIs lie inside a {radius_km} km radius"
                             " of {community_name} in {city}?",
     })
@@ -276,7 +276,7 @@ def test_numeric_slot_of_a_reworded_template(desk_store):
     name = desk_store.communities("Suzhou")[0].name
     question = f"How many park POIs lie inside a 2 km radius of {name} in Suzhou?"
     prediction = slu.predict(question)
-    assert prediction.intents == shipped.intents
+    assert prediction.intents == tuple(shipped["intents"])
     assert ("radius_km", "2") in {(s.slot_type, s.value) for s in prediction.slots}
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from doubles import RaisingBackend, ScriptedBackend
 from estateqa.backends import render_answer
-from estateqa.domain import CanonicalAnswer
+from estateqa.domain import CanonicalAnswer, decode
 from estateqa.supervisor import (
     AgentResult,
     AgentTask,
@@ -226,7 +226,7 @@ def test_transcript_serialization_round_trip():
     supervisor = Supervisor(backend, {"db_agent": StubSpecialist(ok())})
     transcript = supervisor.run_episode("q", ["intent_x"], [], instance_id="abc")
     data = transcript.to_dict()
-    again = EpisodeTranscript.from_dict(data)
+    again = decode(EpisodeTranscript, data)
     assert again.to_dict() == data
     assert again.instance_id == "abc"
     assert again.final_answer == transcript.final_answer
