@@ -13,12 +13,15 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from .backends import HttpBackend
 from .domain import (
     MalformedRecordError,
+    decode,
+    encode,
     read_instances,
     read_json_lines,
     write_instances,
@@ -29,7 +32,6 @@ from .evaluator import (
     RunConfig,
     aggregate,
     make_oracle_backend,
-    parse_episode_line,
     run_ablation,
     run_suite,
 )
@@ -37,7 +39,7 @@ from .fixtures import write_fixture
 from .generator import generate, revalidate_instance, stratified_split
 from .slu import build_fewshot_pool
 from .store import GeoStore, IngestError, StoreConfig
-from .supervisor import DEFAULT_STEP_CAP
+from .supervisor import DEFAULT_STEP_CAP, EpisodeTranscript
 from .templates import TemplateError, default_templates, load_template_dir
 from .tools import SyntheticProvider, ToolCache
 
@@ -270,7 +272,7 @@ def cmd_split(opts: argparse.Namespace) -> int:
 
 def _write_report(run_dir: Path, name: str, report: EvalReport) -> None:
     (run_dir / f"{name}.json").write_text(
-        json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8"
+        json.dumps(report, default=encode, indent=2) + "\n", encoding="utf-8"
     )
     (run_dir / f"{name}.txt").write_text(report.render_table() + "\n", encoding="utf-8")
 
@@ -305,7 +307,7 @@ def cmd_run(opts: argparse.Namespace) -> int:
     path = run_dir / "transcripts.jsonl"
     with open(path, "w", encoding="utf-8", errors="backslashreplace") as fh:
         for record in records:
-            fh.write(json.dumps(record.to_dict(), ensure_ascii=False) + "\n")
+            fh.write(json.dumps(record.transcript, default=encode, ensure_ascii=False) + "\n")
     _write_report(run_dir, "report", report)
     print(report.render_table())
 
@@ -327,12 +329,12 @@ def cmd_eval(opts: argparse.Namespace) -> int:
         raise CliError(f"{transcripts_path} does not exist")
     instances = {i.id: i for i in read_instances(opts.dataset)}
     records = []
-    for transcript, prediction in read_json_lines(transcripts_path, parse_episode_line):
+    for transcript in read_json_lines(transcripts_path, partial(decode, EpisodeTranscript)):
         gold = instances.get(transcript.instance_id)
         if gold is None:
             print(f"no gold instance for {transcript.instance_id}", file=sys.stderr)
             return EXIT_VALIDATION
-        records.append(EpisodeRecord(gold, transcript, prediction))
+        records.append(EpisodeRecord(gold, transcript))
     report = aggregate(records, _run_config(opts))
     _write_report(run_dir, "eval", report)
     print(report.render_table())

@@ -1,8 +1,9 @@
 """Shared vocabulary: geographic entities, QA instances, answers, supervision traces.
 
-Everything here is an immutable value object. Instances serialize to
-line-delimited JSON (one instance per line, UTF-8) by :func:`instance_to_json`
-and round-trip bit-identically through :func:`decode`, which reads every record.
+Everything here is an immutable value object. Every persisted record is
+written by ``json.dumps(..., default=encode)`` and read by :func:`decode`;
+instances are line-delimited JSON (one per line, UTF-8) and round-trip
+bit-identically.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class MalformedRecordError(ValueError):
     """A line of a JSON-lines file does not parse; the message names file:line."""
 
 
-# --- decoding ----------------------------------------------------------------
+# --- records -----------------------------------------------------------------
 
 Cell = str | int | float | None  # one value of a SQL or tool result row
 _LIST = frozenset((list,))
@@ -68,6 +69,19 @@ def decode(cls: type[T], data: Any) -> T:
     the key of its name or takes its default; unknown keys are ignored. A
     wrong type raises :class:`RecordTypeError`; a missing field, ``TypeError``."""
     return _decoder(cls)(data)
+
+
+def encode(value: Any) -> Any:
+    """The JSON value of a record, as the ``default=`` of ``json.dumps``: a
+    dataclass is the object of its fields in declaration order, the order its
+    ``__init__`` sets them (``json`` writes tuples as lists), except that an
+    answer writes only the fields of its kind. Anything else raises
+    ``TypeError``, as ``json.dumps`` does without a default."""
+    if type(value) is CanonicalAnswer:
+        return value.to_dict()
+    if is_dataclass(value):  # a dataclass type gives a mappingproxy, which json refuses
+        return vars(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _kept(t: Any) -> frozenset[type]:
@@ -356,9 +370,6 @@ class SlotAnnotation:
     start: int
     end: int
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"slot_type": self.slot_type, "value": self.value, "start": self.start, "end": self.end}
-
     def check_against(self, question: str) -> None:
         if question[self.start : self.end] != self.value:
             raise DomainError(
@@ -379,6 +390,12 @@ def locate_slot(
             return SlotAnnotation(slot_type, value, start, end)
         start = question.find(value, start + 1)
     return None
+
+
+@dataclass(frozen=True)
+class SluPrediction:
+    intents: tuple[str, ...]
+    slots: tuple[SlotAnnotation, ...]
 
 
 @dataclass(frozen=True)
@@ -447,46 +464,10 @@ class QAInstance:
 # --- serialization -----------------------------------------------------------
 
 
-def _rows_to_jsonable(rows: tuple[tuple[Cell, ...], ...]) -> list[list[Cell]]:
-    return [list(r) for r in rows]
-
-
-def instance_to_dict(inst: QAInstance) -> dict[str, Any]:
-    return {
-        "id": inst.id,
-        "template_id": inst.template_id,
-        "city": inst.city,
-        "question": inst.question,
-        "question_type": inst.question_type,
-        "intents": list(inst.intents),
-        "slots": [s.to_dict() for s in inst.slots],
-        # span annotations are canonical; IOB rides along for tagger training
-        "iob": iob_tags(inst.question, inst.slots),
-        "sql_trace": [
-            {
-                "statement": s.statement,
-                "expected_columns": list(s.expected_columns),
-                "expected_rows": _rows_to_jsonable(s.expected_rows),
-            }
-            for s in inst.sql_trace
-        ],
-        "tool_trace": [
-            {
-                "function": t.function,
-                "params": t.params,
-                "expected_columns": list(t.expected_columns),
-                "expected_rows": _rows_to_jsonable(t.expected_rows),
-            }
-            for t in inst.tool_trace
-        ],
-        "agent_route": list(inst.agent_route),
-        "answer": inst.answer.to_dict(),
-        "nl_answer": inst.nl_answer,
-    }
-
-
 def instance_to_json(inst: QAInstance) -> str:
-    return json.dumps(instance_to_dict(inst), ensure_ascii=False, sort_keys=True)
+    # span annotations are canonical; IOB rides along for tagger training
+    record = {**vars(inst), "iob": iob_tags(inst.question, inst.slots)}
+    return json.dumps(record, default=encode, ensure_ascii=False, sort_keys=True)
 
 
 def write_instances(path: str, instances: Iterable[QAInstance]) -> int:

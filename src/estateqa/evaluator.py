@@ -29,9 +29,9 @@ from typing import Any, Sequence
 
 from .backends import ChatBackend, OracleBackend
 from .db_agent import DbAgent
-from .domain import CanonicalAnswer, QAInstance, RecordTypeError, decode
+from .domain import CanonicalAnswer, QAInstance
 from .map_agent import MapAgent
-from .slu import FewShotSlu, Gazetteer, LexiconSlu, SluPrediction, slu_metrics
+from .slu import FewShotSlu, Gazetteer, LexiconSlu, slu_metrics
 from .store import GeoStore
 from .supervisor import DEFAULT_STEP_CAP, EpisodeTranscript, Supervisor
 from .templates import Template
@@ -122,17 +122,6 @@ class EvalReport:
     episodes: int
     config: dict[str, Any] = field(default_factory=dict)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "per_type": {str(k): v for k, v in self.per_type.items()},
-            "overall": self.overall,
-            "trace": self.trace,
-            "slu": self.slu,
-            "failures": self.failures,
-            "episodes": self.episodes,
-            "config": self.config,
-        }
-
     def render_table(self) -> str:
         lines = [f"{'Queries':<10} {'F1':>8} {'Acc':>8} {'Count':>7}"]
         for qtype in (1, 2, 3):
@@ -158,24 +147,6 @@ class EvalReport:
 class EpisodeRecord:
     instance: QAInstance
     transcript: EpisodeTranscript
-    slu_prediction: SluPrediction | None
-
-    def to_dict(self) -> dict[str, Any]:
-        """The episode's transcript line: the transcript, and under ``slu`` the
-        prediction it started from (null when gold SLU was injected)."""
-        line = self.transcript.to_dict()
-        line["slu"] = None if self.slu_prediction is None else self.slu_prediction.to_dict()
-        return line
-
-
-def parse_episode_line(data: dict[str, Any]) -> tuple[EpisodeTranscript, SluPrediction | None]:
-    """The transcript and SLU prediction of a line written by
-    :meth:`EpisodeRecord.to_dict`; a line with no ``slu`` key has none."""
-    transcript = decode(EpisodeTranscript, data)
-    try:
-        return transcript, decode(SluPrediction | None, data.get("slu"))
-    except RecordTypeError as exc:
-        raise exc.under("slu") from None
 
 
 def build_supervisor(
@@ -229,7 +200,8 @@ def run_suite(
         transcript = supervisor.run_episode(
             instance.question, intents, slots, instance_id=instance.id
         )
-        return EpisodeRecord(instance, transcript, prediction)
+        transcript.slu = prediction
+        return EpisodeRecord(instance, transcript)
 
     if config.parallelism > 1:
         with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
@@ -271,9 +243,9 @@ def aggregate(records: Sequence[EpisodeRecord], config: RunConfig) -> EvalReport
         [r.transcript for r in records], [r.instance for r in records]
     )
     slu_report = None
-    if records and records[0].slu_prediction is not None:
+    if records and records[0].transcript.slu is not None:
         slu_report = slu_metrics(
-            [r.slu_prediction for r in records], [r.instance for r in records]
+            [r.transcript.slu for r in records], [r.instance for r in records]
         )
     return EvalReport(
         per_type=per_type,

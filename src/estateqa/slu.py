@@ -22,25 +22,15 @@ import json
 import logging
 import random
 import re
-from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 from .backends import BackendError, ChatBackend, ask, build_task_message
-from .domain import QAInstance, SlotAnnotation, locate_slot
+from .domain import QAInstance, SluPrediction, SlotAnnotation, locate_slot
 from .prompts import load_prompt
 from .store import GeoStore
 from .templates import PLACEHOLDER_RE, Template, slot_type_for
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class SluPrediction:
-    intents: tuple[str, ...]
-    slots: tuple[SlotAnnotation, ...]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"intents": list(self.intents), "slots": [s.to_dict() for s in self.slots]}
 
 
 class Gazetteer:

@@ -18,12 +18,13 @@ import math
 import re
 import sqlite3
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Mapping, Sequence
 
-from .domain import EARTH_RADIUS_M, Community, DomainError, GeoPoint, Poi
+from .domain import EARTH_RADIUS_M, Cell, Community, DomainError, GeoPoint, Poi, decode, encode
 
 # Each entity family's (column, SQLite type) pairs in table order; everything
 # else (CREATE TABLE text, INSERT placeholders, fixture headers, which CSV
@@ -263,10 +264,11 @@ class GeoStore:
             raise IngestError(f"{path} carries no store config")
         try:
             raw = json.loads(row[0])
-            raw["cities"] = tuple(raw["cities"])
-            raw["poi_taxonomy"] = {k: tuple(v) for k, v in raw["poi_taxonomy"].items()}
-            config = StoreConfig(**raw)
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            config = decode(StoreConfig, raw)
+            odd = raw.keys() ^ vars(config).keys()  # missing or unknown keys
+            if odd:
+                raise ValueError(f"keys not matching the fields: {', '.join(sorted(odd))}")
+        except (ValueError, TypeError) as exc:
             raise IngestError(f"{path} carries a corrupt store config: {exc!r}") from exc
         return cls(config, path, _existing=True)
 
@@ -290,7 +292,7 @@ class GeoStore:
             self._conn.execute("CREATE TABLE _meta (key TEXT PRIMARY KEY, value TEXT)")
             self._conn.execute(
                 "INSERT INTO _meta VALUES ('config', ?)",
-                (json.dumps(asdict(self.config), sort_keys=True),),
+                (json.dumps(self.config, default=encode, sort_keys=True),),
             )
             self._conn.commit()
 
@@ -420,13 +422,14 @@ class GeoStore:
         # portable way to stand down after an untrusted statement
         return sqlite3.SQLITE_OK
 
-    def execute_sql(self, statement: str) -> tuple[tuple[str, ...], list[tuple[Any, ...]]]:
+    def execute_sql(self, statement: str) -> tuple[tuple[str, ...], list[tuple[Cell, ...]]]:
         """Run one read-only statement; returns (column names, rows).
 
-        Non-SELECT statements, engine failures and statements past
-        ``SQL_OP_BUDGET`` or ``SQL_ROW_CAP`` raise :class:`SqlExecutionError`
-        with the engine message or the limit, which downstream agents fold
-        into their error reports.
+        Non-SELECT statements, engine failures, statements past
+        ``SQL_OP_BUDGET`` or ``SQL_ROW_CAP``, and results holding a BLOB
+        (which no JSON record can carry) raise :class:`SqlExecutionError` with
+        the engine message, the limit or the column, which downstream agents
+        fold into their error reports.
         """
         if not _SELECT_RE.match(statement or ""):
             raise SqlExecutionError("only SELECT statements are allowed")
@@ -459,6 +462,9 @@ class GeoStore:
                 self._conn.set_authorizer(self._allow_all)
         if len(rows) > SQL_ROW_CAP:
             raise SqlExecutionError(f"statement returned more than the cap of {SQL_ROW_CAP:,} rows")
+        if bytes in map(type, chain.from_iterable(rows)):
+            blob = next(c for i, c in enumerate(columns) if any(type(r[i]) is bytes for r in rows))
+            raise SqlExecutionError(f"column {blob} holds a BLOB, which is not a result value")
         return columns, rows
 
     def list_captions(self) -> list[TableCaption]:

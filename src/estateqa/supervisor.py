@@ -31,7 +31,7 @@ from .backends import (
     parse_answer,
     reprompt_once,
 )
-from .domain import CanonicalAnswer, GeoPoint, SlotAnnotation
+from .domain import CanonicalAnswer, GeoPoint, SlotAnnotation, SluPrediction
 from .prompts import load_prompt
 from .store import extract_coordinates
 
@@ -96,6 +96,8 @@ class EpisodeTranscript:
     final_answer: CanonicalAnswer | None = None
     step_count: int = 0
     failure: str = ""
+    # the SLU prediction the episode started from; None when gold SLU was injected
+    slu: SluPrediction | None = None
 
     @property
     def specialist_sequence(self) -> tuple[str, ...]:
@@ -114,17 +116,6 @@ class EpisodeTranscript:
     @property
     def tool_calls(self) -> list[dict[str, Any]]:
         return self.evidence_payloads("tool_call")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "instance_id": self.instance_id,
-            "question": self.question,
-            "dispatches": [dict(vars(e)) for e in self.dispatches],
-            "backend_events": self.backend_events,
-            "final_answer": None if self.final_answer is None else self.final_answer.to_dict(),
-            "step_count": self.step_count,
-            "failure": self.failure,
-        }
 
 
 class Supervisor:
@@ -198,7 +189,7 @@ class Supervisor:
         a well-formed envelope degrades to a raw-text answer."""
         content = build_task_message("finalize", question)
         content += "\n\nEvidence:\n" + "\n".join(
-            json.dumps(p, ensure_ascii=False, default=str) for p in evidence
+            json.dumps(p, ensure_ascii=False) for p in evidence
         )
         reply = self._complete(transcript, "finalize", content)
         parsed = parse_answer(reply)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Protocol
 
-from .domain import Cell, GeoPoint, decode, haversine, read_json_lines
+from .domain import Cell, GeoPoint, decode, encode, haversine, read_json_lines
 from .store import GeoStore
 
 BUCKET_MIDNIGHT = "midnight_00"
@@ -66,9 +66,6 @@ class CacheMiss(ToolError):
 class ToolResult:
     columns: tuple[str, ...]
     rows: tuple[tuple[Cell, ...], ...]
-
-    def to_jsonable(self) -> dict[str, Any]:
-        return {"columns": list(self.columns), "rows": [list(r) for r in self.rows]}
 
 
 def _norm_coord(value: Any, name: str) -> float:
@@ -327,25 +324,17 @@ class ToolCache:
 
     def save(self, path: str | Path) -> int:
         """Dump entries as sorted JSON lines; byte-stable for equal contents."""
-        lines = []
         keyed = {request.key(): entry for request, entry in self._entries.items()}
-        for key in sorted(keyed):
-            entry = keyed[key]
-            lines.append(
-                json.dumps(
-                    {
-                        "key": key,
-                        "function": entry.function,
-                        "params": entry.params,
-                        "bucket": entry.bucket,
-                        "payload": entry.payload.to_jsonable(),
-                        "provenance": entry.provenance,
-                    },
-                    sort_keys=True,
-                    ensure_ascii=True,
-                    separators=(",", ":"),
-                )
+        lines = [
+            json.dumps(
+                {"key": key, **encode(keyed[key])},
+                default=encode,
+                sort_keys=True,
+                ensure_ascii=True,
+                separators=(",", ":"),
             )
+            for key in sorted(keyed)
+        ]
         Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
         return len(lines)
 

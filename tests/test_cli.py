@@ -11,6 +11,7 @@ import shutil
 import sqlite3
 from contextlib import closing
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -18,9 +19,10 @@ import pytest
 from estateqa import cli, evaluator
 from estateqa.backends import parse_task_header
 from estateqa.cli import _flag, build_parser, main
-from estateqa.domain import read_instances
+from estateqa.domain import decode, read_instances, read_json_lines
 from estateqa.slu import build_fewshot_pool
 from estateqa.store import GeoStore, StoreConfig
+from estateqa.supervisor import EpisodeTranscript
 from estateqa.templates import DEFAULT_TEMPLATE_DICTS
 
 CITIES = "Guangzhou,Suzhou"
@@ -183,32 +185,44 @@ def test_unreachable_http_backend_exits_backend_failure(workdir, tmp_path):
                  "--model", "m"]) == 3
 
 
-def test_run_keeps_a_lone_surrogate_of_agent_sql(workdir, tmp_path, monkeypatch):
-    """A model reply can carry a lone surrogate through the JSON escape
-    \\ud800: its SQL fails as an error result, the run goes on, and the
-    transcript keeps the statement as written."""
+@pytest.mark.parametrize("statement, error", [
+    ("SELECT '\ud800'", "surrogates not allowed"),
+    ("SELECT CAST(name AS BLOB) AS name, latitude, longitude FROM community_guangzhou LIMIT 1",
+     "column name holds a BLOB"),
+], ids=["lone_surrogate", "blob"])
+def test_run_survives_agent_sql_that_fails_to_execute(
+    workdir, tmp_path, monkeypatch, capsys, statement, error
+):
+    """Agent SQL with a lone surrogate (a model reply can carry one through
+    the JSON escape \\ud800), or whose result holds a BLOB, fails as an error
+    result. The run goes on and writes its report, and its transcripts keep
+    the statement as written and read back for `eval`."""
     build_backend = cli._build_backend
 
-    class SurrogateSql:
+    class FixedSql:
         def __init__(self, oracle):
             self.oracle = oracle
 
         def complete(self, system_prompt, messages):
             if parse_task_header(messages).get("task") == "generate_sql":
-                return "```sql\nSELECT '\ud800'\n```"
+                return f"```sql\n{statement}\n```"
             return self.oracle.complete(system_prompt, messages)
 
-    monkeypatch.setattr(cli, "_build_backend", lambda *args: SurrogateSql(build_backend(*args)))
-    out = tmp_path / "surrogate"
+    monkeypatch.setattr(cli, "_build_backend", lambda *args: FixedSql(build_backend(*args)))
+    out = tmp_path / "run"
+    test_split = str(workdir / "splits" / "test.jsonl")
     assert main(["run", "--store", str(workdir / "store.db"),
-                 "--cache", str(workdir / "cache.jsonl"),
-                 "--dataset", str(workdir / "splits" / "test.jsonl"),
+                 "--cache", str(workdir / "cache.jsonl"), "--dataset", test_split,
                  "--out", str(out), "--backend", "oracle"]) == 0
-    lines = (out / "transcripts.jsonl").read_text(encoding="utf-8").splitlines()
-    sql = [p for line in lines for d in json.loads(line)["dispatches"]
-           for p in d["evidence"] if p["type"] == "sql"]
-    assert sql and all(p["statement"] == "SELECT '\ud800'" for p in sql)
-    assert all(p["ok"] is False and "surrogates not allowed" in p["error"] for p in sql)
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    transcripts = list(read_json_lines(out / "transcripts.jsonl",
+                                       partial(decode, EpisodeTranscript)))
+    assert len(transcripts) == report["episodes"] > 0
+    sql = [p for t in transcripts for p in t.sql_candidates]
+    assert sql and all(p["statement"] == statement for p in sql)
+    assert all(p["ok"] is False and error in p["error"] for p in sql)
+    assert main(["eval", "--run", str(out), "--dataset", test_split]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_validate_catches_tampering(workdir, tmp_path):
@@ -343,8 +357,10 @@ def test_missing_store_is_config_error(tmp_path):
         "not json",
         json.dumps({"cities": ["A"]}),
         json.dumps({**asdict(StoreConfig(cities=("A",))), "colour": "blue"}),
+        json.dumps({**asdict(StoreConfig(cities=("A",))), "cities": "AB"}),
+        json.dumps({**asdict(StoreConfig(cities=("A",))), "poi_pairing_radius": "3000"}),
     ],
-    ids=["non_json", "missing_key", "unknown_key"],
+    ids=["non_json", "missing_key", "unknown_key", "cities_string", "radius_string"],
 )
 def test_corrupt_store_config_is_validation_failure(tmp_path, capsys, config_text):
     path = tmp_path / "store.db"
@@ -355,7 +371,7 @@ def test_corrupt_store_config_is_validation_failure(tmp_path, capsys, config_tex
     conn.close()
     assert main(["pairs", "--store", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("validation error:")
+    assert err.startswith("validation error:") and "Traceback" not in err
     assert str(path) in err
 
 

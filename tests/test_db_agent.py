@@ -60,6 +60,20 @@ def test_execute_and_package_sql_error(desk_store):
     assert sql_payload["type"] == "sql" and sql_payload["ok"] is False
 
 
+@pytest.mark.parametrize("statement", [
+    "SELECT x'41' AS name",
+    "SELECT 1 AS n, 'a' AS name UNION ALL SELECT 2, CAST('b' AS BLOB)",
+])
+def test_blob_cell_is_error_result(desk_store, statement):
+    """A BLOB cell has no JSON form, so the store refuses it, naming the column."""
+    result = execute_and_package(desk_store, statement)
+    assert result.status == "error"
+    assert "column name holds a BLOB" in result.error_report
+    assert result.evidence == [
+        {"type": "sql", "statement": statement, "ok": False, "error": result.error_report}
+    ]
+
+
 def test_execute_and_package_write_protection(desk_store):
     result = execute_and_package(desk_store, "DELETE FROM community_guangzhou")
     assert result.status == "error"

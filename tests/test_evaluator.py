@@ -141,7 +141,7 @@ def test_aggregate_per_type_equals_naive_tally(desk_instances):
         transcript = EpisodeTranscript(instance_id=instance.id, question=instance.question,
                                        dispatches=_transcript_for(template).dispatches,
                                        final_answer=pred)
-        records.append(EpisodeRecord(instance, transcript, None))
+        records.append(EpisodeRecord(instance, transcript))
         for key in (instance.question_type, "overall"):
             tally.setdefault(key, []).append(answer_scores(pred, gold))
     report = aggregate(records, RunConfig())
@@ -287,19 +287,19 @@ def test_trace_metrics_misalignment_raises(desk_instances):
 def test_aggregation_order_independent(desk_instances):
     sample = desk_instances[:40]
     records = [
-        EpisodeRecord(g, _transcript_for(g), None) for g in sample
+        EpisodeRecord(g, _transcript_for(g)) for g in sample
     ]
     config = RunConfig()
     report_a = aggregate(records, config)
     shuffled = records[:]
     random.Random(5).shuffle(shuffled)
     report_b = aggregate(shuffled, config)
-    assert report_a.to_dict() == report_b.to_dict()
+    assert report_a == report_b
 
 
 def test_per_type_counts_sum_to_total(desk_instances):
     sample = desk_instances[:60]
-    records = [EpisodeRecord(g, _transcript_for(g), None) for g in sample]
+    records = [EpisodeRecord(g, _transcript_for(g)) for g in sample]
     report = aggregate(records, RunConfig())
     assert sum(int(v["count"]) for v in report.per_type.values()) == int(
         report.overall["count"]
@@ -311,7 +311,7 @@ def test_per_type_counts_sum_to_total(desk_instances):
 
 def test_render_table_layout(desk_instances):
     sample = desk_instances[:30]
-    records = [EpisodeRecord(g, _transcript_for(g), None) for g in sample]
+    records = [EpisodeRecord(g, _transcript_for(g)) for g in sample]
     table = aggregate(records, RunConfig()).render_table()
     assert "Type 1" in table and "Overall" in table and "pass@1" in table
 
@@ -371,7 +371,7 @@ def test_parallel_suite_matches_serial(eval_slice, desk_store, desk_cache, desk_
         RunConfig(inject_slu=True, inject_sql=True, inject_api=True, parallelism=4),
         desk_templates,
     )
-    assert parallel.to_dict()["overall"] == serial.to_dict()["overall"]
+    assert parallel == serial
 
 
 def test_lexicon_slu_suite_reports_slu_metrics(eval_slice, desk_store, desk_cache, desk_templates):

@@ -6,7 +6,10 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import fields, is_dataclass
+import re
+from dataclasses import fields, is_dataclass, replace
+from functools import partial
+from pathlib import Path
 from types import NoneType, UnionType
 from typing import Any, Union, get_args, get_origin, get_type_hints
 
@@ -19,13 +22,14 @@ from estateqa.domain import (
     RecordTypeError,
     SlotAnnotation,
     decode,
-    instance_to_dict,
+    encode,
+    instance_to_json,
     read_instances,
     read_json_lines,
     write_instances,
 )
-from estateqa.evaluator import parse_episode_line
 from estateqa.slu import SluPrediction
+from estateqa.store import StoreConfig
 from estateqa.supervisor import EpisodeTranscript
 from estateqa.templates import DEFAULT_TEMPLATE_DICTS, Template, TemplateError, load_template_dir
 from estateqa.tools import CacheEntry, ToolCache
@@ -106,7 +110,7 @@ def _fields(cls: type) -> dict[str, Any]:
 # record kind -> (sample, the annotation of each top-level key)
 RECORDS = {
     "dataset": (DATASET_LINE, _fields(QAInstance)),
-    "transcript": (TRANSCRIPT_LINE, {**_fields(EpisodeTranscript), "slu": SluPrediction | None}),
+    "transcript": (TRANSCRIPT_LINE, _fields(EpisodeTranscript)),
     "cache": (CACHE_LINE, _fields(CacheEntry)),
     "template": (TEMPLATE_DOC, _fields(Template)),
 }
@@ -186,7 +190,7 @@ def _read(kind: str, record: dict[str, Any], tmp_path) -> None:
         if kind == "dataset":
             list(read_instances(path))
         elif kind == "transcript":
-            list(read_json_lines(path, parse_episode_line))
+            list(read_json_lines(path, partial(decode, EpisodeTranscript)))
         else:
             ToolCache.load(path)
 
@@ -218,7 +222,14 @@ def test_wrong_json_type_names_file_line_and_field(kind, steps, rejected, tmp_pa
         assert f" {_path(steps)}: expected " in message, (value, message)
 
 
-# --- what decoding must not change ---------------------------------------------------
+# --- what decoding and encoding must not change ----------------------------------------
+
+TRANSCRIPT = decode(EpisodeTranscript, TRANSCRIPT_LINE)
+
+
+def _round_trip(value: Any) -> Any:
+    """``value`` written as `encode` writes records, and read back by `decode`."""
+    return decode(type(value), json.loads(json.dumps(value, default=encode)))
 
 
 def test_generated_dataset_round_trips_byte_for_byte(desk_instances, tmp_path):
@@ -226,6 +237,8 @@ def test_generated_dataset_round_trips_byte_for_byte(desk_instances, tmp_path):
     write_instances(str(first), desk_instances)
     write_instances(str(second), read_instances(str(first)))
     assert first.read_bytes() == second.read_bytes()
+    for instance in desk_instances:
+        assert _round_trip(instance) == instance
 
 
 @pytest.mark.parametrize("answer", [
@@ -239,6 +252,40 @@ def test_generated_dataset_round_trips_byte_for_byte(desk_instances, tmp_path):
 def test_every_answer_kind_round_trips(answer):
     assert decode(CanonicalAnswer, answer.to_dict()) == answer
     assert CanonicalAnswer.from_dict(answer.to_dict()) == answer
+    assert json.loads(json.dumps(answer, default=encode)) == answer.to_dict()
+    for slu in (TRANSCRIPT.slu, None):
+        transcript = replace(TRANSCRIPT, final_answer=answer, slu=slu)
+        assert _round_trip(transcript) == transcript
+
+
+def test_cache_entry_and_store_config_round_trip():
+    entry = decode(CacheEntry, CACHE_LINE)
+    assert _round_trip(entry) == entry
+    config = StoreConfig(cities=("Guangzhou", "Suzhou"), fixture_seed=7)
+    assert _round_trip(config) == config
+
+
+def test_transcript_line_keys_are_the_fields_in_order():
+    written = json.loads(json.dumps(TRANSCRIPT, default=encode))
+    assert list(written) == [f.name for f in fields(EpisodeTranscript)]
+    assert written == TRANSCRIPT_LINE
+
+
+@pytest.mark.parametrize("value", [b"x", {1}, object(), QAInstance],
+                         ids=["bytes", "set", "object", "dataclass_type"])
+def test_encode_refuses_what_is_not_a_record(value):
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        json.dumps({"cell": value}, default=encode)
+
+
+def test_readme_data_model_lists_the_keys_of_a_dataset_line(desk_instances):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Data model\n", 1)[1].split("\n## ", 1)[0]
+    cells = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    listed = [name for cell in cells for name in re.findall(r"`(\w+)`", cell)]
+    written = json.loads(instance_to_json(desk_instances[0]))
+    assert sorted(listed) == sorted(written)
+    assert set(written) == {f.name for f in fields(QAInstance)} | {"iob"}
 
 
 def test_int_in_a_float_field_reads_as_float():
@@ -267,18 +314,17 @@ def test_unknown_answer_kind_with_text_is_rejected():
         decode(CanonicalAnswer, {"kind": "prose", "text": "Jade Court"})
 
 
-def test_unknown_keys_iob_and_slu_are_ignored(desk_instances):
-    record = instance_to_dict(desk_instances[0])
+def test_unknown_key_iob_is_ignored_and_slu_is_read(desk_instances):
+    record = json.loads(instance_to_json(desk_instances[0]))
     assert "iob" in record
     assert decode(QAInstance, record) == desk_instances[0]
-    transcript, prediction = parse_episode_line(TRANSCRIPT_LINE)
-    assert transcript == decode(EpisodeTranscript, TRANSCRIPT_LINE)
-    assert prediction == decode(SluPrediction, TRANSCRIPT_LINE["slu"])
+    assert TRANSCRIPT.slu == decode(SluPrediction, TRANSCRIPT_LINE["slu"])
+    assert TRANSCRIPT.slu.slots[1] == SlotAnnotation("poi_name", "Pearl Clinic", 29, 41)
 
 
 def test_missing_slu_is_no_prediction():
     line = {k: v for k, v in TRANSCRIPT_LINE.items() if k != "slu"}
-    assert parse_episode_line(line)[1] is None
+    assert decode(EpisodeTranscript, line).slu is None
 
 
 def test_missing_required_field_is_named():

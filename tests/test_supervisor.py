@@ -3,11 +3,13 @@ termination, transcript completeness."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from doubles import RaisingBackend, ScriptedBackend
 from estateqa.backends import render_answer
-from estateqa.domain import CanonicalAnswer, decode
+from estateqa.domain import CanonicalAnswer, decode, encode
 from estateqa.supervisor import (
     AgentResult,
     AgentTask,
@@ -225,11 +227,12 @@ def test_transcript_serialization_round_trip():
     )
     supervisor = Supervisor(backend, {"db_agent": StubSpecialist(ok())})
     transcript = supervisor.run_episode("q", ["intent_x"], [], instance_id="abc")
-    data = transcript.to_dict()
+    data = json.loads(json.dumps(transcript, default=encode))
     again = decode(EpisodeTranscript, data)
-    assert again.to_dict() == data
-    assert again.instance_id == "abc"
-    assert again.final_answer == transcript.final_answer
+    assert again == transcript
+    assert json.loads(json.dumps(again, default=encode)) == data
+    assert again.instance_id == "abc" and again.slu is None
+    assert data["final_answer"] == transcript.final_answer.to_dict()
 
 
 def test_every_backend_call_recorded():
