@@ -13,7 +13,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -328,8 +327,22 @@ def cmd_eval(opts: argparse.Namespace) -> int:
     if not transcripts_path.exists():
         raise CliError(f"{transcripts_path} does not exist")
     instances = {i.id: i for i in read_instances(opts.dataset)}
+    first_has_slu: bool | None = None
+
+    def parse(raw: Any) -> EpisodeTranscript:
+        # the SLU metrics score every line or none, as a run writes them
+        nonlocal first_has_slu
+        transcript = decode(EpisodeTranscript, raw)
+        has_slu = transcript.slu is not None
+        if first_has_slu is None:
+            first_has_slu = has_slu
+        elif has_slu != first_has_slu:
+            state = "an object" if has_slu else "null"
+            raise ValueError(f"slu is {state} here, unlike on the first line")
+        return transcript
+
     records = []
-    for transcript in read_json_lines(transcripts_path, partial(decode, EpisodeTranscript)):
+    for transcript in read_json_lines(transcripts_path, parse):
         gold = instances.get(transcript.instance_id)
         if gold is None:
             print(f"no gold instance for {transcript.instance_id}", file=sys.stderr)

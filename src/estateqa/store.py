@@ -2,9 +2,9 @@
 
 Backed by SQLite. The two entity families are tables, written only by fixture
 ingestion. The two proximity-pair families are views over them, created with
-the tables from the configured radii and computed in SQL on each read. Every
-query path is read-only and guarded by a statement check plus an authorizer,
-because agent-generated SQL is untrusted.
+the tables from the configured radii and computed in SQL on each read.
+Agent-generated SQL is untrusted: it runs behind a statement check on a
+read-only connection of the calling thread, whose authorizer denies writes.
 
 Fixture format: one UTF-8 CSV per entity family per city with a header row,
 named ``communities_<city_slug>.csv`` and ``pois_<city_slug>.csv``.
@@ -15,9 +15,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import re
 import sqlite3
 import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -226,6 +229,19 @@ def _inner_term_bound(radius: float) -> float:
     return low
 
 
+def _connect_read_only(path: Path) -> sqlite3.Connection:
+    """A connection that cannot write the store file (``mode=ro``), opened by
+    a file URI, which escapes a space, '#', '?' or '%' in the path."""
+    return sqlite3.connect(f"{path.resolve().as_uri()}?mode=ro", uri=True)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # the call exists only on some platforms
+        return os.cpu_count() or 1
+
+
 def _entity(family: str, row: Sequence[Any]) -> Community | Poi:
     """A Community or Poi from a typed row in table order; latitude and
     longitude (positions 5 and 6 in both families) fold into the location."""
@@ -235,17 +251,18 @@ def _entity(family: str, row: Sequence[Any]) -> Community | Poi:
 class GeoStore:
     """Four table families per city plus a caption catalog.
 
-    After ingestion the store is read-only for callers; concurrent readers
-    share one connection serialized by an internal lock.
+    The store is a file. Ingestion writes through one connection under an
+    internal lock, which also guards the cached entity snapshot. Every read
+    goes through the calling thread's own read-only connection, so readers
+    on different threads run at once and never wait for each other.
     """
 
-    def __init__(
-        self, config: StoreConfig, path: str | Path | None = None, _existing: bool = False
-    ) -> None:
+    def __init__(self, config: StoreConfig, path: str | Path, _existing: bool = False) -> None:
         self.config = config
-        self.path = str(path) if path is not None else ":memory:"
+        self.path = Path(path).resolve()
         self._conn = sqlite3.connect(self.path, check_same_thread=False)
         self._lock = threading.RLock()
+        self._readers = threading.local()
         self._snapshot: Mapping[str, CityEntities] | None = None
         if not _existing:
             self._create_tables()
@@ -253,13 +270,11 @@ class GeoStore:
     @classmethod
     def open(cls, path: str | Path) -> "GeoStore":
         """Reopen a store file created earlier; the config rides in the file."""
-        conn = sqlite3.connect(str(path))
         try:
-            row = conn.execute("SELECT value FROM _meta WHERE key = 'config'").fetchone()
+            with closing(_connect_read_only(Path(path))) as conn:
+                row = conn.execute("SELECT value FROM _meta WHERE key = 'config'").fetchone()
         except sqlite3.Error as exc:
             raise IngestError(f"{path} is not a store file: {exc}") from exc
-        finally:
-            conn.close()
         if row is None:
             raise IngestError(f"{path} carries no store config")
         try:
@@ -273,7 +288,21 @@ class GeoStore:
         return cls(config, path, _existing=True)
 
     def close(self) -> None:
+        """Close the writable connection and this thread's reader; the reader
+        of another thread closes when that thread ends."""
+        reader = getattr(self._readers, "conn", None)
+        if reader is not None:
+            reader.close()
         self._conn.close()
+
+    def _reader(self) -> sqlite3.Connection:
+        """This thread's read-only connection, opened on first use with the
+        write-denying authorizer installed."""
+        reader = getattr(self._readers, "conn", None)
+        if reader is None:
+            reader = self._readers.conn = _connect_read_only(self.path)
+            reader.set_authorizer(self._deny_writes)
+        return reader
 
     # --- schema and ingestion ------------------------------------------------
 
@@ -392,17 +421,23 @@ class GeoStore:
         radius; community_community holds community pairs within the community
         radius, in both directions. Both are views that the store computes on
         each read, so nothing is built; a store written when they were tables
-        is counted the same way.
+        is counted the same way. Each (city, family) is counted in a task of
+        its own, on the reader of a pool thread: SQLite releases the GIL while
+        it steps a statement, so the views' distance filters run on every
+        CPU this process may use.
         """
+        views = [(family, city) for city in self.config.cities for family in _PAIR_VIEWS]
         counts = dict.fromkeys(_PAIR_VIEWS, 0)
-        with self._lock:
-            for city in self.config.cities:
-                for family in counts:
-                    (count,) = self._conn.execute(
-                        f"SELECT COUNT(*) FROM {self.table_id(family, city)}"
-                    ).fetchone()
-                    counts[family] += count
+        with ThreadPoolExecutor(max_workers=min(len(views), _usable_cpus()) or 1) as pool:
+            for (family, _), count in zip(views, pool.map(self._count_rows, views)):
+                counts[family] += count
         return counts
+
+    def _count_rows(self, view: tuple[str, str]) -> int:
+        """The rows of one (family, city) table, counted on this thread's reader."""
+        statement = f"SELECT COUNT(*) FROM {self.table_id(*view)}"
+        [(count,)] = self._reader().execute(statement).fetchall()
+        return count
 
     # --- queries ----------------------------------------------------------------
 
@@ -416,14 +451,9 @@ class GeoStore:
         )
         return sqlite3.SQLITE_OK if action in allowed else sqlite3.SQLITE_DENY
 
-    @staticmethod
-    def _allow_all(_action: int, *_args: Any) -> int:
-        # set_authorizer(None) only clears on Python >= 3.11; this is the
-        # portable way to stand down after an untrusted statement
-        return sqlite3.SQLITE_OK
-
     def execute_sql(self, statement: str) -> tuple[tuple[str, ...], list[tuple[Cell, ...]]]:
-        """Run one read-only statement; returns (column names, rows).
+        """Run one read-only statement on this thread's reader; returns
+        (column names, rows).
 
         Non-SELECT statements, engine failures, statements past
         ``SQL_OP_BUDGET`` or ``SQL_ROW_CAP``, and results holding a BLOB
@@ -440,26 +470,25 @@ class GeoStore:
             ticks += 1
             return ticks > _BUDGET_TICKS
 
-        with self._lock:
-            self._conn.set_authorizer(self._deny_writes)
-            self._conn.set_progress_handler(over_budget, _PROGRESS_STEP)
-            cursor = self._conn.cursor()
-            try:
-                cursor.execute(statement)
-                rows = cursor.fetchmany(SQL_ROW_CAP + 1)
-                columns = tuple(d[0] for d in cursor.description or ())
-            except (sqlite3.Error, sqlite3.Warning, UnicodeEncodeError) as exc:
-                # Warning covers multi-statement input, which is not an Error;
-                # a lone surrogate (a JSON "\ud800" escape) cannot be encoded
-                if ticks > _BUDGET_TICKS:
-                    raise SqlExecutionError(
-                        f"statement exceeded the budget of {SQL_OP_BUDGET:,} VM operations"
-                    ) from exc
-                raise SqlExecutionError(str(exc)) from exc
-            finally:
-                cursor.close()
-                self._conn.set_progress_handler(None, 0)
-                self._conn.set_authorizer(self._allow_all)
+        reader = self._reader()
+        reader.set_progress_handler(over_budget, _PROGRESS_STEP)
+        # closed after each statement, so no reader holds a read lock past it
+        cursor = reader.cursor()
+        try:
+            cursor.execute(statement)
+            rows = cursor.fetchmany(SQL_ROW_CAP + 1)
+            columns = tuple(d[0] for d in cursor.description or ())
+        except (sqlite3.Error, sqlite3.Warning, UnicodeEncodeError) as exc:
+            # Warning covers multi-statement input, which is not an Error;
+            # a lone surrogate (a JSON "\ud800" escape) cannot be encoded
+            if ticks > _BUDGET_TICKS:
+                raise SqlExecutionError(
+                    f"statement exceeded the budget of {SQL_OP_BUDGET:,} VM operations"
+                ) from exc
+            raise SqlExecutionError(str(exc)) from exc
+        finally:
+            cursor.close()
+            reader.set_progress_handler(None, 0)
         if len(rows) > SQL_ROW_CAP:
             raise SqlExecutionError(f"statement returned more than the cap of {SQL_ROW_CAP:,} rows")
         if bytes in map(type, chain.from_iterable(rows)):
@@ -493,14 +522,15 @@ class GeoStore:
             return self._snapshot
 
     def _read_snapshot(self) -> Mapping[str, CityEntities]:
-        """Read under the lock, through the store's own connection: the agent
-        path's limits bound untrusted SQL, not the store's own entities."""
+        """Read under the lock, on this thread's reader but outside
+        execute_sql: the agent path's limits bound untrusted SQL, not the
+        store's own entities."""
         cities: dict[str, CityEntities] = {}
         for city in sorted(self.config.cities):
             communities, pois = (
                 tuple(
                     _entity(family, r)
-                    for r in self._conn.execute(
+                    for r in self._reader().execute(
                         f"SELECT {', '.join(FAMILY_COLUMNS[family])}"
                         f" FROM {self.table_id(family, city)} ORDER BY id"
                     )

@@ -123,7 +123,7 @@ def test_criterion_3_plausibility(desk_instances, tmp_path):
         POI_HEADER,
         [["p0", "Farville", "Far Park", "park", "park", 23.0 + dlat, 113.0]],
     )
-    far_store = GeoStore(config)
+    far_store = GeoStore(config, tmp_path / "store.db")
     far_store.ingest_fixture(tmp_path)
     cache = ToolCache(provider=SyntheticProvider(far_store))
     walk_template = [t for t in default_templates() if t.template_id == "t2_walk_time"]

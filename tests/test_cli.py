@@ -272,6 +272,26 @@ def test_validate_truncated_input_is_validation_failure(workdir, tmp_path, capsy
         assert f"{truncated}:1:" in err
 
 
+@pytest.mark.parametrize("null_line, differing_line", [(3, 3), (1, 2)])
+def test_eval_refuses_lines_with_and_without_slu(
+    workdir, finished_run, tmp_path, capsys, null_line, differing_line
+):
+    """A transcript whose lines differ in carrying an SLU prediction exits 1,
+    naming the first line that differs from line 1, with no traceback."""
+    source = finished_run / "transcripts.jsonl"
+    records = [json.loads(line) for line in source.read_text(encoding="utf-8").splitlines()]
+    assert len(records) > 3 and all(record["slu"] for record in records)
+    records[null_line - 1]["slu"] = None
+    path = tmp_path / source.name
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    test_split = str(workdir / "splits" / "test.jsonl")
+    assert main(["eval", "--run", str(tmp_path), "--dataset", test_split]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and "Traceback" not in err
+    assert f"{path}:{differing_line}: ValueError: slu is " in err
+    assert not (tmp_path / "eval.json").exists()
+
+
 def _set(path, value):
     """A change to a record that sets the value at ``path`` (keys and indexes)."""
 

@@ -276,6 +276,20 @@ def test_trace_metrics_match_naive_tally(desk_instances):
     assert got["planning_accuracy"] == pytest.approx(plan_hits / n, abs=1e-9)
 
 
+def test_pass_at_1_compares_rows_as_a_multiset(desk_instances):
+    gold = next(i for i in desk_instances if len(set(i.sql_trace[0].expected_rows)) > 2)
+    rows = [list(r) for r in gold.sql_trace[0].expected_rows]
+
+    def pass_at_1(first_rows):
+        transcript = _transcript_for(gold)
+        transcript.dispatches[0].evidence[0] = _sql_payload(True, first_rows)
+        return trace_metrics([transcript], [gold])["pass_at_1"]
+
+    assert pass_at_1(rows) == pass_at_1(rows[::-1]) == 1.0
+    assert pass_at_1(rows + rows[:1]) == 0.0  # one row twice
+    assert pass_at_1(rows[1:2] + rows[1:]) == 0.0  # as many rows, one count off
+
+
 def test_trace_metrics_misalignment_raises(desk_instances):
     with pytest.raises(ValueError):
         trace_metrics([], desk_instances[:1])

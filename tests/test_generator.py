@@ -76,7 +76,7 @@ def test_sampling_exhausted_when_store_too_small(tmp_path):
         POI_HEADER,
         [["p0", "Smalltown", "Gamma Park", "park", "park", 23.0, 113.001]],
     )
-    store = GeoStore(config)
+    store = GeoStore(config, tmp_path / "store.db")
     store.ingest_fixture(tmp_path)
     template = template_by_id("t3_least_drive")  # needs 3 distinct communities
     with pytest.raises(SamplingExhausted):
@@ -387,7 +387,7 @@ def test_forced_20km_walk_template_provably_rejected(tmp_path):
         POI_HEADER,
         [["p0", "Farville", "Far Park", "park", "park", 23.0 + dlat, 113.0]],
     )
-    store = GeoStore(config)
+    store = GeoStore(config, tmp_path / "store.db")
     store.ingest_fixture(tmp_path)
     cache = ToolCache(provider=SyntheticProvider(store))
     template = template_by_id("t2_walk_time")
@@ -461,8 +461,10 @@ def test_generation_deterministic(desk_store, desk_templates):
     assert run() == run()
 
 
-def test_generate_reads_each_entity_table_once(desk_config, desk_fixture_dir, desk_templates):
-    store = GeoStore(desk_config)
+def test_generate_reads_each_entity_table_once(
+    monkeypatch, tmp_path, desk_config, desk_fixture_dir, desk_templates
+):
+    store = GeoStore(desk_config, tmp_path / "store.db")
     store.ingest_fixture(desk_fixture_dir)
     reads: dict[str, int] = {}
 
@@ -472,8 +474,17 @@ def test_generate_reads_each_entity_table_once(desk_config, desk_fixture_dir, de
         if match:
             reads[match.group(1)] = reads.get(match.group(1), 0) + 1
 
-    # every statement on the store's connection, agent path or not
+    # every statement on the store's writable connection and on every reader,
+    # agent path or not
     store._conn.set_trace_callback(count_reads)
+    open_reader = store._reader
+
+    def traced_reader():
+        reader = open_reader()
+        reader.set_trace_callback(count_reads)
+        return reader
+
+    monkeypatch.setattr(store, "_reader", traced_reader)
     store.build_proximity_pairs()
     cache = ToolCache(provider=SyntheticProvider(store))
     instances, _ = generate(desk_templates, store, cache, seed=3, per_template=3)

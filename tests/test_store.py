@@ -9,6 +9,9 @@ import math
 import re
 import shutil
 import sqlite3
+import sys
+import threading
+import time
 from contextlib import closing
 
 import pytest
@@ -54,7 +57,7 @@ def _community_row(cid, name, lat, lon, city="Testville", price=30000.0):
             "apartment", "on sale"]
 
 
-def make_tiny_store(tmp_path, communities, pois=(), city="Testville", path=None, **radii):
+def make_tiny_store(tmp_path, communities, pois=(), city="Testville", **radii):
     config = StoreConfig(cities=(city,), fixture_seed=1, **radii)
     _write_rows(
         tmp_path / "communities_testville.csv",
@@ -69,7 +72,7 @@ def make_tiny_store(tmp_path, communities, pois=(), city="Testville", path=None,
             for i, (name, lat, lon) in enumerate(pois)
         ],
     )
-    store = GeoStore(config, path)
+    store = GeoStore(config, tmp_path / "store.db")
     store.ingest_fixture(tmp_path)
     return store
 
@@ -99,14 +102,9 @@ def _assert_indexed_as_created(path, store):
 
 
 @pytest.fixture(scope="module")
-def desk_store_file(tmp_path_factory, desk_config, desk_fixture_dir):
-    """The desk store written to a file, so raw connections can inspect it."""
-    path = tmp_path_factory.mktemp("desk_store") / "store.db"
-    store = GeoStore(desk_config, path)
-    store.ingest_fixture(desk_fixture_dir)
-    store.build_proximity_pairs()
-    store.close()
-    return path
+def desk_store_file(desk_store):
+    """The desk store's file, which raw connections inspect and tests copy."""
+    return desk_store.path
 
 
 # --- ingestion -------------------------------------------------------------------
@@ -148,7 +146,7 @@ def test_wrong_header_rejected(tmp_path):
     _write_rows(tmp_path / "communities_testville.csv", ["id", "name"], [["c0", "A"]])
     _write_rows(tmp_path / "pois_testville.csv", POI_HEADER, [])
     with pytest.raises(IngestError, match="header"):
-        GeoStore(config).ingest_fixture(tmp_path)
+        GeoStore(config, tmp_path / "store.db").ingest_fixture(tmp_path)
 
 
 def test_duplicate_id_rejected(tmp_path):
@@ -160,7 +158,7 @@ def test_duplicate_id_rejected(tmp_path):
     )
     _write_rows(tmp_path / "pois_testville.csv", POI_HEADER, [])
     with pytest.raises(IngestError, match="duplicate id"):
-        GeoStore(config).ingest_fixture(tmp_path)
+        GeoStore(config, tmp_path / "store.db").ingest_fixture(tmp_path)
 
 
 def test_label_taxonomy_mismatch_rejected(tmp_path):
@@ -176,13 +174,13 @@ def test_label_taxonomy_mismatch_rejected(tmp_path):
         [["p0", "Testville", "X Park", "school", "park", 23.0, 113.0]],
     )
     with pytest.raises(IngestError, match="taxonomy"):
-        GeoStore(config).ingest_fixture(tmp_path)
+        GeoStore(config, tmp_path / "store.db").ingest_fixture(tmp_path)
 
 
 def test_missing_fixture_file(tmp_path):
     config = StoreConfig(cities=("Testville",))
     with pytest.raises(IngestError, match="missing fixture file"):
-        GeoStore(config).ingest_fixture(tmp_path)
+        GeoStore(config, tmp_path / "store.db").ingest_fixture(tmp_path)
 
 
 _GOOD_COMMUNITY = _community_row("c0", "A", 23.0, 113.0)
@@ -204,8 +202,9 @@ def test_malformed_fixture_record_rejected(tmp_path, family, row, match):
     rows = {"community": [_GOOD_COMMUNITY], "poi": [_GOOD_POI], family: [row]}
     _write_rows(tmp_path / "communities_testville.csv", COMMUNITY_HEADER, rows["community"])
     _write_rows(tmp_path / "pois_testville.csv", POI_HEADER, rows["poi"])
+    config = StoreConfig(cities=("Testville",))
     with pytest.raises(IngestError, match=match):
-        GeoStore(StoreConfig(cities=("Testville",))).ingest_fixture(tmp_path)
+        GeoStore(config, tmp_path / "store.db").ingest_fixture(tmp_path)
 
 
 def test_schema_declaration_matches_entities_tables_and_fixture_headers(tmp_path):
@@ -249,7 +248,7 @@ def test_schema_declaration_matches_entities_tables_and_fixture_headers(tmp_path
 
     # the derived columns hold, bit for bit, what the views computed from the
     # coordinates in SQL before they were stored
-    store = GeoStore(config)
+    store = GeoStore(config, tmp_path / "derived.db")
     store.ingest_fixture(tmp_path)
     for family in ENTITY_SCHEMA:
         assert store._conn.execute(
@@ -332,7 +331,7 @@ def test_pair_tables_match_brute_force_oracle(tmp_path, desk_config):
     # independent O(n^2) pairing over a 100-entity random fixture
     config = StoreConfig(cities=("Oracleton",), fixture_seed=99)
     write_fixture(config, tmp_path, communities_per_city=60, pois_per_city=40)
-    store = GeoStore(config)
+    store = GeoStore(config, tmp_path / "store.db")
     store.ingest_fixture(tmp_path)
     counts = store.build_proximity_pairs()
 
@@ -456,12 +455,32 @@ def test_inner_term_bound_is_the_last_double_within_the_radius(tmp_path, origin,
         assert f" <= {store_module._inner_term_bound(radius)!r}" in text
 
 
+def _serial_pair_counts(store):
+    """Each pair family's rows summed over the cities, counted one table after
+    another on a connection of its own."""
+    with closing(sqlite3.connect(store.path)) as conn:
+        return {
+            family: sum(
+                conn.execute(f"SELECT COUNT(*) FROM {store.table_id(family, city)}").fetchone()[0]
+                for city in store.config.cities
+            )
+            for family in store_module._PAIR_VIEWS
+        }
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_concurrent_pair_counts_equal_the_serial_counts(monkeypatch, desk_store, cpus):
+    monkeypatch.setattr(store_module, "_usable_cpus", lambda: cpus)
+    counts = desk_store.build_proximity_pairs()
+    assert counts == _serial_pair_counts(desk_store)
+    assert min(counts.values()) > 0
+
+
 def test_pair_build_is_idempotent(tmp_path):
     dlat = 400 / METERS_PER_DEG_LAT
     store = make_tiny_store(
         tmp_path,
         [("Alpha Court", 23.0, 113.0), ("Beta Court", 23.0 + dlat, 113.0)],
-        path=tmp_path / "store.db",
     )
     first = store.build_proximity_pairs()
     _, first_rows = store.execute_sql("SELECT * FROM community_community_testville")
@@ -579,6 +598,100 @@ def test_internal_writes_still_work_after_untrusted_query(tmp_path):
     _write_rows(more / "pois_testville.csv", POI_HEADER, [])
     assert store.ingest_fixture(more) == {"community": 1, "poi": 0}
     assert store.build_proximity_pairs()["community_community"] == 201 * 200
+
+
+def _run_in_threads(*targets):
+    """Start one daemon thread per target and join each with a timeout, so
+    that a hang fails the test instead of stalling the suite."""
+    threads = [threading.Thread(target=target, daemon=True) for target in targets]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def test_agent_sql_does_not_wait_for_a_statement_on_another_thread(desk_store):
+    started = threading.Event()
+    finished = {}
+
+    def runaway():
+        started.set()
+        with pytest.raises(SqlExecutionError, match="VM operations"):
+            desk_store.execute_sql(
+                "SELECT COUNT(*) FROM poi_community_guangzhou a, poi_community_guangzhou b"
+            )
+        finished["runaway"] = time.monotonic()
+
+    def small():
+        assert started.wait(timeout=60)
+        time.sleep(0.05)  # the runaway statement is under way by now
+        _, rows = desk_store.execute_sql("SELECT COUNT(*) FROM community_guangzhou")
+        finished["small"] = time.monotonic()
+        assert rows == [(220,)]
+
+    _run_in_threads(runaway, small)
+    assert finished["small"] < finished["runaway"]
+
+
+def test_threads_share_one_snapshot_and_read_on_their_own_readers(desk_store_file):
+    # more threads than cores, switching often, all reading a fresh store
+    store = GeoStore.open(desk_store_file)
+    snapshots, counts = [], []
+
+    def read():
+        for _ in range(5):
+            snapshots.append(store.snapshot())
+            counts.append(store.execute_sql("SELECT COUNT(*) FROM poi_suzhou")[1])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _run_in_threads(*[read] * 6)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len({id(s) for s in snapshots}) == 1 and len(snapshots) == 30
+    assert counts == [[(160,)]] * 30
+    store.close()
+
+
+def test_a_write_through_a_reader_is_refused(tmp_path):
+    store = make_tiny_store(tmp_path, [("Alpha Court", 23.0, 113.0)])
+    write = "WITH x AS (SELECT 1) INSERT INTO community_testville (id) SELECT 'c9' FROM x"
+    with pytest.raises(SqlExecutionError, match="not authorized"):
+        store.execute_sql(write)
+    # with the authorizer out of the way, the read-only open still refuses it
+    store._reader().set_authorizer(lambda *_: sqlite3.SQLITE_OK)
+    with pytest.raises(SqlExecutionError, match="readonly database"):
+        store.execute_sql(write)
+    assert store.execute_sql("SELECT COUNT(*) FROM community_testville")[1] == [(1,)]
+    store.close()
+
+
+def test_each_thread_reads_through_its_own_read_only_connection(desk_store):
+    readers = []
+    _run_in_threads(*[lambda: readers.append(desk_store._reader())] * 2)
+    assert desk_store._reader() is desk_store._reader()
+    assert len({id(r) for r in readers + [desk_store._reader()]}) == 3
+    assert desk_store._reader() is not desk_store._conn
+
+
+def test_store_at_a_path_that_a_uri_must_escape(tmp_path):
+    folder = tmp_path / "a b#c?d%20e"
+    folder.mkdir()
+    dlat = 500 / METERS_PER_DEG_LAT
+    store = make_tiny_store(
+        folder, [("Alpha Court", 23.0, 113.0), ("Beta Court", 23.0 + dlat, 113.0)]
+    )
+    assert store.build_proximity_pairs() == {"poi_community": 0, "community_community": 2}
+    _, rows = store.execute_sql("SELECT name FROM community_testville ORDER BY name")
+    assert rows == [("Alpha Court",), ("Beta Court",)]
+    store.close()
+    reopened = GeoStore.open(folder / "store.db")
+    assert reopened.build_proximity_pairs()["community_community"] == 2
+    assert reopened.execute_sql("SELECT COUNT(*) FROM community_testville")[1] == [(2,)]
+    reopened.close()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [folder.name]
 
 
 def test_store_reopen_round_trip(tmp_path, desk_config, desk_fixture_dir):
@@ -759,7 +872,8 @@ def test_store_with_stored_pair_tables_returns_the_same_rows(
         assert not conn.execute("SELECT name FROM sqlite_master WHERE type = 'view'").fetchall()
 
     store = GeoStore.open(path)
-    assert store.build_proximity_pairs() == _desk_pair_counts(desk_store_file)
+    counts = store.build_proximity_pairs()
+    assert counts == _serial_pair_counts(store) == _desk_pair_counts(desk_store_file)
     _assert_gold_sql_returns_recorded_rows(store, desk_instances)
     store.close()
 
