@@ -19,6 +19,7 @@ from typing import Any, Callable, Sequence
 from .backends import HttpBackend
 from .domain import (
     MalformedRecordError,
+    RecordTypeError,
     decode,
     encode,
     read_instances,
@@ -154,17 +155,6 @@ def _build_backend(opts: argparse.Namespace, instances, store):
     return HttpBackend(endpoint=opts.endpoint, model=opts.model, api_key_env=opts.key_env)
 
 
-def _run_config(opts: argparse.Namespace, **run_only: Any) -> RunConfig:
-    return RunConfig(
-        inject_slu="slu" in opts.inject,
-        inject_sql="sql" in opts.inject,
-        inject_api="api" in opts.inject,
-        step_cap=opts.step_cap,
-        seed=opts.seed,
-        **run_only,
-    )
-
-
 # --- commands -----------------------------------------------------------------
 
 
@@ -287,8 +277,9 @@ def _suite_inputs(opts: argparse.Namespace) -> tuple[tuple, Path]:
     store = GeoStore.open(opts.store)
     cache = ToolCache.load(opts.cache)
     instances = list(read_instances(opts.dataset))
-    run_config = _run_config(
-        opts, parallelism=opts.parallelism, slu_strategy=opts.slu, agents=opts.agents
+    run_config = RunConfig(
+        **{f"inject_{stage}": True for stage in opts.inject},
+        step_cap=opts.step_cap, agents=opts.agents, slu_strategy=opts.slu, seed=opts.seed,
     )
     templates = _templates(opts)
     backend = _build_backend(opts, instances, store)
@@ -301,7 +292,7 @@ def _suite_inputs(opts: argparse.Namespace) -> tuple[tuple, Path]:
 
 def cmd_run(opts: argparse.Namespace) -> int:
     suite_args, run_dir = _suite_inputs(opts)
-    report, records = run_suite(*suite_args)
+    report, records = run_suite(*suite_args, parallelism=opts.parallelism)
     # a lone surrogate from a model reply is written as its JSON escape
     path = run_dir / "transcripts.jsonl"
     with open(path, "w", encoding="utf-8", errors="backslashreplace") as fh:
@@ -321,11 +312,19 @@ def cmd_run(opts: argparse.Namespace) -> int:
 
 
 def cmd_eval(opts: argparse.Namespace) -> int:
-    """Recompute the metric suite from persisted transcripts."""
+    """Recompute the metric suite from persisted transcripts, under the
+    settings the run's own report records."""
     run_dir = Path(opts.run)
-    transcripts_path = run_dir / "transcripts.jsonl"
-    if not transcripts_path.exists():
-        raise CliError(f"{transcripts_path} does not exist")
+    transcripts_path, report_path = run_dir / "transcripts.jsonl", run_dir / "report.json"
+    for path in (transcripts_path, report_path):
+        if not path.exists():
+            raise CliError(f"{path} does not exist")
+    try:
+        recorded = json.loads(report_path.read_text(encoding="utf-8"))["config"]
+        run_config = decode(RunConfig, recorded)
+    except (KeyError, TypeError, ValueError) as exc:
+        error = exc.under("config") if isinstance(exc, RecordTypeError) else exc
+        raise MalformedRecordError(f"{report_path}: {type(error).__name__}: {error}") from None
     instances = {i.id: i for i in read_instances(opts.dataset)}
     first_has_slu: bool | None = None
 
@@ -348,7 +347,7 @@ def cmd_eval(opts: argparse.Namespace) -> int:
             print(f"no gold instance for {transcript.instance_id}", file=sys.stderr)
             return EXIT_VALIDATION
         records.append(EpisodeRecord(gold, transcript))
-    report = aggregate(records, _run_config(opts))
+    report = aggregate(records, run_config)
     _write_report(run_dir, "eval", report)
     print(report.render_table())
     return EXIT_OK
@@ -356,7 +355,7 @@ def cmd_eval(opts: argparse.Namespace) -> int:
 
 def cmd_ablate(opts: argparse.Namespace) -> int:
     suite_args, run_dir = _suite_inputs(opts)
-    reports = run_ablation(*suite_args)
+    reports = run_ablation(*suite_args, parallelism=opts.parallelism)
     for name, report in reports.items():
         _write_report(run_dir, f"ablation_{name}", report)
         print(f"--- {name} ---")
@@ -374,8 +373,6 @@ _OUT = Setting("out", "outdir", required=True)
 _CITIES = Setting("cities", "list", required=True)
 _OVERWRITE = Setting("overwrite", "flag", False)
 _TEMPLATES = Setting("templates")
-_INJECT = Setting("inject", "list", (), choices=("slu", "sql", "api"))
-_STEP_CAP = Setting("step_cap", "int", DEFAULT_STEP_CAP, minimum=1)
 _SUITE = (  # `run` and `ablate`, in help order
     _STORE, _CACHE, _DATASET, _OUT,
     Setting("backend", required=True, choices=("oracle", "http")),
@@ -385,7 +382,8 @@ _SUITE = (  # `run` and `ablate`, in help order
     Setting("agents", default="live", choices=("live",)),
     Setting("slu", default="lexicon", choices=("lexicon", "fewshot")),
     Setting("fewshot_pool", "file"),
-    _TEMPLATES, _INJECT, _STEP_CAP, _SEED,
+    _TEMPLATES, Setting("inject", "list", (), choices=("slu", "sql", "api")),
+    Setting("step_cap", "int", DEFAULT_STEP_CAP, minimum=1), _SEED,
     Setting("parallelism", "int", 1, minimum=1),
     _OVERWRITE,
 )
@@ -423,7 +421,7 @@ COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str, tuple[Settin
     )),
     "run": (cmd_run, "run agent episodes over a dataset", _SUITE),
     "eval": (cmd_eval, "recompute metrics from persisted transcripts", (
-        Setting("run", required=True), _DATASET, _INJECT, _STEP_CAP, _SEED,
+        Setting("run", required=True), _DATASET,
     )),
     "ablate": (cmd_ablate, "sweep the GT-injection ladder", _SUITE),
 }

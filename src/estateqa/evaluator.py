@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
 from .backends import ChatBackend, OracleBackend
@@ -104,14 +104,15 @@ def trace_metrics(
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The settings a report records, as its ``config`` block, in its order."""
+
     inject_slu: bool = False
     inject_sql: bool = False
     inject_api: bool = False
     step_cap: int = DEFAULT_STEP_CAP
-    seed: int = 0
-    parallelism: int = 1
+    agents: str = "live"  # the only value
     slu_strategy: str = "lexicon"  # lexicon | fewshot
-    agents: str = "live"  # the only value; recorded in the report's config
+    seed: int = 0
 
 
 @dataclass
@@ -122,7 +123,7 @@ class EvalReport:
     slu: dict[str, object] | None
     failures: dict[str, int]
     episodes: int
-    config: dict[str, Any] = field(default_factory=dict)
+    config: RunConfig
 
     def render_table(self) -> str:
         lines = [f"{'Queries':<10} {'F1':>8} {'Acc':>8} {'Count':>7}"]
@@ -177,8 +178,11 @@ def run_suite(
     config: RunConfig,
     templates: Sequence[Template],
     fewshot_pool: Sequence[QAInstance] | None = None,
+    *,
+    parallelism: int = 1,
 ) -> tuple[EvalReport, list[EpisodeRecord]]:
-    """Run one episode per instance and aggregate the full metric suite.
+    """Run one episode per instance, ``parallelism`` at a time, and aggregate
+    the full metric suite.
 
     ``templates`` gives the lexicon SLU its intents. Deterministic given a
     deterministic backend; aggregation is an order-independent fold over
@@ -205,8 +209,8 @@ def run_suite(
         transcript.slu = prediction
         return EpisodeRecord(instance, transcript)
 
-    if config.parallelism > 1:
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
+    if parallelism > 1:
+        with ThreadPoolExecutor(max_workers=parallelism) as pool:
             records = list(pool.map(run_one, instances))
     else:
         records = [run_one(i) for i in instances]
@@ -256,15 +260,7 @@ def aggregate(records: Sequence[EpisodeRecord], config: RunConfig) -> EvalReport
         slu=slu_report,
         failures=dict(failures),
         episodes=len(records),
-        config={
-            "inject_slu": config.inject_slu,
-            "inject_sql": config.inject_sql,
-            "inject_api": config.inject_api,
-            "step_cap": config.step_cap,
-            "agents": config.agents,
-            "slu_strategy": config.slu_strategy,
-            "seed": config.seed,
-        },
+        config=config,
     )
 
 
@@ -287,15 +283,18 @@ def run_ablation(
     config: RunConfig,
     templates: Sequence[Template],
     fewshot_pool: Sequence[QAInstance] | None = None,
+    *,
+    parallelism: int = 1,
 ) -> dict[str, EvalReport]:
     """Sweep the four-rung ground-truth injection ladder: none, SLU,
     SLU+SQL, SLU+SQL+API."""
-    reports: dict[str, EvalReport] = {}
-    for name, flags in ABLATION_LADDER:
-        rung = replace(config, **flags)
-        report, _ = run_suite(instances, store, cache, backend, rung, templates, fewshot_pool)
-        reports[name] = report
-    return reports
+    return {
+        name: run_suite(
+            instances, store, cache, backend, replace(config, **flags), templates,
+            fewshot_pool, parallelism=parallelism,
+        )[0]
+        for name, flags in ABLATION_LADDER
+    }
 
 
 def make_oracle_backend(instances: Sequence[QAInstance], store: GeoStore) -> OracleBackend:

@@ -22,7 +22,7 @@ from functools import partial
 from typing import Any, Iterable, Mapping
 
 from .backends import BackendError, ChatBackend, ask, build_task_message, reprompt_once
-from .domain import GeoPoint
+from .domain import Cell, GeoPoint
 from .prompts import load_prompt
 from .supervisor import AgentResult, AgentTask
 from .tools import InvalidParams, CacheMiss, ToolCache, ToolRequest
@@ -45,6 +45,8 @@ _TOOLS_NUDGE = (
 )
 
 _MODE_DISPLAY = {"transit": "public transit"}
+
+_SCALAR_KINDS = {"duration_s": "duration", "distance_m": "distance"}
 
 _NAME_PARAM_PREFIXES = {"origin": ("origin_lat", "origin_lon"), "destination": ("dest_lat", "dest_lon"), "center": ("center_lat", "center_lon")}
 
@@ -85,11 +87,11 @@ def parse_decisions(reply: str) -> tuple[list[ToolDecision], SynthesisRule, str]
         kind = match.group(1).casefold()
         if kind == "compare":
             kind = "argmin"
-        synth = SynthesisRule(
-            kind=kind,
-            op=match.group(2) or "<=",
-            value=float(match.group(3)) if match.group(3) else None,
-        )
+        try:
+            value = float(match.group(3))
+        except (TypeError, ValueError):  # no bound, or one that is no number, as 1.2.3
+            value = None
+        synth = SynthesisRule(kind=kind, op=match.group(2) or "<=", value=value)
     return decisions, synth, ""
 
 
@@ -144,14 +146,15 @@ class MapAgent:
     def _label_for(
         self,
         decision: ToolDecision,
-        params: dict[str, Any],
+        request: ToolRequest,
         coordinates: Mapping[str, GeoPoint],
         origins_differ: bool,
     ) -> str:
         if decision.label:
             return decision.label
+        params = request.params_dict
         if origins_differ and "origin_lat" in params:
-            target = (round(float(params["origin_lat"]), 6), round(float(params["origin_lon"]), 6))
+            target = (params["origin_lat"], params["origin_lon"])
             for name, point in coordinates.items():
                 if (round(point.latitude, 6), round(point.longitude, 6)) == target:
                     return name
@@ -167,9 +170,8 @@ class MapAgent:
         coordinates: Mapping[str, GeoPoint] | None = None,
     ) -> AgentResult:
         coordinates = coordinates or {}
-        decisions = list(decisions)
-        origins = set()
-        resolved: list[tuple[ToolDecision, dict[str, Any]]] = []
+        # each call with its params and its normalized request, or why it has none
+        calls: list[tuple[ToolDecision, dict[str, Any], ToolRequest | InvalidParams]] = []
         for decision in decisions:
             params, missing = self._resolve_params(decision, coordinates)
             if missing is not None:
@@ -178,23 +180,28 @@ class MapAgent:
                     error_report="geographical coordinates required for the task"
                     f" are missing for {missing!r}",
                 )
-            resolved.append((decision, params))
-            if "origin_lat" in params:
-                origins.add((params["origin_lat"], params["origin_lon"]))
+            try:
+                built = ToolRequest.build(decision.function, params, decision.bucket)
+            except InvalidParams as exc:
+                built = exc
+            calls.append((decision, params, built))
+        requested = [b.params_dict for _, _, b in calls if isinstance(b, ToolRequest)]
+        origins = {(p["origin_lat"], p["origin_lon"]) for p in requested if "origin_lat" in p}
         origins_differ = len(origins) > 1
 
         evidence: list[dict[str, Any]] = []
-        scalars: list[tuple[str, float]] = []
+        scalars: list[tuple[str, str, Cell]] = []  # (label, value kind, raw result cell)
         failures = 0
         last_error = ""
         last_rows: tuple[tuple[Any, ...], ...] = ()
         last_columns: tuple[str, ...] = ()
-        for decision, params in resolved:
+        for decision, params, built in calls:
             payload: dict[str, Any] = {"type": "tool_call", "function": decision.function}
             try:
-                request = ToolRequest.build(decision.function, params, decision.bucket)
-                payload["params"] = request.step_params()
-                result = self.cache.execute(request)
+                if isinstance(built, InvalidParams):
+                    raise built
+                payload["params"] = built.step_params()
+                result = self.cache.execute(built)
             except (InvalidParams, CacheMiss) as exc:
                 payload.setdefault("params", dict(params))
                 payload.update(ok=False, error=str(exc))
@@ -216,9 +223,10 @@ class MapAgent:
             )
             evidence.append(payload)
             last_rows, last_columns = result.rows, result.columns
-            if result.columns[-1] in ("duration_s", "distance_m") and result.rows:
-                label = self._label_for(decision, params, coordinates, origins_differ)
-                scalars.append((label, float(result.rows[0][-1])))
+            kind = _SCALAR_KINDS.get(result.columns[-1])
+            if kind and result.rows:
+                label = self._label_for(decision, built, coordinates, origins_differ)
+                scalars.append((label, kind, result.rows[0][-1]))
 
         if failures and not scalars and not last_rows:
             return AgentResult(
@@ -232,7 +240,7 @@ class MapAgent:
         self,
         rule: SynthesisRule,
         evidence: list[dict[str, Any]],
-        scalars: list[tuple[str, float]],
+        scalars: list[tuple[str, str, Cell]],
         last_columns: tuple[str, ...],
         last_rows: tuple[tuple[Any, ...], ...],
     ) -> AgentResult:
@@ -244,7 +252,7 @@ class MapAgent:
                     error_report="nothing to compare: no scalar tool results",
                 )
             sign = 1.0 if rule.kind == "argmin" else -1.0
-            winner = min(scalars, key=lambda s: (sign * s[1], s[0]))[0]
+            winner = min(scalars, key=lambda s: (sign * float(s[2]), s[0]))[0]
             evidence.append({"type": "entities", "names": [winner]})
         elif rule.kind == "count":
             evidence.append(
@@ -257,8 +265,8 @@ class MapAgent:
                 )
             keep = [
                 label
-                for label, value in scalars
-                if (value <= rule.value if rule.op == "<=" else value >= rule.value)
+                for label, _, cell in scalars
+                if (float(cell) <= rule.value if rule.op == "<=" else float(cell) >= rule.value)
             ]
             if not keep:
                 return AgentResult(
@@ -268,15 +276,9 @@ class MapAgent:
                 )
             evidence.append({"type": "entities", "names": keep})
         else:  # passthrough
-            for payload in evidence:
-                if payload.get("type") == "tool_call" and payload.get("ok"):
-                    columns = payload.get("columns") or []
-                    rows = payload.get("rows") or []
-                    if rows and columns and columns[-1] in ("duration_s", "distance_m"):
-                        kind = "duration" if columns[-1] == "duration_s" else "distance"
-                        evidence.append(
-                            {"type": "value", "kind": kind, "value": rows[0][-1]}
-                        )
+            evidence.extend(
+                {"type": "value", "kind": kind, "value": cell} for _, kind, cell in scalars
+            )
             if last_columns and "name" in last_columns:
                 name_idx = list(last_columns).index("name")
                 evidence.append(

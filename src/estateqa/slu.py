@@ -209,7 +209,7 @@ def parse_slu_reply(reply: str, question: str) -> SluPrediction:
         end = reply.rindex("}")
         data = json.loads(reply[start : end + 1])
         intents = tuple(str(i) for i in data.get("intents", []))
-        raw_slots = data.get("slots", [])
+        raw_slots = list(data.get("slots", []))
     except (ValueError, TypeError, AttributeError):
         log.warning("unparseable SLU reply: %r", reply[:120])
         return SluPrediction(intents=(), slots=())

@@ -1,11 +1,11 @@
-"""Backend test doubles: a scripted backend that answers by task, and one that
-always fails."""
+"""Backend test doubles: a scripted backend that answers by task, one that
+always fails, and one that breaks chosen stages of the oracle."""
 
 from __future__ import annotations
 
 from typing import Any, Sequence
 
-from estateqa.backends import BackendError, Message, parse_task_header
+from estateqa.backends import BackendError, ChatBackend, Message, parse_task_header
 
 
 class ScriptedBackend:
@@ -44,3 +44,39 @@ class RaisingBackend:
 
     def complete(self, system_prompt: str, messages: Sequence[Message]) -> str:
         raise BackendError(self.message)
+
+
+# replies in the right envelope whose content is broken: two tool calls the
+# map agent cannot build, a threshold bound that is no number, and SLU slots
+# that are no list
+MALFORMED_REPLIES = {
+    "decide_tools": 'TOOL: time_query PARAMS: {"origin_lat": 1, "mode": "walking"}\n'
+                    'TOOL: time_query PARAMS: {"origin_lat": [1], "origin_lon": 2}\n'
+                    "SYNTHESIZE: threshold_filter <= 1.2.3",
+    "slu": '{"intents": ["walk_time"], "slots": null}',
+}
+SABOTAGE_MODES = ("garbage", "raise", "malformed")
+
+
+class SabotageBackend:
+    """Another backend (the oracle, in practice) everywhere except the broken
+    stages. Those reply with no envelope (``garbage``), raise
+    :class:`BackendError` (``raise``), or give their ``MALFORMED_REPLIES``
+    entry (``malformed``)."""
+
+    def __init__(self, inner: ChatBackend, *broken_stages: str, mode: str = "garbage") -> None:
+        if mode not in SABOTAGE_MODES:
+            raise ValueError(f"unknown sabotage mode {mode!r}")
+        self.inner = inner
+        self.broken_stages = broken_stages
+        self.mode = mode
+
+    def complete(self, system_prompt: str, messages: Sequence[Message]) -> str:
+        task = parse_task_header(messages).get("task")
+        if task not in self.broken_stages:
+            return self.inner.complete(system_prompt, messages)
+        if self.mode == "raise":
+            raise BackendError(f"sabotaged stage {task}")
+        if self.mode == "malformed":
+            return MALFORMED_REPLIES[task]
+        return "I cannot comply with the requested format."

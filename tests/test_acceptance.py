@@ -14,8 +14,8 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-from doubles import RaisingBackend
-from estateqa.backends import OracleBackend, parse_task_header
+from doubles import RaisingBackend, SabotageBackend
+from estateqa.backends import parse_task_header
 from estateqa.bm25 import Bm25Index, tokenize
 from estateqa.cli import main
 from estateqa.domain import CanonicalAnswer, answer_equal, haversine, write_instances
@@ -420,17 +420,6 @@ def test_criterion_8_cache_determinism(desk_store, desk_templates, desk_cache, t
 
 
 # --- 9. ablation ladder ----------------------------------------------------------------------------
-
-
-class SabotageBackend:
-    def __init__(self, oracle: OracleBackend, broken_stage: str) -> None:
-        self.oracle = oracle
-        self.broken_stage = broken_stage
-
-    def complete(self, system_prompt, messages):
-        if parse_task_header(messages).get("task") == self.broken_stage:
-            return "I cannot comply with the requested format."
-        return self.oracle.complete(system_prompt, messages)
 
 
 def test_criterion_9_ablation_ladder(

@@ -282,6 +282,7 @@ def http_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions", _Handler
     server.shutdown()
+    server.server_close()
 
 
 def test_http_backend_wire_format(http_server, monkeypatch):

@@ -103,23 +103,76 @@ def test_oracle_run_and_eval(workdir, tmp_path):
     assert recomputed["trace"] == report["trace"]
 
 
-@pytest.mark.parametrize("inject", [[], ["--inject", "slu"]])
-def test_eval_of_a_run_equals_its_report(workdir, tmp_path, inject):
+@pytest.mark.parametrize("settings", [
+    [],
+    ["--inject", "slu"],
+    ["--inject", "sql,api", "--step-cap", "9", "--seed", "5"],
+    ["--slu", "fewshot", "--fewshot-pool", "splits/train.jsonl"],
+], ids=["default", "inject_slu", "inject_sql_api", "fewshot"])
+def test_eval_of_a_run_equals_its_report(workdir, tmp_path, settings):
+    """`eval` takes the run's settings from its report.json, so it writes the
+    same bytes back as eval.json."""
     run_dir = tmp_path / "run"
     test_split = str(workdir / "splits" / "test.jsonl")
+    settings = [str(workdir / s) if s.endswith(".jsonl") else s for s in settings]
     assert main(["run", "--store", str(workdir / "store.db"),
                  "--cache", str(workdir / "cache.jsonl"), "--dataset", test_split,
-                 "--out", str(run_dir), "--backend", "oracle", *inject]) == 0
+                 "--out", str(run_dir), "--backend", "oracle", *settings]) == 0
     lines = [json.loads(line) for line in
              (run_dir / "transcripts.jsonl").read_text(encoding="utf-8").splitlines()]
-    if inject:
+    injected_slu = "slu" in settings
+    if injected_slu:
         assert all(line["slu"] is None for line in lines)
     else:
         assert all(line["slu"]["intents"] for line in lines)
-    assert main(["eval", "--run", str(run_dir), "--dataset", test_split, *inject]) == 0
+    assert main(["eval", "--run", str(run_dir), "--dataset", test_split]) == 0
     report = json.loads((run_dir / "report.json").read_text())
-    assert (report["slu"] is None) == bool(inject)
-    assert json.loads((run_dir / "eval.json").read_text()) == report
+    assert (report["slu"] is None) == injected_slu
+    assert report["config"]["slu_strategy"] == ("fewshot" if "fewshot" in settings else "lexicon")
+    assert (run_dir / "eval.json").read_bytes() == (run_dir / "report.json").read_bytes()
+
+
+def test_eval_ignores_run_settings_of_a_shared_config_file(finished_run, workdir, tmp_path):
+    """A config file shared with `run` may set `inject`, `step_cap` and
+    `seed`; `eval` ignores them and keeps the settings of report.json."""
+    for name in ("transcripts.jsonl", "report.json"):
+        shutil.copy(finished_run / name, tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"inject": "slu", "step_cap": 3, "seed": 9}))
+    assert main(["eval", "--config", str(config), "--run", str(tmp_path),
+                 "--dataset", str(workdir / "splits" / "test.jsonl")]) == 0
+    assert (tmp_path / "eval.json").read_bytes() == (tmp_path / "report.json").read_bytes()
+
+
+def test_eval_without_a_report_is_config_error(finished_run, workdir, tmp_path, capsys):
+    shutil.copy(finished_run / "transcripts.jsonl", tmp_path)
+    assert main(["eval", "--run", str(tmp_path),
+                 "--dataset", str(workdir / "splits" / "test.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'report.json'} does not exist" in err and "Traceback" not in err
+    assert not (tmp_path / "eval.json").exists()
+
+
+@pytest.mark.parametrize("content, detail", [
+    ('{"config": {"step_cap": "x"}}', "RecordTypeError: config.step_cap: expected int, got str"),
+    ('{"config": {"inject_sql": 1}}', "RecordTypeError: config.inject_sql: expected bool, got int"),
+    ('{"config": []}', "RecordTypeError: config: expected dict, got list"),
+    ('{"overall": {}}', "KeyError: 'config'"),
+    ("[1]", "TypeError: list indices must be integers"),
+    ("not json", "JSONDecodeError: "),
+], ids=["step_cap", "inject_sql", "config_list", "no_config", "not_object", "not_json"])
+def test_eval_of_a_malformed_report_is_validation_failure(
+    finished_run, workdir, tmp_path, capsys, content, detail
+):
+    """A report.json that does not parse, or whose config holds a value of
+    the wrong type, exits 1 naming the file and the field, with no traceback."""
+    shutil.copy(finished_run / "transcripts.jsonl", tmp_path)
+    (tmp_path / "report.json").write_text(content, encoding="utf-8")
+    assert main(["eval", "--run", str(tmp_path),
+                 "--dataset", str(workdir / "splits" / "test.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: {tmp_path / 'report.json'}: {detail}")
+    assert "Traceback" not in err and not (tmp_path / "eval.json").exists()
 
 
 def test_run_dir_append_only(workdir, tmp_path):
@@ -284,6 +337,7 @@ def test_eval_refuses_lines_with_and_without_slu(
     records[null_line - 1]["slu"] = None
     path = tmp_path / source.name
     path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    shutil.copy(finished_run / "report.json", tmp_path)
     test_split = str(workdir / "splits" / "test.jsonl")
     assert main(["eval", "--run", str(tmp_path), "--dataset", test_split]) == 1
     err = capsys.readouterr().err
@@ -333,6 +387,8 @@ def test_wrong_json_type_is_validation_failure(
     record = json.loads(lines[0])
     change(record)
     path.write_text(json.dumps(record) + "\n" + "".join(lines[1:]), encoding="utf-8")
+    if damaged == "transcripts":
+        shutil.copy(finished_run / "report.json", tmp_path)
     dataset = path if damaged == "dataset" else test_split
     cache = path if damaged == "cache" else workdir / "cache.jsonl"
     store = ["--store", str(workdir / "store.db")]
@@ -494,6 +550,7 @@ def _assert_config_error(workdir, finished_run, tmp_path, capsys, command, flags
     if command == "eval":
         (tmp_path / "run").mkdir()
         shutil.copy(finished_run / "transcripts.jsonl", tmp_path / "run")
+        shutil.copy(finished_run / "report.json", tmp_path / "run")
     cwd = Path.cwd()
     os.chdir(tmp_path)
     try:
@@ -666,7 +723,7 @@ _FLAGS = {  # every command's flags; --templates is new on run and ablate
     "split": "--dataset --out-dir --seed",
     "run": "--store --cache --dataset --out --backend --endpoint --model --key-env --agents"
            " --slu --fewshot-pool --templates --inject --step-cap --seed --parallelism --overwrite",
-    "eval": "--run --dataset --inject --step-cap --seed",
+    "eval": "--run --dataset",
 }
 _FLAGS["ablate"] = _FLAGS["run"]
 
@@ -731,9 +788,9 @@ def test_ablate_fewshot_pool_reaches_every_rung(workdir, tmp_path, monkeypatch):
     pools = []
     run_suite = evaluator.run_suite
 
-    def recording_run_suite(*args):
+    def recording_run_suite(*args, **kwargs):
         pools.append(args[-1])
-        return run_suite(*args)
+        return run_suite(*args, **kwargs)
 
     monkeypatch.setattr(evaluator, "run_suite", recording_run_suite)
     train = workdir / "splits" / "train.jsonl"

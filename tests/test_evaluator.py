@@ -3,6 +3,7 @@ naive tally, aggregation properties, and the GT-injection ablation mechanism."""
 
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 from dataclasses import replace
@@ -10,8 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from estateqa.backends import BackendError, OracleBackend, parse_task_header
-from estateqa.domain import CanonicalAnswer, answer_equal
+from doubles import MALFORMED_REPLIES, SabotageBackend
+from estateqa.domain import CanonicalAnswer, answer_equal, encode
 from estateqa.evaluator import (
     ABLATION_LADDER,
     EpisodeRecord,
@@ -333,24 +334,6 @@ def test_render_table_layout(desk_instances):
 # --- suite and ablation ladder ----------------------------------------------------------------
 
 
-class SabotageBackend:
-    """Oracle everywhere except the broken stages; those emit garbage, or
-    raise ``BackendError`` when ``raises`` is set."""
-
-    def __init__(self, oracle: OracleBackend, *broken_stages: str, raises: bool = False) -> None:
-        self.oracle = oracle
-        self.broken_stages = broken_stages
-        self.raises = raises
-
-    def complete(self, system_prompt, messages):
-        header = parse_task_header(messages)
-        if header.get("task") in self.broken_stages:
-            if self.raises:
-                raise BackendError(f"sabotaged stage {header['task']}")
-            return "I cannot comply with the requested format."
-        return self.oracle.complete(system_prompt, messages)
-
-
 @pytest.fixture(scope="module")
 def eval_slice(desk_instances):
     by_type = {1: [], 2: [], 3: []}
@@ -382,8 +365,9 @@ def test_parallel_suite_matches_serial(eval_slice, desk_store, desk_cache, desk_
         desk_store,
         desk_cache,
         backend,
-        RunConfig(inject_slu=True, inject_sql=True, inject_api=True, parallelism=4),
+        RunConfig(inject_slu=True, inject_sql=True, inject_api=True),
         desk_templates,
+        parallelism=4,
     )
     assert parallel == serial
 
@@ -430,7 +414,7 @@ def test_injected_specialists_never_reach_the_run_backend(
     backend = SabotageBackend(
         make_oracle_backend(eval_slice, desk_store),
         "caption_summary", "generate_sql", "decide_tools",
-        raises=True,
+        mode="raise",
     )
     live, _ = run_suite(
         eval_slice, desk_store, desk_cache, backend, RunConfig(step_cap=9), desk_templates
@@ -450,3 +434,40 @@ def test_run_config_validation(eval_slice, desk_store, desk_cache, desk_template
         run_suite(
             eval_slice, desk_store, desk_cache, backend, RunConfig(step_cap=0), desk_templates
         )
+
+
+# --- fault matrix -------------------------------------------------------------------------
+
+_STAGES = ("plan", "replan", "finalize", "caption_summary", "generate_sql", "decide_tools", "slu")
+
+
+@pytest.mark.parametrize("mode, stage", [
+    *((mode, stage) for mode in ("garbage", "raise") for stage in _STAGES),
+    *(("malformed", stage) for stage in MALFORMED_REPLIES),
+])
+def test_a_broken_stage_fails_episodes_not_the_run(
+    eval_slice, desk_instances, desk_store, desk_cache, desk_templates, mode, stage
+):
+    """Whichever stage the backend breaks, and however, every episode ends
+    within the cap with an answer or a failure tag, the report counts every
+    tag, and a parallel run writes what a serial one does."""
+    pool = [inst for k, inst in enumerate(eval_slice) if k % 8 < 3]  # three of each type
+    backend = SabotageBackend(make_oracle_backend(pool, desk_store), stage, mode=mode)
+    config = RunConfig(slu_strategy="fewshot", step_cap=6)
+    runs = [
+        run_suite(pool, desk_store, desk_cache, backend, config, desk_templates,
+                  desk_instances[:4], parallelism=parallelism)
+        for parallelism in (1, 2)
+    ]
+    (report, records), (parallel_report, parallel_records) = runs
+    transcripts = [r.transcript for r in records]
+    assert len(transcripts) == len(pool)
+    for transcript in transcripts:
+        assert transcript.step_count <= config.step_cap
+        assert transcript.final_answer is not None or transcript.failure
+    tags = Counter(t.failure for t in transcripts if t.failure)
+    tags["unanswerable"] += sum(t.final_answer is None for t in transcripts)
+    assert report.failures == +tags
+    assert parallel_report == report
+    encoded = [json.dumps(r.transcript, default=encode) for r in records]
+    assert [json.dumps(r.transcript, default=encode) for r in parallel_records] == encoded

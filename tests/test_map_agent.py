@@ -3,6 +3,8 @@ rules, attempt cap, and gold tool injection through the oracle."""
 
 from __future__ import annotations
 
+import pytest
+
 from doubles import ScriptedBackend
 from estateqa.domain import GeoPoint
 from estateqa.evaluator import make_oracle_backend
@@ -12,7 +14,7 @@ from estateqa.map_agent import (
     ToolDecision,
     parse_decisions,
 )
-from estateqa.supervisor import AgentTask
+from estateqa.supervisor import AgentTask, Supervisor
 from estateqa.tools import RESULT_SCHEMAS, ToolCache, ToolResult
 
 
@@ -127,6 +129,28 @@ def test_parse_compare_aliases_argmin():
     assert rule.kind == "argmin"
 
 
+def test_bound_that_is_no_number_fails_the_dispatch_not_the_episode():
+    """A bound like 1.2.3 reads as no bound: the map dispatch fails with the
+    threshold error, and the supervisor goes on to its next step."""
+    _, rule, _ = parse_decisions(
+        'TOOL: time_query PARAMS: {}\nSYNTHESIZE: threshold_filter <= 1.2.3'
+    )
+    assert rule == SynthesisRule(kind="threshold_filter", op="<=", value=None)
+    reply = (
+        'TOOL: time_query PARAMS: {"origin_lat": 1.0, "origin_lon": 113.0, "dest_lat": 24.0,'
+        ' "dest_lon": 114.0, "mode": "driving"}\nSYNTHESIZE: threshold_filter <= 1.2.3'
+    )
+    backend = ScriptedBackend(
+        {"plan": "DISPATCH map_agent: times", "decide_tools": reply,
+         "replan": "UNABLE: no route"}
+    )
+    agent = _agent({(1.0, "driving"): 500}, backend=backend)
+    transcript = Supervisor(backend, {"map_agent": agent}).run_episode("q", [], [])
+    (dispatch,) = transcript.dispatches
+    assert dispatch.status == "error" and dispatch.error_report == "threshold missing a bound"
+    assert transcript.final_answer is None
+
+
 # --- synthesis ----------------------------------------------------------------------
 
 
@@ -231,6 +255,27 @@ def test_all_calls_missing_errors_within_attempt_cap():
     failed_calls = [p for p in result.evidence if p["type"] == "tool_call" and not p["ok"]]
     assert len(failed_calls) == 3  # stopped at the cap, not all ten
     assert "attempts" in result.error_report
+
+
+@pytest.mark.parametrize("params, error", [
+    ({"origin_lat": 1, "mode": "walking"}, "time_query: missing param origin_lon"),
+    ({"origin_lat": [1], "origin_lon": 2}, "origin_lat must be numeric, got [1]"),
+], ids=["missing_origin_lon", "list_coordinate"])
+def test_malformed_call_is_a_failed_call_and_the_rest_still_run(params, error):
+    durations = {(1.0, "driving"): 600, (2.0, "driving"): 900}
+    agent = _agent(durations)
+    decisions = [
+        _decision(1.0, label="Alpha"),
+        ToolDecision(function="time_query", params=params),
+        _decision(2.0, label="Beta"),
+    ]
+    result = agent.invoke_and_synthesize(decisions, SynthesisRule(kind="argmin"))
+    assert result.status == "success"
+    calls = [p for p in result.evidence if p["type"] == "tool_call"]
+    assert [call["ok"] for call in calls] == [True, False, True]
+    assert calls[1] == {"type": "tool_call", "function": "time_query", "params": params,
+                        "ok": False, "error": error}
+    assert next(p for p in result.evidence if p["type"] == "entities")["names"] == ["Alpha"]
 
 
 def test_missing_coordinates_is_unable():

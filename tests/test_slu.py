@@ -410,6 +410,13 @@ def test_fewshot_backend_failure_degrades(desk_instances):
     assert slu.predict("anything") == SluPrediction((), ())
 
 
+@pytest.mark.parametrize("slots", [None, 5], ids=["null", "number"])
+def test_fewshot_reply_whose_slots_is_no_list_degrades(desk_instances, slots):
+    reply = json.dumps({"intents": ["walk_time"], "slots": slots})
+    slu = FewShotSlu(ScriptedBackend(default=reply), desk_instances[:5])
+    assert slu.predict(desk_instances[0].question) == SluPrediction((), ())
+
+
 def test_parse_slu_reply_drops_absent_values():
     reply = json.dumps(
         {"intents": ["x"], "slots": [{"slot_type": "a", "value": "missing"},
