@@ -1,38 +1,2 @@
 """estateqa: deterministic real-estate geospatial QA benchmark with a
 hierarchical supervisor/specialist agent harness and metric suite."""
-
-from .domain import (
-    CanonicalAnswer,
-    Community,
-    GeoPoint,
-    Poi,
-    QAInstance,
-    SlotAnnotation,
-    SqlStep,
-    ToolStep,
-    answer_equal,
-    haversine,
-)
-from .store import GeoStore, StoreConfig
-from .tools import SyntheticProvider, ToolCache, ToolRequest
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "CanonicalAnswer",
-    "Community",
-    "GeoPoint",
-    "GeoStore",
-    "Poi",
-    "QAInstance",
-    "SlotAnnotation",
-    "SqlStep",
-    "StoreConfig",
-    "SyntheticProvider",
-    "ToolCache",
-    "ToolRequest",
-    "ToolStep",
-    "answer_equal",
-    "haversine",
-    "__version__",
-]

@@ -87,6 +87,10 @@ def parse_task_header(messages: Sequence[Message]) -> dict[str, str]:
 # --- answer envelope ----------------------------------------------------------------
 
 
+# The answer kinds a reply may name: the kinds the answer rules derive.
+REPLY_KINDS = ("entity_set", "number", "duration", "distance", "text")
+
+
 def render_answer(answer: CanonicalAnswer) -> str:
     lines = [f"ANSWER_KIND: {answer.kind}"]
     if answer.kind == "entity_set":
@@ -97,8 +101,6 @@ def render_answer(answer: CanonicalAnswer) -> str:
             lines.append(f"UNIT: {answer.unit}")
     elif answer.kind in ("duration", "distance"):
         lines.append(f"ANSWER: {answer.value!r}")
-    elif answer.kind == "boolean":
-        lines.append(f"ANSWER: {'true' if answer.flag else 'false'}")
     else:
         lines.append(f"ANSWER: {answer.text}")
     return "\n".join(lines)
@@ -121,7 +123,7 @@ def parse_answer(text: str) -> CanonicalAnswer | None:
             payload = value
         elif key == "UNIT":
             unit = value
-    if kind is None or payload is None or kind not in CanonicalAnswer.KINDS:
+    if kind is None or payload is None or kind not in REPLY_KINDS:
         return None
     try:
         if kind == "entity_set":
@@ -135,10 +137,6 @@ def parse_answer(text: str) -> CanonicalAnswer | None:
             return CanonicalAnswer(kind="duration", value=float(payload))
         if kind == "distance":
             return CanonicalAnswer(kind="distance", value=float(payload))
-        if kind == "boolean":
-            if payload.casefold() not in ("true", "false", "yes", "no"):
-                return None
-            return CanonicalAnswer.boolean(payload.casefold() in ("true", "yes"))
         return CanonicalAnswer.from_text(payload)
     except (ValueError, TypeError):
         return None

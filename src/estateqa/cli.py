@@ -38,7 +38,7 @@ from .evaluator import (
 from .fixtures import write_fixture
 from .generator import generate, revalidate_instance, stratified_split
 from .slu import build_fewshot_pool
-from .store import GeoStore, IngestError, StoreConfig
+from .store import FAMILIES, GeoStore, IngestError, StoreConfig
 from .supervisor import DEFAULT_STEP_CAP, EpisodeTranscript
 from .templates import TemplateError, default_templates, load_template_dir
 from .tools import SyntheticProvider, ToolCache
@@ -178,15 +178,14 @@ def cmd_ingest(opts: argparse.Namespace) -> int:
         fixture_seed=opts.seed,
     )
     store_path.unlink(missing_ok=True)
-    store = GeoStore(store_config, store_path)
     try:
-        counts = store.ingest_fixture(opts.fixtures)
-    except IngestError as exc:
-        print(f"ingestion error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        counts = GeoStore.ingest_fixture(store_config, store_path, opts.fixtures)
+    except BaseException:
+        store_path.unlink(missing_ok=True)  # a failed ingest leaves no store behind
+        raise
     print(
         f"ingested {counts['community']} communities and {counts['poi']} POIs;"
-        f" {len(store.list_captions())} captions"
+        f" {len(FAMILIES) * len(store_config.cities)} captions"
     )
     return EXIT_OK
 
@@ -277,8 +276,8 @@ def _suite_inputs(opts: argparse.Namespace) -> tuple[tuple, Path]:
     store = GeoStore.open(opts.store)
     cache = ToolCache.load(opts.cache)
     instances = list(read_instances(opts.dataset))
-    run_config = RunConfig(
-        **{f"inject_{stage}": True for stage in opts.inject},
+    run_config = RunConfig(  # `ablate` has no --inject: each rung sets its own
+        **{f"inject_{stage}": True for stage in getattr(opts, "inject", ())},
         step_cap=opts.step_cap, agents=opts.agents, slu_strategy=opts.slu, seed=opts.seed,
     )
     templates = _templates(opts)
@@ -373,7 +372,7 @@ _OUT = Setting("out", "outdir", required=True)
 _CITIES = Setting("cities", "list", required=True)
 _OVERWRITE = Setting("overwrite", "flag", False)
 _TEMPLATES = Setting("templates")
-_SUITE = (  # `run` and `ablate`, in help order
+_SUITE = (  # `run`, and `ablate` but for `inject`, in help order
     _STORE, _CACHE, _DATASET, _OUT,
     Setting("backend", required=True, choices=("oracle", "http")),
     Setting("endpoint"),
@@ -423,7 +422,11 @@ COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str, tuple[Settin
     "eval": (cmd_eval, "recompute metrics from persisted transcripts", (
         Setting("run", required=True), _DATASET,
     )),
-    "ablate": (cmd_ablate, "sweep the GT-injection ladder", _SUITE),
+    "ablate": (
+        cmd_ablate,
+        "sweep the GT-injection ladder",
+        tuple(setting for setting in _SUITE if setting.name != "inject"),
+    ),
 }
 
 

@@ -273,7 +273,8 @@ class CanonicalAnswer:
     number        value + unit (unit normalized on compare)
     duration      value: whole seconds (>= 0)
     distance      value: whole meters (>= 0)
-    boolean       flag
+    boolean       flag; only read: no answer rule derives it, and a reply
+                  cannot name it (``backends.REPLY_KINDS``)
     text          text
     """
 
@@ -309,10 +310,6 @@ class CanonicalAnswer:
     @classmethod
     def distance(cls, meters: float) -> "CanonicalAnswer":
         return cls(kind="distance", value=float(round(meters)))
-
-    @classmethod
-    def boolean(cls, flag: bool) -> "CanonicalAnswer":
-        return cls(kind="boolean", flag=bool(flag))
 
     @classmethod
     def from_text(cls, text: str) -> "CanonicalAnswer":

@@ -267,11 +267,16 @@ def aggregate(records: Sequence[EpisodeRecord], config: RunConfig) -> EvalReport
 # --- ground-truth injection ladder ----------------------------------------------------
 
 
-ABLATION_LADDER: tuple[tuple[str, dict[str, bool]], ...] = (
-    ("none", {}),
-    ("gt_slu", {"inject_slu": True}),
-    ("gt_slu_sql", {"inject_slu": True, "inject_sql": True}),
-    ("gt_slu_sql_api", {"inject_slu": True, "inject_sql": True, "inject_api": True}),
+# Each rung as (name, the three inject_* flags), so a rung overrides whatever
+# injection the base config carries.
+ABLATION_LADDER: tuple[tuple[str, dict[str, bool]], ...] = tuple(
+    (name, {f"inject_{stage}": stage in injected for stage in ("slu", "sql", "api")})
+    for name, injected in (
+        ("none", ()),
+        ("gt_slu", ("slu",)),
+        ("gt_slu_sql", ("slu", "sql")),
+        ("gt_slu_sql_api", ("slu", "sql", "api")),
+    )
 )
 
 

@@ -211,8 +211,6 @@ def render_nl_answer(answer: CanonicalAnswer) -> str:
         body = f"{_fmt_number(answer.value)} meters"
     elif answer.kind == "number":
         body = _fmt_number(answer.value) if answer.unit == "count" else f"{_fmt_number(answer.value)} {answer.unit}"
-    elif answer.kind == "boolean":
-        body = "yes" if answer.flag else "no"
     else:
         body = answer.text
     return f"The answer is {body}."

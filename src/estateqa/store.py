@@ -194,6 +194,10 @@ def city_slug(city: str) -> str:
     return re.sub(r"[^a-z0-9]+", "_", city.casefold()).strip("_")
 
 
+def table_id(family: str, city: str) -> str:
+    return f"{family}_{city_slug(city)}"
+
+
 def _caption_text(family: str, city: str) -> str:
     return {
         "community": f"Table for Communities in {city}",
@@ -229,6 +233,23 @@ def _inner_term_bound(radius: float) -> float:
     return low
 
 
+def _create_view_sql(config: StoreConfig, family: str, city: str) -> str:
+    """Every (subject, neighbour) pair within the radius, filtered on the
+    haversine's inner term and rounded to 0.1 m only in the select list.
+    R·|Δlat| never exceeds the great-circle distance, so neighbours outside
+    the latitude window (padded against rounding) are beyond the radius."""
+    subject, neighbor, radius_field, columns, condition = _PAIR_VIEWS[family]
+    radius = getattr(config, radius_field)
+    half_width = f"degrees({radius!r} / {EARTH_RADIUS_M!r}) * (1 + 1e-9)"
+    return (
+        f"CREATE VIEW {table_id(family, city)} ({', '.join(FAMILY_COLUMNS[family])})"
+        f" AS SELECT {columns}, round({_DISTANCE_SQL}, 1)"
+        f" FROM {table_id(subject, city)} s JOIN {table_id(neighbor, city)} n"
+        f" ON n.latitude BETWEEN s.latitude - {half_width} AND s.latitude + {half_width}"
+        f" WHERE {_INNER_TERM_SQL} <= {_inner_term_bound(radius)!r}{condition}"
+    )
+
+
 def _connect_read_only(path: Path) -> sqlite3.Connection:
     """A connection that cannot write the store file (``mode=ro``), opened by
     a file URI, which escapes a space, '#', '?' or '%' in the path."""
@@ -248,28 +269,116 @@ def _entity(family: str, row: Sequence[Any]) -> Community | Poi:
     return _ENTITY_TYPES[family](*row[:5], GeoPoint(row[5], row[6]), *row[7:])
 
 
-class GeoStore:
-    """Four table families per city plus a caption catalog.
+def _ingest(
+    conn: sqlite3.Connection, config: StoreConfig, path: Path, family: str, city: str
+) -> int:
+    """Check one fixture CSV and insert its rows, with their derived columns."""
+    if not path.exists():
+        raise IngestError(f"missing fixture file: {path}")
+    columns = FAMILY_COLUMNS[family]
+    reals = _REAL_POSITIONS[family]
+    rows = []
+    seen_ids: set[str] = set()
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(header) != columns:
+            raise IngestError(
+                f"{path.name}: header must be {','.join(columns)}, got {header}"
+            )
+        for raw in reader:
+            if not raw:
+                continue  # a blank line holds no record
+            if len(raw) != len(columns):
+                raise IngestError(
+                    f"{path.name}: record id={raw[0]}: expected {len(columns)}"
+                    f" fields, got {len(raw)}"
+                )
+            try:
+                row = tuple(float(v) if i in reals else v for i, v in enumerate(raw))
+                entity = _entity(family, row)
+            except (DomainError, ValueError) as exc:
+                raise IngestError(f"{path.name}: record id={raw[0]}: {exc}") from exc
+            if entity.city != city:
+                raise IngestError(f"{path.name}: record id={entity.id}: city mismatch")
+            if isinstance(entity, Poi) and config.label_category(entity.label) != entity.category:
+                raise IngestError(
+                    f"{path.name}: record id={entity.id}: label {entity.label!r} is not"
+                    f" a {entity.category!r} label in the configured taxonomy"
+                )
+            if entity.id in seen_ids:
+                raise IngestError(f"{path.name}: duplicate id {entity.id}")
+            seen_ids.add(entity.id)
+            # the DERIVED_COLUMNS, computed as domain.haversine computes them
+            latitude = math.radians(entity.location.latitude)
+            longitude = math.radians(entity.location.longitude)
+            rows.append(row + (latitude, longitude, math.cos(latitude)))
+    conn.executemany(_insert_sql(family, table_id(family, city)), rows)
+    return len(rows)
 
-    The store is a file. Ingestion writes through one connection under an
-    internal lock, which also guards the cached entity snapshot. Every read
-    goes through the calling thread's own read-only connection, so readers
-    on different threads run at once and never wait for each other.
+
+class GeoStore:
+    """Four table families per city plus a caption catalog, read from a
+    store file.
+
+    :meth:`ingest_fixture` writes the file, once, and :meth:`open` is the one
+    way to get a store. A store only reads: every read goes through the
+    calling thread's own read-only connection, so readers on different
+    threads run at once and never wait for each other. A lock guards the
+    first load of the cached entity snapshot.
     """
 
-    def __init__(self, config: StoreConfig, path: str | Path, _existing: bool = False) -> None:
+    table_id = staticmethod(table_id)
+
+    def __init__(self, config: StoreConfig, path: str | Path) -> None:
         self.config = config
         self.path = Path(path).resolve()
-        self._conn = sqlite3.connect(self.path, check_same_thread=False)
-        self._lock = threading.RLock()
         self._readers = threading.local()
+        self._lock = threading.Lock()
         self._snapshot: Mapping[str, CityEntities] | None = None
-        if not _existing:
-            self._create_tables()
+
+    @classmethod
+    def ingest_fixture(
+        cls, config: StoreConfig, path: str | Path, fixture_dir: str | Path
+    ) -> dict[str, int]:
+        """Write a new store file at ``path``: the tables, indexes, pair views
+        and embedded config, and the community and POI CSVs of every
+        configured city, all in one transaction on a connection of its own.
+
+        Returns per-family row counts. A record violating the domain schema
+        aborts ingestion with an :class:`IngestError` naming the record, and
+        nothing is committed.
+        """
+        counts = dict.fromkeys(_FIXTURE_PREFIX, 0)
+        # no implicit transactions: the one BEGIN below spans the DDL as well
+        with closing(sqlite3.connect(path, isolation_level=None)) as conn:
+            conn.execute("BEGIN")
+            for city in config.cities:
+                for family in ENTITY_SCHEMA:
+                    table = table_id(family, city)
+                    conn.execute(_create_sql(family, table))
+                    for index, columns in INDEXED_COLUMNS.items():
+                        conn.execute(
+                            f"CREATE INDEX idx_{table}_{index} ON {table} ({', '.join(columns)})"
+                        )
+                for family in _PAIR_VIEWS:
+                    conn.execute(_create_view_sql(config, family, city))
+            conn.execute("CREATE TABLE _meta (key TEXT PRIMARY KEY, value TEXT)")
+            conn.execute(
+                "INSERT INTO _meta VALUES ('config', ?)",
+                (json.dumps(config, default=encode, sort_keys=True),),
+            )
+            for city in config.cities:
+                for family, prefix in _FIXTURE_PREFIX.items():
+                    csv_path = Path(fixture_dir) / f"{prefix}_{city_slug(city)}.csv"
+                    counts[family] += _ingest(conn, config, csv_path, family, city)
+            conn.execute("COMMIT")
+        return counts
 
     @classmethod
     def open(cls, path: str | Path) -> "GeoStore":
-        """Reopen a store file created earlier; the config rides in the file."""
+        """Open a store file that :meth:`ingest_fixture` wrote; the config
+        rides in the file."""
         try:
             with closing(_connect_read_only(Path(path))) as conn:
                 row = conn.execute("SELECT value FROM _meta WHERE key = 'config'").fetchone()
@@ -285,15 +394,14 @@ class GeoStore:
                 raise ValueError(f"keys not matching the fields: {', '.join(sorted(odd))}")
         except (ValueError, TypeError) as exc:
             raise IngestError(f"{path} carries a corrupt store config: {exc!r}") from exc
-        return cls(config, path, _existing=True)
+        return cls(config, path)
 
     def close(self) -> None:
-        """Close the writable connection and this thread's reader; the reader
-        of another thread closes when that thread ends."""
+        """Close this thread's reader; the reader of another thread closes
+        when that thread ends."""
         reader = getattr(self._readers, "conn", None)
         if reader is not None:
             reader.close()
-        self._conn.close()
 
     def _reader(self) -> sqlite3.Connection:
         """This thread's read-only connection, opened on first use with the
@@ -303,114 +411,6 @@ class GeoStore:
             reader = self._readers.conn = _connect_read_only(self.path)
             reader.set_authorizer(self._deny_writes)
         return reader
-
-    # --- schema and ingestion ------------------------------------------------
-
-    def _create_tables(self) -> None:
-        with self._lock:
-            for city in self.config.cities:
-                for family in ENTITY_SCHEMA:
-                    table = self.table_id(family, city)
-                    self._conn.execute(_create_sql(family, table))
-                    for index, columns in INDEXED_COLUMNS.items():
-                        self._conn.execute(
-                            f"CREATE INDEX idx_{table}_{index} ON {table} ({', '.join(columns)})"
-                        )
-                for family in _PAIR_VIEWS:
-                    self._conn.execute(self._create_view_sql(family, city))
-            self._conn.execute("CREATE TABLE _meta (key TEXT PRIMARY KEY, value TEXT)")
-            self._conn.execute(
-                "INSERT INTO _meta VALUES ('config', ?)",
-                (json.dumps(self.config, default=encode, sort_keys=True),),
-            )
-            self._conn.commit()
-
-    def _create_view_sql(self, family: str, city: str) -> str:
-        """Every (subject, neighbour) pair within the radius, filtered on the
-        haversine's inner term and rounded to 0.1 m only in the select list.
-        R·|Δlat| never exceeds the great-circle distance, so neighbours outside
-        the latitude window (padded against rounding) are beyond the radius."""
-        subject, neighbor, radius_field, columns, condition = _PAIR_VIEWS[family]
-        radius = getattr(self.config, radius_field)
-        half_width = f"degrees({radius!r} / {EARTH_RADIUS_M!r}) * (1 + 1e-9)"
-        return (
-            f"CREATE VIEW {self.table_id(family, city)} ({', '.join(FAMILY_COLUMNS[family])})"
-            f" AS SELECT {columns}, round({_DISTANCE_SQL}, 1)"
-            f" FROM {self.table_id(subject, city)} s JOIN {self.table_id(neighbor, city)} n"
-            f" ON n.latitude BETWEEN s.latitude - {half_width} AND s.latitude + {half_width}"
-            f" WHERE {_INNER_TERM_SQL} <= {_inner_term_bound(radius)!r}{condition}"
-        )
-
-    def table_id(self, family: str, city: str) -> str:
-        return f"{family}_{city_slug(city)}"
-
-    def ingest_fixture(self, fixture_dir: str | Path) -> dict[str, int]:
-        """Load community and POI CSVs for every configured city.
-
-        Returns per-family row counts. A record violating the domain schema
-        aborts ingestion with an :class:`IngestError` naming the record.
-        """
-        fixture_dir = Path(fixture_dir)
-        counts = dict.fromkeys(_FIXTURE_PREFIX, 0)
-        try:
-            for city in self.config.cities:
-                for family, prefix in _FIXTURE_PREFIX.items():
-                    path = fixture_dir / f"{prefix}_{city_slug(city)}.csv"
-                    counts[family] += self._ingest(path, family, city)
-        finally:
-            with self._lock:
-                self._snapshot = None
-        return counts
-
-    def _ingest(self, path: Path, family: str, city: str) -> int:
-        if not path.exists():
-            raise IngestError(f"missing fixture file: {path}")
-        columns = FAMILY_COLUMNS[family]
-        reals = _REAL_POSITIONS[family]
-        rows = []
-        seen_ids: set[str] = set()
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or tuple(header) != columns:
-                raise IngestError(
-                    f"{path.name}: header must be {','.join(columns)}, got {header}"
-                )
-            for raw in reader:
-                if not raw:
-                    continue  # a blank line holds no record
-                if len(raw) != len(columns):
-                    raise IngestError(
-                        f"{path.name}: record id={raw[0]}: expected {len(columns)}"
-                        f" fields, got {len(raw)}"
-                    )
-                try:
-                    row = tuple(float(v) if i in reals else v for i, v in enumerate(raw))
-                    entity = _entity(family, row)
-                except (DomainError, ValueError) as exc:
-                    raise IngestError(f"{path.name}: record id={raw[0]}: {exc}") from exc
-                if entity.city != city:
-                    raise IngestError(f"{path.name}: record id={entity.id}: city mismatch")
-                if (
-                    isinstance(entity, Poi)
-                    and self.config.label_category(entity.label) != entity.category
-                ):
-                    raise IngestError(
-                        f"{path.name}: record id={entity.id}: label {entity.label!r} is not"
-                        f" a {entity.category!r} label in the configured taxonomy"
-                    )
-                if entity.id in seen_ids:
-                    raise IngestError(f"{path.name}: duplicate id {entity.id}")
-                seen_ids.add(entity.id)
-                # the DERIVED_COLUMNS, computed as domain.haversine computes them
-                latitude = math.radians(entity.location.latitude)
-                longitude = math.radians(entity.location.longitude)
-                rows.append(row + (latitude, longitude, math.cos(latitude)))
-        table = self.table_id(family, city)
-        with self._lock:
-            self._conn.executemany(_insert_sql(family, table), rows)
-            self._conn.commit()
-        return len(rows)
 
     # --- proximity pairs -------------------------------------------------------
 
@@ -515,7 +515,7 @@ class GeoStore:
     # --- entity snapshot (generator and provider plumbing) ------------------------
 
     def snapshot(self) -> Mapping[str, CityEntities]:
-        """Each city's entities, read on first use; ingestion discards them."""
+        """Each city's entities, read once, on first use."""
         with self._lock:
             if self._snapshot is None:
                 self._snapshot = self._read_snapshot()

@@ -31,8 +31,9 @@ def desk_fixture_dir(tmp_path_factory, desk_config):
 
 @pytest.fixture(scope="session")
 def desk_store(tmp_path_factory, desk_config, desk_fixture_dir) -> GeoStore:
-    store = GeoStore(desk_config, tmp_path_factory.mktemp("desk_store") / "store.db")
-    store.ingest_fixture(desk_fixture_dir)
+    path = tmp_path_factory.mktemp("desk_store") / "store.db"
+    GeoStore.ingest_fixture(desk_config, path, desk_fixture_dir)
+    store = GeoStore.open(path)
     store.build_proximity_pairs()
     return store
 

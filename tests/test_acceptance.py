@@ -87,10 +87,7 @@ def test_criterion_2_generator_soundness(
     cache_path = tmp_path / "cache.jsonl"
     desk_cache.save(cache_path)
     store_path = tmp_path / "store.db"
-    persistent = GeoStore(desk_store.config, store_path)
-    persistent.ingest_fixture(desk_fixture_dir)
-    persistent.build_proximity_pairs()
-    persistent.close()
+    GeoStore.ingest_fixture(desk_store.config, store_path, desk_fixture_dir)
     exit_code = main(
         ["validate", "--store", str(store_path), "--cache", str(cache_path),
          "--dataset", str(dataset)]
@@ -109,7 +106,7 @@ def test_criterion_3_plausibility(desk_instances, tmp_path):
             violations += 1
 
     # a fixture whose only walking pair spans ~20 km must be fully rejected
-    from test_store import COMMUNITY_HEADER, POI_HEADER, _community_row, _write_rows
+    from test_store import COMMUNITY_HEADER, POI_HEADER, _community_row, _write_rows, ingest
 
     config = StoreConfig(cities=("Farville",), fixture_seed=1)
     dlat = 20_000 / METERS_PER_DEG
@@ -123,8 +120,7 @@ def test_criterion_3_plausibility(desk_instances, tmp_path):
         POI_HEADER,
         [["p0", "Farville", "Far Park", "park", "park", 23.0 + dlat, 113.0]],
     )
-    far_store = GeoStore(config, tmp_path / "store.db")
-    far_store.ingest_fixture(tmp_path)
+    far_store = ingest(config, tmp_path / "store.db", tmp_path)
     cache = ToolCache(provider=SyntheticProvider(far_store))
     walk_template = [t for t in default_templates() if t.template_id == "t2_walk_time"]
     emitted, gen_report = generate(walk_template, far_store, cache, seed=1, per_template=5)
@@ -193,7 +189,7 @@ def _random_answer(rng: random.Random) -> CanonicalAnswer:
     if kind == "distance":
         return CanonicalAnswer.distance(rng.randint(0, 2000))
     if kind == "boolean":
-        return CanonicalAnswer.boolean(rng.random() < 0.5)
+        return CanonicalAnswer(kind="boolean", flag=rng.random() < 0.5)
     return CanonicalAnswer.from_text(rng.choice(["yes", "no"]))
 
 
@@ -435,15 +431,12 @@ def test_criterion_9_ablation_ladder(
     cache_path = tmp_path / "cache.jsonl"
     desk_cache.save(cache_path)
     store_path = tmp_path / "store.db"
-    persistent = GeoStore(desk_store.config, store_path)
-    persistent.ingest_fixture(desk_fixture_dir)
-    persistent.build_proximity_pairs()
-    persistent.close()
+    GeoStore.ingest_fixture(desk_store.config, store_path, desk_fixture_dir)
     ladder_dir = tmp_path / "ladder"
     exit_code = main(
         ["ablate", "--store", str(store_path), "--cache", str(cache_path),
          "--dataset", str(dataset), "--out", str(ladder_dir),
-         "--backend", "oracle", "--inject", "sql,api"]
+         "--backend", "oracle"]
     )
     rung_files = sorted(p.name for p in ladder_dir.glob("ablation_*.json"))
     cmd_ok = exit_code == 0 and len(rung_files) == 4 and all(

@@ -13,6 +13,7 @@ import pytest
 from doubles import RaisingBackend, ScriptedBackend
 from estateqa.backends import (
     BackendError,
+    REPLY_KINDS,
     HttpBackend,
     OracleBackend,
     build_task_message,
@@ -23,6 +24,7 @@ from estateqa.backends import (
 from estateqa.db_agent import DbAgent, extract_sql
 from estateqa.domain import CanonicalAnswer, answer_equal
 from estateqa.map_agent import MapAgent, parse_decisions
+from estateqa.prompts import load_prompt
 from estateqa.supervisor import AgentResult, AgentTask, Supervisor
 from estateqa.tools import ToolCache
 
@@ -31,7 +33,7 @@ from estateqa.tools import ToolCache
 
 
 def _random_answer(rng: random.Random) -> CanonicalAnswer:
-    kind = rng.choice(CanonicalAnswer.KINDS)
+    kind = rng.choice(REPLY_KINDS)
     if kind == "entity_set":
         return CanonicalAnswer.entity_set(
             [f"Entity {rng.randint(1, 9)}" for _ in range(rng.randint(1, 4))]
@@ -42,9 +44,12 @@ def _random_answer(rng: random.Random) -> CanonicalAnswer:
         return CanonicalAnswer.duration(rng.randint(0, 9999))
     if kind == "distance":
         return CanonicalAnswer.distance(rng.randint(0, 9999))
-    if kind == "boolean":
-        return CanonicalAnswer.boolean(rng.random() < 0.5)
     return CanonicalAnswer.from_text("some answer text")
+
+
+def test_the_supervisor_prompt_offers_exactly_the_reply_kinds():
+    prompt = load_prompt("supervisor_system")
+    assert f"ANSWER_KIND: <{'|'.join(REPLY_KINDS)}>" in prompt
 
 
 def test_answer_envelope_round_trip():

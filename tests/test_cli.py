@@ -423,6 +423,28 @@ def test_ingest_malformed_fixture(tmp_path):
                  "--cities", "Testville"]) == 1
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "overwritten"])
+def test_a_failed_ingest_leaves_no_store(workdir, tmp_path, capsys, existing):
+    # one bad latitude in the last CSV ingest reads, after every other row
+    fx = tmp_path / "fx"
+    shutil.copytree(workdir / "fx", fx)
+    pois = fx / "pois_suzhou.csv"
+    header, first, *rest = pois.read_text(encoding="utf-8").splitlines(keepends=True)
+    fields = first.split(",")
+    fields[5] = "95.0"
+    pois.write_text("".join([header, ",".join(fields), *rest]), encoding="utf-8")
+    store = tmp_path / "store.db"
+    if existing:
+        shutil.copyfile(workdir / "store.db", store)
+    argv = ["ingest", "--fixtures", str(fx), "--store", str(store), "--cities", CITIES]
+    assert main(argv + ["--overwrite"] * existing) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: pois_suzhou.csv: record id={fields[0]}:")
+    assert not store.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fx"]  # no journal either
+    assert main(["pairs", "--store", str(store)]) == 2
+
+
 def test_missing_store_is_config_error(tmp_path):
     assert main(["pairs", "--store", str(tmp_path / "missing.db")]) == 2
 
@@ -438,9 +460,9 @@ def test_missing_store_is_config_error(tmp_path):
     ],
     ids=["non_json", "missing_key", "unknown_key", "cities_string", "radius_string"],
 )
-def test_corrupt_store_config_is_validation_failure(tmp_path, capsys, config_text):
+def test_corrupt_store_config_is_validation_failure(workdir, tmp_path, capsys, config_text):
     path = tmp_path / "store.db"
-    GeoStore(StoreConfig(cities=("A",)), path).close()
+    shutil.copyfile(workdir / "store.db", path)
     conn = sqlite3.connect(path)
     conn.execute("UPDATE _meta SET value = ? WHERE key = 'config'", (config_text,))
     conn.commit()
@@ -514,7 +536,7 @@ def _valid_settings(workdir, tmp_path, command):
     dataset, test_split = str(workdir / "dataset.jsonl"), str(workdir / "splits" / "test.jsonl")
     out = str(tmp_path / "out")
     suite = {"store": store, "cache": cache, "dataset": test_split, "out": out,
-             "backend": "oracle", "inject": "sql,api"}
+             "backend": "oracle"}
     return {
         "fixture": {"out": out, "cities": CITIES},
         "ingest": {"fixtures": str(workdir / "fx"), "store": out, "cities": CITIES,
@@ -523,7 +545,7 @@ def _valid_settings(workdir, tmp_path, command):
         "generate": {"store": store, "out": out, "cache": str(tmp_path / "cache.jsonl")},
         "validate": {"store": store, "cache": cache, "dataset": dataset},
         "split": {"dataset": dataset, "out_dir": out},
-        "run": suite,
+        "run": {**suite, "inject": "sql,api"},
         "ablate": suite,
         "eval": {"run": str(tmp_path / "run"), "dataset": test_split},
     }[command]
@@ -725,7 +747,7 @@ _FLAGS = {  # every command's flags; --templates is new on run and ablate
            " --slu --fewshot-pool --templates --inject --step-cap --seed --parallelism --overwrite",
     "eval": "--run --dataset",
 }
-_FLAGS["ablate"] = _FLAGS["run"]
+_FLAGS["ablate"] = _FLAGS["run"].replace(" --inject", "")  # each rung sets its injection
 
 
 def test_every_command_exposes_exactly_its_flags():
@@ -771,7 +793,7 @@ def test_ablate_writes_four_reports(workdir, tmp_path):
     assert main(["ablate", "--store", str(workdir / "store.db"),
                  "--cache", str(workdir / "cache.jsonl"),
                  "--dataset", str(workdir / "splits" / "test.jsonl"),
-                 "--out", str(out), "--backend", "oracle", "--inject", "sql,api"]) == 0
+                 "--out", str(out), "--backend", "oracle"]) == 0
     names = sorted(p.name for p in out.glob("ablation_*.json"))
     assert names == [
         "ablation_gt_slu.json",
@@ -782,6 +804,24 @@ def test_ablate_writes_four_reports(workdir, tmp_path):
     for name in names:
         report = json.loads((out / name).read_text())
         assert report["overall"]["acc"] == 1.0
+
+
+def test_ablate_rungs_set_their_own_injection(workdir, tmp_path, capsys):
+    # a config file shared with `run` may set `inject`; no rung takes it
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"inject": "sql,api"}))
+    out = tmp_path / "ablation"
+    argv = ["ablate", "--config", str(config), "--store", str(workdir / "store.db"),
+            "--cache", str(workdir / "cache.jsonl"),
+            "--dataset", str(workdir / "splits" / "test.jsonl"),
+            "--out", str(out), "--backend", "oracle"]
+    assert main(argv) == 0
+    recorded = json.loads((out / "ablation_none.json").read_text())["config"]
+    assert [recorded[f"inject_{stage}"] for stage in ("slu", "sql", "api")] == [False] * 3
+    with pytest.raises(SystemExit) as exit_info:  # argparse refuses the flag itself
+        main([*argv, "--overwrite", "--inject", "sql,api"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --inject" in capsys.readouterr().err
 
 
 def test_ablate_fewshot_pool_reaches_every_rung(workdir, tmp_path, monkeypatch):
@@ -798,7 +838,7 @@ def test_ablate_fewshot_pool_reaches_every_rung(workdir, tmp_path, monkeypatch):
                  "--cache", str(workdir / "cache.jsonl"),
                  "--dataset", str(workdir / "splits" / "test.jsonl"),
                  "--out", str(tmp_path / "ablation"), "--backend", "oracle",
-                 "--inject", "sql,api", "--slu", "fewshot",
+                 "--slu", "fewshot",
                  "--fewshot-pool", str(train), "--seed", "5"]) == 0
     expected = build_fewshot_pool(list(read_instances(str(train))), seed=5)
     assert expected

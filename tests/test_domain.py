@@ -131,7 +131,7 @@ def _random_answer(rng: random.Random) -> CanonicalAnswer:
     if kind == "distance":
         return CanonicalAnswer.distance(rng.randint(0, 5000))
     if kind == "boolean":
-        return CanonicalAnswer.boolean(rng.random() < 0.5)
+        return CanonicalAnswer(kind="boolean", flag=rng.random() < 0.5)
     return CanonicalAnswer.from_text(rng.choice(["yes", "no", "maybe"]))
 
 

@@ -24,7 +24,7 @@ from estateqa.evaluator import (
     run_suite,
     trace_metrics,
 )
-from estateqa.supervisor import EpisodeTranscript, Exchange
+from estateqa.supervisor import DEFAULT_STEP_CAP, EpisodeTranscript, Exchange
 
 
 # --- answer-level metrics --------------------------------------------------------
@@ -114,8 +114,8 @@ ANSWERS = [
     CanonicalAnswer.number(1.5, " KM "),
     CanonicalAnswer.duration(600),
     CanonicalAnswer.distance(1500),
-    CanonicalAnswer.boolean(True),
-    CanonicalAnswer.boolean(False),
+    CanonicalAnswer(kind="boolean", flag=True),
+    CanonicalAnswer(kind="boolean", flag=False),
     CanonicalAnswer.from_text("Jade Court"),
     CanonicalAnswer.from_text(" Jade  Court"),
 ]
@@ -393,6 +393,24 @@ def test_sql_sabotage_recovered_by_gt_sql(eval_slice, desk_store, desk_cache, de
     assert reports["gt_slu_sql_api"].overall["acc"] == 1.0
 
 
+def test_each_rung_sets_all_three_injections(eval_slice, desk_store, desk_cache, desk_templates):
+    # the base config's own injection reaches no rung
+    base = RunConfig(inject_api=True, step_cap=9, seed=4)
+    backend = make_oracle_backend(eval_slice, desk_store)
+    reports = run_ablation(eval_slice[:2], desk_store, desk_cache, backend, base, desk_templates)
+    injected = {
+        name: (report.config.inject_slu, report.config.inject_sql, report.config.inject_api)
+        for name, report in reports.items()
+    }
+    assert injected == {
+        "none": (False, False, False),
+        "gt_slu": (True, False, False),
+        "gt_slu_sql": (True, True, False),
+        "gt_slu_sql_api": (True, True, True),
+    }
+    assert all((r.config.step_cap, r.config.seed) == (9, 4) for r in reports.values())
+
+
 def test_api_sabotage_recovered_by_gt_api(eval_slice, desk_store, desk_cache, desk_templates):
     backend = SabotageBackend(make_oracle_backend(eval_slice, desk_store), "decide_tools")
     base = RunConfig(agents="live", step_cap=9)
@@ -438,6 +456,31 @@ def test_run_config_validation(eval_slice, desk_store, desk_cache, desk_template
 
 # --- fault matrix -------------------------------------------------------------------------
 
+# report.failures of each (mode, stage) over the nine-episode pool below.
+# Type 1 routes never reach the map agent, so a broken decide_tools fails six.
+# The supervisor replans the route that failed, word for word, so a specialist
+# that always fails runs the episode to the cap.
+_EXHAUSTED_ALL = {"step_cap_exhausted": 9, "unanswerable": 9}
+_EXHAUSTED_MAP = {"step_cap_exhausted": 6, "unanswerable": 6}
+_FAULT_MATRIX = {
+    ("garbage", "plan"): {"plan_failure": 9, "unanswerable": 9},
+    ("garbage", "replan"): {},
+    ("garbage", "finalize"): {"answer_parse_degraded": 9},
+    ("garbage", "caption_summary"): {},
+    ("garbage", "generate_sql"): _EXHAUSTED_ALL,
+    ("garbage", "decide_tools"): _EXHAUSTED_MAP,
+    ("garbage", "slu"): {},
+    ("raise", "plan"): {"plan_failure": 9, "unanswerable": 9},
+    ("raise", "replan"): {},
+    ("raise", "finalize"): {"finalize_backend_failure": 9, "unanswerable": 9},
+    ("raise", "caption_summary"): _EXHAUSTED_ALL,
+    ("raise", "generate_sql"): _EXHAUSTED_ALL,
+    ("raise", "decide_tools"): _EXHAUSTED_MAP,
+    ("raise", "slu"): {},
+    ("malformed", "decide_tools"): _EXHAUSTED_MAP,  # at the default cap of 25 steps
+    ("malformed", "slu"): {},
+}
+
 _STAGES = ("plan", "replan", "finalize", "caption_summary", "generate_sql", "decide_tools", "slu")
 
 
@@ -450,10 +493,12 @@ def test_a_broken_stage_fails_episodes_not_the_run(
 ):
     """Whichever stage the backend breaks, and however, every episode ends
     within the cap with an answer or a failure tag, the report counts every
-    tag, and a parallel run writes what a serial one does."""
+    tag as the fault matrix records, and a parallel run writes what a serial
+    one does."""
     pool = [inst for k, inst in enumerate(eval_slice) if k % 8 < 3]  # three of each type
     backend = SabotageBackend(make_oracle_backend(pool, desk_store), stage, mode=mode)
-    config = RunConfig(slu_strategy="fewshot", step_cap=6)
+    step_cap = DEFAULT_STEP_CAP if (mode, stage) == ("malformed", "decide_tools") else 6
+    config = RunConfig(slu_strategy="fewshot", step_cap=step_cap)
     runs = [
         run_suite(pool, desk_store, desk_cache, backend, config, desk_templates,
                   desk_instances[:4], parallelism=parallelism)
@@ -467,7 +512,7 @@ def test_a_broken_stage_fails_episodes_not_the_run(
         assert transcript.final_answer is not None or transcript.failure
     tags = Counter(t.failure for t in transcripts if t.failure)
     tags["unanswerable"] += sum(t.final_answer is None for t in transcripts)
-    assert report.failures == +tags
+    assert report.failures == +tags == _FAULT_MATRIX[mode, stage]
     assert parallel_report == report
     encoded = [json.dumps(r.transcript, default=encode) for r in records]
     assert [json.dumps(r.transcript, default=encode) for r in parallel_records] == encoded

@@ -24,11 +24,11 @@ from estateqa.generator import (
     sample_bindings,
     stratified_split,
 )
-from estateqa.store import GeoStore, StoreConfig
+from estateqa.store import StoreConfig
 from estateqa.templates import DEFAULT_TEMPLATE_DICTS, Template, _route_params, default_templates
 from estateqa.tools import SyntheticProvider, ToolCache
 
-from test_store import COMMUNITY_HEADER, POI_HEADER, _community_row, _write_rows
+from test_store import COMMUNITY_HEADER, POI_HEADER, _community_row, _write_rows, ingest
 
 METERS_PER_DEG = 6_371_000 * math.pi / 180
 
@@ -76,8 +76,7 @@ def test_sampling_exhausted_when_store_too_small(tmp_path):
         POI_HEADER,
         [["p0", "Smalltown", "Gamma Park", "park", "park", 23.0, 113.001]],
     )
-    store = GeoStore(config, tmp_path / "store.db")
-    store.ingest_fixture(tmp_path)
+    store = ingest(config, tmp_path / "store.db", tmp_path)
     template = template_by_id("t3_least_drive")  # needs 3 distinct communities
     with pytest.raises(SamplingExhausted):
         sample_bindings(template, store, random.Random(0))
@@ -387,8 +386,7 @@ def test_forced_20km_walk_template_provably_rejected(tmp_path):
         POI_HEADER,
         [["p0", "Farville", "Far Park", "park", "park", 23.0 + dlat, 113.0]],
     )
-    store = GeoStore(config, tmp_path / "store.db")
-    store.ingest_fixture(tmp_path)
+    store = ingest(config, tmp_path / "store.db", tmp_path)
     cache = ToolCache(provider=SyntheticProvider(store))
     template = template_by_id("t2_walk_time")
     instances, report = generate([template], store, cache, seed=1, per_template=5)
@@ -464,8 +462,7 @@ def test_generation_deterministic(desk_store, desk_templates):
 def test_generate_reads_each_entity_table_once(
     monkeypatch, tmp_path, desk_config, desk_fixture_dir, desk_templates
 ):
-    store = GeoStore(desk_config, tmp_path / "store.db")
-    store.ingest_fixture(desk_fixture_dir)
+    store = ingest(desk_config, tmp_path / "store.db", desk_fixture_dir)
     reads: dict[str, int] = {}
 
     def count_reads(statement):
@@ -474,9 +471,7 @@ def test_generate_reads_each_entity_table_once(
         if match:
             reads[match.group(1)] = reads.get(match.group(1), 0) + 1
 
-    # every statement on the store's writable connection and on every reader,
-    # agent path or not
-    store._conn.set_trace_callback(count_reads)
+    # every statement on every reader, agent path or not
     open_reader = store._reader
 
     def traced_reader():

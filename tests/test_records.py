@@ -246,7 +246,7 @@ def test_generated_dataset_round_trips_byte_for_byte(desk_instances, tmp_path):
     CanonicalAnswer.number(1.5, "km"),
     CanonicalAnswer.duration(600),
     CanonicalAnswer.distance(1500),
-    CanonicalAnswer.boolean(True),
+    CanonicalAnswer(kind="boolean", flag=True),
     CanonicalAnswer.from_text("Jade Court"),
 ], ids=lambda a: a.kind)
 def test_every_answer_kind_round_trips(answer):

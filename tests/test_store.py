@@ -6,13 +6,16 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import os
 import re
 import shutil
 import sqlite3
+import subprocess
 import sys
 import threading
 import time
 from contextlib import closing
+from pathlib import Path
 
 import pytest
 
@@ -57,6 +60,12 @@ def _community_row(cid, name, lat, lon, city="Testville", price=30000.0):
             "apartment", "on sale"]
 
 
+def ingest(config, path, fixture_dir):
+    """Write a store file from the fixture CSVs, then open it."""
+    GeoStore.ingest_fixture(config, path, fixture_dir)
+    return GeoStore.open(path)
+
+
 def make_tiny_store(tmp_path, communities, pois=(), city="Testville", **radii):
     config = StoreConfig(cities=(city,), fixture_seed=1, **radii)
     _write_rows(
@@ -72,9 +81,7 @@ def make_tiny_store(tmp_path, communities, pois=(), city="Testville", **radii):
             for i, (name, lat, lon) in enumerate(pois)
         ],
     )
-    store = GeoStore(config, tmp_path / "store.db")
-    store.ingest_fixture(tmp_path)
-    return store
+    return ingest(config, tmp_path / "store.db", tmp_path)
 
 
 def _lookup_indexes(path, table):
@@ -141,12 +148,49 @@ def test_malformed_latitude_rejected(tmp_path):
         make_tiny_store(tmp_path, [("Alpha Court", 95.0, 113.0)])
 
 
+def test_a_failed_ingest_commits_nothing(tmp_path):
+    # the bad record is in the last CSV read, after the schema, the config and
+    # the community rows
+    config = StoreConfig(cities=("Testville",))
+    _write_rows(
+        tmp_path / "communities_testville.csv",
+        COMMUNITY_HEADER,
+        [_community_row("c0", "A", 23.0, 113.0)],
+    )
+    _write_rows(
+        tmp_path / "pois_testville.csv",
+        POI_HEADER,
+        [["p0", "Testville", "X Park", "park", "park", 95.0, 113.0]],
+    )
+    path = tmp_path / "store.db"
+    with pytest.raises(IngestError, match="record id=p0"):
+        GeoStore.ingest_fixture(config, path, tmp_path)
+    with closing(sqlite3.connect(path)) as conn:
+        assert conn.execute("SELECT name FROM sqlite_master").fetchall() == []
+    with pytest.raises(IngestError, match="not a store file"):
+        GeoStore.open(path)
+
+
+def test_importing_the_store_loads_only_the_domain():
+    code = (
+        "import sys, estateqa.store;"
+        " print(sorted(m for m in sys.modules if m.partition('.')[0] == 'estateqa'))"
+    )
+    src = str(Path(store_module.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "['estateqa', 'estateqa.domain', 'estateqa.store']\n"
+
+
 def test_wrong_header_rejected(tmp_path):
     config = StoreConfig(cities=("Testville",))
     _write_rows(tmp_path / "communities_testville.csv", ["id", "name"], [["c0", "A"]])
     _write_rows(tmp_path / "pois_testville.csv", POI_HEADER, [])
     with pytest.raises(IngestError, match="header"):
-        GeoStore(config, tmp_path / "store.db").ingest_fixture(tmp_path)
+        GeoStore.ingest_fixture(config, tmp_path / "store.db", tmp_path)
 
 
 def test_duplicate_id_rejected(tmp_path):
@@ -158,7 +202,7 @@ def test_duplicate_id_rejected(tmp_path):
     )
     _write_rows(tmp_path / "pois_testville.csv", POI_HEADER, [])
     with pytest.raises(IngestError, match="duplicate id"):
-        GeoStore(config, tmp_path / "store.db").ingest_fixture(tmp_path)
+        GeoStore.ingest_fixture(config, tmp_path / "store.db", tmp_path)
 
 
 def test_label_taxonomy_mismatch_rejected(tmp_path):
@@ -174,13 +218,13 @@ def test_label_taxonomy_mismatch_rejected(tmp_path):
         [["p0", "Testville", "X Park", "school", "park", 23.0, 113.0]],
     )
     with pytest.raises(IngestError, match="taxonomy"):
-        GeoStore(config, tmp_path / "store.db").ingest_fixture(tmp_path)
+        GeoStore.ingest_fixture(config, tmp_path / "store.db", tmp_path)
 
 
 def test_missing_fixture_file(tmp_path):
     config = StoreConfig(cities=("Testville",))
     with pytest.raises(IngestError, match="missing fixture file"):
-        GeoStore(config, tmp_path / "store.db").ingest_fixture(tmp_path)
+        GeoStore.ingest_fixture(config, tmp_path / "store.db", tmp_path)
 
 
 _GOOD_COMMUNITY = _community_row("c0", "A", 23.0, 113.0)
@@ -204,7 +248,7 @@ def test_malformed_fixture_record_rejected(tmp_path, family, row, match):
     _write_rows(tmp_path / "pois_testville.csv", POI_HEADER, rows["poi"])
     config = StoreConfig(cities=("Testville",))
     with pytest.raises(IngestError, match=match):
-        GeoStore(config, tmp_path / "store.db").ingest_fixture(tmp_path)
+        GeoStore.ingest_fixture(config, tmp_path / "store.db", tmp_path)
 
 
 def test_schema_declaration_matches_entities_tables_and_fixture_headers(tmp_path):
@@ -219,7 +263,12 @@ def test_schema_declaration_matches_entities_tables_and_fixture_headers(tmp_path
     assert flat_fields(Poi) == FAMILY_COLUMNS["poi"]
 
     config = StoreConfig(cities=("Testville",))
-    GeoStore(config, tmp_path / "store.db").close()
+    write_fixture(config, tmp_path, communities_per_city=2, pois_per_city=2)
+    for family, prefix in (("community", "communities"), ("poi", "pois")):
+        with open(tmp_path / f"{prefix}_testville.csv", encoding="utf-8", newline="") as fh:
+            assert tuple(next(csv.reader(fh))) == FAMILY_COLUMNS[family]
+
+    GeoStore.ingest_fixture(config, tmp_path / "store.db", tmp_path)
     conn = sqlite3.connect(tmp_path / "store.db")
     derived = tuple(name for name, _ in DERIVED_COLUMNS)
     for family in FAMILIES:
@@ -239,24 +288,16 @@ def test_schema_declaration_matches_entities_tables_and_fixture_headers(tmp_path
         "poi_community": "view",
         "community_community": "view",
     }
-    conn.close()
-
-    write_fixture(config, tmp_path, communities_per_city=2, pois_per_city=2)
-    for family, prefix in (("community", "communities"), ("poi", "pois")):
-        with open(tmp_path / f"{prefix}_testville.csv", encoding="utf-8", newline="") as fh:
-            assert tuple(next(csv.reader(fh))) == FAMILY_COLUMNS[family]
 
     # the derived columns hold, bit for bit, what the views computed from the
     # coordinates in SQL before they were stored
-    store = GeoStore(config, tmp_path / "derived.db")
-    store.ingest_fixture(tmp_path)
     for family in ENTITY_SCHEMA:
-        assert store._conn.execute(
+        assert conn.execute(
             f"SELECT COUNT(*), SUM(latitude_rad = radians(latitude)"
             " AND longitude_rad = radians(longitude)"
             f" AND cos_latitude = cos(radians(latitude))) FROM {family}_testville"
         ).fetchone() == (2, 2)
-    store.close()
+    conn.close()
 
 
 # --- proximity pairs --------------------------------------------------------------
@@ -331,8 +372,7 @@ def test_pair_tables_match_brute_force_oracle(tmp_path, desk_config):
     # independent O(n^2) pairing over a 100-entity random fixture
     config = StoreConfig(cities=("Oracleton",), fixture_seed=99)
     write_fixture(config, tmp_path, communities_per_city=60, pois_per_city=40)
-    store = GeoStore(config, tmp_path / "store.db")
-    store.ingest_fixture(tmp_path)
+    store = ingest(config, tmp_path / "store.db", tmp_path)
     counts = store.build_proximity_pairs()
 
     communities = store.communities("Oracleton")
@@ -449,7 +489,7 @@ def test_inner_term_bound_is_the_last_double_within_the_radius(tmp_path, origin,
     # each view filters on the bound of its own radius
     store = make_tiny_store(tmp_path, [], **radii)
     for family, radius in zip(("poi_community", "community_community"), radii.values()):
-        (text,) = store._conn.execute(
+        (text,) = store._reader().execute(
             "SELECT sql FROM sqlite_master WHERE name = ?", (f"{family}_testville",)
         ).fetchone()
         assert f" <= {store_module._inner_term_bound(radius)!r}" in text
@@ -489,22 +529,6 @@ def test_pair_build_is_idempotent(tmp_path):
     assert first == second
     assert first_rows == second_rows and len(first_rows) == 2
     _assert_indexed_as_created(tmp_path / "store.db", store)
-
-
-def test_ingest_after_snapshot_read_is_visible(tmp_path):
-    first, second = tmp_path / "first", tmp_path / "second"
-    first.mkdir()
-    second.mkdir()
-    store = make_tiny_store(first, [("Alpha Court", 23.0, 113.0)])
-    assert [c.name for c in store.communities("Testville")] == ["Alpha Court"]
-    _write_rows(
-        second / "communities_testville.csv",
-        COMMUNITY_HEADER,
-        [_community_row("c9", "Beta Court", 23.1, 113.1)],
-    )
-    _write_rows(second / "pois_testville.csv", POI_HEADER, [])
-    store.ingest_fixture(second)
-    assert [c.name for c in store.communities("Testville")] == ["Alpha Court", "Beta Court"]
 
 
 # --- SQL execution ------------------------------------------------------------------
@@ -574,7 +598,7 @@ def test_query_column_order_preserved(desk_store):
     assert columns == ("longitude", "latitude", "name")
 
 
-def test_internal_writes_still_work_after_untrusted_query(tmp_path):
+def test_internal_reads_still_work_after_untrusted_query(tmp_path):
     # 200 communities 4.5 m apart, so every pair is within the 1 km radius
     store = make_tiny_store(
         tmp_path, [(f"Court {i}", 23.0 + i * 4e-5, 113.0) for i in range(200)]
@@ -585,19 +609,8 @@ def test_internal_writes_still_work_after_untrusted_query(tmp_path):
             "SELECT COUNT(*) FROM community_testville a, community_testville b,"
             " community_testville c, community_testville d"
         )
-    # neither the count (past the progress step) nor an ingest may be blocked
-    # by a stale progress handler or authorizer
+    # the count runs past the progress step: a stale progress handler would stop it
     assert store.build_proximity_pairs()["community_community"] == 200 * 199
-    more = tmp_path / "more"
-    more.mkdir()
-    _write_rows(
-        more / "communities_testville.csv",
-        COMMUNITY_HEADER,
-        [_community_row("c900", "Court 900", 23.0, 113.0)],
-    )
-    _write_rows(more / "pois_testville.csv", POI_HEADER, [])
-    assert store.ingest_fixture(more) == {"community": 1, "poi": 0}
-    assert store.build_proximity_pairs()["community_community"] == 201 * 200
 
 
 def _run_in_threads(*targets):
@@ -673,7 +686,6 @@ def test_each_thread_reads_through_its_own_read_only_connection(desk_store):
     _run_in_threads(*[lambda: readers.append(desk_store._reader())] * 2)
     assert desk_store._reader() is desk_store._reader()
     assert len({id(r) for r in readers + [desk_store._reader()]}) == 3
-    assert desk_store._reader() is not desk_store._conn
 
 
 def test_store_at_a_path_that_a_uri_must_escape(tmp_path):
@@ -696,8 +708,7 @@ def test_store_at_a_path_that_a_uri_must_escape(tmp_path):
 
 def test_store_reopen_round_trip(tmp_path, desk_config, desk_fixture_dir):
     path = tmp_path / "store.db"
-    store = GeoStore(desk_config, path)
-    store.ingest_fixture(desk_fixture_dir)
+    store = ingest(desk_config, path, desk_fixture_dir)
     store.build_proximity_pairs()
     _, before = store.execute_sql("SELECT COUNT(*) FROM poi_community_guangzhou")
     store.close()

@@ -196,6 +196,16 @@ def test_finalize_parse_failure_degrades_to_text():
     assert transcript.failure == "answer_parse_degraded"
 
 
+def test_a_boolean_answer_kind_degrades_to_text():
+    # no answer rule derives a boolean, so the envelope does not offer one
+    reply = "ANSWER_KIND: boolean\nANSWER: true"
+    backend = ScriptedBackend(responses={"plan": "DISPATCH db_agent: fetch", "finalize": reply})
+    supervisor = Supervisor(backend, {"db_agent": StubSpecialist(ok())})
+    transcript = supervisor.run_episode("q", [], [])
+    assert transcript.final_answer == CanonicalAnswer.from_text(reply)
+    assert transcript.failure == "answer_parse_degraded"
+
+
 def test_replan_parse_failure_is_unanswerable():
     backend = ScriptedBackend(
         responses={"plan": "DISPATCH db_agent: fetch", "replan": "no structure"}
