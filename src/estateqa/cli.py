@@ -18,6 +18,7 @@ from typing import Any, Callable, Sequence
 
 from .backends import HttpBackend
 from .domain import (
+    DomainError,
     MalformedRecordError,
     RecordTypeError,
     decode,
@@ -158,8 +159,17 @@ def _build_backend(opts: argparse.Namespace, instances, store):
 # --- commands -----------------------------------------------------------------
 
 
+def _store_config(opts: argparse.Namespace, **radii: float) -> StoreConfig:
+    """The store config of `fixture` and `ingest`; one it refuses, such as
+    two cities with one slug, is a configuration error."""
+    try:
+        return StoreConfig(cities=opts.cities, fixture_seed=opts.seed, **radii)
+    except DomainError as exc:
+        raise CliError(str(exc)) from None
+
+
 def cmd_fixture(opts: argparse.Namespace) -> int:
-    store_config = StoreConfig(cities=opts.cities, fixture_seed=opts.seed)
+    store_config = _store_config(opts)
     paths = write_fixture(
         store_config, opts.out, communities_per_city=opts.communities, pois_per_city=opts.pois
     )
@@ -171,11 +181,8 @@ def cmd_ingest(opts: argparse.Namespace) -> int:
     store_path = Path(opts.store)
     if store_path.exists() and not opts.overwrite:
         raise CliError(f"store file {store_path} exists (use --overwrite)")
-    store_config = StoreConfig(
-        cities=opts.cities,
-        poi_pairing_radius=opts.poi_radius,
-        community_pairing_radius=opts.community_radius,
-        fixture_seed=opts.seed,
+    store_config = _store_config(
+        opts, poi_pairing_radius=opts.poi_radius, community_pairing_radius=opts.community_radius
     )
     store_path.unlink(missing_ok=True)
     try:
@@ -404,7 +411,7 @@ COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str, tuple[Settin
     )),
     "pairs": (
         cmd_pairs,
-        "count the proximity pairs (views over the entity tables, made at ingest)",
+        "count the proximity pairs (views made at ingest), by a latitude-strip sweep",
         (_STORE,),
     ),
     "generate": (cmd_generate, "generate a validated dataset", (

@@ -15,14 +15,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import re
 import sqlite3
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from bisect import bisect_left, bisect_right
 from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, groupby
+from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Mapping, Sequence
@@ -107,6 +107,18 @@ _INNER_TERM_SQL = (
     " + s.cos_latitude * n.cos_latitude * pow(sin((n.longitude_rad - s.longitude_rad) / 2.0), 2)"
 )
 _DISTANCE_SQL = f"2.0 * {EARTH_RADIUS_M!r} * asin(min(1.0, sqrt({_INNER_TERM_SQL})))"
+
+
+def _inner_term(
+    s_lat: float, s_lon: float, s_cos: float, n_lat: float, n_lon: float, n_cos: float
+) -> float:
+    """_INNER_TERM_SQL in Python, over the derived columns of s and n. The two
+    must keep the same expression order, so that both give the same double
+    (SQLite's pow(x, 2) and Python's ``x ** 2`` both call C's pow)."""
+    sin = math.sin
+    return sin((n_lat - s_lat) / 2.0) ** 2 + s_cos * n_cos * sin((n_lon - s_lon) / 2.0) ** 2
+
+
 _ENTITY_TYPES = {"community": Community, "poi": Poi}
 _FIXTURE_PREFIX = {"community": "communities", "poi": "pois"}
 
@@ -156,6 +168,13 @@ class StoreConfig:
     def __post_init__(self) -> None:
         if self.poi_pairing_radius <= 0 or self.community_pairing_radius <= 0:
             raise DomainError("pairing radii must be positive")
+        named: dict[str, str] = {}  # each city's tables are named by its slug
+        for city in self.cities:
+            if (slug := city_slug(city)) in named:
+                raise DomainError(
+                    f"cities {named[slug]!r} and {city!r} share the table name slug {slug!r}"
+                )
+            named[slug] = city
 
     def label_category(self, label: str) -> str | None:
         for category, labels in self.poi_taxonomy.items():
@@ -233,11 +252,19 @@ def _inner_term_bound(radius: float) -> float:
     return low
 
 
+def _window_half_width(radius: float) -> float:
+    """The half-width in degrees of the latitude window of a pair view of
+    this radius: the double that SQLite computes from the ``half_width`` text
+    of _create_view_sql, which must stay in step with it."""
+    return math.degrees(radius / EARTH_RADIUS_M) * (1 + 1e-9)
+
+
 def _create_view_sql(config: StoreConfig, family: str, city: str) -> str:
     """Every (subject, neighbour) pair within the radius, filtered on the
     haversine's inner term and rounded to 0.1 m only in the select list.
     R·|Δlat| never exceeds the great-circle distance, so neighbours outside
-    the latitude window (padded against rounding) are beyond the radius."""
+    the latitude window (padded against rounding) are beyond the radius, at
+    any radius above a few centimetres."""
     subject, neighbor, radius_field, columns, condition = _PAIR_VIEWS[family]
     radius = getattr(config, radius_field)
     half_width = f"degrees({radius!r} / {EARTH_RADIUS_M!r}) * (1 + 1e-9)"
@@ -256,11 +283,112 @@ def _connect_read_only(path: Path) -> sqlite3.Connection:
     return sqlite3.connect(f"{path.resolve().as_uri()}?mode=ro", uri=True)
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # the call exists only on some platforms
-        return os.cpu_count() or 1
+def haversine_terms(latitude: float, longitude: float) -> tuple[float, float, float]:
+    """The DERIVED_COLUMNS of one entity, the per-point terms of
+    domain.haversine, computed as it computes them: radians(latitude),
+    radians(longitude) and cos(radians(latitude))."""
+    latitude_rad = math.radians(latitude)
+    return latitude_rad, math.radians(longitude), math.cos(latitude_rad)
+
+
+# A point of the pair count: an entity's latitude and its haversine_terms.
+_Point = tuple[float, float, float, float]
+# The pair count's margins, both far above float rounding (about 1e-16): a
+# relative one on H*, and an absolute one in radians on a longitude run.
+_SWEEP_MARGIN = 1e-9
+_LONGITUDE_SLACK = 1e-12
+_STRIPS_PER_HALF_WINDOW = 4  # a strip is this fraction of the window's half-width high
+
+
+@dataclass(frozen=True)
+class _Strip:
+    """Neighbours of one band of latitude: their least and greatest latitude
+    in degrees and in radians, the least and greatest cosine, and their
+    points, with the longitudes of these, sorted by longitude."""
+
+    bottom: float
+    top: float
+    lat_min: float
+    lat_max: float
+    cos_min: float
+    cos_max: float
+    points: list[_Point]
+    longitudes: list[float]
+
+
+def _strips(neighbours: Sequence[_Point], height: float) -> list[_Strip]:
+    """The neighbours cut into strips ``height`` degrees of latitude high,
+    in latitude order."""
+    ordered = sorted(neighbours)
+    strips = []
+    for _, band in groupby(ordered, key=lambda n: (n[0] - ordered[0][0]) // height):
+        points = list(band)  # in latitude order
+        cosines = [point[3] for point in points]
+        strips.append(_Strip(
+            bottom=points[0][0], top=points[-1][0], lat_min=points[0][1], lat_max=points[-1][1],
+            cos_min=min(cosines), cos_max=max(cosines),
+            points=sorted(points, key=itemgetter(2)),
+            longitudes=sorted(point[2] for point in points),
+        ))
+    return strips
+
+
+def _count_within(subjects: Sequence[_Point], neighbours: Sequence[_Point], radius: float) -> int:
+    """The (subject, neighbour) pairs that a pair view of this radius keeps,
+    counting each subject's pair with itself; see
+    GeoStore.build_proximity_pairs."""
+    bound = _inner_term_bound(radius)
+    window = _window_half_width(radius)
+    # one strip where a radius below 1e-300 m makes the window 0
+    strips = _strips(neighbours, window / _STRIPS_PER_HALF_WINDOW or math.inf)
+    tops, bottoms = [strip.top for strip in strips], [strip.bottom for strip in strips]
+    sin, asin, sqrt, pi = math.sin, math.asin, math.sqrt, math.pi
+    count = 0
+    for latitude, s_lat, s_lon, s_cos in subjects:
+        low, high = latitude - window, latitude + window  # the view's BETWEEN bounds
+        for strip in strips[bisect_left(tops, low) : bisect_right(bottoms, high)]:
+            within_window = low <= strip.bottom and strip.top <= high
+            gaps = (abs(strip.lat_min - s_lat), abs(strip.lat_max - s_lat))
+            nearest = 0.0 if strip.lat_min <= s_lat <= strip.lat_max else min(gaps)
+            # sin²(Δlon/2) beyond which every neighbour has h > H*·(1 + margin)
+            # (cosines are positive, as |latitude| <= 90°)
+            beyond = (bound * (1 + _SWEEP_MARGIN) - sin(nearest / 2) ** 2) / (s_cos * strip.cos_min)
+            if beyond < 0:
+                continue  # the whole strip is beyond the radius
+            reach = 2 * asin(sqrt(min(beyond, 1.0))) + _LONGITUDE_SLACK
+            lons, points = strip.longitudes, strip.points
+            # (first, start, end, last): the neighbours in [first, last) may be
+            # within the radius, and those in [start, end) surely are
+            # no longitude is surely beyond it, or the windows below would overlap
+            if reach + _LONGITUDE_SLACK >= pi:
+                runs = [(0, 0, 0, len(lons))]
+            else:
+                # sin²(Δlon/2) within which every neighbour has h <= H*·(1 - margin)
+                within = (bound * (1 - _SWEEP_MARGIN) - sin(max(gaps) / 2) ** 2) / (
+                    s_cos * strip.cos_max
+                )
+                sure = 2 * asin(sqrt(min(within, 1.0))) - _LONGITUDE_SLACK if within >= 0 else -1.0
+                runs = []
+                # the view's raw longitude difference pairs points across ±180°
+                for center in (s_lon, s_lon - 2 * pi, s_lon + 2 * pi):
+                    if center - reach > lons[-1] or center + reach < lons[0]:
+                        continue
+                    first = bisect_left(lons, center - reach)
+                    last = bisect_right(lons, center + reach)
+                    if sure < 0 or not within_window:
+                        runs.append((first, first, first, last))
+                    else:
+                        start = bisect_left(lons, center - sure)
+                        end = bisect_right(lons, center + sure)
+                        count += end - start
+                        runs.append((first, start, end, last))
+            for first, start, end, last in runs:
+                for n_latitude, n_lat, n_lon, n_cos in chain(points[first:start], points[end:last]):
+                    if _inner_term(s_lat, s_lon, s_cos, n_lat, n_lon, n_cos) <= bound and (
+                        within_window or low <= n_latitude <= high
+                    ):
+                        count += 1
+    return count
 
 
 def _entity(family: str, row: Sequence[Any]) -> Community | Poi:
@@ -279,40 +407,38 @@ def _ingest(
     reals = _REAL_POSITIONS[family]
     rows = []
     seen_ids: set[str] = set()
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != columns:
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            records = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise IngestError(f"{path.name}: not a UTF-8 CSV file: {exc}") from exc
+    header = records.pop(0) if records else None
+    if header is None or tuple(header) != columns:
+        raise IngestError(f"{path.name}: header must be {','.join(columns)}, got {header}")
+    for raw in records:
+        if not raw:
+            continue  # a blank line holds no record
+        if len(raw) != len(columns):
             raise IngestError(
-                f"{path.name}: header must be {','.join(columns)}, got {header}"
+                f"{path.name}: record id={raw[0]}: expected {len(columns)}"
+                f" fields, got {len(raw)}"
             )
-        for raw in reader:
-            if not raw:
-                continue  # a blank line holds no record
-            if len(raw) != len(columns):
-                raise IngestError(
-                    f"{path.name}: record id={raw[0]}: expected {len(columns)}"
-                    f" fields, got {len(raw)}"
-                )
-            try:
-                row = tuple(float(v) if i in reals else v for i, v in enumerate(raw))
-                entity = _entity(family, row)
-            except (DomainError, ValueError) as exc:
-                raise IngestError(f"{path.name}: record id={raw[0]}: {exc}") from exc
-            if entity.city != city:
-                raise IngestError(f"{path.name}: record id={entity.id}: city mismatch")
-            if isinstance(entity, Poi) and config.label_category(entity.label) != entity.category:
-                raise IngestError(
-                    f"{path.name}: record id={entity.id}: label {entity.label!r} is not"
-                    f" a {entity.category!r} label in the configured taxonomy"
-                )
-            if entity.id in seen_ids:
-                raise IngestError(f"{path.name}: duplicate id {entity.id}")
-            seen_ids.add(entity.id)
-            # the DERIVED_COLUMNS, computed as domain.haversine computes them
-            latitude = math.radians(entity.location.latitude)
-            longitude = math.radians(entity.location.longitude)
-            rows.append(row + (latitude, longitude, math.cos(latitude)))
+        try:
+            row = tuple(float(v) if i in reals else v for i, v in enumerate(raw))
+            entity = _entity(family, row)
+        except (DomainError, ValueError) as exc:
+            raise IngestError(f"{path.name}: record id={raw[0]}: {exc}") from exc
+        if entity.city != city:
+            raise IngestError(f"{path.name}: record id={entity.id}: city mismatch")
+        if isinstance(entity, Poi) and config.label_category(entity.label) != entity.category:
+            raise IngestError(
+                f"{path.name}: record id={entity.id}: label {entity.label!r} is not"
+                f" a {entity.category!r} label in the configured taxonomy"
+            )
+        if entity.id in seen_ids:
+            raise IngestError(f"{path.name}: duplicate id {entity.id}")
+        seen_ids.add(entity.id)
+        rows.append(row + haversine_terms(entity.location.latitude, entity.location.longitude))
     conn.executemany(_insert_sql(family, table_id(family, city)), rows)
     return len(rows)
 
@@ -420,24 +546,59 @@ class GeoStore:
         poi_community holds each (POI, community) pair within the POI pairing
         radius; community_community holds community pairs within the community
         radius, in both directions. Both are views that the store computes on
-        each read, so nothing is built; a store written when they were tables
-        is counted the same way. Each (city, family) is counted in a task of
-        its own, on the reader of a pool thread: SQLite releases the GIL while
-        it steps a statement, so the views' distance filters run on every
-        CPU this process may use.
+        each read, so nothing is built. The count reads each city's entity
+        coordinates once, on this thread's reader, and counts exactly the
+        rows each view keeps, without computing every pair:
+
+        - A view keeps a pair when its inner term h (``_inner_term``) is at
+          most H* and the neighbour lies in the subject's latitude window. h
+          is at least sin²(Δlat/2), so a pair with h <= H* has
+          R·|Δlat| <= radius, and the window, degrees(radius / R) padded by
+          1e-9 of itself, excludes none of them at radii above a few
+          centimetres. Below that, the rounding of a latitude outgrows the
+          pad, so the count applies the window too, with the bounds SQLite
+          computes, and is exact at any radius.
+        - The neighbours are cut into latitude strips a quarter of the
+          window's half-width high, each sorted by longitude. For a subject
+          and a strip, the strip's nearest and farthest latitude and its
+          cosine bounds give the longitude differences within which every
+          neighbour has h <= H*·(1 - 1e-9), and beyond which every one has
+          h > H*·(1 + 1e-9). Bisection counts the first run whole, when the
+          window holds the whole strip, and skips the second; each run is
+          narrowed by 1e-12 rad. Both margins dwarf the rounding of h and
+          of the run's ends, so neither run holds a pair the view decides
+          otherwise.
+        - Only the neighbours between the two runs get their inner term
+          computed, by ``_inner_term``, bit-identical to the view's.
+        - The longitude difference is the view's raw one, so a subject
+          pairs across ±180° as the view does. Where the run beyond the
+          radius would start past π (next to a pole, or at a radius near
+          half the globe), every neighbour of the strip is computed.
+        - community_community excludes each community's pair with itself,
+          which the count includes once per community (h = 0, and ids are
+          the primary key).
+
+        A store written before the derived columns, or when the pair
+        families were stored tables, is counted the same way, from its
+        entity tables and its radii.
         """
-        views = [(family, city) for city in self.config.cities for family in _PAIR_VIEWS]
         counts = dict.fromkeys(_PAIR_VIEWS, 0)
-        with ThreadPoolExecutor(max_workers=min(len(views), _usable_cpus()) or 1) as pool:
-            for (family, _), count in zip(views, pool.map(self._count_rows, views)):
-                counts[family] += count
+        for city in self.config.cities:
+            points = {family: self._points(family, city) for family in ENTITY_SCHEMA}
+            for family, (subject, neighbor, radius_field, *_) in _PAIR_VIEWS.items():
+                radius = getattr(self.config, radius_field)
+                counts[family] += _count_within(points[subject], points[neighbor], radius)
+                if subject == neighbor:  # the view's n.id <> s.id
+                    counts[family] -= len(points[subject])
         return counts
 
-    def _count_rows(self, view: tuple[str, str]) -> int:
-        """The rows of one (family, city) table, counted on this thread's reader."""
-        statement = f"SELECT COUNT(*) FROM {self.table_id(*view)}"
-        [(count,)] = self._reader().execute(statement).fetchall()
-        return count
+    def _points(self, family: str, city: str) -> list[_Point]:
+        """Each entity's latitude and haversine_terms, read on this thread's
+        reader, outside execute_sql's limits."""
+        rows = self._reader().execute(
+            f"SELECT latitude, longitude FROM {self.table_id(family, city)}"
+        )
+        return [(lat, *haversine_terms(lat, lon)) for lat, lon in rows]
 
     # --- queries ----------------------------------------------------------------
 

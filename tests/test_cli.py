@@ -445,6 +445,28 @@ def test_a_failed_ingest_leaves_no_store(workdir, tmp_path, capsys, existing):
     assert main(["pairs", "--store", str(store)]) == 2
 
 
+@pytest.mark.parametrize(
+    "tail, reason",
+    [
+        (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff"),
+        (b'"' + b"x" * 200_000, "field larger than field limit"),
+    ],
+    ids=["not-utf8", "overlong-field"],
+)
+def test_an_unreadable_fixture_csv_is_a_validation_error(workdir, tmp_path, capsys, tail, reason):
+    fx = tmp_path / "fx"
+    shutil.copytree(workdir / "fx", fx)
+    with open(fx / "pois_suzhou.csv", "ab") as fh:
+        fh.write(tail)
+    store = tmp_path / "store.db"
+    argv = ["ingest", "--fixtures", str(fx), "--store", str(store), "--cities", CITIES]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: pois_suzhou.csv: not a UTF-8 CSV file: ")
+    assert reason in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fx"]
+
+
 def test_missing_store_is_config_error(tmp_path):
     assert main(["pairs", "--store", str(tmp_path / "missing.db")]) == 2
 
@@ -700,6 +722,14 @@ def test_bad_generate_setting_is_config_error(
         ("ingest", [], {"community_radius": 0}, "community_radius must be a positive number"),
         ("split", ["--seed", "x"], {}, "argument --seed: invalid int value: 'x'"),
         ("split", [], {"seed": "x"}, "seed must be an integer, got 'x'"),
+        # each city's tables are named by its slug, so two cities may not share one
+        ("fixture", ["--cities", "A,A"], {}, "cities 'A' and 'A' share the table name slug 'a'"),
+        ("fixture", [], {"cities": "New York,Paris,new york"},
+         "cities 'New York' and 'new york' share the table name slug 'new_york'"),
+        ("ingest", ["--cities", "Suzhou,Guangzhou,SUZHOU"], {},
+         "cities 'Suzhou' and 'SUZHOU' share the table name slug 'suzhou'"),
+        ("ingest", [], {"cities": "New York,new-york"},
+         "cities 'New York' and 'new-york' share the table name slug 'new_york'"),
     ],
 )
 def test_bad_build_setting_is_config_error(

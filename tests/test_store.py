@@ -7,6 +7,7 @@ import csv
 import dataclasses
 import math
 import os
+import random
 import re
 import shutil
 import sqlite3
@@ -368,12 +369,22 @@ def _assert_pairs_match_nested_loop(store):
         assert sorted(cc_rows) == sorted(expected_cc)
 
 
-def test_pair_tables_match_brute_force_oracle(tmp_path, desk_config):
+@pytest.mark.parametrize(
+    "seed, poi_radius, community_radius",
+    [(99, 3000.0, 1000.0), (5, 2500.0, 700.0), (17, 700.0, 2500.0), (23, 20_000.0, 9_000.0)],
+    # a fixture city spans about 6.7 km by 5-6 km, so 20 km pairs every entity
+    ids=["defaults", "2500m-700m", "700m-2500m", "beyond-the-city"],
+)
+def test_pair_tables_match_brute_force_oracle(tmp_path, seed, poi_radius, community_radius):
     # independent O(n^2) pairing over a 100-entity random fixture
-    config = StoreConfig(cities=("Oracleton",), fixture_seed=99)
+    config = StoreConfig(
+        cities=("Oracleton",), fixture_seed=seed, poi_pairing_radius=poi_radius,
+        community_pairing_radius=community_radius,
+    )
     write_fixture(config, tmp_path, communities_per_city=60, pois_per_city=40)
     store = ingest(config, tmp_path / "store.db", tmp_path)
     counts = store.build_proximity_pairs()
+    assert counts == _serial_pair_counts(store)
 
     communities = store.communities("Oracleton")
     pois = store.pois("Oracleton")
@@ -439,8 +450,12 @@ _ON_RADIUS = pytest.mark.parametrize(
         # the latitude window of a radius this long, degrees(radius / R),
         # rounds to just under this offset, so only the window's pad keeps them
         ((23.52456, 113.0), (23.525621075547182, 113.0)),
+        # the view's raw longitude difference of these is nearly 2π
+        ((23.0, 179.9998), (23.0, -179.9997)),
+        # across the pole: the longitude run within the radius widens past π
+        ((89.9995, 10.0), (89.9995, -170.0)),
     ],
-    ids=["latitude", "longitude", "latitude-window-edge"],
+    ids=["latitude", "longitude", "latitude-window-edge", "antimeridian", "pole"],
 )
 
 
@@ -508,12 +523,128 @@ def _serial_pair_counts(store):
         }
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 8])
-def test_concurrent_pair_counts_equal_the_serial_counts(monkeypatch, desk_store, cpus):
-    monkeypatch.setattr(store_module, "_usable_cpus", lambda: cpus)
+def test_pair_counts_equal_the_serial_counts(desk_store):
     counts = desk_store.build_proximity_pairs()
     assert counts == _serial_pair_counts(desk_store)
     assert min(counts.values()) > 0
+
+
+def _cluster(rng, size, latitudes, longitudes):
+    return [
+        (f"Point {i}", rng.uniform(*latitudes), rng.uniform(*longitudes)) for i in range(size)
+    ]
+
+
+def _duplicate_coordinates(rng):
+    spots = _cluster(rng, 12, (23.0, 23.02), (113.0, 113.02))
+    return [rng.choice(spots) for _ in range(50)], [rng.choice(spots) for _ in range(30)], {}
+
+
+def _vanishing_radius(rng):
+    # a radius so small that the view's window is 0: only coincident points pair
+    communities, pois, _ = _duplicate_coordinates(rng)
+    return communities, pois, {"poi_pairing_radius": 1e-320, "community_pairing_radius": 1e-320}
+
+
+def _no_pois(rng):
+    return _cluster(rng, 50, (23.0, 23.03), (113.0, 113.03)), [], {}
+
+
+def _no_communities(rng):
+    return [], _cluster(rng, 30, (23.0, 23.03), (113.0, 113.03)), {}
+
+
+def _on_strip_edges(rng):
+    # one radius for both families, so both count over the same strips; the
+    # neighbours sit on multiples of the strip height from the lowest one
+    radius = 1000.0
+    height = (
+        store_module._window_half_width(radius) / store_module._STRIPS_PER_HALF_WINDOW
+    )
+    communities = [
+        (f"Court {k}", 23.0 + k * height, rng.uniform(113.0, 113.01)) for k in range(16)
+    ]
+    pois = [(f"Park {k}", lat, lon + 0.001) for k, (_, lat, lon) in enumerate(communities)]
+    radii = {"poi_pairing_radius": radius, "community_pairing_radius": radius}
+    return communities * 2, pois, radii
+
+
+def _across_the_antimeridian(rng):
+    west, east = (-180.0, -179.98), (179.98, 180.0)
+    communities = _cluster(rng, 25, (23.0, 23.02), west) + _cluster(rng, 25, (23.0, 23.02), east)
+    pois = _cluster(rng, 15, (23.0, 23.02), west) + _cluster(rng, 15, (23.0, 23.02), east)
+    edge = [("East Edge", 23.01, 180.0), ("West Edge", 23.01, -180.0)]
+    return communities + edge, pois + edge, {}
+
+
+def _next_to_a_pole(south):
+    def points(rng):
+        latitudes = (-90.0, -89.97) if south else (89.97, 90.0)
+        communities = _cluster(rng, 50, latitudes, (-180.0, 180.0))
+        pois = _cluster(rng, 30, latitudes, (-180.0, 180.0))
+        return communities, pois, {}
+
+    return points
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        _duplicate_coordinates, _vanishing_radius, _no_pois, _no_communities, _on_strip_edges,
+        _across_the_antimeridian, _next_to_a_pole(south=False), _next_to_a_pole(south=True),
+    ],
+    ids=[
+        "duplicate-coordinates", "vanishing-radius", "no-pois", "no-communities", "strip-edges",
+        "antimeridian", "north-pole", "south-pole",
+    ],
+)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_pair_counts_equal_the_views_at_the_edge_cases(tmp_path, points, seed):
+    communities, pois, radii = points(random.Random(seed))
+    store = make_tiny_store(tmp_path, communities, pois=pois, **radii)
+    counts = store.build_proximity_pairs()
+    assert counts == _serial_pair_counts(store)
+    _assert_pairs_match_nested_loop(store)
+
+
+@pytest.mark.parametrize("seed, radius", [(1, 1e-4), (2, 1e-4), (3, 0.01), (4, 0.01)])
+def test_pair_count_keeps_the_views_latitude_window(tmp_path, seed, radius):
+    # At radii of a centimetre or less the window's pad is below the rounding
+    # of a latitude, so the view's window (as SQLite computes its BETWEEN
+    # bounds) drops some pairs within the radius. Each subject has
+    # neighbours on either window edge, one and two doubles inside it and
+    # one beyond.
+    rng = random.Random(seed)
+    window = store_module._window_half_width(radius)
+    communities, pois = [], []
+    for i in range(60):
+        latitude, longitude = rng.uniform(-60.0, 60.0), rng.uniform(100.0, 120.0)
+        pois.append((f"Park {i}", latitude, longitude))
+        communities.append((f"Court {i}", latitude, longitude))
+        for outward in (-math.inf, math.inf):
+            edge = latitude + math.copysign(window, outward)
+            inner = math.nextafter(edge, -outward)
+            for moved in (math.nextafter(inner, -outward), inner, edge,
+                          math.nextafter(edge, outward)):
+                communities.append((f"Court {i}", moved, longitude))
+    store = make_tiny_store(
+        tmp_path, communities, pois=pois,
+        poi_pairing_radius=radius, community_pairing_radius=radius,
+    )
+    counts = store.build_proximity_pairs()
+    assert counts == _serial_pair_counts(store)
+    expected_pc, expected_cc = _nested_loop_pair_rows(store, "Testville")
+    assert counts["poi_community"] < len(expected_pc)
+    assert counts["community_community"] < len(expected_cc)
+
+
+def test_pair_counts_at_the_benchmark_scale(tmp_path):
+    # the store perfbench's build-M workload writes and counts
+    config = StoreConfig(cities=("Guangzhou", "Suzhou"), fixture_seed=1)
+    write_fixture(config, tmp_path, communities_per_city=1500, pois_per_city=1200)
+    store = ingest(config, tmp_path / "store.db", tmp_path)
+    counts = store.build_proximity_pairs()
+    assert counts == {"poi_community": 1628964, "community_community": 309956}
 
 
 def test_pair_build_is_idempotent(tmp_path):
@@ -599,9 +730,9 @@ def test_query_column_order_preserved(desk_store):
 
 
 def test_internal_reads_still_work_after_untrusted_query(tmp_path):
-    # 200 communities 4.5 m apart, so every pair is within the 1 km radius
+    # 2,000 communities 0.22 m apart, so every pair is within the 1 km radius
     store = make_tiny_store(
-        tmp_path, [(f"Court {i}", 23.0 + i * 4e-5, 113.0) for i in range(200)]
+        tmp_path, [(f"Court {i}", 23.0 + i * 2e-6, 113.0) for i in range(2000)]
     )
     store.execute_sql("SELECT 1")
     with pytest.raises(SqlExecutionError, match="VM operations"):
@@ -609,8 +740,11 @@ def test_internal_reads_still_work_after_untrusted_query(tmp_path):
             "SELECT COUNT(*) FROM community_testville a, community_testville b,"
             " community_testville c, community_testville d"
         )
-    # the count runs past the progress step: a stale progress handler would stop it
-    assert store.build_proximity_pairs()["community_community"] == 200 * 199
+    # each read of the community table runs past the progress step (about 6
+    # VM operations a row for the pair count's, 18 for the snapshot's): a
+    # stale progress handler would stop it
+    assert store.build_proximity_pairs()["community_community"] == 2000 * 1999
+    assert len(store.communities("Testville")) == 2000
 
 
 def _run_in_threads(*targets):
