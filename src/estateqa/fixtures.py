@@ -3,7 +3,9 @@
 Stand-in for real listing and map data, which is out of reach here. Points
 scatter around a per-city center inside a few-kilometer box so that proximity
 pairs and walkable distances actually occur. Output is byte-stable for a
-given (config, sizes) pair.
+given (config, sizes) pair. The cost is linear in the number of entities:
+each name list is built once, and a repeated name takes its next ` No.k`
+suffix from a counter. Names and bytes are those of earlier versions.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import csv
 import random
 from pathlib import Path
 
+from .domain import DomainError
 from .store import FAMILY_COLUMNS, StoreConfig, city_slug
 
 # Approximate metro centers; unknown cities fall back to a seeded location.
@@ -37,6 +40,7 @@ _COMMUNITY_SUFFIXES = (
     "Court", "Garden", "Residence", "Mansion", "Villa Park", "Estate",
     "Towers", "Terrace", "Bay", "Heights",
 )
+_COMMUNITY_NAMES = tuple(f"{a} {s}" for a in _ADJECTIVES for s in _COMMUNITY_SUFFIXES)
 _DISTRICT_STEMS = ("North", "South", "East", "West", "Lakeside", "Old Town", "Harbor", "Hilltop")
 _STREETS = ("Peace", "Unity", "Victory", "Prosperity", "Camphor", "Ginkgo", "Plane Tree", "Canal")
 
@@ -64,15 +68,12 @@ def city_center(city: str, seed: int) -> tuple[float, float]:
     return round(rng.uniform(20.0, 45.0), 3), round(rng.uniform(100.0, 125.0), 3)
 
 
-def _unique_name(rng: random.Random, pattern_names: list[str], taken: set[str]) -> str:
-    base = rng.choice(pattern_names)
-    name = base
-    n = 2
-    while name in taken:
-        name = f"{base} No.{n}"
-        n += 1
-    taken.add(name)
-    return name
+def _unique_name(rng: random.Random, names: tuple[str, ...], drawn: dict[str, int]) -> str:
+    """Draw a base name; its k-th draw in a city is named `base No.k` (k >= 2).
+    No base contains ` No.`, so no two draws give one name."""
+    base = rng.choice(names)
+    drawn[base] = k = drawn.get(base, 0) + 1
+    return base if k == 1 else f"{base} No.{k}"
 
 
 def write_fixture(
@@ -82,6 +83,11 @@ def write_fixture(
     pois_per_city: int = 160,
 ) -> list[Path]:
     """Write communities/pois CSVs for every configured city; returns the paths."""
+    labels = config.labels
+    if pois_per_city > 0 and not labels:
+        raise DomainError("POIs need at least one label in the POI taxonomy")
+    patterns = {label: _LABEL_NAME_PATTERNS.get(label, "{adj} Place") for label in labels}
+    poi_names = {label: tuple(p.format(adj=a) for a in _ADJECTIVES) for label, p in patterns.items()}
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -90,15 +96,13 @@ def write_fixture(
         slug = city_slug(city)
         lat0, lon0 = city_center(city, config.fixture_seed)
         districts = [f"{stem} District" for stem in _DISTRICT_STEMS[:4]]
-        taken: set[str] = set()
-
-        community_names = [f"{a} {s}" for a in _ADJECTIVES for s in _COMMUNITY_SUFFIXES]
+        drawn: dict[str, int] = {}
         com_path = out_dir / f"communities_{slug}.csv"
         with open(com_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(FAMILY_COLUMNS["community"])
             for i in range(communities_per_city):
-                name = _unique_name(rng, community_names, taken)
+                name = _unique_name(rng, _COMMUNITY_NAMES, drawn)
                 district = rng.choice(districts)
                 lat = round(lat0 + rng.uniform(-0.030, 0.030), 6)
                 lon = round(lon0 + rng.uniform(-0.030, 0.030), 6)
@@ -120,7 +124,6 @@ def write_fixture(
         written.append(com_path)
 
         poi_path = out_dir / f"pois_{slug}.csv"
-        labels = list(config.labels)
         with open(poi_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(FAMILY_COLUMNS["poi"])
@@ -128,10 +131,7 @@ def write_fixture(
                 # cycle labels so every label has coverage, then shuffle position
                 label = labels[i % len(labels)]
                 category = config.label_category(label)
-                pattern = _LABEL_NAME_PATTERNS.get(label, "{adj} Place")
-                name = _unique_name(
-                    rng, [pattern.format(adj=a) for a in _ADJECTIVES], taken
-                )
+                name = _unique_name(rng, poi_names[label], drawn)
                 lat = round(lat0 + rng.uniform(-0.030, 0.030), 6)
                 lon = round(lon0 + rng.uniform(-0.030, 0.030), 6)
                 writer.writerow([f"p-{slug}-{i:04d}", city, name, category, label, lat, lon])

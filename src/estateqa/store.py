@@ -170,7 +170,9 @@ class StoreConfig:
             raise DomainError("pairing radii must be positive")
         named: dict[str, str] = {}  # each city's tables are named by its slug
         for city in self.cities:
-            if (slug := city_slug(city)) in named:
+            if not (slug := city_slug(city)):
+                raise DomainError(f"city {city!r} has no ASCII letter or digit to name its tables")
+            if slug in named:
                 raise DomainError(
                     f"cities {named[slug]!r} and {city!r} share the table name slug {slug!r}"
                 )

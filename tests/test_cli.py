@@ -479,8 +479,10 @@ def test_missing_store_is_config_error(tmp_path):
         json.dumps({**asdict(StoreConfig(cities=("A",))), "colour": "blue"}),
         json.dumps({**asdict(StoreConfig(cities=("A",))), "cities": "AB"}),
         json.dumps({**asdict(StoreConfig(cities=("A",))), "poi_pairing_radius": "3000"}),
+        json.dumps({**asdict(StoreConfig(cities=("A",))), "cities": ["北京"]}),
     ],
-    ids=["non_json", "missing_key", "unknown_key", "cities_string", "radius_string"],
+    ids=["non_json", "missing_key", "unknown_key", "cities_string", "radius_string",
+         "slugless_city"],
 )
 def test_corrupt_store_config_is_validation_failure(workdir, tmp_path, capsys, config_text):
     path = tmp_path / "store.db"
@@ -492,7 +494,7 @@ def test_corrupt_store_config_is_validation_failure(workdir, tmp_path, capsys, c
     assert main(["pairs", "--store", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("validation error:") and "Traceback" not in err
-    assert str(path) in err
+    assert f"{path} carries a corrupt store config" in err
 
 
 def _template_dir(tmp_path, case):
@@ -730,6 +732,13 @@ def test_bad_generate_setting_is_config_error(
          "cities 'Suzhou' and 'SUZHOU' share the table name slug 'suzhou'"),
         ("ingest", [], {"cities": "New York,new-york"},
          "cities 'New York' and 'new-york' share the table name slug 'new_york'"),
+        # a slug must not be empty: the tables would be `community_`, the files `communities_.csv`
+        ("fixture", ["--cities", "Suzhou,北京"], {},
+         "city '北京' has no ASCII letter or digit to name its tables"),
+        ("fixture", [], {"cities": "--"}, "city '--' has no ASCII letter or digit"),
+        ("ingest", ["--cities", "上海"], {}, "city '上海' has no ASCII letter or digit"),
+        ("ingest", [], {"cities": "Guangzhou,São Paulo,東京"},
+         "city '東京' has no ASCII letter or digit to name its tables"),
     ],
 )
 def test_bad_build_setting_is_config_error(
