@@ -208,17 +208,12 @@ def cmd_pairs(opts: argparse.Namespace) -> int:
 
 def cmd_generate(opts: argparse.Namespace) -> int:
     store = GeoStore.open(opts.store)
-    provider = SyntheticProvider(store)
-    if opts.cache and Path(opts.cache).exists():
-        cache = ToolCache.load(opts.cache, provider=provider)
-    else:
-        cache = ToolCache(provider=provider)
+    cache = ToolCache(provider=SyntheticProvider(store))
     instances, report = generate(
         _templates(opts), store, cache, seed=opts.seed, per_template=opts.per_template
     )
     write_instances(opts.out, instances)
-    if opts.cache:
-        cache.save(opts.cache)
+    cache.save(opts.cache)
     if opts.report:
         Path(opts.report).write_text(
             json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8"
@@ -415,7 +410,8 @@ COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str, tuple[Settin
         (_STORE,),
     ),
     "generate": (cmd_generate, "generate a validated dataset", (
-        _STORE, Setting("out", "outfile", required=True), Setting("cache", "outfile"),
+        _STORE, Setting("out", "outfile", required=True),
+        Setting("cache", "outfile", required=True),
         _TEMPLATES, Setting("report", "outfile"), _SEED,
         Setting("per_template", "int", 50, minimum=1),
     )),

@@ -3,9 +3,10 @@
 Stand-in for real listing and map data, which is out of reach here. Points
 scatter around a per-city center inside a few-kilometer box so that proximity
 pairs and walkable distances actually occur. Output is byte-stable for a
-given (config, sizes) pair. The cost is linear in the number of entities:
-each name list is built once, and a repeated name takes its next ` No.k`
-suffix from a counter. Names and bytes are those of earlier versions.
+given (config, sizes) pair. POI labels cycle through the fixed taxonomy of
+``store.POI_TAXONOMY``. The cost is linear in the number of entities: each
+name list is built once, and a repeated name takes its next ` No.k` suffix
+from a counter.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ import csv
 import random
 from pathlib import Path
 
-from .domain import DomainError
-from .store import FAMILY_COLUMNS, StoreConfig, city_slug
+from .store import FAMILY_COLUMNS, LABEL_CATEGORY, POI_LABELS, StoreConfig, city_slug
 
 # Approximate metro centers; unknown cities fall back to a seeded location.
 CITY_CENTERS = {
@@ -47,18 +47,7 @@ _STREETS = ("Peace", "Unity", "Victory", "Prosperity", "Camphor", "Ginkgo", "Pla
 _PROPERTY_TYPES = ("second-hand property", "new home", "villa", "apartment")
 _SALES_STATUSES = ("on sale", "sold out", "pre-sale")
 
-_LABEL_NAME_PATTERNS = {
-    "primary school": "{adj} Primary School",
-    "secondary school": "{adj} Secondary School",
-    "kindergarten": "{adj} Kindergarten",
-    "general hospital": "{adj} General Hospital",
-    "clinic": "{adj} Clinic",
-    "supermarket": "{adj} Supermarket",
-    "shopping mall": "{adj} Shopping Mall",
-    "park": "{adj} Park",
-    "subway station": "{adj} Subway Station",
-    "bus station": "{adj} Bus Station",
-}
+_POI_NAMES = {label: tuple(f"{a} {label.title()}" for a in _ADJECTIVES) for label in POI_LABELS}
 
 
 def city_center(city: str, seed: int) -> tuple[float, float]:
@@ -83,11 +72,6 @@ def write_fixture(
     pois_per_city: int = 160,
 ) -> list[Path]:
     """Write communities/pois CSVs for every configured city; returns the paths."""
-    labels = config.labels
-    if pois_per_city > 0 and not labels:
-        raise DomainError("POIs need at least one label in the POI taxonomy")
-    patterns = {label: _LABEL_NAME_PATTERNS.get(label, "{adj} Place") for label in labels}
-    poi_names = {label: tuple(p.format(adj=a) for a in _ADJECTIVES) for label, p in patterns.items()}
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -129,9 +113,9 @@ def write_fixture(
             writer.writerow(FAMILY_COLUMNS["poi"])
             for i in range(pois_per_city):
                 # cycle labels so every label has coverage, then shuffle position
-                label = labels[i % len(labels)]
-                category = config.label_category(label)
-                name = _unique_name(rng, poi_names[label], drawn)
+                label = POI_LABELS[i % len(POI_LABELS)]
+                category = LABEL_CATEGORY[label]
+                name = _unique_name(rng, _POI_NAMES[label], drawn)
                 lat = round(lat0 + rng.uniform(-0.030, 0.030), 6)
                 lon = round(lon0 + rng.uniform(-0.030, 0.030), 6)
                 writer.writerow([f"p-{slug}-{i:04d}", city, name, category, label, lat, lon])

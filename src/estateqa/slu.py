@@ -27,7 +27,7 @@ from typing import Sequence
 from .backends import BackendError, ChatBackend, ask, build_task_message
 from .domain import QAInstance, SluPrediction, SlotAnnotation, locate_slot
 from .prompts import load_prompt
-from .store import GeoStore
+from .store import POI_LABELS, GeoStore
 from .templates import PLACEHOLDER_RE, Template, slot_type_for
 
 log = logging.getLogger(__name__)
@@ -56,7 +56,7 @@ class Gazetteer:
                 entries[community.name] = "community_name"
             for poi in entities.pois:
                 entries[poi.name] = "poi_name"
-        for label in store.config.labels:
+        for label in POI_LABELS:
             entries[label] = "poi_label"
         # last, so a property type keeps a surface it shares with another entry
         for city in sorted(store.config.cities):
@@ -182,17 +182,15 @@ class FewShotSlu:
         self.backend = backend
         self.pool = list(pool)
         self.system_prompt = load_prompt("slu_fewshot_system")
-
-    def _render_examples(self) -> str:
-        blocks = []
-        for inst in self.pool:
-            labels = json.dumps(inst.slu_labels(), ensure_ascii=False)
-            blocks.append(f"Question: {inst.question}\nLabels: {labels}")
-        return "\n\n".join(blocks)
+        self.examples = "\n\n".join(
+            f"Question: {inst.question}\n"
+            f"Labels: {json.dumps(inst.slu_labels(), ensure_ascii=False)}"
+            for inst in self.pool
+        )
 
     def predict(self, question: str) -> SluPrediction:
         content = build_task_message("slu", question, examples=str(len(self.pool)))
-        content += "\n\nWorked examples:\n" + self._render_examples()
+        content += "\n\nWorked examples:\n" + self.examples
         try:
             reply = ask(self.backend, self.system_prompt, content)
         except BackendError as exc:

@@ -20,7 +20,7 @@ import sqlite3
 import threading
 from bisect import bisect_left, bisect_right
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, groupby
 from operator import itemgetter
 from pathlib import Path
@@ -122,7 +122,9 @@ def _inner_term(
 _ENTITY_TYPES = {"community": Community, "poi": Poi}
 _FIXTURE_PREFIX = {"community": "communities", "poi": "pois"}
 
-DEFAULT_POI_TAXONOMY: dict[str, tuple[str, ...]] = {
+# The two-level POI taxonomy, category -> labels: every POI's label is one of
+# POI_LABELS, under its LABEL_CATEGORY.
+POI_TAXONOMY: dict[str, tuple[str, ...]] = {
     "school": ("primary school", "secondary school", "kindergarten"),
     "hospital": ("general hospital", "clinic"),
     "supermarket": ("supermarket",),
@@ -130,6 +132,8 @@ DEFAULT_POI_TAXONOMY: dict[str, tuple[str, ...]] = {
     "park": ("park",),
     "transit_station": ("subway station", "bus station"),
 }
+POI_LABELS = tuple(label for labels in POI_TAXONOMY.values() for label in labels)
+LABEL_CATEGORY = {label: category for category, labels in POI_TAXONOMY.items() for label in labels}
 
 _SELECT_RE = re.compile(r"^\s*(select|with)\b", re.IGNORECASE)
 
@@ -161,9 +165,6 @@ class StoreConfig:
     poi_pairing_radius: float = 3000.0
     community_pairing_radius: float = 1000.0
     fixture_seed: int = 0
-    poi_taxonomy: dict[str, tuple[str, ...]] = field(
-        default_factory=lambda: dict(DEFAULT_POI_TAXONOMY)
-    )
 
     def __post_init__(self) -> None:
         if self.poi_pairing_radius <= 0 or self.community_pairing_radius <= 0:
@@ -177,16 +178,6 @@ class StoreConfig:
                     f"cities {named[slug]!r} and {city!r} share the table name slug {slug!r}"
                 )
             named[slug] = city
-
-    def label_category(self, label: str) -> str | None:
-        for category, labels in self.poi_taxonomy.items():
-            if label in labels:
-                return category
-        return None
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(l for labels in self.poi_taxonomy.values() for l in labels)
 
 
 @dataclass(frozen=True)
@@ -293,7 +284,7 @@ def haversine_terms(latitude: float, longitude: float) -> tuple[float, float, fl
     return latitude_rad, math.radians(longitude), math.cos(latitude_rad)
 
 
-# A point of the pair count: an entity's latitude and its haversine_terms.
+# A point of the pair count: an entity's latitude and its DERIVED_COLUMNS.
 _Point = tuple[float, float, float, float]
 # The pair count's margins, both far above float rounding (about 1e-16): a
 # relative one on H*, and an absolute one in radians on a longitude run.
@@ -399,9 +390,7 @@ def _entity(family: str, row: Sequence[Any]) -> Community | Poi:
     return _ENTITY_TYPES[family](*row[:5], GeoPoint(row[5], row[6]), *row[7:])
 
 
-def _ingest(
-    conn: sqlite3.Connection, config: StoreConfig, path: Path, family: str, city: str
-) -> int:
+def _ingest(conn: sqlite3.Connection, path: Path, family: str, city: str) -> int:
     """Check one fixture CSV and insert its rows, with their derived columns."""
     if not path.exists():
         raise IngestError(f"missing fixture file: {path}")
@@ -432,10 +421,10 @@ def _ingest(
             raise IngestError(f"{path.name}: record id={raw[0]}: {exc}") from exc
         if entity.city != city:
             raise IngestError(f"{path.name}: record id={entity.id}: city mismatch")
-        if isinstance(entity, Poi) and config.label_category(entity.label) != entity.category:
+        if isinstance(entity, Poi) and LABEL_CATEGORY.get(entity.label) != entity.category:
             raise IngestError(
                 f"{path.name}: record id={entity.id}: label {entity.label!r} is not"
-                f" a {entity.category!r} label in the configured taxonomy"
+                f" a {entity.category!r} label in the POI taxonomy"
             )
         if entity.id in seen_ids:
             raise IngestError(f"{path.name}: duplicate id {entity.id}")
@@ -499,7 +488,7 @@ class GeoStore:
             for city in config.cities:
                 for family, prefix in _FIXTURE_PREFIX.items():
                     csv_path = Path(fixture_dir) / f"{prefix}_{city_slug(city)}.csv"
-                    counts[family] += _ingest(conn, config, csv_path, family, city)
+                    counts[family] += _ingest(conn, csv_path, family, city)
             conn.execute("COMMIT")
         return counts
 
@@ -579,10 +568,6 @@ class GeoStore:
         - community_community excludes each community's pair with itself,
           which the count includes once per community (h = 0, and ids are
           the primary key).
-
-        A store written before the derived columns, or when the pair
-        families were stored tables, is counted the same way, from its
-        entity tables and its radii.
         """
         counts = dict.fromkeys(_PAIR_VIEWS, 0)
         for city in self.config.cities:
@@ -595,12 +580,12 @@ class GeoStore:
         return counts
 
     def _points(self, family: str, city: str) -> list[_Point]:
-        """Each entity's latitude and haversine_terms, read on this thread's
-        reader, outside execute_sql's limits."""
-        rows = self._reader().execute(
-            f"SELECT latitude, longitude FROM {self.table_id(family, city)}"
-        )
-        return [(lat, *haversine_terms(lat, lon)) for lat, lon in rows]
+        """Each entity's latitude and the derived columns ingest stored, read
+        on this thread's reader, outside execute_sql's limits."""
+        columns = ", ".join(["latitude", *(name for name, _ in DERIVED_COLUMNS)])
+        return self._reader().execute(
+            f"SELECT {columns} FROM {self.table_id(family, city)}"
+        ).fetchall()
 
     # --- queries ----------------------------------------------------------------
 

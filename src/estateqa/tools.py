@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any, Mapping, Protocol
 
 from .domain import Cell, GeoPoint, decode, encode, haversine, read_json_lines
-from .store import GeoStore
+from .store import POI_LABELS, GeoStore
 
 BUCKET_MIDNIGHT = "midnight_00"
 BUCKET_OFFPEAK = "offpeak_15"
@@ -252,7 +252,7 @@ class SyntheticProvider:
 
     def _surrounding(self, p: dict[str, Any]) -> ToolResult:
         label = p["label"]
-        if label not in {l.casefold() for l in self.store.config.labels}:
+        if label not in POI_LABELS:
             raise InvalidParams(f"surrounding_pois_query: unknown label {label!r}")
         center = GeoPoint(p["center_lat"], p["center_lon"])
         hits = []
@@ -339,7 +339,7 @@ class ToolCache:
         return len(lines)
 
     @classmethod
-    def load(cls, path: str | Path, provider: Provider | None = None) -> "ToolCache":
+    def load(cls, path: str | Path) -> "ToolCache":
         """Read a file written by :meth:`save`; a line that does not parse
         raises :class:`MalformedRecordError`."""
 
@@ -349,6 +349,6 @@ class ToolCache:
             params = tuple(sorted(entry.params.items()))
             return ToolRequest(entry.function, params, entry.bucket), entry
 
-        cache = cls(provider=provider)
+        cache = cls()
         cache._entries.update(read_json_lines(path, keyed_entry))
         return cache

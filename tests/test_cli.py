@@ -78,6 +78,26 @@ def test_generate_idempotent(workdir, tmp_path):
     assert cache.read_bytes() == (workdir / "cache.jsonl").read_bytes()
 
 
+def test_generate_records_a_fresh_cache_over_an_existing_one(workdir, tmp_path):
+    """`generate` into a --cache path that a run over a store with fewer POIs
+    wrote gives the cache and dataset of a `generate` into a fresh path."""
+    store = tmp_path / "more_pois.db"
+    assert main(["fixture", "--out", str(tmp_path / "fx"), "--cities", CITIES,
+                 "--communities", "80", "--pois", "90", "--seed", "7"]) == 0
+    assert main(["ingest", "--fixtures", str(tmp_path / "fx"), "--store", str(store),
+                 "--cities", CITIES, "--seed", "7"]) == 0
+    runs = [(workdir / "store.db", "reused"), (store, "reused"), (store, "fresh")]
+    for store_path, name in runs:
+        assert main(["generate", "--store", str(store_path),
+                     "--out", str(tmp_path / f"{name}.jsonl"),
+                     "--cache", str(tmp_path / f"{name}_cache.jsonl"),
+                     "--seed", "11", "--per-template", "6"]) == 0
+    for suffix in (".jsonl", "_cache.jsonl"):
+        assert (tmp_path / f"reused{suffix}").read_bytes() == (
+            tmp_path / f"fresh{suffix}"
+        ).read_bytes()
+
+
 def test_split_deterministic(workdir, tmp_path):
     assert main(["split", "--dataset", str(workdir / "dataset.jsonl"),
                  "--out-dir", str(tmp_path / "splits2"), "--seed", "3"]) == 0
@@ -289,6 +309,20 @@ def test_validate_catches_tampering(workdir, tmp_path):
                  "--dataset", str(tampered)]) == 1
 
 
+def test_validate_refuses_a_shifted_slot_span(workdir, tmp_path, capsys):
+    lines = (workdir / "dataset.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[1])
+    record["slots"][0]["start"] += 1
+    record["slots"][0]["end"] += 1
+    shifted = tmp_path / "shifted.jsonl"
+    shifted.write_text("".join([lines[0], json.dumps(record) + "\n", *lines[2:]]))
+    assert main(["validate", "--store", str(workdir / "store.db"),
+                 "--cache", str(workdir / "cache.jsonl"), "--dataset", str(shifted)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and "Traceback" not in err
+    assert f"{shifted}:2: DomainError: slot span mismatch" in err
+
+
 @pytest.mark.parametrize("damaged", ["cache", "dataset", "transcripts", "repeated_question"])
 def test_validate_truncated_input_is_validation_failure(workdir, tmp_path, capsys, damaged):
     paths = {name: workdir / f"{name}.jsonl" for name in ("cache", "dataset")}
@@ -480,9 +514,11 @@ def test_missing_store_is_config_error(tmp_path):
         json.dumps({**asdict(StoreConfig(cities=("A",))), "cities": "AB"}),
         json.dumps({**asdict(StoreConfig(cities=("A",))), "poi_pairing_radius": "3000"}),
         json.dumps({**asdict(StoreConfig(cities=("A",))), "cities": ["北京"]}),
+        # a store written while the POI taxonomy was a setting; `ingest` again
+        json.dumps({**asdict(StoreConfig(cities=("A",))), "poi_taxonomy": {"park": ["park"]}}),
     ],
     ids=["non_json", "missing_key", "unknown_key", "cities_string", "radius_string",
-         "slugless_city"],
+         "slugless_city", "poi_taxonomy"],
 )
 def test_corrupt_store_config_is_validation_failure(workdir, tmp_path, capsys, config_text):
     path = tmp_path / "store.db"
@@ -518,7 +554,7 @@ def test_unloadable_template_dir_is_config_error(workdir, tmp_path, capsys, case
     inputs = ["--store", str(workdir / "store.db"), "--cache", str(workdir / "cache.jsonl")]
     if command == "generate":
         argv = ["generate", *inputs[:2], "--out", str(tmp_path / "d.jsonl"),
-                "--templates", str(directory)]
+                "--cache", str(tmp_path / "c.jsonl"), "--templates", str(directory)]
     elif command == "validate":
         argv = ["validate", *inputs, "--dataset", str(workdir / "dataset.jsonl"),
                 "--templates", str(directory)]
@@ -676,6 +712,7 @@ def _bad_setting_cases():
         ("run", ["--parallelism", "-1"], {}, "parallelism must be >= 1"),
         ("run", [], {"parallelism": "2"}, "parallelism must be an integer, got '2'"),
         ("run", [], {"seed": "11"}, "seed must be an integer, got '11'"),
+        ("generate", [], {"cache": None}, "missing required setting --cache"),
         ("pairs", [], {"colour": "blue"}, "has unknown keys: colour"),
         ("pairs", [], ["store"], "must hold a JSON object"),
     ]

@@ -1,5 +1,5 @@
 """Fixture generation: the bytes each (config, sizes) pair writes are pinned,
-names stay unique per city, and a taxonomy without labels writes no POIs."""
+names stay unique per city, and zero POIs writes header-only POI files."""
 
 from __future__ import annotations
 
@@ -10,21 +10,15 @@ from collections import defaultdict
 
 import pytest
 
-from estateqa.domain import DomainError
 from estateqa.fixtures import write_fixture
 from estateqa.store import StoreConfig
 
 # the fixture perfbench's build-M workload writes at seed 1
 BUILD_M = (StoreConfig(cities=("Guangzhou", "Suzhou"), fixture_seed=1), 1500, 1200)
-# one label and a city without a known center: each POI base name repeats about
-# 100 times per city, so the " No.k" suffixes run three digits deep
-DENSE = (
-    StoreConfig(
-        cities=("Hangzhou", "Atlantis"), fixture_seed=7, poi_taxonomy={"park": ("park",)}
-    ),
-    600,
-    3000,
-)
+# a city without a known center, and 300 POI base names (10 labels of 30) under
+# 30,000 POIs per city: each repeats about 100 times per city, so the " No.k"
+# suffixes run three digits deep
+DENSE = (StoreConfig(cities=("Hangzhou", "Atlantis"), fixture_seed=7), 600, 30000)
 
 PINNED = {
     "build-M": (BUILD_M, {
@@ -38,10 +32,10 @@ PINNED = {
     "dense": (DENSE, {
         "communities_hangzhou.csv":
             "58c9a84501608660c04b3d04f4c7310ed1100fb3a9a7b2b728b1812f7b1cfd98",
-        "pois_hangzhou.csv": "de748c106fabbb12a57be90d3cf54890de47a9e42c75341f570c580df1509832",
+        "pois_hangzhou.csv": "23ea43cb91a9e752d46c06ec71fb55d3bed6a256054f993dda8aebf49bb5b279",
         "communities_atlantis.csv":
             "624f1ca87de277b51064b8a6b751ec8a188b70106175110880bafdd700766aa3",
-        "pois_atlantis.csv": "d86ba7617d0bcdf245b42e5ea1d6ed8f76ba4b2fecb0342b2635fbe8ad0e380b",
+        "pois_atlantis.csv": "71924c6db1430b383c4e32764cde1ed9b8c073f6003b63c1fa45dd6b36fe439b",
     }),
 }
 
@@ -82,15 +76,8 @@ def test_each_base_name_is_numbered_without_gaps(tmp_path):
     assert deepest > 90
 
 
-def test_pois_without_labels_are_refused(tmp_path):
-    config = StoreConfig(cities=("Suzhou",), poi_taxonomy={"empty": ()})
-    with pytest.raises(DomainError, match="POIs need at least one label"):
-        write_fixture(config, tmp_path / "fx", communities_per_city=3, pois_per_city=1)
-    assert not (tmp_path / "fx").exists()
-
-
-def test_no_labels_and_no_pois_writes_empty_poi_files(tmp_path):
-    config = StoreConfig(cities=("Suzhou",), poi_taxonomy={})
+def test_no_pois_writes_header_only_poi_files(tmp_path):
+    config = StoreConfig(cities=("Suzhou",))
     paths = write_fixture(config, tmp_path, communities_per_city=3, pois_per_city=0)
     assert [p.name for p in paths] == ["communities_suzhou.csv", "pois_suzhou.csv"]
     assert paths[1].read_text(encoding="utf-8").count("\n") == 1  # the header alone

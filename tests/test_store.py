@@ -906,68 +906,6 @@ def test_store_with_a_latitude_only_index_returns_the_same_rows(
             assert _lookup_indexes(path, store.table_id(family, city)) == [["latitude"], ["name"]]
 
 
-# How a store.db declared its pair views before the derived columns: the
-# haversine recomputed from the coordinates of every candidate pair, and
-# filtered on the distance itself.
-_COORDINATE_DISTANCE = (
-    "2.0 * 6371000.0 * asin(min(1.0, sqrt("
-    "pow(sin((radians(n.latitude) - radians(s.latitude)) / 2.0), 2)"
-    " + cos(radians(s.latitude)) * cos(radians(n.latitude))"
-    " * pow(sin((radians(n.longitude) - radians(s.longitude)) / 2.0), 2))))"
-)
-
-
-def _coordinate_view_sql(config, family, city):
-    subject, neighbor, radius_field, columns, condition = store_module._PAIR_VIEWS[family]
-    radius = getattr(config, radius_field)
-    half_width = f"degrees({radius!r} / 6371000.0) * (1 + 1e-9)"
-    return (
-        f"CREATE VIEW {family}_{city} ({', '.join(FAMILY_COLUMNS[family])})"
-        f" AS SELECT {columns}, round({_COORDINATE_DISTANCE}, 1)"
-        f" FROM {subject}_{city} s JOIN {neighbor}_{city} n"
-        f" ON n.latitude BETWEEN s.latitude - {half_width} AND s.latitude + {half_width}"
-        f" WHERE {_COORDINATE_DISTANCE} <= {radius!r}{condition}"
-    )
-
-
-def test_store_without_derived_columns_returns_the_same_rows(
-    tmp_path, desk_store_file, desk_config, desk_instances
-):
-    # a store.db built before the entity tables carried the derived columns
-    path = tmp_path / "store.db"
-    shutil.copyfile(desk_store_file, path)
-    with closing(sqlite3.connect(path)) as conn:
-        for city in map(city_slug, desk_config.cities):
-            for family in store_module._PAIR_VIEWS:
-                conn.execute(f"DROP VIEW {family}_{city}")
-            for family in ENTITY_SCHEMA:
-                table = f"{family}_{city}"
-                conn.execute(f"DROP INDEX idx_{table}_latitude")
-                for name, _ in DERIVED_COLUMNS:
-                    conn.execute(f"ALTER TABLE {table} DROP COLUMN {name}")
-                conn.execute(
-                    f"CREATE INDEX idx_{table}_latitude ON {table} (latitude, longitude, id)"
-                )
-            for family in store_module._PAIR_VIEWS:
-                conn.execute(_coordinate_view_sql(desk_config, family, city))
-        conn.commit()
-
-    current = GeoStore.open(desk_store_file)
-    store = GeoStore.open(path)
-    assert store.snapshot() == current.snapshot()
-    assert store.build_proximity_pairs() == current.build_proximity_pairs()
-    _assert_gold_sql_returns_recorded_rows(store, desk_instances)
-    current.close()
-    store.close()
-    for city in desk_config.cities:
-        for family in ENTITY_SCHEMA:
-            table = store.table_id(family, city)
-            assert _lookup_indexes(path, table) == [["latitude", "longitude", "id"], ["name"]]
-            with closing(sqlite3.connect(path)) as conn:
-                columns = conn.execute(f"PRAGMA table_info({table})").fetchall()
-            assert tuple(name for _, name, *_ in columns) == FAMILY_COLUMNS[family]
-
-
 def _assert_gold_sql_returns_recorded_rows(store, instances):
     for inst in instances:
         for step in inst.sql_trace:
