@@ -72,11 +72,12 @@ def build_task_message(task: str, question: str, **fields: str) -> str:
 
 
 def parse_task_header(messages: Sequence[Message]) -> dict[str, str]:
-    """Read the structured header fields of the last user message."""
+    """Read the structured header fields of the last user message: its lines
+    before the first empty one, where every prompt's evidence or examples start."""
     for message in reversed(messages):
         if message.get("role") == "user":
             fields: dict[str, str] = {}
-            for line in message.get("content", "").splitlines():
+            for line in message.get("content", "").partition("\n\n")[0].splitlines():
                 match = _HEADER_RE.match(line)
                 if match:
                     fields.setdefault(match.group(1).casefold(), match.group(2))

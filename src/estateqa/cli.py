@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -198,7 +199,8 @@ def cmd_ingest(opts: argparse.Namespace) -> int:
 
 
 def cmd_pairs(opts: argparse.Namespace) -> int:
-    counts = GeoStore.open(opts.store).build_proximity_pairs()
+    with closing(GeoStore.open(opts.store)) as store:
+        counts = store.build_proximity_pairs()
     print(
         f"built {counts['poi_community']} poi_community and"
         f" {counts['community_community']} community_community pairs"
@@ -207,11 +209,12 @@ def cmd_pairs(opts: argparse.Namespace) -> int:
 
 
 def cmd_generate(opts: argparse.Namespace) -> int:
-    store = GeoStore.open(opts.store)
-    cache = ToolCache(provider=SyntheticProvider(store))
-    instances, report = generate(
-        _templates(opts), store, cache, seed=opts.seed, per_template=opts.per_template
-    )
+    # closed here: a connection left to the cyclic GC keeps its page cache
+    with closing(GeoStore.open(opts.store)) as store:
+        cache = ToolCache(provider=SyntheticProvider(store))
+        instances, report = generate(
+            _templates(opts), store, cache, seed=opts.seed, per_template=opts.per_template
+        )
     write_instances(opts.out, instances)
     cache.save(opts.cache)
     if opts.report:
@@ -226,17 +229,16 @@ def cmd_generate(opts: argparse.Namespace) -> int:
 
 
 def cmd_validate(opts: argparse.Namespace) -> int:
-    store = GeoStore.open(opts.store)
-    cache = ToolCache.load(opts.cache)
-    templates = {t.template_id: t for t in _templates(opts)}
-    mismatches = 0
-    total = 0
-    for instance in read_instances(opts.dataset):
-        total += 1
-        problems = revalidate_instance(instance, store, cache, templates)
-        for problem in problems:
-            mismatches += 1
-            print(f"{instance.id}: {problem}", file=sys.stderr)
+    with closing(GeoStore.open(opts.store)) as store:
+        cache = ToolCache.load(opts.cache)
+        templates = {t.template_id: t for t in _templates(opts)}
+        mismatches = 0
+        total = 0
+        for instance in read_instances(opts.dataset):
+            total += 1
+            for problem in revalidate_instance(instance, store, cache, templates):
+                mismatches += 1
+                print(f"{instance.id}: {problem}", file=sys.stderr)
     if mismatches:
         print(f"validation FAILED: {mismatches} mismatches over {total} instances")
         return EXIT_VALIDATION

@@ -14,6 +14,7 @@ import re
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache
 from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from types import NoneType, UnionType
 from typing import Any, Callable, Iterable, Iterator, TypeVar, get_args, get_origin, get_type_hints
@@ -79,9 +80,19 @@ def encode(value: Any) -> Any:
     ``TypeError``, as ``json.dumps`` does without a default."""
     if type(value) is CanonicalAnswer:
         return value.to_dict()
-    if is_dataclass(value):  # a dataclass type gives a mappingproxy, which json refuses
-        return vars(value)
+    if is_dataclass(type(value)):  # a record, not a dataclass type
+        return _encoder(type(value))(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+@cache
+def _encoder(cls: type) -> Callable[[Any], dict[str, Any]]:
+    """The JSON object of a ``cls`` record, from a getter built once per class:
+    ``vars()`` gives the same, but leaves the record a ``__dict__`` as long as it lives."""
+    names = tuple(f.name for f in fields(cls))
+    # attrgetter of one name returns the bare value, and of none is an error
+    get = attrgetter(*names) if len(names) > 1 else lambda v: tuple(getattr(v, n) for n in names)
+    return lambda value: dict(zip(names, get(value)))
 
 
 def _kept(t: Any) -> frozenset[type]:
@@ -463,7 +474,7 @@ class QAInstance:
 
 def instance_to_json(inst: QAInstance) -> str:
     # span annotations are canonical; IOB rides along for tagger training
-    record = {**vars(inst), "iob": iob_tags(inst.question, inst.slots)}
+    record = {**encode(inst), "iob": iob_tags(inst.question, inst.slots)}
     return json.dumps(record, default=encode, ensure_ascii=False, sort_keys=True)
 
 

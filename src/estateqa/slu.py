@@ -45,23 +45,28 @@ class Gazetteer:
 
     @classmethod
     def from_store(cls, store: GeoStore) -> "Gazetteer":
+        """Read from three entity columns (name, district, property_type), not
+        the entity snapshot, so a run holds no entity objects."""
         entries: dict[str, str] = {}
-        snapshot = store.snapshot()
-        for city in sorted(store.config.cities):
-            entities = snapshot[city]
+        cities = sorted(store.config.cities)
+        communities = {
+            city: store._columns("community", city, ("name", "district", "property_type"))
+            for city in cities
+        }
+        for city in cities:
             entries[city] = "city"
-            for district in entities.districts:
+            for district in sorted({district for _, district, _ in communities[city]}):
                 entries[district] = "district"
-            for community in entities.communities:
-                entries[community.name] = "community_name"
-            for poi in entities.pois:
-                entries[poi.name] = "poi_name"
+            for name, _, _ in communities[city]:
+                entries[name] = "community_name"
+            for (name,) in store._columns("poi", city, ("name",)):
+                entries[name] = "poi_name"
         for label in POI_LABELS:
             entries[label] = "poi_label"
         # last, so a property type keeps a surface it shares with another entry
-        for city in sorted(store.config.cities):
-            for community in snapshot[city].communities:
-                entries[community.property_type] = "property_type"
+        for city in cities:
+            for _, _, property_type in communities[city]:
+                entries[property_type] = "property_type"
         return cls(entries)
 
 

@@ -20,7 +20,7 @@ import sqlite3
 import threading
 from bisect import bisect_left, bisect_right
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain, groupby
 from operator import itemgetter
 from pathlib import Path
@@ -505,13 +505,16 @@ class GeoStore:
             raise IngestError(f"{path} carries no store config")
         try:
             raw = json.loads(row[0])
-            config = decode(StoreConfig, raw)
-            odd = raw.keys() ^ vars(config).keys()  # missing or unknown keys
-            if odd:
-                raise ValueError(f"keys not matching the fields: {', '.join(sorted(odd))}")
+            # missing or unknown keys: the config of an earlier StoreConfig
+            odd = raw.keys() ^ {f.name for f in fields(StoreConfig)} if type(raw) is dict else ()
+            if not odd:
+                return cls(decode(StoreConfig, raw), path)
         except (ValueError, TypeError) as exc:
             raise IngestError(f"{path} carries a corrupt store config: {exc!r}") from exc
-        return cls(config, path)
+        raise IngestError(
+            f"{path} was written by an earlier estateqa version (store config keys"
+            f" {', '.join(sorted(odd))}); run `estateqa ingest` again to rebuild it"
+        )
 
     def close(self) -> None:
         """Close this thread's reader; the reader of another thread closes
@@ -580,11 +583,15 @@ class GeoStore:
         return counts
 
     def _points(self, family: str, city: str) -> list[_Point]:
-        """Each entity's latitude and the derived columns ingest stored, read
-        on this thread's reader, outside execute_sql's limits."""
-        columns = ", ".join(["latitude", *(name for name, _ in DERIVED_COLUMNS)])
+        """Each entity's latitude and the derived columns ingest stored."""
+        return self._columns(family, city, ("latitude", *(name for name, _ in DERIVED_COLUMNS)))
+
+    def _columns(self, family: str, city: str, columns: Sequence[str]) -> list[tuple[Any, ...]]:
+        """These columns of one city's entity table, one row per entity in id
+        order, read on this thread's reader but outside execute_sql: the agent
+        path's limits bound untrusted SQL, not the store's own entities."""
         return self._reader().execute(
-            f"SELECT {columns} FROM {self.table_id(family, city)}"
+            f"SELECT {', '.join(columns)} FROM {self.table_id(family, city)} ORDER BY id"
         ).fetchall()
 
     # --- queries ----------------------------------------------------------------
@@ -670,18 +677,13 @@ class GeoStore:
             return self._snapshot
 
     def _read_snapshot(self) -> Mapping[str, CityEntities]:
-        """Read under the lock, on this thread's reader but outside
-        execute_sql: the agent path's limits bound untrusted SQL, not the
-        store's own entities."""
+        """Read under the lock, through :meth:`_columns`."""
         cities: dict[str, CityEntities] = {}
         for city in sorted(self.config.cities):
             communities, pois = (
                 tuple(
-                    _entity(family, r)
-                    for r in self._reader().execute(
-                        f"SELECT {', '.join(FAMILY_COLUMNS[family])}"
-                        f" FROM {self.table_id(family, city)} ORDER BY id"
-                    )
+                    _entity(family, row)
+                    for row in self._columns(family, city, FAMILY_COLUMNS[family])
                 )
                 for family in ENTITY_SCHEMA
             )

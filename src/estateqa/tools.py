@@ -325,18 +325,16 @@ class ToolCache:
     def save(self, path: str | Path) -> int:
         """Dump entries as sorted JSON lines; byte-stable for equal contents."""
         keyed = {request.key(): entry for request, entry in self._entries.items()}
-        lines = [
-            json.dumps(
-                {"key": key, **encode(keyed[key])},
-                default=encode,
-                sort_keys=True,
-                ensure_ascii=True,
-                separators=(",", ":"),
-            )
-            for key in sorted(keyed)
-        ]
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-        return len(lines)
+        with open(path, "w", encoding="utf-8") as fh:
+            for key in sorted(keyed):  # line by line: no joined copy of the whole cache
+                fh.write(json.dumps(
+                    {"key": key, **encode(keyed[key])},
+                    default=encode,
+                    sort_keys=True,
+                    ensure_ascii=True,
+                    separators=(",", ":"),
+                ) + "\n")
+        return len(keyed)
 
     @classmethod
     def load(cls, path: str | Path) -> "ToolCache":

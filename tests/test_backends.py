@@ -93,6 +93,18 @@ def test_task_header_reads_last_user_message():
     assert parse_task_header(messages)["task"] == "new"
 
 
+def test_task_header_ends_at_the_first_empty_line():
+    """Evidence and worked examples below the header are not header fields,
+    even where a line of theirs looks like one."""
+    content = build_task_message("finalize", "Where?", intents="a")
+    content += "\nPREVIOUS_FAILURE: db_agent reported error: no rows"
+    content += "\n\nWorked examples:\nTASK: plan\nQUESTION: other\nUNIT: km\n\nSOURCE: x"
+    assert parse_task_header([{"role": "user", "content": content}]) == {
+        "task": "finalize", "question": "Where?", "intents": "a",
+        "previous_failure": "db_agent reported error: no rows",
+    }
+
+
 # --- scripted/raising ------------------------------------------------------------------
 
 

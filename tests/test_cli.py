@@ -21,7 +21,7 @@ from estateqa.backends import parse_task_header
 from estateqa.cli import _flag, build_parser, main
 from estateqa.domain import decode, read_instances, read_json_lines
 from estateqa.slu import build_fewshot_pool
-from estateqa.store import GeoStore, StoreConfig
+from estateqa.store import POI_TAXONOMY, GeoStore, StoreConfig
 from estateqa.supervisor import EpisodeTranscript
 from estateqa.templates import DEFAULT_TEMPLATE_DICTS
 
@@ -121,6 +121,22 @@ def test_oracle_run_and_eval(workdir, tmp_path):
     recomputed = json.loads((run_dir / "eval.json").read_text())
     assert recomputed["overall"] == report["overall"]
     assert recomputed["trace"] == report["trace"]
+
+
+def test_run_reads_no_entity_snapshot(workdir, tmp_path, monkeypatch):
+    """`run` with the lexicon SLU reads entity columns for its gazetteer and
+    never the entity snapshot."""
+
+    def refuse(self):
+        raise AssertionError("run read the entity snapshot")
+
+    monkeypatch.setattr(GeoStore, "_read_snapshot", refuse)
+    assert main(["run", "--store", str(workdir / "store.db"),
+                 "--cache", str(workdir / "cache.jsonl"),
+                 "--dataset", str(workdir / "splits" / "test.jsonl"),
+                 "--out", str(tmp_path / "run"), "--backend", "oracle"]) == 0
+    report = json.loads((tmp_path / "run" / "report.json").read_text(encoding="utf-8"))
+    assert report["config"]["slu_strategy"] == "lexicon" and report["slu"] is not None
 
 
 @pytest.mark.parametrize("settings", [
@@ -505,22 +521,33 @@ def test_missing_store_is_config_error(tmp_path):
     assert main(["pairs", "--store", str(tmp_path / "missing.db")]) == 2
 
 
+CORRUPT = "carries a corrupt store config"
+EARLIER = "was written by an earlier estateqa version"
+
+
 @pytest.mark.parametrize(
-    "config_text",
+    "config_text, reason",
     [
-        "not json",
-        json.dumps({"cities": ["A"]}),
-        json.dumps({**asdict(StoreConfig(cities=("A",))), "colour": "blue"}),
-        json.dumps({**asdict(StoreConfig(cities=("A",))), "cities": "AB"}),
-        json.dumps({**asdict(StoreConfig(cities=("A",))), "poi_pairing_radius": "3000"}),
-        json.dumps({**asdict(StoreConfig(cities=("A",))), "cities": ["北京"]}),
+        ("not json", CORRUPT),
+        (json.dumps({"cities": ["A"]}), EARLIER),
+        (json.dumps({**asdict(StoreConfig(cities=("A",))), "colour": "blue"}), EARLIER),
+        (json.dumps({**asdict(StoreConfig(cities=("A",))), "cities": "AB"}), CORRUPT),
+        (json.dumps({**asdict(StoreConfig(cities=("A",))), "poi_pairing_radius": "3000"}), CORRUPT),
+        (json.dumps({**asdict(StoreConfig(cities=("A",))), "cities": ["北京"]}), CORRUPT),
         # a store written while the POI taxonomy was a setting; `ingest` again
-        json.dumps({**asdict(StoreConfig(cities=("A",))), "poi_taxonomy": {"park": ["park"]}}),
+        (
+            json.dumps({**asdict(StoreConfig(cities=("A",))), "poi_taxonomy": {"park": ["park"]}}),
+            EARLIER,
+        ),
     ],
     ids=["non_json", "missing_key", "unknown_key", "cities_string", "radius_string",
          "slugless_city", "poi_taxonomy"],
 )
-def test_corrupt_store_config_is_validation_failure(workdir, tmp_path, capsys, config_text):
+def test_corrupt_store_config_is_validation_failure(
+    workdir, tmp_path, capsys, config_text, reason
+):
+    """A config of the wrong shape is corrupt; one whose keys are not this
+    version's fields comes from an earlier version."""
     path = tmp_path / "store.db"
     shutil.copyfile(workdir / "store.db", path)
     conn = sqlite3.connect(path)
@@ -530,7 +557,30 @@ def test_corrupt_store_config_is_validation_failure(workdir, tmp_path, capsys, c
     assert main(["pairs", "--store", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("validation error:") and "Traceback" not in err
-    assert f"{path} carries a corrupt store config" in err
+    assert f"{path} {reason}" in err
+
+
+def test_store_from_an_earlier_version_asks_for_ingest(workdir, tmp_path, capsys):
+    """The config an earlier version wrote, with its POI taxonomy, names the
+    stale key and says to run `ingest` again."""
+    path = tmp_path / "old.db"
+    shutil.copyfile(workdir / "store.db", path)
+    conn = sqlite3.connect(path)
+    (current,) = conn.execute("SELECT value FROM _meta WHERE key = 'config'").fetchone()
+    taxonomy = {category: list(labels) for category, labels in POI_TAXONOMY.items()}
+    earlier = {**json.loads(current), "poi_taxonomy": taxonomy}
+    conn.execute("UPDATE _meta SET value = ? WHERE key = 'config'", (json.dumps(earlier),))
+    conn.commit()
+    conn.close()
+    run = ["run", "--store", str(path), "--cache", str(workdir / "cache.jsonl"),
+           "--dataset", str(workdir / "splits" / "test.jsonl"), "--out", str(tmp_path / "run"),
+           "--backend", "oracle"]
+    for argv in (["pairs", "--store", str(path)], run):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"validation error: {path} was written by an earlier estateqa version"
+            " (store config keys poi_taxonomy); run `estateqa ingest` again to rebuild it\n"
+        )
 
 
 def _template_dir(tmp_path, case):

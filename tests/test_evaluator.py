@@ -24,7 +24,9 @@ from estateqa.evaluator import (
     run_suite,
     trace_metrics,
 )
+from estateqa.store import GeoStore
 from estateqa.supervisor import DEFAULT_STEP_CAP, EpisodeTranscript, Exchange
+from estateqa.tools import ToolCache
 
 
 # --- answer-level metrics --------------------------------------------------------
@@ -370,6 +372,29 @@ def test_parallel_suite_matches_serial(eval_slice, desk_store, desk_cache, desk_
         parallelism=4,
     )
     assert parallel == serial
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_a_lexicon_slu_suite_reads_no_entity_snapshot(
+    eval_slice, desk_store, desk_cache, desk_templates, monkeypatch, tmp_path, parallelism
+):
+    """The gazetteer reads entity columns, and nothing else in a run over a
+    recorded cache reads the entity snapshot, so a run holds no entity objects."""
+
+    def refuse(self):
+        raise AssertionError("a run read the entity snapshot")
+
+    monkeypatch.setattr(GeoStore, "_read_snapshot", refuse)
+    desk_cache.save(tmp_path / "cache.jsonl")
+    store = GeoStore.open(desk_store.path)
+    backend = make_oracle_backend(eval_slice, store)
+    report, _ = run_suite(
+        eval_slice, store, ToolCache.load(tmp_path / "cache.jsonl"), backend, RunConfig(),
+        desk_templates, parallelism=parallelism,
+    )
+    store.close()
+    assert report.slu is not None and report.episodes == len(eval_slice)
+    assert report.failures == {}
 
 
 def test_lexicon_slu_suite_reports_slu_metrics(eval_slice, desk_store, desk_cache, desk_templates):

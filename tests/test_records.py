@@ -5,6 +5,7 @@ with the file, line and field path; and what decoding must not change."""
 from __future__ import annotations
 
 import copy
+import gc
 import json
 import re
 from dataclasses import fields, is_dataclass, replace
@@ -269,6 +270,28 @@ def test_transcript_line_keys_are_the_fields_in_order():
     written = json.loads(json.dumps(TRANSCRIPT, default=encode))
     assert list(written) == [f.name for f in fields(EpisodeTranscript)]
     assert written == TRANSCRIPT_LINE
+
+
+def _records_in(value: Any) -> list[Any]:
+    """``value`` and every record nested in its fields, lists and tuples."""
+    if is_dataclass(value):
+        return [value, *(r for f in fields(value) for r in _records_in(getattr(value, f.name)))]
+    if isinstance(value, (list, tuple)):
+        return [r for item in value for r in _records_in(item)]
+    return []
+
+
+@pytest.mark.parametrize("kind", ["dataset", "transcript", "cache"])
+def test_encoding_leaves_nothing_on_the_records(kind):
+    """Writing a record reads its fields, and does not give it (or a record
+    inside it) a ``__dict__`` that lasts as long as the record."""
+    line, _ = RECORDS[kind]
+    record = decode({"dataset": QAInstance, "transcript": EpisodeTranscript,
+                     "cache": CacheEntry}[kind], line)
+    nested = _records_in(record)
+    held = [list(map(id, gc.get_referents(r))) for r in nested]  # fields' values and type
+    instance_to_json(record) if kind == "dataset" else json.dumps(record, default=encode)
+    assert [list(map(id, gc.get_referents(r))) for r in nested] == held
 
 
 @pytest.mark.parametrize("value", [b"x", {1}, object(), QAInstance],

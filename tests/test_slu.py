@@ -22,6 +22,7 @@ from estateqa.slu import (
     parse_slu_reply,
     slu_metrics,
 )
+from estateqa.store import FAMILY_COLUMNS, POI_LABELS, GeoStore, StoreConfig
 from estateqa.templates import DEFAULT_TEMPLATE_DICTS, Template, default_templates
 
 
@@ -34,6 +35,67 @@ def test_single_known_community_tagged(lexicon, desk_store):
     name = desk_store.communities("Guangzhou")[0].name
     prediction = lexicon.predict(f"Tell me about {name} please.")
     assert any(s.slot_type == "community_name" and s.value == name for s in prediction.slots)
+
+
+def _snapshot_gazetteer(store):
+    """The gazetteer built from the entity snapshot, as it once was."""
+    entries: dict[str, str] = {}
+    snapshot = store.snapshot()
+    for city in sorted(store.config.cities):
+        entities = snapshot[city]
+        entries[city] = "city"
+        entries.update(dict.fromkeys(entities.districts, "district"))
+        entries.update(dict.fromkeys((c.name for c in entities.communities), "community_name"))
+        entries.update(dict.fromkeys((p.name for p in entities.pois), "poi_name"))
+    entries.update(dict.fromkeys(POI_LABELS, "poi_label"))
+    for city in sorted(store.config.cities):
+        for community in snapshot[city].communities:
+            entries[community.property_type] = "property_type"
+    return entries
+
+
+def test_gazetteer_from_columns_equals_the_snapshot_build(desk_store):
+    entries = Gazetteer.from_store(desk_store).entries
+    assert list(entries.items()) == list(_snapshot_gazetteer(desk_store).items())
+
+
+def test_gazetteer_keeps_the_snapshot_order_where_surfaces_collide(tmp_path):
+    """Community and POI names that equal a property type, a district, a city
+    or a label, in files whose row order is not id order."""
+    communities = {
+        "Testville": [
+            ("c2", "apartment", "North District", "villa"),
+            ("c10", "North District", "Otherton", "apartment"),
+            ("c1", "park", "South District", "North District"),
+        ],
+        "Otherton": [
+            ("d1", "Testville", "apartment", "apartment"),
+            ("d0", "villa", "West District", "park"),
+        ],
+    }
+    pois = {"Testville": [("p3", "South District"), ("p20", "apartment"), ("p1", "villa")],
+            "Otherton": [("q1", "Otherton"), ("q0", "North District")]}
+    for city in communities:
+        with open(tmp_path / f"communities_{city.casefold()}.csv", "w", encoding="utf-8") as fh:
+            fh.write(",".join(FAMILY_COLUMNS["community"]) + "\n")
+            for cid, name, district, kind in communities[city]:
+                fh.write(f"{cid},{city},{name},{district},1 Road,30.0,120.0,30.0,9000.0,{kind},"
+                         "on sale\n")
+        with open(tmp_path / f"pois_{city.casefold()}.csv", "w", encoding="utf-8") as fh:
+            fh.write(",".join(FAMILY_COLUMNS["poi"]) + "\n")
+            for pid, name in pois[city]:
+                fh.write(f"{pid},{city},{name},park,park,30.0,120.0\n")
+    config = StoreConfig(cities=tuple(communities))
+    GeoStore.ingest_fixture(config, tmp_path / "store.db", tmp_path)
+    store = GeoStore.open(tmp_path / "store.db")
+    entries = Gazetteer.from_store(store).entries
+    assert list(entries.items()) == list(_snapshot_gazetteer(store).items())
+    store.close()
+    # sorted districts, then community names in id order
+    assert list(entries)[:5] == ["Otherton", "West District", "apartment", "villa", "Testville"]
+    assert entries["apartment"] == entries["North District"] == "property_type"
+    # a later entry takes the surface, which keeps its first place
+    assert entries["Otherton"] == "district" and entries["South District"] == "poi_name"
 
 
 def test_zero_gazetteer_hits_empty_with_unknown_intent(lexicon):
