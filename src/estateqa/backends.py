@@ -28,7 +28,7 @@ import re
 import urllib.request
 from typing import Callable, Mapping, Protocol, Sequence, TypeVar
 
-from .domain import CanonicalAnswer, QAInstance
+from .domain import ANSWER_KINDS, CanonicalAnswer, QAInstance
 from .tools import split_step_params
 
 Message = Mapping[str, str]
@@ -89,57 +89,43 @@ def parse_task_header(messages: Sequence[Message]) -> dict[str, str]:
 
 
 # The answer kinds a reply may name: the kinds the answer rules derive.
-REPLY_KINDS = ("entity_set", "number", "duration", "distance", "text")
+REPLY_KINDS = tuple(kind for kind in ANSWER_KINDS if kind != "boolean")
+
+# How an ANSWER line reads into the first payload field of its kind.
+_PAYLOAD_READERS: dict[str, Callable[[str], object]] = {
+    "entities": lambda payload: tuple(e.strip() for e in payload.split("|") if e.strip()),
+    "value": float,
+    "text": str,
+}
 
 
 def render_answer(answer: CanonicalAnswer) -> str:
-    lines = [f"ANSWER_KIND: {answer.kind}"]
-    if answer.kind == "entity_set":
-        lines.append("ANSWER: " + " | ".join(answer.entities))
-    elif answer.kind == "number":
-        lines.append(f"ANSWER: {answer.value!r}")
-        if answer.unit:
-            lines.append(f"UNIT: {answer.unit}")
-    elif answer.kind in ("duration", "distance"):
-        lines.append(f"ANSWER: {answer.value!r}")
-    else:
-        lines.append(f"ANSWER: {answer.text}")
+    """The kind's first payload field on the ANSWER line, and its unit, if
+    it has one, on a UNIT line."""
+    payload, *unit = (getattr(answer, name) for name in ANSWER_KINDS[answer.kind])
+    if type(payload) is tuple:
+        payload = " | ".join(payload)
+    lines = [f"ANSWER_KIND: {answer.kind}", f"ANSWER: {payload}"]
+    lines.extend(f"UNIT: {u}" for u in unit if u)
     return "\n".join(lines)
 
 
 def parse_answer(text: str) -> CanonicalAnswer | None:
     """Parse the answer envelope; returns None when no well-formed envelope is
     present (the caller degrades to a raw-text answer)."""
-    kind = None
-    payload = None
-    unit = ""
+    header: dict[str, str] = {}  # the last line of each key wins
     for line in text.splitlines():
         match = _HEADER_RE.match(line.strip())
-        if not match:
-            continue
-        key, value = match.group(1), match.group(2).strip()
-        if key == "ANSWER_KIND":
-            kind = value.strip().casefold()
-        elif key == "ANSWER":
-            payload = value
-        elif key == "UNIT":
-            unit = value
-    if kind is None or payload is None or kind not in REPLY_KINDS:
+        if match:
+            header[match.group(1)] = match.group(2).strip()
+    kind, payload = header.get("ANSWER_KIND", "").casefold(), header.get("ANSWER")
+    if payload is None or kind not in REPLY_KINDS:
         return None
+    first, *rest = ANSWER_KINDS[kind]  # rest is the unit field, if the kind has one
     try:
-        if kind == "entity_set":
-            entities = [e.strip() for e in payload.split("|") if e.strip()]
-            if not entities:
-                return None
-            return CanonicalAnswer.entity_set(entities)
-        if kind == "number":
-            return CanonicalAnswer.number(float(payload), unit)
-        if kind == "duration":
-            return CanonicalAnswer(kind="duration", value=float(payload))
-        if kind == "distance":
-            return CanonicalAnswer(kind="distance", value=float(payload))
-        return CanonicalAnswer.from_text(payload)
-    except (ValueError, TypeError):
+        read = _PAYLOAD_READERS[first](payload)
+        return CanonicalAnswer(kind, **{first: read}, **dict.fromkeys(rest, header.get("UNIT", "")))
+    except ValueError:  # a value that is no number, or a DomainError (no entities, < 0)
         return None
 
 

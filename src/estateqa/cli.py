@@ -295,7 +295,8 @@ def _suite_inputs(opts: argparse.Namespace) -> tuple[tuple, Path]:
 
 def cmd_run(opts: argparse.Namespace) -> int:
     suite_args, run_dir = _suite_inputs(opts)
-    report, records = run_suite(*suite_args, parallelism=opts.parallelism)
+    with closing(suite_args[1]):  # the store
+        report, records = run_suite(*suite_args, parallelism=opts.parallelism)
     # a lone surrogate from a model reply is written as its JSON escape
     path = run_dir / "transcripts.jsonl"
     with open(path, "w", encoding="utf-8", errors="backslashreplace") as fh:
@@ -358,7 +359,8 @@ def cmd_eval(opts: argparse.Namespace) -> int:
 
 def cmd_ablate(opts: argparse.Namespace) -> int:
     suite_args, run_dir = _suite_inputs(opts)
-    reports = run_ablation(*suite_args, parallelism=opts.parallelism)
+    with closing(suite_args[1]):  # the store
+        reports = run_ablation(*suite_args, parallelism=opts.parallelism)
     for name, report in reports.items():
         _write_report(run_dir, f"ablation_{name}", report)
         print(f"--- {name} ---")

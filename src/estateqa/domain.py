@@ -21,12 +21,31 @@ from typing import Any, Callable, Iterable, Iterator, TypeVar, get_args, get_ori
 
 EARTH_RADIUS_M = 6_371_000.0
 
-TOOL_FUNCTIONS = (
-    "time_query",
-    "distance_query",
-    "surrounding_pois_query",
-    "rush_hour_query",
-)
+
+@dataclass(frozen=True)
+class ToolFunction:
+    coordinates: tuple[str, ...]  # the coordinate params a call requires
+    enum: str  # its one enumerated param
+    values: tuple[str, ...]  # that param's values; none where the provider checks it
+    columns: tuple[str, ...]  # the columns of a result row
+
+
+_ROUTE = ("origin_lat", "origin_lon", "dest_lat", "dest_lon")
+_TRAVEL = ("mode", "bucket", "duration_s")
+# each tool function, declared once for the tools, the generator and the map specialist
+TOOL_FUNCTIONS = {
+    "time_query": ToolFunction(
+        _ROUTE, "mode", ("walking", "driving", "cycling", "transit"), _TRAVEL
+    ),
+    "distance_query": ToolFunction(
+        _ROUTE, "kind", ("straight", "walking", "driving"), ("kind", "distance_m")
+    ),
+    "surrounding_pois_query": ToolFunction(
+        ("center_lat", "center_lon"), "label", (),
+        ("name", "label", "latitude", "longitude", "straight_distance_m"),
+    ),
+    "rush_hour_query": ToolFunction(_ROUTE, "mode", ("driving", "transit"), _TRAVEL),
+}
 
 QUESTION_TYPES = (1, 2, 3)
 
@@ -274,20 +293,22 @@ def _normalize_unit(value: float, unit: str) -> tuple[str, float]:
     return key, value
 
 
+# each answer kind, declared once with the fields that carry its payload
+ANSWER_KINDS = {
+    "entity_set": ("entities",),  # a multiset of entity names (>= 1)
+    "number": ("value", "unit"),  # the unit is normalized on compare
+    "duration": ("value",),  # seconds (>= 0)
+    "distance": ("value",),  # meters (>= 0)
+    "boolean": ("flag",),  # only read: no answer rule derives it, no reply names it
+    "text": ("text",),
+}
+
+
 @dataclass(frozen=True)
 class CanonicalAnswer:
-    """Tagged union over the answer kinds the benchmark emits.
-
-    kind          payload
-    -----------   ------------------------------------------
-    entity_set    entities: multiset of entity names (>= 1)
-    number        value + unit (unit normalized on compare)
-    duration      value: whole seconds (>= 0)
-    distance      value: whole meters (>= 0)
-    boolean       flag; only read: no answer rule derives it, and a reply
-                  cannot name it (``backends.REPLY_KINDS``)
-    text          text
-    """
+    """Tagged union over the answer kinds of :data:`ANSWER_KINDS`. A derived
+    duration or distance is whole (:meth:`duration`, :meth:`distance`); one
+    parsed from a reply is taken as written."""
 
     kind: str
     entities: tuple[str, ...] = ()
@@ -296,10 +317,10 @@ class CanonicalAnswer:
     flag: bool = False
     text: str = ""
 
-    KINDS = ("entity_set", "number", "duration", "distance", "boolean", "text")
+    KINDS = tuple(ANSWER_KINDS)
 
     def __post_init__(self) -> None:
-        if self.kind not in self.KINDS:
+        if self.kind not in ANSWER_KINDS:
             raise DomainError(f"unknown answer kind: {self.kind}")
         if self.kind == "entity_set" and not self.entities:
             raise DomainError("entity_set answer needs at least one element")
@@ -333,27 +354,16 @@ class CanonicalAnswer:
         if self.kind == "number":
             dim, norm = _normalize_unit(self.value, self.unit)
             return (("number", dim, norm),)
-        if self.kind == "duration":
-            return (("duration", self.value),)
-        if self.kind == "distance":
-            return (("distance", self.value),)
-        if self.kind == "boolean":
-            return (("boolean", self.flag),)
-        return (("text", normalize_text(self.text)),)
+        if self.kind == "text":
+            return (("text", normalize_text(self.text)),)
+        (payload,) = ANSWER_KINDS[self.kind]  # a duration, a distance or a flag
+        return ((self.kind, getattr(self, payload)),)
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {"kind": self.kind}
-        if self.kind == "entity_set":
-            out["entities"] = list(self.entities)
-        elif self.kind == "number":
-            out["value"] = self.value
-            out["unit"] = self.unit
-        elif self.kind in ("duration", "distance"):
-            out["value"] = self.value
-        elif self.kind == "boolean":
-            out["flag"] = self.flag
-        else:
-            out["text"] = self.text
+        for name in ANSWER_KINDS[self.kind]:
+            value = getattr(self, name)
+            out[name] = list(value) if type(value) is tuple else value
         return out
 
     from_dict = classmethod(decode)

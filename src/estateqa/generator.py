@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .domain import (
+    TOOL_FUNCTIONS,
     CanonicalAnswer,
     GeoPoint,
     QAInstance,
@@ -367,7 +368,7 @@ def plausibility_check(tool_steps: tuple[ToolStep, ...]) -> tuple[bool, str]:
     straight-line distance (walking 10 km, cycling 20 km)."""
     for step in tool_steps:
         params = dict(step.params)
-        mode = params.get("mode") or params.get("kind")
+        mode = params.get(TOOL_FUNCTIONS[step.function].enum)
         if step.function in ("time_query", "distance_query") and mode in ("walking", "cycling"):
             span = haversine(
                 GeoPoint(params["origin_lat"], params["origin_lon"]),

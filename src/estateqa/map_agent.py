@@ -22,7 +22,7 @@ from functools import partial
 from typing import Any, Iterable, Mapping
 
 from .backends import BackendError, ChatBackend, ask, build_task_message, reprompt_once
-from .domain import Cell, GeoPoint
+from .domain import TOOL_FUNCTIONS, Cell, GeoPoint
 from .prompts import load_prompt
 from .supervisor import AgentResult, AgentTask
 from .tools import InvalidParams, CacheMiss, ToolCache, ToolRequest
@@ -158,7 +158,7 @@ class MapAgent:
             for name, point in coordinates.items():
                 if (round(point.latitude, 6), round(point.longitude, 6)) == target:
                     return name
-        mode = str(params.get("mode", params.get("kind", "")))
+        mode = str(params.get(TOOL_FUNCTIONS[request.function].enum, ""))
         return _MODE_DISPLAY.get(mode, mode) or decision.function
 
     # --- invocation and synthesis -----------------------------------------------------

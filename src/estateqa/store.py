@@ -517,8 +517,9 @@ class GeoStore:
         )
 
     def close(self) -> None:
-        """Close this thread's reader; the reader of another thread closes
-        when that thread ends."""
+        """Close this thread's reader. ``sqlite3`` will not close a reader
+        from another thread, and that reader sits in a reference cycle through
+        its statement cache, so only the cyclic GC frees it."""
         reader = getattr(self._readers, "conn", None)
         if reader is not None:
             reader.close()

@@ -21,17 +21,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Protocol
 
-from .domain import Cell, GeoPoint, decode, encode, haversine, read_json_lines
+from .domain import TOOL_FUNCTIONS, Cell, GeoPoint, decode, encode, haversine, read_json_lines
 from .store import POI_LABELS, GeoStore
 
 BUCKET_MIDNIGHT = "midnight_00"
 BUCKET_OFFPEAK = "offpeak_15"
 BUCKET_PEAK = "peak_08"
 BUCKETS = (BUCKET_MIDNIGHT, BUCKET_OFFPEAK, BUCKET_PEAK)
-
-TIME_MODES = ("walking", "driving", "cycling", "transit")
-DISTANCE_KINDS = ("straight", "walking", "driving")
-RUSH_MODES = ("driving", "transit")
 
 COORD_PRECISION = 6
 
@@ -42,12 +38,7 @@ _BUCKET_STAMPS = {
     BUCKET_PEAK: "2025-01-06T08:00+08:00",
 }
 
-RESULT_SCHEMAS: dict[str, tuple[str, ...]] = {
-    "time_query": ("mode", "bucket", "duration_s"),
-    "distance_query": ("kind", "distance_m"),
-    "surrounding_pois_query": ("name", "label", "latitude", "longitude", "straight_distance_m"),
-    "rush_hour_query": ("mode", "bucket", "duration_s"),
-}
+RESULT_SCHEMAS = {name: function.columns for name, function in TOOL_FUNCTIONS.items()}
 
 
 class ToolError(ValueError):
@@ -76,44 +67,34 @@ def _norm_coord(value: Any, name: str) -> float:
 
 
 def normalize_params(function: str, params: dict[str, Any]) -> dict[str, Any]:
-    """Validate and canonicalize params: coordinates rounded to 6 decimals,
-    enumerated strings case-folded. Raises InvalidParams on schema violations."""
-    p = dict(params)
+    """Validate and canonicalize params by the function's entry in
+    ``domain.TOOL_FUNCTIONS``: coordinates rounded to 6 decimals, the
+    enumerated param case-folded and checked against its values (a label only
+    for presence: the provider knows the labels). Raises InvalidParams on
+    schema violations."""
+    schema = TOOL_FUNCTIONS.get(function)
+    if schema is None:
+        raise InvalidParams(f"unknown tool function: {function}")
     out: dict[str, Any] = {}
-    if function in ("time_query", "distance_query", "rush_hour_query"):
-        for key in ("origin_lat", "origin_lon", "dest_lat", "dest_lon"):
-            if key not in p:
-                raise InvalidParams(f"{function}: missing param {key}")
-            out[key] = _norm_coord(p[key], key)
-        if function == "distance_query":
-            kind = str(p.get("kind", "")).strip().casefold()
-            if kind not in DISTANCE_KINDS:
-                raise InvalidParams(f"distance_query: unknown kind {p.get('kind')!r}")
-            out["kind"] = kind
-        else:
-            mode = str(p.get("mode", "")).strip().casefold()
-            valid = RUSH_MODES if function == "rush_hour_query" else TIME_MODES
-            if mode not in valid:
-                raise InvalidParams(f"{function}: unknown mode {p.get('mode')!r}")
-            out["mode"] = mode
-    elif function == "surrounding_pois_query":
-        for key in ("center_lat", "center_lon"):
-            if key not in p:
-                raise InvalidParams(f"{function}: missing param {key}")
-            out[key] = _norm_coord(p[key], key)
+    for key in schema.coordinates:
+        if key not in params:
+            raise InvalidParams(f"{function}: missing param {key}")
+        out[key] = _norm_coord(params[key], key)
+    if function == "surrounding_pois_query":
         try:
-            radius = float(p["radius_m"])
+            radius = float(params["radius_m"])
         except (KeyError, TypeError, ValueError):
             raise InvalidParams("surrounding_pois_query: radius_m must be numeric") from None
         if radius <= 0:
             raise InvalidParams(f"surrounding_pois_query: radius must be positive, got {radius}")
         out["radius_m"] = round(radius, 1)
-        label = str(p.get("label", "")).strip().casefold()
-        if not label:
-            raise InvalidParams("surrounding_pois_query: missing label")
-        out["label"] = label
-    else:
-        raise InvalidParams(f"unknown tool function: {function}")
+    name = schema.enum
+    value = str(params.get(name, "")).strip().casefold()
+    if schema.values and value not in schema.values:
+        raise InvalidParams(f"{function}: unknown {name} {params.get(name)!r}")
+    if not value:
+        raise InvalidParams(f"{function}: missing {name}")
+    out[name] = value
     return out
 
 
@@ -244,7 +225,7 @@ class SyntheticProvider:
         if mode == "transit":
             duration += _TRANSIT_OVERHEAD_S
         duration_s = int(round(duration))
-        if bucket == BUCKET_PEAK and mode in RUSH_MODES:
+        if bucket == BUCKET_PEAK and mode in TOOL_FUNCTIONS["rush_hour_query"].values:
             offpeak_speed = _SPEEDS_KMH[(mode, BUCKET_OFFPEAK)] * 1000.0 / 3600.0
             offpeak = path / offpeak_speed + (_TRANSIT_OVERHEAD_S if mode == "transit" else 0)
             duration_s = max(duration_s, int(round(offpeak)) + 1)

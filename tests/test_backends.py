@@ -22,7 +22,7 @@ from estateqa.backends import (
     render_answer,
 )
 from estateqa.db_agent import DbAgent, extract_sql
-from estateqa.domain import CanonicalAnswer, answer_equal
+from estateqa.domain import TOOL_FUNCTIONS, CanonicalAnswer, answer_equal
 from estateqa.map_agent import MapAgent, parse_decisions
 from estateqa.prompts import load_prompt
 from estateqa.supervisor import AgentResult, AgentTask, Supervisor
@@ -50,6 +50,23 @@ def _random_answer(rng: random.Random) -> CanonicalAnswer:
 def test_the_supervisor_prompt_offers_exactly_the_reply_kinds():
     prompt = load_prompt("supervisor_system")
     assert f"ANSWER_KIND: <{'|'.join(REPLY_KINDS)}>" in prompt
+
+
+def test_the_map_prompt_names_what_the_tool_table_declares():
+    prompt = load_prompt("tool_descriptions")
+    for name, function in TOOL_FUNCTIONS.items():
+        section = prompt.partition(f"\n{name}\n")[2].partition("\n\n")[0]
+        assert section, name
+        words = [*function.coordinates, function.enum, *function.columns]
+        if function.values:
+            words.append(f"{function.enum} ({'|'.join(function.values)})")
+        assert [w for w in words if w not in section] == [], name
+
+
+def test_a_boolean_answer_renders_and_does_not_parse():
+    rendered = render_answer(CanonicalAnswer(kind="boolean", flag=True))
+    assert rendered == "ANSWER_KIND: boolean\nANSWER: True"
+    assert parse_answer(rendered) is None
 
 
 def test_answer_envelope_round_trip():

@@ -139,6 +139,30 @@ def test_run_reads_no_entity_snapshot(workdir, tmp_path, monkeypatch):
     assert report["config"]["slu_strategy"] == "lexicon" and report["slu"] is not None
 
 
+@pytest.mark.parametrize("command", ["run", "ablate"])
+def test_run_and_ablate_close_their_store_before_writing(workdir, tmp_path, monkeypatch, command):
+    """The store closes once, when the suite returns and before any output is
+    written; the outputs equal those of a run that leaves its store open."""
+    argv = [command, "--store", str(workdir / "store.db"),
+            "--cache", str(workdir / "cache.jsonl"),
+            "--dataset", str(workdir / "splits" / "test.jsonl"),
+            "--backend", "oracle", "--parallelism", "2"]
+    close = GeoStore.close
+    written, seen = [], []  # seen: the run directory's files at each close
+    for run_dir, really in ((tmp_path / "closed", True), (tmp_path / "open", False)):
+
+        def counted(store, run_dir=run_dir, really=really):
+            seen.append(sorted(p.name for p in run_dir.iterdir()))
+            if really:
+                close(store)
+
+        monkeypatch.setattr(GeoStore, "close", counted)
+        assert main([*argv, "--out", str(run_dir)]) == 0
+        written.append({p.name: p.read_bytes() for p in sorted(run_dir.iterdir())})
+    assert seen == [[], []]
+    assert written[0] and written[0] == written[1]
+
+
 @pytest.mark.parametrize("settings", [
     [],
     ["--inject", "slu"],

@@ -19,6 +19,7 @@ from estateqa.tools import (
     SyntheticProvider,
     ToolCache,
     ToolRequest,
+    normalize_params,
     split_step_params,
 )
 
@@ -124,6 +125,46 @@ def test_invalid_mode_rejected(cache):
         _time(cache, origin, dest, "teleport")
     with pytest.raises(InvalidParams):
         cache.call("time_query", {"origin_lat": 1.0})
+
+
+_ROUTE = {"origin_lat": 1, "origin_lon": 2, "dest_lat": 3, "dest_lon": 4}
+_CENTER = {"center_lat": 1, "center_lon": 2}
+
+
+@pytest.mark.parametrize("function, params, error", [
+    ("time_query", {**_ROUTE, "origin_lat": None, "mode": "walking"},
+     "origin_lat must be numeric, got None"),
+    ("time_query", {"mode": "walking"}, "time_query: missing param origin_lat"),
+    ("time_query", {**_ROUTE, "mode": "x"}, "time_query: unknown mode 'x'"),
+    ("time_query", _ROUTE, "time_query: unknown mode None"),
+    ("distance_query", {**_ROUTE, "kind": "x"}, "distance_query: unknown kind 'x'"),
+    ("rush_hour_query", {**_ROUTE, "mode": "walking"}, "rush_hour_query: unknown mode 'walking'"),
+    ("surrounding_pois_query", {"center_lat": 1, "radius_m": 5, "label": "park"},
+     "surrounding_pois_query: missing param center_lon"),
+    ("surrounding_pois_query", {**_CENTER, "label": "park"},
+     "surrounding_pois_query: radius_m must be numeric"),
+    ("surrounding_pois_query", {**_CENTER, "radius_m": 0},
+     "surrounding_pois_query: radius must be positive, got 0.0"),
+    ("surrounding_pois_query", {**_CENTER, "radius_m": 5, "label": " "},
+     "surrounding_pois_query: missing label"),
+    ("teleport_query", _ROUTE, "unknown tool function: teleport_query"),
+], ids=["bad_coordinate", "missing_coordinate", "unknown_mode", "no_mode", "unknown_kind",
+        "rush_hour_walking", "missing_center", "no_radius", "zero_radius", "blank_label",
+        "unknown_function"])
+def test_normalize_params_names_the_first_fault(function, params, error):
+    with pytest.raises(InvalidParams) as info:
+        normalize_params(function, params)
+    assert str(info.value) == error
+
+
+def test_normalize_params_rounds_coordinates_and_folds_the_enumerated_param():
+    params = {**_CENTER, "center_lat": "23.12345678", "radius_m": "999.96", "label": " Park "}
+    assert normalize_params("surrounding_pois_query", params) == {
+        "center_lat": 23.123457, "center_lon": 2.0, "radius_m": 1000.0, "label": "park",
+    }
+    assert normalize_params("distance_query", {**_ROUTE, "kind": "Straight "}) == {
+        "origin_lat": 1.0, "origin_lon": 2.0, "dest_lat": 3.0, "dest_lon": 4.0, "kind": "straight",
+    }
 
 
 def test_replay_returns_identical_payload(cache):
