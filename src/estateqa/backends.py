@@ -12,7 +12,10 @@ react to the envelope lines documented here:
 Backends implement ``complete(system_prompt, messages) -> text``. The oracle
 backend replays gold supervision and is the harness's self-test; the HTTP
 backend speaks the de-facto chat-completion wire format with the key taken
-from an environment variable, never from config values.
+from an environment variable, never from config values. It loads the HTTP
+client modules (``http.client``, ``urllib.request`` and the ``ssl`` and
+``email`` packages they pull in) at its first request, so no other backend or
+command pays for them.
 
 Agents talk to a backend through :func:`ask` (one user message under a system
 prompt) and :func:`reprompt_once` (one resend, with the stage's nudge appended,
@@ -21,11 +24,9 @@ when a reply lacks its envelope).
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import re
-import urllib.request
 from typing import Callable, Mapping, Protocol, Sequence, TypeVar
 
 from .domain import ANSWER_KINDS, CanonicalAnswer, QAInstance
@@ -212,6 +213,9 @@ class HttpBackend:
         self.api_key_env = api_key_env
 
     def complete(self, system_prompt: str, messages: Sequence[Message]) -> str:
+        import http.client  # loaded at the first request; see the module docstring
+        import urllib.request
+
         payload = {
             "model": self.model,
             "temperature": 0.0,

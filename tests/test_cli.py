@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from estateqa import cli, evaluator
+from estateqa import cli, evaluator, store as store_module
 from estateqa.backends import parse_task_header
 from estateqa.cli import _flag, build_parser, main
 from estateqa.domain import decode, read_instances, read_json_lines
@@ -477,6 +477,34 @@ def test_wrong_json_type_is_validation_failure(
     err = capsys.readouterr().err
     assert err.startswith("validation error:") and "Traceback" not in err
     assert f"{path}:1: RecordTypeError: {field}: expected " in err
+
+
+def test_a_run_refused_after_the_store_opens_leaves_no_connection_open(
+    workdir, tmp_path, monkeypatch, capsys
+):
+    """A dataset that fails to read after the store has opened exits 1 with
+    every store connection closed: `GeoStore.open` closes the one it reads
+    the config through, and the per-thread reader opens only at a first read."""
+    connect, connections = store_module._connect_read_only, []
+
+    def recorded(path):
+        connections.append(connect(path))
+        return connections[-1]
+
+    monkeypatch.setattr(store_module, "_connect_read_only", recorded)
+    lines = (workdir / "splits" / "test.jsonl").read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[0])
+    record["id"] = 1
+    dataset = tmp_path / "test.jsonl"
+    dataset.write_text("\n".join([json.dumps(record), *lines[1:]]) + "\n", encoding="utf-8")
+    assert main(["run", "--store", str(workdir / "store.db"),
+                 "--cache", str(workdir / "cache.jsonl"), "--dataset", str(dataset),
+                 "--out", str(tmp_path / "run"), "--backend", "oracle"]) == 1
+    assert capsys.readouterr().err.startswith("validation error:")
+    assert connections
+    for conn in connections:
+        with pytest.raises(sqlite3.ProgrammingError, match="closed database"):
+            conn.execute("SELECT 1")
 
 
 def test_ingest_refuses_existing_store(workdir, tmp_path):

@@ -1,11 +1,15 @@
 """The runtime stays stdlib-only: the package imports nothing but the standard
 library and itself. ``domain``, which every layer reads, imports nothing from
-the package."""
+the package. Only an HTTP backend's first request loads the HTTP client stack."""
 
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 PACKAGE = Path(__file__).parents[1] / "src" / "estateqa"
@@ -42,3 +46,38 @@ def test_domain_imports_no_other_package_module():
     own = [module for _, module in _imports(PACKAGE / "domain.py")
            if module.split(".")[0] == PACKAGE.name]
     assert own == []
+
+
+# Run in a fresh interpreter: which of the HTTP client modules (and ``ssl``,
+# the heaviest they pull in) a command and a built HttpBackend newly load,
+# then whether its first request fails as a BackendError with all of them
+# loaded. Comparing against the start-up set keeps a site hook that preloads
+# ``ssl`` from failing the check.
+_PROBE = textwrap.dedent("""
+    import json, sys
+    at_start = set(sys.modules)
+    stack = {"http.client", "urllib.request", "ssl"}
+    from estateqa import cli
+    from estateqa.backends import BackendError, HttpBackend
+    assert cli.main(["fixture", "--out", sys.argv[1], "--cities", "Suzhou",
+                     "--communities", "5", "--pois", "5", "--seed", "1"]) == 0
+    backend = HttpBackend("http://127.0.0.1:9/nothing", model="m")
+    loaded = sorted(stack & (set(sys.modules) - at_start))
+    try:
+        backend.complete("s", [])
+        failed = False
+    except BackendError:
+        failed = True
+    print(json.dumps([loaded, failed, stack <= set(sys.modules)]))
+""")
+
+
+def test_only_an_http_request_loads_the_http_client_stack(tmp_path):
+    out = subprocess.run(
+        [sys.executable, "-c", _PROBE, str(tmp_path / "fx")],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    loaded, failed, stack_loaded = json.loads(out.splitlines()[-1])
+    assert loaded == []
+    assert failed and stack_loaded

@@ -6,9 +6,10 @@ from __future__ import annotations
 import pytest
 
 from doubles import ScriptedBackend
-from estateqa.domain import GeoPoint
+from estateqa.domain import TOOL_FUNCTIONS, GeoPoint
 from estateqa.evaluator import make_oracle_backend
 from estateqa.map_agent import (
+    _NAME_PARAM_PREFIXES,
     MapAgent,
     SynthesisRule,
     ToolDecision,
@@ -305,6 +306,22 @@ def test_entity_name_params_resolved_from_context():
     call = next(p for p in result.evidence if p["type"] == "tool_call")
     assert call["params"]["origin_lat"] == 23.0
     assert call["params"]["dest_lat"] == 24.0
+
+
+def test_entity_name_params_write_the_tool_table_coordinate_pairs():
+    """Each entity-name param resolves to a (lat, lon) pair that some tool
+    function declares as consecutive coordinates, and together the pairs
+    cover every coordinate param of the table."""
+    declared = {
+        pair
+        for function in TOOL_FUNCTIONS.values()
+        for pair in zip(function.coordinates[::2], function.coordinates[1::2])
+    }
+    pairs = set(_NAME_PARAM_PREFIXES.values())
+    assert pairs <= declared
+    assert {param for pair in pairs for param in pair} == {
+        param for function in TOOL_FUNCTIONS.values() for param in function.coordinates
+    }
 
 
 # --- dispatch entry -------------------------------------------------------------------------
