@@ -17,9 +17,10 @@ client modules (``http.client``, ``urllib.request`` and the ``ssl`` and
 ``email`` packages they pull in) at its first request, so no other backend or
 command pays for them.
 
-Agents talk to a backend through :func:`ask` (one user message under a system
-prompt) and :func:`reprompt_once` (one resend, with the stage's nudge appended,
-when a reply lacks its envelope).
+In an episode, the supervisor's one send calls :func:`ask` (one user message
+under a system prompt) and records the exchange; specialists get that send,
+not a backend. :func:`reprompt_once` resends once, with the stage's nudge
+appended, when a reply lacks its envelope.
 """
 
 from __future__ import annotations

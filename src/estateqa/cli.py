@@ -146,8 +146,8 @@ def _build_backend(opts: argparse.Namespace, instances, store):
     for key in ("endpoint", "model"):  # required by the http backend only
         if opts.backend == "http" and getattr(opts, key) is None:
             raise CliError(f"missing required setting {_flag(key)}")
-    # built for every run: injected specialists ask it, and it refuses a
-    # dataset that repeats a question, since it keys gold by question text
+    # built for every run, so a dataset that repeats a question is refused
+    # before any episode runs: the oracle keys gold by question text
     try:
         oracle = make_oracle_backend(instances, store)
     except ValueError as exc:

@@ -1,11 +1,12 @@
 """Database interaction specialist: hypothetical-caption retrieval over BM25,
 few-shot SQL generation, and read-only execution.
 
-The caption stage asks the backend for a one-line description of the ideal
-table ("hypothetical caption"), ranks the real caption catalog against it with
-BM25, and hands the winning schema to the SQL stage. Generated SQL must arrive
+The caption stage asks for a one-line description of the ideal table
+("hypothetical caption"), ranks the real caption catalog against it with BM25,
+and hands the winning schema to the SQL stage. Generated SQL must arrive
 inside a fenced ```sql block: :func:`extract_sql` returns the statement or
 None, and a reply without one gets one reprompt before the dispatch fails.
+Both stages ask through the dispatch's ``send``; the agent holds no backend.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ import re
 from functools import partial
 from typing import Any
 
-from .backends import BackendError, ChatBackend, ask, build_task_message, reprompt_once
+from .backends import BackendError, build_task_message, reprompt_once
 from .bm25 import Bm25Index
 from .prompts import load_prompt
 from .store import GeoStore, SqlExecutionError, TableCaption
-from .supervisor import AgentResult, AgentTask
+from .supervisor import AgentResult, AgentTask, Send
 
 _SQL_FENCE_RE = re.compile(r"```sql\s+(.*?)```", re.DOTALL | re.IGNORECASE)
 _SQL_NUDGE = (
@@ -54,9 +55,8 @@ def execute_and_package(store: GeoStore, statement: str) -> AgentResult:
 
 
 class DbAgent:
-    def __init__(self, store: GeoStore, backend: ChatBackend) -> None:
+    def __init__(self, store: GeoStore) -> None:
         self.store = store
-        self.backend = backend
         self.system_prompt = load_prompt("db_agent_system")
         self.caption_examples = load_prompt("db_fewshot_caption")
         self.sql_examples = load_prompt("db_fewshot_sql")
@@ -77,9 +77,9 @@ class DbAgent:
         )
         return content + "\n\nWorked examples:\n" + examples
 
-    def caption_summary(self, task: AgentTask) -> str:
+    def caption_summary(self, task: AgentTask, send: Send) -> str:
         content = self._prompt("caption_summary", task, self.caption_examples)
-        reply = ask(self.backend, self.system_prompt, content)
+        reply = send("caption_summary", self.system_prompt, content)
         return reply.strip().splitlines()[0].strip() if reply.strip() else ""
 
     def retrieve_caption(self, summary: str) -> tuple[TableCaption, float]:
@@ -87,7 +87,7 @@ class DbAgent:
         (best,) = self.index.rank(summary, k=1)
         return self._by_text[best.caption], best.score
 
-    def generate_sql(self, task: AgentTask, caption: TableCaption) -> str | None:
+    def generate_sql(self, task: AgentTask, caption: TableCaption, send: Send) -> str | None:
         content = self._prompt(
             "generate_sql",
             task,
@@ -96,16 +96,16 @@ class DbAgent:
             table=caption.table_id,
             columns=", ".join(caption.columns),
         )
-        send = partial(ask, self.backend, self.system_prompt)
-        return reprompt_once(send, content, extract_sql, _SQL_NUDGE)
+        send_stage = partial(send, "generate_sql", self.system_prompt)
+        return reprompt_once(send_stage, content, extract_sql, _SQL_NUDGE)
 
     # --- dispatch entry point ---------------------------------------------------
 
-    def handle(self, task: AgentTask) -> AgentResult:
+    def handle(self, task: AgentTask, send: Send) -> AgentResult:
         try:
-            summary = self.caption_summary(task)
+            summary = self.caption_summary(task, send)
             caption, score = self.retrieve_caption(summary)
-            statement = self.generate_sql(task, caption)
+            statement = self.generate_sql(task, caption, send)
         except BackendError as exc:
             return AgentResult(status="error", error_report=str(exc))
         if statement is None:

@@ -72,7 +72,7 @@ def trace_metrics(
     ecr = passed = plan_hits = 0
     api_total = api_hits = 0
     for transcript, gold in zip(transcripts, golds):
-        candidates = transcript.sql_candidates
+        candidates = transcript.evidence_payloads("sql")
         first = candidates[0] if candidates else None
         if first is not None and first.get("ok"):
             ecr += 1
@@ -83,9 +83,8 @@ def trace_metrics(
                 passed += 1
         if gold.tool_trace:
             api_total += 1
-            emitted = [
-                (c["function"], dict(c.get("params", {}))) for c in transcript.tool_calls
-            ]
+            calls = transcript.evidence_payloads("tool_call")
+            emitted = [(c["function"], dict(c.get("params", {}))) for c in calls]
             wanted = [(s.function, dict(s.params)) for s in gold.tool_trace]
             if emitted == wanted:
                 api_hits += 1
@@ -152,24 +151,6 @@ class EpisodeRecord:
     transcript: EpisodeTranscript
 
 
-def build_supervisor(
-    instances: Sequence[QAInstance],
-    store: GeoStore,
-    cache: ToolCache,
-    backend: ChatBackend,
-    config: RunConfig,
-) -> Supervisor:
-    """The supervisor over the run's backend. An injected specialist asks the
-    oracle instead, whose replies are the gold caption, SQL or tool calls."""
-    injected = config.inject_sql or config.inject_api
-    oracle = make_oracle_backend(instances, store) if injected else backend
-    specialists = {
-        "db_agent": DbAgent(store, oracle if config.inject_sql else backend),
-        "map_agent": MapAgent(cache, oracle if config.inject_api else backend),
-    }
-    return Supervisor(backend, specialists, step_cap=config.step_cap)
-
-
 def run_suite(
     instances: Sequence[QAInstance],
     store: GeoStore,
@@ -194,7 +175,12 @@ def run_suite(
         slu = FewShotSlu(backend, fewshot_pool or [])
     else:
         slu = LexiconSlu(Gazetteer.from_store(store), templates)
-    supervisor = build_supervisor(instances, store, cache, backend, config)
+    # an injected specialist asks the oracle, whose replies are the gold ones
+    flags = {"db_agent": config.inject_sql, "map_agent": config.inject_api}
+    oracle = make_oracle_backend(instances, store) if any(flags.values()) else None
+    specialists = {"db_agent": DbAgent(store), "map_agent": MapAgent(cache)}
+    injected = {name: oracle for name, flag in flags.items() if flag}
+    supervisor = Supervisor(backend, specialists, config.step_cap, injected)
 
     def run_one(instance: QAInstance) -> EpisodeRecord:
         if slu is None:

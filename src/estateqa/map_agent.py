@@ -10,7 +10,8 @@ Decision envelope (one line per call, order preserved):
 Params may carry coordinates directly or name entities via ``origin`` /
 ``destination`` / ``center`` keys, resolved against the coordinates the
 supervisor accumulated; a missing entity is an inability, not an error. Every
-emitted call lands in the transcript verbatim, successful or not.
+emitted call lands in the transcript verbatim, successful or not. Decisions
+are asked through the dispatch's ``send``; the agent holds no backend.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Iterable, Mapping
 
-from .backends import BackendError, ChatBackend, ask, build_task_message, reprompt_once
+from .backends import BackendError, build_task_message, reprompt_once
 from .domain import TOOL_FUNCTIONS, Cell, GeoPoint
 from .prompts import load_prompt
-from .supervisor import AgentResult, AgentTask
+from .supervisor import AgentResult, AgentTask, Send
 from .tools import InvalidParams, CacheMiss, ToolCache, ToolRequest
 
 DEFAULT_ATTEMPT_CAP = 3
@@ -96,16 +97,15 @@ def parse_decisions(reply: str) -> tuple[list[ToolDecision], SynthesisRule, str]
 
 
 class MapAgent:
-    def __init__(self, cache: ToolCache, backend: ChatBackend) -> None:
+    def __init__(self, cache: ToolCache) -> None:
         self.cache = cache
-        self.backend = backend
         self.system_prompt = load_prompt("map_agent_system")
         self.tool_descriptions = load_prompt("tool_descriptions")
 
     # --- decision stage -----------------------------------------------------------
 
     def decide_tools(
-        self, task: AgentTask
+        self, task: AgentTask, send: Send
     ) -> tuple[list[ToolDecision], SynthesisRule, str] | None:
         """(decisions, synthesis rule, unable-reason), or None when neither
         reply to the prompt and its one reprompt holds a TOOL or UNABLE line."""
@@ -121,8 +121,8 @@ class MapAgent:
         )
         content += "\n\nCONTEXT coordinates:\n" + (context or "(none)")
         content += "\n\n" + self.tool_descriptions
-        send = partial(ask, self.backend, self.system_prompt)
-        return reprompt_once(send, content, parse_decisions, _TOOLS_NUDGE)
+        send_stage = partial(send, "decide_tools", self.system_prompt)
+        return reprompt_once(send_stage, content, parse_decisions, _TOOLS_NUDGE)
 
     def _resolve_params(
         self, decision: ToolDecision, coordinates: Mapping[str, GeoPoint]
@@ -288,9 +288,9 @@ class MapAgent:
 
     # --- dispatch entry point ------------------------------------------------------------
 
-    def handle(self, task: AgentTask) -> AgentResult:
+    def handle(self, task: AgentTask, send: Send) -> AgentResult:
         try:
-            decided = self.decide_tools(task)
+            decided = self.decide_tools(task, send)
         except BackendError as exc:
             return AgentResult(status="error", error_report=str(exc))
         if decided is None:

@@ -272,8 +272,9 @@ def _create_view_sql(config: StoreConfig, family: str, city: str) -> str:
 
 def _connect_read_only(path: Path) -> sqlite3.Connection:
     """A connection that cannot write the store file (``mode=ro``), opened by
-    a file URI, which escapes a space, '#', '?' or '%' in the path."""
-    return sqlite3.connect(f"{path.resolve().as_uri()}?mode=ro", uri=True)
+    a file URI, which escapes a space, '#', '?' or '%' in the path. Any thread
+    may close it, so :meth:`GeoStore.close` closes every thread's reader."""
+    return sqlite3.connect(f"{path.resolve().as_uri()}?mode=ro", uri=True, check_same_thread=False)
 
 
 def haversine_terms(latitude: float, longitude: float) -> tuple[float, float, float]:
@@ -442,7 +443,7 @@ class GeoStore:
     way to get a store. A store only reads: every read goes through the
     calling thread's own read-only connection, so readers on different
     threads run at once and never wait for each other. A lock guards the
-    first load of the cached entity snapshot.
+    list of readers opened and the first load of the cached entity snapshot.
     """
 
     table_id = staticmethod(table_id)
@@ -451,7 +452,8 @@ class GeoStore:
         self.config = config
         self.path = Path(path).resolve()
         self._readers = threading.local()
-        self._lock = threading.Lock()
+        self._opened: list[sqlite3.Connection] = []  # every thread's reader
+        self._lock = threading.RLock()  # the snapshot's first load opens a reader
         self._snapshot: Mapping[str, CityEntities] | None = None
 
     @classmethod
@@ -517,12 +519,11 @@ class GeoStore:
         )
 
     def close(self) -> None:
-        """Close this thread's reader. ``sqlite3`` will not close a reader
-        from another thread, and that reader sits in a reference cycle through
-        its statement cache, so only the cyclic GC frees it."""
-        reader = getattr(self._readers, "conn", None)
-        if reader is not None:
-            reader.close()
+        """Close every reader the store opened, on any thread. Call it once
+        no thread reads the store any more, as after a run's worker pool."""
+        with self._lock:
+            for reader in self._opened:
+                reader.close()
 
     def _reader(self) -> sqlite3.Connection:
         """This thread's read-only connection, opened on first use with the
@@ -531,6 +532,8 @@ class GeoStore:
         if reader is None:
             reader = self._readers.conn = _connect_read_only(self.path)
             reader.set_authorizer(self._deny_writes)
+            with self._lock:
+                self._opened.append(reader)
         return reader
 
     # --- proximity pairs -------------------------------------------------------

@@ -10,6 +10,9 @@ queue empty, sending the evidence gathered so far. Episodes always halt: the
 step cap (default 25) converts exhaustion into an "unanswerable" verdict, and
 a plan or replan without directives ends the episode as its stage's failure.
 
+Specialists hold no backend: each dispatch hands one a ``send`` bound to the
+episode, so every exchange, the supervisor's and the specialists', goes
+through :meth:`Supervisor._send` and lands in ``backend_events`` in order.
 Directive and answer envelopes are strict line-oriented formats (see
 :mod:`estateqa.backends`); chain-of-thought text around them is ignored.
 """
@@ -21,7 +24,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Mapping, Protocol, Sequence
+from typing import Any, Callable, Mapping, Protocol, Sequence
 
 from .backends import (
     BackendError,
@@ -74,8 +77,12 @@ class AgentResult:
             raise ValueError("error/unable results must carry an error report")
 
 
+# (stage, system prompt, content) -> reply text, recorded in the episode's transcript
+Send = Callable[[str, str, str], str]
+
+
 class Specialist(Protocol):
-    def handle(self, task: AgentTask) -> AgentResult: ...
+    def handle(self, task: AgentTask, send: Send) -> AgentResult: ...
 
 
 @dataclass
@@ -109,36 +116,35 @@ class EpisodeTranscript:
             out.extend(p for p in exchange.evidence if p.get("type") == payload_type)
         return out
 
-    @property
-    def sql_candidates(self) -> list[dict[str, Any]]:
-        return self.evidence_payloads("sql")
-
-    @property
-    def tool_calls(self) -> list[dict[str, Any]]:
-        return self.evidence_payloads("tool_call")
-
 
 class Supervisor:
-    """Orchestrates one episode per question over registered specialists."""
+    """Orchestrates one episode per question over registered specialists;
+    ``injected`` maps a specialist's name to the backend it asks instead."""
 
     def __init__(
         self,
         backend: ChatBackend,
         specialists: Mapping[str, Specialist],
         step_cap: int = DEFAULT_STEP_CAP,
+        injected: Mapping[str, ChatBackend] | None = None,
     ) -> None:
         if step_cap < 1:
             raise ValueError("step_cap must be >= 1")
         self.backend = backend
         self.specialists = dict(specialists)
         self.step_cap = step_cap
+        self.injected = dict(injected or {})
         self.system_prompt = load_prompt("supervisor_system")
 
     # --- backend envelopes ------------------------------------------------------
 
-    def _complete(self, transcript: EpisodeTranscript, stage: str, content: str) -> str:
+    def _send(
+        self, transcript: EpisodeTranscript, backend: ChatBackend, stage: str,
+        system_prompt: str, content: str,
+    ) -> str:
+        """The episode's one send: ask, and record the reply or error under ``stage``."""
         try:
-            reply = ask(self.backend, self.system_prompt, content)
+            reply = ask(backend, system_prompt, content)
         except BackendError as exc:
             transcript.backend_events.append({"stage": stage, "error": str(exc)})
             raise
@@ -176,7 +182,7 @@ class Supervisor:
                 f"\nPREVIOUS_FAILURE: {failed.specialist} reported"
                 f" {failed.status}: {failed.error_report}"
             )
-        send = partial(self._complete, transcript, stage)
+        send = partial(self._send, transcript, self.backend, stage, self.system_prompt)
         return reprompt_once(send, content, self._parse_directives, _PLAN_NUDGE)
 
     def finalize(
@@ -191,7 +197,7 @@ class Supervisor:
         content += "\n\nEvidence:\n" + "\n".join(
             json.dumps(p, ensure_ascii=False) for p in evidence
         )
-        reply = self._complete(transcript, "finalize", content)
+        reply = self._send(transcript, self.backend, "finalize", self.system_prompt, content)
         parsed = parse_answer(reply)
         if parsed is None:
             transcript.failure = transcript.failure or "answer_parse_degraded"
@@ -241,7 +247,8 @@ class Supervisor:
                     error_report=f"no specialist named {directive.specialist!r}",
                 )
             else:
-                result = specialist.handle(task)
+                backend = self.injected.get(directive.specialist, self.backend)
+                result = specialist.handle(task, partial(self._send, transcript, backend))
             transcript.dispatches.append(
                 Exchange(
                     specialist=directive.specialist,

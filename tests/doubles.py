@@ -1,11 +1,19 @@
 """Backend test doubles: a scripted backend that answers by task, one that
-always fails, and one that breaks chosen stages of the oracle."""
+always fails, one that breaks chosen stages of the oracle, and a specialist's
+``send`` straight to one backend."""
 
 from __future__ import annotations
 
 from typing import Any, Sequence
 
-from estateqa.backends import BackendError, ChatBackend, Message, parse_task_header
+from estateqa.backends import BackendError, ChatBackend, Message, ask, parse_task_header
+from estateqa.supervisor import Send
+
+
+def send_to(backend: ChatBackend) -> Send:
+    """A ``send`` for calling a specialist's ``handle`` outside an episode:
+    it asks ``backend`` and records nothing."""
+    return lambda stage, system_prompt, content: ask(backend, system_prompt, content)
 
 
 class ScriptedBackend:

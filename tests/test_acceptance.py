@@ -285,8 +285,8 @@ def test_criterion_6_termination(desk_instances, desk_store, desk_cache):
     supervisor = Supervisor(
         churner,
         {
-            "db_agent": DbAgent(desk_store, churner),
-            "map_agent": MapAgent(desk_cache, churner),
+            "db_agent": DbAgent(desk_store),
+            "map_agent": MapAgent(desk_cache),
         },
     )
     ok = True

@@ -10,7 +10,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from doubles import RaisingBackend, ScriptedBackend
+from doubles import RaisingBackend, ScriptedBackend, send_to
 from estateqa.backends import (
     BackendError,
     REPLY_KINDS,
@@ -207,7 +207,7 @@ class RecordingBackend:
 
 
 class _OkSpecialist:
-    def handle(self, task):
+    def handle(self, task, send):
         return AgentResult(status="success", evidence=[{"type": "rows", "rows": []}])
 
 
@@ -219,12 +219,12 @@ def _plan_outcome(backend, store):
 
 def _db_outcome(backend, store):
     task = AgentTask(description="count", question="q", intents=(), slots=())
-    return DbAgent(store, backend).handle(task).error_report
+    return DbAgent(store).handle(task, send_to(backend)).error_report
 
 
 def _map_outcome(backend, store):
     task = AgentTask(description="route", question="q", intents=(), slots=())
-    return MapAgent(ToolCache(), backend).handle(task).error_report
+    return MapAgent(ToolCache()).handle(task, send_to(backend)).error_report
 
 
 # stage: (runner, a reply with the envelope, other replies, nudge,

@@ -331,7 +331,7 @@ def test_run_survives_agent_sql_that_fails_to_execute(
     transcripts = list(read_json_lines(out / "transcripts.jsonl",
                                        partial(decode, EpisodeTranscript)))
     assert len(transcripts) == report["episodes"] > 0
-    sql = [p for t in transcripts for p in t.sql_candidates]
+    sql = [p for t in transcripts for p in t.evidence_payloads("sql")]
     assert sql and all(p["statement"] == statement for p in sql)
     assert all(p["ok"] is False and error in p["error"] for p in sql)
     assert main(["eval", "--run", str(out), "--dataset", test_split]) == 0

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from doubles import RaisingBackend, ScriptedBackend
+from doubles import RaisingBackend, ScriptedBackend, send_to
 from estateqa.db_agent import DbAgent, execute_and_package, extract_sql
 from estateqa.evaluator import make_oracle_backend
 from estateqa.store import extract_coordinates
@@ -95,8 +95,7 @@ def test_coordinate_map_keys_are_name_values(desk_store):
 
 def test_caption_self_retrieval_rank_one(desk_store):
     captions = desk_store.list_captions()
-    backend = ScriptedBackend()  # unused for retrieval itself
-    agent = DbAgent(desk_store, backend)
+    agent = DbAgent(desk_store)
     for caption in captions:
         best, _ = agent.retrieve_caption(caption.caption)
         assert best.table_id == caption.table_id
@@ -112,8 +111,7 @@ def test_generate_sql_reprompts_once(desk_store):
             ],
         }
     )
-    agent = DbAgent(desk_store, backend)
-    result = agent.handle(_task("how many communities?"))
+    result = DbAgent(desk_store).handle(_task("how many communities?"), send_to(backend))
     assert result.status == "success"
     sql_payload = next(p for p in result.evidence if p["type"] == "sql")
     assert sql_payload["rows"] == [[220]]
@@ -124,8 +122,7 @@ def test_generate_sql_double_failure_is_error(desk_store):
         responses={"caption_summary": "Table for Communities in Guangzhou"},
         default="no fence anywhere",
     )
-    agent = DbAgent(desk_store, backend)
-    result = agent.handle(_task())
+    result = DbAgent(desk_store).handle(_task(), send_to(backend))
     assert result.status == "error"
     assert "fenced" in result.error_report
 
@@ -138,7 +135,7 @@ def test_unencodable_sql_is_error_result(desk_store):
             "generate_sql": "```sql\nSELECT name FROM community_guangzhou WHERE name = '\ud800'\n```",
         }
     )
-    result = DbAgent(desk_store, backend).handle(_task())
+    result = DbAgent(desk_store).handle(_task(), send_to(backend))
     assert result.status == "error"
     assert "surrogates not allowed" in result.error_report
     sql_payload = next(p for p in result.evidence if p["type"] == "sql")
@@ -146,16 +143,15 @@ def test_unencodable_sql_is_error_result(desk_store):
 
 
 def test_backend_failure_is_error_result(desk_store):
-    agent = DbAgent(desk_store, RaisingBackend())
-    result = agent.handle(_task())
+    result = DbAgent(desk_store).handle(_task(), send_to(RaisingBackend()))
     assert result.status == "error"
 
 
 def test_injected_gold_sql_skips_backend(desk_store, desk_instances):
     inst = desk_instances[0]
     # the agent asks only the oracle; no other backend exists to consult
-    agent = DbAgent(desk_store, make_oracle_backend([inst], desk_store))
-    result = agent.handle(_task(inst.question))
+    oracle = make_oracle_backend([inst], desk_store)
+    result = DbAgent(desk_store).handle(_task(inst.question), send_to(oracle))
     assert result.status == "success"
     sql_payload = next(p for p in result.evidence if p["type"] == "sql")
     assert sql_payload["statement"] == inst.sql_trace[0].statement
@@ -163,9 +159,9 @@ def test_injected_gold_sql_skips_backend(desk_store, desk_instances):
 
 
 def test_injection_succeeds_on_all_generated_instances(desk_store, desk_instances):
-    agent = DbAgent(desk_store, make_oracle_backend(desk_instances, desk_store))
+    agent, send = DbAgent(desk_store), send_to(make_oracle_backend(desk_instances, desk_store))
     for inst in desk_instances:
-        assert agent.handle(_task(inst.question)).status == "success"
+        assert agent.handle(_task(inst.question), send).status == "success"
 
 
 def test_caption_evidence_recorded(desk_store, desk_instances):
@@ -177,8 +173,7 @@ def test_caption_evidence_recorded(desk_store, desk_instances):
             "generate_sql": f"```sql\n{inst.sql_trace[0].statement}\n```",
         }
     )
-    agent = DbAgent(desk_store, backend)
-    result = agent.handle(_task(inst.question))
+    result = DbAgent(desk_store).handle(_task(inst.question), send_to(backend))
     assert result.status == "success"
     caption_payload = next(p for p in result.evidence if p["type"] == "caption")
     assert caption_payload["caption"] == gold_caption

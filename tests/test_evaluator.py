@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import json
 import random
+import sqlite3
+import threading
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -24,6 +26,7 @@ from estateqa.evaluator import (
     run_suite,
     trace_metrics,
 )
+from estateqa import store as store_module
 from estateqa.store import GeoStore
 from estateqa.supervisor import DEFAULT_STEP_CAP, EpisodeTranscript, Exchange
 from estateqa.tools import ToolCache
@@ -469,6 +472,52 @@ def test_injected_specialists_never_reach_the_run_backend(
     )
     assert injected.overall == {"acc": 1.0, "f1": 1.0, "count": len(eval_slice)}
     assert injected.failures == {}
+
+
+def test_injected_exchanges_carry_the_oracle_replies(
+    eval_slice, desk_store, desk_cache, desk_templates
+):
+    """Under inject sql the db stages' exchanges reach the transcript with the
+    oracle's gold replies, though the run backend breaks at both stages."""
+    inst = next(i for i in eval_slice if i.question_type == 1)
+    assert inst.agent_route == ("db_agent",)
+    oracle = make_oracle_backend([inst], desk_store)
+    broken = SabotageBackend(oracle, "caption_summary", "generate_sql", mode="raise")
+    config = RunConfig(inject_slu=True, inject_sql=True)
+    (_, (gold,)), (_, (injected,)) = (
+        run_suite([inst], desk_store, desk_cache, backend, config, desk_templates)
+        for backend in (oracle, broken)
+    )
+    events = injected.transcript.backend_events
+    assert [e["stage"] for e in events] == ["plan", "caption_summary", "generate_sql", "finalize"]
+    assert events[2] == {
+        "stage": "generate_sql", "response": f"```sql\n{inst.sql_trace[0].statement}\n```"
+    }
+    assert events == gold.transcript.backend_events
+
+
+def test_closing_the_store_closes_every_worker_reader(
+    eval_slice, desk_store, desk_cache, desk_templates, monkeypatch
+):
+    """A reader a pool thread opened is closed by the store's close, not left
+    to the cyclic GC once its thread is gone."""
+    opened = []
+    connect = store_module._connect_read_only
+
+    def recording(path):
+        conn = connect(path)
+        opened.append((threading.get_ident(), conn))
+        return conn
+
+    monkeypatch.setattr(store_module, "_connect_read_only", recording)
+    store = GeoStore.open(desk_store.path)
+    backend = make_oracle_backend(eval_slice, store)
+    run_suite(eval_slice, store, desk_cache, backend, RunConfig(), desk_templates, parallelism=2)
+    store.close()
+    assert any(ident != threading.get_ident() for ident, _ in opened)
+    for _, conn in opened:
+        with pytest.raises(sqlite3.ProgrammingError, match="closed database"):
+            conn.execute("SELECT 1")
 
 
 def test_run_config_validation(eval_slice, desk_store, desk_cache, desk_templates):

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from doubles import ScriptedBackend
+from doubles import ScriptedBackend, send_to
 from estateqa.domain import TOOL_FUNCTIONS, GeoPoint
 from estateqa.evaluator import make_oracle_backend
 from estateqa.map_agent import (
@@ -52,9 +52,8 @@ def _decision(origin_lat, mode="driving", function="time_query", label=""):
     )
 
 
-def _agent(durations, backend=None):
-    cache = ToolCache(provider=StubProvider(durations))
-    return MapAgent(cache, backend or ScriptedBackend())
+def _agent(durations):
+    return MapAgent(ToolCache(provider=StubProvider(durations)))
 
 
 def _task(question="q", coordinates=None):
@@ -145,7 +144,7 @@ def test_bound_that_is_no_number_fails_the_dispatch_not_the_episode():
         {"plan": "DISPATCH map_agent: times", "decide_tools": reply,
          "replan": "UNABLE: no route"}
     )
-    agent = _agent({(1.0, "driving"): 500}, backend=backend)
+    agent = _agent({(1.0, "driving"): 500})
     transcript = Supervisor(backend, {"map_agent": agent}).run_episode("q", [], [])
     (dispatch,) = transcript.dispatches
     assert dispatch.status == "error" and dispatch.error_report == "threshold missing a bound"
@@ -224,7 +223,7 @@ def test_threshold_nobody_passes_is_error():
 def test_count_rule():
     cache = ToolCache()
     cache._entries = {}
-    agent = MapAgent(cache, ScriptedBackend())
+    agent = MapAgent(cache)
     # preload one surrounding result through a stub provider
     rows = (("P1", "park", 23.0, 113.0, 100), ("P2", "park", 23.0, 113.0, 200))
 
@@ -249,7 +248,7 @@ def test_count_rule():
 
 def test_all_calls_missing_errors_within_attempt_cap():
     cache = ToolCache()  # frozen and empty
-    agent = MapAgent(cache, ScriptedBackend())
+    agent = MapAgent(cache)
     decisions = [_decision(float(i)) for i in range(10)]
     result = agent.invoke_and_synthesize(decisions, SynthesisRule(kind="passthrough"))
     assert result.status == "error"
@@ -328,23 +327,23 @@ def test_entity_name_params_write_the_tool_table_coordinate_pairs():
 
 
 def test_handle_unable_reply_from_backend():
-    agent = _agent({}, backend=ScriptedBackend(default="UNABLE: nothing in context"))
-    result = agent.handle(_task())
+    backend = ScriptedBackend(default="UNABLE: nothing in context")
+    result = _agent({}).handle(_task(), send_to(backend))
     assert result.status == "unable"
     assert "nothing in context" in result.error_report
 
 
 def test_handle_no_decisions_after_reprompt_is_unable():
-    agent = _agent({}, backend=ScriptedBackend(default="let me think..."))
-    result = agent.handle(_task())
+    backend = ScriptedBackend(default="let me think...")
+    result = _agent({}).handle(_task(), send_to(backend))
     assert result.status == "unable"
     assert "no parseable tool decisions" in result.error_report
 
 
 def test_handle_injected_gold_tools(desk_cache, desk_store, desk_instances):
     inst = next(i for i in desk_instances if i.question_type == 2)
-    agent = MapAgent(desk_cache, make_oracle_backend([inst], desk_store))
-    result = agent.handle(_task(inst.question))
+    oracle = make_oracle_backend([inst], desk_store)
+    result = MapAgent(desk_cache).handle(_task(inst.question), send_to(oracle))
     assert result.status == "success"
     calls = [p for p in result.evidence if p["type"] == "tool_call"]
     assert [(c["function"], c["params"]) for c in calls] == [
@@ -363,12 +362,12 @@ def test_gold_injection_passthrough_carries_type2_answers(
     for every type 2 instance: the scalar value for duration/distance rules,
     and the (sorted, limit-prefixed) entity list for listing rules."""
     registry = {t.template_id: t for t in desk_templates}
-    agent = MapAgent(desk_cache, make_oracle_backend(desk_instances, desk_store))
+    agent, send = MapAgent(desk_cache), send_to(make_oracle_backend(desk_instances, desk_store))
     checked = 0
     for inst in desk_instances:
         if inst.question_type != 2:
             continue
-        result = agent.handle(_task(inst.question))
+        result = agent.handle(_task(inst.question), send)
         assert result.status == "success", (inst.id, result.error_report)
         rule = registry[inst.template_id].answer_rule
         if rule["kind"] == "tool_value":
@@ -409,7 +408,7 @@ def test_gold_injection_synthesis_matches_gold_answers(desk_cache, desk_instance
 
         for step in inst.sql_trace:
             coord_map.update(extract_coordinates(step.expected_columns, step.expected_rows))
-        agent = MapAgent(desk_cache, ScriptedBackend())
+        agent = MapAgent(desk_cache)
         decisions = []
         for step, label in zip(inst.tool_trace, template.answer_rule.get("labels", [])):
             params = {k: v for k, v in step.params.items() if k != "time_bucket"}

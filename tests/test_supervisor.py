@@ -1,5 +1,5 @@
 """Supervisor state machine: plan parsing, replanning on failure, step-cap
-termination, transcript completeness."""
+termination, transcript completeness, specialists' exchanges included."""
 
 from __future__ import annotations
 
@@ -7,13 +7,18 @@ import json
 
 import pytest
 
-from doubles import RaisingBackend, ScriptedBackend
+from doubles import RaisingBackend, SabotageBackend, ScriptedBackend
 from estateqa.backends import render_answer
-from estateqa.domain import CanonicalAnswer, decode, encode
+from estateqa.db_agent import DbAgent
+from estateqa.domain import CanonicalAnswer, answer_equal, decode, encode
+from estateqa.evaluator import make_oracle_backend
+from estateqa.map_agent import MapAgent
 from estateqa.supervisor import (
+    DEFAULT_STEP_CAP,
     AgentResult,
     AgentTask,
     EpisodeTranscript,
+    Send,
     Supervisor,
     Directive,
 )
@@ -26,7 +31,7 @@ class StubSpecialist:
         self.queue = list(results)
         self.tasks: list[AgentTask] = []
 
-    def handle(self, task: AgentTask) -> AgentResult:
+    def handle(self, task: AgentTask, send: Send) -> AgentResult:
         self.tasks.append(task)
         if len(self.queue) > 1:
             return self.queue.pop(0)
@@ -259,3 +264,42 @@ def test_every_backend_call_recorded():
     stages = [e["stage"] for e in transcript.backend_events]
     assert stages == ["plan", "replan", "finalize"]
     assert len(transcript.dispatches) == 2
+
+
+# --- one recorded send per episode ------------------------------------------------------
+
+
+def _desk_episode(backend, desk_store, desk_cache, inst, step_cap=DEFAULT_STEP_CAP):
+    specialists = {"db_agent": DbAgent(desk_store), "map_agent": MapAgent(desk_cache)}
+    supervisor = Supervisor(backend, specialists, step_cap=step_cap)
+    return supervisor.run_episode(inst.question, inst.intents, inst.slots, instance_id=inst.id)
+
+
+def test_a_transcript_carries_every_specialist_exchange(desk_store, desk_cache, desk_instances):
+    """The specialists ask through the episode's send, so their exchanges sit
+    between the supervisor's, in the order they were made."""
+    inst = next(i for i in desk_instances if i.question_type == 2)
+    assert inst.agent_route == ("db_agent", "map_agent")
+    transcript = _desk_episode(
+        make_oracle_backend([inst], desk_store), desk_store, desk_cache, inst
+    )
+    assert answer_equal(transcript.final_answer, inst.answer)
+    events = transcript.backend_events
+    stages = ["plan", "caption_summary", "generate_sql", "decide_tools", "finalize"]
+    assert [e["stage"] for e in events] == stages
+    assert all(set(e) == {"stage", "response"} for e in events)
+    assert events[2]["response"] == f"```sql\n{inst.sql_trace[0].statement}\n```"
+
+
+def test_a_failed_specialist_exchange_is_recorded_as_an_error(
+    desk_store, desk_cache, desk_instances
+):
+    inst = next(i for i in desk_instances if i.question_type == 2)
+    backend = SabotageBackend(
+        make_oracle_backend([inst], desk_store), "generate_sql", mode="raise"
+    )
+    transcript = _desk_episode(backend, desk_store, desk_cache, inst, step_cap=3)
+    events = transcript.backend_events
+    assert [e["stage"] for e in events] == ["plan", "caption_summary", "generate_sql", "replan"]
+    assert events[2] == {"stage": "generate_sql", "error": "sabotaged stage generate_sql"}
+    assert transcript.dispatches[0].error_report == "sabotaged stage generate_sql"
