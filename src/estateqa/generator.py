@@ -97,14 +97,14 @@ def sample_bindings(
     for name, spec in template.bindings.items():
         kind = spec["kind"]
         if kind in ("community", "poi"):
-            pool = entities.communities if kind == "community" else entities.pois
+            pool = entities.community_names if kind == "community" else entities.poi_names
             taken = used.setdefault(kind, set())
             # choice reads only the length and one index, so while nothing is
             # taken the pool itself draws what a filtered copy would
-            candidates = [e for e in pool if e.name not in taken] if taken else pool
+            candidates = [n for n in pool if n not in taken] if taken else pool
             if not candidates:
                 raise SamplingExhausted(f"{template.template_id}: no unused {kind} in {city}")
-            value = rng.choice(candidates).name
+            value = rng.choice(candidates)
             taken.add(value)
         elif kind == "poi_label":
             if not entities.labels:

@@ -191,15 +191,16 @@ class TableCaption:
 
 @dataclass(frozen=True)
 class CityEntities:
-    """One city's entities: communities and POIs in id order, the sorted
-    distinct districts and POI labels, and the POIs under each case-folded
-    label in id order."""
+    """What the generator and the tool provider read of one city's entities:
+    community and POI names in id order, the sorted distinct districts and POI
+    labels, and under each case-folded label its POIs' (name, label, location)
+    in id order. It holds no entity record."""
 
-    communities: tuple[Community, ...]
-    pois: tuple[Poi, ...]
+    community_names: tuple[str, ...]
+    poi_names: tuple[str, ...]
     districts: tuple[str, ...]
     labels: tuple[str, ...]
-    pois_by_label: Mapping[str, tuple[Poi, ...]]
+    pois_by_label: Mapping[str, tuple[tuple[str, str, GeoPoint], ...]]
 
 
 def city_slug(city: str) -> str:
@@ -674,45 +675,45 @@ class GeoStore:
     # --- entity snapshot (generator and provider plumbing) ------------------------
 
     def snapshot(self) -> Mapping[str, CityEntities]:
-        """Each city's entities, read once, on first use."""
+        """Each city's entity names, districts, labels and POI points, read
+        from those columns once per store, on first use."""
         with self._lock:
             if self._snapshot is None:
                 self._snapshot = self._read_snapshot()
             return self._snapshot
 
     def _read_snapshot(self) -> Mapping[str, CityEntities]:
-        """Read under the lock, through :meth:`_columns`."""
+        """Read under the lock, through :meth:`_columns`: two columns of each
+        community and four of each POI, so no entity record is built."""
         cities: dict[str, CityEntities] = {}
         for city in sorted(self.config.cities):
-            communities, pois = (
-                tuple(
-                    _entity(family, row)
-                    for row in self._columns(family, city, FAMILY_COLUMNS[family])
-                )
-                for family in ENTITY_SCHEMA
-            )
-            by_label: dict[str, list[Poi]] = {}
-            for poi in pois:
-                by_label.setdefault(poi.label.casefold(), []).append(poi)
+            communities = self._columns("community", city, ("name", "district"))
+            pois = self._columns("poi", city, ("name", "label", "latitude", "longitude"))
+            by_label: dict[str, list[tuple[str, str, GeoPoint]]] = {}
+            for name, label, lat, lon in pois:
+                by_label.setdefault(label.casefold(), []).append((name, label, GeoPoint(lat, lon)))
             # Python's code-point order is SQLite's BINARY order over UTF-8
             cities[city] = CityEntities(
-                communities=communities,
-                pois=pois,
-                districts=tuple(sorted({c.district for c in communities})),
-                labels=tuple(sorted({p.label for p in pois})),
+                community_names=tuple(row[0] for row in communities),
+                poi_names=tuple(row[0] for row in pois),
+                districts=tuple(sorted({row[1] for row in communities})),
+                labels=tuple(sorted({row[1] for row in pois})),
                 pois_by_label=MappingProxyType({k: tuple(v) for k, v in by_label.items()}),
             )
         return MappingProxyType(cities)
 
     def communities(self, city: str) -> list[Community]:
-        return list(self.snapshot()[city].communities)
+        """Each community's record, read from its table on each call; no command calls this."""
+        rows = self._columns("community", city, FAMILY_COLUMNS["community"])
+        return [_entity("community", row) for row in rows]
 
     def pois(self, city: str) -> list[Poi]:
-        return list(self.snapshot()[city].pois)
+        """Each POI's record, read from its table on each call; no command calls this."""
+        return [_entity("poi", row) for row in self._columns("poi", city, FAMILY_COLUMNS["poi"])]
 
     def all_pois(self) -> list[Poi]:
-        cities = self.snapshot()
-        return [poi for city in sorted(cities) for poi in cities[city].pois]
+        """Every city's POI records, read on each call; no command calls this."""
+        return [poi for city in sorted(self.config.cities) for poi in self.pois(city)]
 
     def districts(self, city: str) -> list[str]:
         return list(self.snapshot()[city].districts)

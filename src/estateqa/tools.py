@@ -239,11 +239,10 @@ class SyntheticProvider:
         hits = []
         snapshot = self.store.snapshot()
         for city in sorted(snapshot):
-            for poi in snapshot[city].pois_by_label.get(label, ()):
-                d = haversine(center, poi.location)
+            for name, poi_label, point in snapshot[city].pois_by_label.get(label, ()):
+                d = haversine(center, point)
                 if d <= p["radius_m"]:
-                    loc = poi.location
-                    hits.append((poi.name, poi.label, loc.latitude, loc.longitude, int(round(d))))
+                    hits.append((name, poi_label, point.latitude, point.longitude, int(round(d))))
         hits.sort(key=lambda r: (r[4], r[0]))
         return ToolResult(RESULT_SCHEMAS["surrounding_pois_query"], tuple(hits))
 

@@ -3,14 +3,22 @@ plausibility, splitting, and re-validation."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import re
 
 import pytest
 
-from estateqa import generator as generator_module
-from estateqa.domain import CanonicalAnswer, DomainError, SqlStep, ToolStep, decode
+from estateqa import generator as generator_module, store as store_module
+from estateqa.domain import (
+    CanonicalAnswer,
+    DomainError,
+    SqlStep,
+    ToolStep,
+    decode,
+    write_instances,
+)
 from estateqa.generator import (
     AnswerUnderivable,
     Rejection,
@@ -466,8 +474,11 @@ def test_generate_reads_each_entity_table_once(
     reads: dict[str, int] = {}
 
     def count_reads(statement):
-        # the snapshot reads every family column of a table, in table order
-        match = re.match(r"SELECT id, city, name, .+ FROM (\w+) ORDER BY id$", statement)
+        # the snapshot's column lists: names and districts, and POI points
+        match = re.match(
+            r"SELECT name, (?:district|label, latitude, longitude) FROM (\w+) ORDER BY id$",
+            statement,
+        )
         if match:
             reads[match.group(1)] = reads.get(match.group(1), 0) + 1
 
@@ -492,6 +503,52 @@ def test_generate_reads_each_entity_table_once(
     assert {t: n for t, n in reads.items() if t in entity_tables} == dict.fromkeys(
         entity_tables, 1
     )
+
+
+def test_generate_builds_no_entity_records(
+    monkeypatch, tmp_path, desk_config, desk_fixture_dir, desk_templates
+):
+    store = ingest(desk_config, tmp_path / "store.db", desk_fixture_dir)
+
+    def refuse(family, row):
+        raise AssertionError(f"generate built a {family} record")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(store_module, "_entity", refuse)
+        cache = ToolCache(provider=SyntheticProvider(store))
+        instances, _ = generate(desk_templates, store, cache, seed=3, per_template=3)
+    assert instances
+    for city in desk_config.cities:
+        entities = store.snapshot()[city]
+        pois = store.pois(city)
+        assert entities.community_names == tuple(c.name for c in store.communities(city))
+        assert entities.poi_names == tuple(p.name for p in pois)
+        by_label: dict[str, list] = {}
+        for poi in pois:
+            by_label.setdefault(poi.label.casefold(), []).append(
+                (poi.name, poi.label, poi.location)
+            )
+        assert {label: list(group) for label, group in entities.pois_by_label.items()} == by_label
+
+
+# a desk-scale generate's bytes: a change in the sampling or tool-resolution
+# order changes them
+GENERATE_DIGESTS = {
+    "dataset.jsonl": "d048fe25ffc14d1392bd0bf67d37bdbe74c9bf93f74b8c5e048ba601cdd8fc37",
+    "cache.jsonl": "3b167b5d5bedaa4e09c77c60efec8ee4cfac933a1410b2ae897731d14a6e483d",
+}
+
+
+def test_generate_bytes_are_pinned(tmp_path, desk_store, desk_templates):
+    cache = ToolCache(provider=SyntheticProvider(desk_store))
+    instances, _ = generate(desk_templates, desk_store, cache, seed=5, per_template=20)
+    write_instances(str(tmp_path / "dataset.jsonl"), instances)
+    cache.save(tmp_path / "cache.jsonl")
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in GENERATE_DIGESTS
+    }
+    assert digests == GENERATE_DIGESTS
 
 
 def test_duplicate_questions_are_rejected_before_instantiating(

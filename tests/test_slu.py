@@ -38,18 +38,18 @@ def test_single_known_community_tagged(lexicon, desk_store):
 
 
 def _snapshot_gazetteer(store):
-    """The gazetteer built from the entity snapshot, as it once was."""
+    """The gazetteer built from full entity records, as it once was built
+    from the entity snapshot."""
     entries: dict[str, str] = {}
-    snapshot = store.snapshot()
     for city in sorted(store.config.cities):
-        entities = snapshot[city]
+        communities = store.communities(city)
         entries[city] = "city"
-        entries.update(dict.fromkeys(entities.districts, "district"))
-        entries.update(dict.fromkeys((c.name for c in entities.communities), "community_name"))
-        entries.update(dict.fromkeys((p.name for p in entities.pois), "poi_name"))
+        entries.update(dict.fromkeys(sorted({c.district for c in communities}), "district"))
+        entries.update(dict.fromkeys((c.name for c in communities), "community_name"))
+        entries.update(dict.fromkeys((p.name for p in store.pois(city)), "poi_name"))
     entries.update(dict.fromkeys(POI_LABELS, "poi_label"))
     for city in sorted(store.config.cities):
-        for community in snapshot[city].communities:
+        for community in store.communities(city):
             entries[community.property_type] = "property_type"
     return entries
 

@@ -741,8 +741,8 @@ def test_internal_reads_still_work_after_untrusted_query(tmp_path):
             " community_testville c, community_testville d"
         )
     # each read of the community table runs past the progress step (about 6
-    # VM operations a row for the pair count's, 18 for the snapshot's): a
-    # stale progress handler would stop it
+    # VM operations a row for the pair count's, 18 for communities()' full
+    # rows): a stale progress handler would stop it
     assert store.build_proximity_pairs()["community_community"] == 2000 * 1999
     assert len(store.communities("Testville")) == 2000
 
