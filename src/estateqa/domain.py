@@ -378,6 +378,19 @@ def answer_equal(pred: CanonicalAnswer, gold: CanonicalAnswer) -> bool:
     return pred.items() == gold.items()
 
 
+def select_entities(
+    rule: str, scored: Iterable[tuple[str, float]], op: str = "<=", bound: float | None = None
+) -> list[str]:
+    """The names a post-tool rule picks from ``(name, value)`` pairs, for the gold
+    answers and the map specialist alike. ``argmin``/``argmax``: the name of least
+    or greatest value, ties going to the least name. Any other rule is a threshold:
+    each name whose value is ``<=`` the bound (``>=`` for another ``op``), in order."""
+    if rule in ("argmin", "argmax"):
+        sign = 1.0 if rule == "argmin" else -1.0
+        return [min(scored, key=lambda s: (sign * s[1], s[0]))[0]]
+    return [name for name, value in scored if (value <= bound if op == "<=" else value >= bound)]
+
+
 # --- supervision -------------------------------------------------------------
 
 

@@ -23,10 +23,18 @@ from .domain import (
     ToolStep,
     answer_equal,
     haversine,
+    select_entities,
 )
 from .store import GeoStore, SqlExecutionError, city_slug, extract_coordinates
 from .templates import PLACEHOLDER_RE, Template, derived_value, slot_type_for
-from .tools import CacheMiss, InvalidParams, ToolCache, ToolRequest, split_step_params
+from .tools import (
+    CacheMiss,
+    InvalidParams,
+    ToolCache,
+    ToolRequest,
+    coordinate_key,
+    split_step_params,
+)
 
 WALKING_PLAUSIBILITY_M = 10_000.0
 CYCLING_PLAUSIBILITY_M = 20_000.0
@@ -233,12 +241,12 @@ def derive_answer(
     """Apply an answer rule over recorded traces.
 
     ``scalar_of`` resolves scalar placeholders like ``{X}``; ``label_of``
-    resolves label placeholders for the tool step they annotate. Ties in
-    argmin/argmax break lexicographically by label.
+    resolves label placeholders for the tool step they annotate. The argmin,
+    argmax and threshold kinds select through :func:`domain.select_entities`.
     """
     kind = rule["kind"]
 
-    def _col(step: SqlStep, column: str) -> int:
+    def _col(step: SqlStep | ToolStep, column: str) -> int:
         try:
             return step.expected_columns.index(column)
         except ValueError:
@@ -250,39 +258,34 @@ def derive_answer(
             raise AnswerUnderivable("empty_tool_result")
         return float(rows[0][-1])
 
-    if kind == "sql_cell":
+    if kind in ("sql_cell", "sql_list", "sql_argmin", "sql_argmax"):
         step = sql_steps[rule["step"]]
         if not step.expected_rows:
             raise AnswerUnderivable("empty_result")
-        value = step.expected_rows[0][_col(step, rule["column"])]
-        if rule.get("answer") == "text":
-            return CanonicalAnswer.from_text(str(value))
-        return CanonicalAnswer.number(float(value), rule.get("unit", ""))
-    if kind == "sql_list":
-        step = sql_steps[rule["step"]]
-        if not step.expected_rows:
-            raise AnswerUnderivable("empty_result")
-        col = _col(step, rule["column"])
-        return CanonicalAnswer.entity_set(str(r[col]) for r in step.expected_rows)
-    if kind in ("sql_argmin", "sql_argmax"):
-        step = sql_steps[rule["step"]]
-        if not step.expected_rows:
-            raise AnswerUnderivable("empty_result")
+        if kind == "sql_cell":
+            value = step.expected_rows[0][_col(step, rule["column"])]
+            if rule.get("answer") == "text":
+                return CanonicalAnswer.from_text(str(value))
+            return CanonicalAnswer.number(float(value), rule.get("unit", ""))
+        if kind == "sql_list":
+            col = _col(step, rule["column"])
+            return CanonicalAnswer.entity_set(str(r[col]) for r in step.expected_rows)
         ncol = _col(step, rule["name_column"])
         vcol = _col(step, rule["value_column"])
-        sign = 1.0 if kind == "sql_argmin" else -1.0
-        winner = min(step.expected_rows, key=lambda r: (sign * float(r[vcol]), str(r[ncol])))
-        return CanonicalAnswer.entity_set([str(winner[ncol])])
+        scored = [(str(r[ncol]), float(r[vcol])) for r in step.expected_rows]
+        return CanonicalAnswer.entity_set(select_entities(kind.removeprefix("sql_"), scored))
     if kind == "tool_value":
         value = tool_scalar(rule["step"])
         if rule.get("answer") == "distance":
             return CanonicalAnswer.distance(value)
         return CanonicalAnswer.duration(value)
-    if kind == "tool_list":
+    if kind in ("tool_list", "tool_count"):
         step = tool_steps[rule["step"]]
         if not step.expected_rows:
             raise AnswerUnderivable("empty_tool_result")
-        col = step.expected_columns.index(rule["column"])
+        if kind == "tool_count":
+            return CanonicalAnswer.number(len(step.expected_rows), "count")
+        col = _col(step, rule["column"])
         names = [str(r[col]) for r in step.expected_rows]
         limit = rule.get("limit")
         if limit is not None:
@@ -291,30 +294,18 @@ def derive_answer(
                 raise AnswerUnderivable("insufficient_results")
             names = names[:limit_n]
         return CanonicalAnswer.entity_set(names)
-    if kind == "tool_count":
-        step = tool_steps[rule["step"]]
-        if not step.expected_rows:
-            raise AnswerUnderivable("empty_tool_result")
-        return CanonicalAnswer.number(len(step.expected_rows), "count")
-    if kind in ("tool_argmin", "tool_argmax"):
-        sign = 1.0 if kind == "tool_argmin" else -1.0
-        scored = [
-            (sign * tool_scalar(i), label_of(label, i))
-            for label, i in zip(rule["labels"], rule["steps"])
-        ]
-        return CanonicalAnswer.entity_set([min(scored)[1]])
-    if kind == "tool_threshold":
-        bound = rule["value"]
-        bound_v = float(scalar_of(bound)) if isinstance(bound, str) else float(bound)
-        keep = []
+    if kind in ("tool_argmin", "tool_argmax", "tool_threshold"):
+        bound = rule.get("value")
+        if kind == "tool_threshold":
+            bound = float(scalar_of(bound)) if isinstance(bound, str) else float(bound)
+        scored = []
         for label, i in zip(rule["labels"], rule["steps"]):
-            value = tool_scalar(i)
-            ok = value <= bound_v if rule.get("op", "<=") == "<=" else value >= bound_v
-            if ok:
-                keep.append(label_of(label, i))
-        if not keep:
+            value = tool_scalar(i)  # before the label, so an empty result is named first
+            scored.append((label_of(label, i), value))
+        names = select_entities(kind.removeprefix("tool_"), scored, rule.get("op", "<="), bound)
+        if not names:
             raise AnswerUnderivable("empty_result", "no entity passes the threshold")
-        return CanonicalAnswer.entity_set(keep)
+        return CanonicalAnswer.entity_set(names)
     raise AnswerUnderivable("rule_error", f"unknown rule kind {kind}")
 
 
@@ -345,14 +336,14 @@ def trace_resolvers(
     coord_names: dict[tuple[float, float], str] = {}
     for step in sql_steps:
         for name, point in extract_coordinates(step.expected_columns, step.expected_rows).items():
-            coord_names[(round(point.latitude, 6), round(point.longitude, 6))] = name
+            coord_names[coordinate_key(point.latitude, point.longitude)] = name
 
     def label_of(label: str, step_index: int) -> str:
         if not PLACEHOLDER_RE.fullmatch(label):
             return label
         params = dict(tool_steps[step_index].params)
         lat, lon = template.coordinate_params(step_index, label)
-        key = (round(float(params[lat]), 6), round(float(params[lon]), 6))
+        key = coordinate_key(params[lat], params[lon])
         if key not in coord_names:
             raise AnswerUnderivable("rule_error", f"no entity at {label} {key}")
         return coord_names[key]

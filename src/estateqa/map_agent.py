@@ -23,10 +23,10 @@ from functools import partial
 from typing import Any, Iterable, Mapping
 
 from .backends import BackendError, build_task_message, reprompt_once
-from .domain import TOOL_FUNCTIONS, Cell, GeoPoint
+from .domain import TOOL_FUNCTIONS, Cell, GeoPoint, select_entities
 from .prompts import load_prompt
 from .supervisor import AgentResult, AgentTask, Send
-from .tools import InvalidParams, CacheMiss, ToolCache, ToolRequest
+from .tools import InvalidParams, CacheMiss, ToolCache, ToolRequest, coordinate_key
 
 DEFAULT_ATTEMPT_CAP = 3
 
@@ -156,7 +156,7 @@ class MapAgent:
         if origins_differ and "origin_lat" in params:
             target = (params["origin_lat"], params["origin_lon"])
             for name, point in coordinates.items():
-                if (round(point.latitude, 6), round(point.longitude, 6)) == target:
+                if coordinate_key(point.latitude, point.longitude) == target:
                     return name
         mode = str(params.get(TOOL_FUNCTIONS[request.function].enum, ""))
         return _MODE_DISPLAY.get(mode, mode) or decision.function
@@ -244,37 +244,22 @@ class MapAgent:
         last_columns: tuple[str, ...],
         last_rows: tuple[tuple[Any, ...], ...],
     ) -> AgentResult:
-        if rule.kind in ("argmin", "argmax"):
-            if not scalars:
-                return AgentResult(
-                    status="error",
-                    evidence=evidence,
-                    error_report="nothing to compare: no scalar tool results",
-                )
-            sign = 1.0 if rule.kind == "argmin" else -1.0
-            winner = min(scalars, key=lambda s: (sign * float(s[2]), s[0]))[0]
-            evidence.append({"type": "entities", "names": [winner]})
+        if rule.kind in ("argmin", "argmax", "threshold_filter"):
+            if rule.kind == "threshold_filter" and rule.value is None:
+                error = "threshold missing a bound"
+            elif not scalars and rule.kind != "threshold_filter":
+                error = "nothing to compare: no scalar tool results"
+            else:
+                scored = [(label, float(cell)) for label, _, cell in scalars]
+                names = select_entities(rule.kind, scored, rule.op, rule.value)
+                error = "" if names else "no entity passes the threshold"
+            if error:
+                return AgentResult(status="error", evidence=evidence, error_report=error)
+            evidence.append({"type": "entities", "names": names})
         elif rule.kind == "count":
             evidence.append(
                 {"type": "value", "kind": "number", "value": len(last_rows), "unit": "count"}
             )
-        elif rule.kind == "threshold_filter":
-            if rule.value is None:
-                return AgentResult(
-                    status="error", evidence=evidence, error_report="threshold missing a bound"
-                )
-            keep = [
-                label
-                for label, _, cell in scalars
-                if (float(cell) <= rule.value if rule.op == "<=" else float(cell) >= rule.value)
-            ]
-            if not keep:
-                return AgentResult(
-                    status="error",
-                    evidence=evidence,
-                    error_report="no entity passes the threshold",
-                )
-            evidence.append({"type": "entities", "names": keep})
         else:  # passthrough
             evidence.extend(
                 {"type": "value", "kind": kind, "value": cell} for _, kind, cell in scalars

@@ -39,18 +39,19 @@ SLOT_TYPES = {
     "property_type": "property_type",
 }
 
-ANSWER_RULE_KINDS = (
-    "sql_cell",
-    "sql_list",
-    "sql_argmin",
-    "sql_argmax",
-    "tool_value",
-    "tool_list",
-    "tool_count",
-    "tool_argmin",
-    "tool_argmax",
-    "tool_threshold",
-)
+# answer rule kind -> the keys generator.derive_answer reads; steps index its sql_/tool_ patterns
+ANSWER_RULE_KEYS = {
+    "sql_cell": ("step", "column"),
+    "sql_list": ("step", "column"),
+    "sql_argmin": ("step", "name_column", "value_column"),
+    "sql_argmax": ("step", "name_column", "value_column"),
+    "tool_value": ("step",),
+    "tool_list": ("step", "column"),
+    "tool_count": ("step",),
+    "tool_argmin": ("steps", "labels"),
+    "tool_argmax": ("steps", "labels"),
+    "tool_threshold": ("steps", "labels", "value"),
+}
 
 BINDING_KINDS = ("community", "poi", "poi_label", "district", "int_range", "choice")
 
@@ -112,10 +113,31 @@ class Template:
             raise DomainError(f"{self.template_id}: type 2/3 templates need tool steps")
         if not self.sql_patterns:
             raise DomainError(f"{self.template_id}: at least one SQL pattern required")
-        if self.answer_rule.get("kind") not in ANSWER_RULE_KINDS:
+        # the rule carries every key its kind reads, and its steps index its own patterns
+        rule, kind = self.answer_rule, self.answer_rule.get("kind")
+        if kind not in ANSWER_RULE_KEYS:
+            raise DomainError(f"{self.template_id}: unknown answer rule {kind!r}")
+        keys = ANSWER_RULE_KEYS[kind]
+        patterns = self.sql_patterns if kind.startswith("sql_") else self.tool_patterns
+        steps = rule.get("steps", ()) if "steps" in keys else [rule.get("step")]
+        if (
+            any(key not in rule for key in keys)
+            or not steps
+            or any(type(step) is not int or not 0 <= step < len(patterns) for step in steps)
+            or ("labels" in keys and len(rule["labels"]) != len(steps))
+        ):
             raise DomainError(
-                f"{self.template_id}: unknown answer rule {self.answer_rule.get('kind')!r}"
+                f"{self.template_id}: answer rule {kind} needs {', '.join(keys)}, each step"
+                f" one of its {len(patterns)} {kind.partition('_')[0]} patterns"
+                + (", and one label per step" if "labels" in keys else "")
             )
+        if "labels" in keys:
+            # a tool rule labels each step by the entity at that placeholder's coordinates
+            for label, step in zip(rule["labels"], steps):
+                if PLACEHOLDER_RE.fullmatch(label) and self.coordinate_params(step, label) is None:
+                    raise DomainError(
+                        f"{self.template_id}: label {label} is not a coordinate of tool step {step}"
+                    )
         placeholders = PLACEHOLDER_RE.findall(self.question_pattern)
         for name in placeholders:
             if name not in self.bindings and name not in ("city",):
@@ -158,20 +180,10 @@ class Template:
                     f"{self.template_id}: answer_rule {key} {ref.group()} is not read from"
                     " exactly one question slot"
                 )
-        # a tool rule labels each step by the entity at that placeholder's coordinates
-        if self.answer_rule["kind"] in ("tool_argmin", "tool_argmax", "tool_threshold"):
-            steps = self.answer_rule.get("steps", ())
-            for label, step in zip(self.answer_rule.get("labels", ()), steps):
-                if PLACEHOLDER_RE.fullmatch(label) and self.coordinate_params(step, label) is None:
-                    raise DomainError(
-                        f"{self.template_id}: label {label} is not a coordinate of tool step {step}"
-                    )
 
     def coordinate_params(self, step: int, placeholder: str) -> tuple[str, str] | None:
         """The (latitude, longitude) param names through which tool step ``step``
         takes the SQL coordinates of ``placeholder`` (``"{name}"``), if it does."""
-        if not 0 <= step < len(self.tool_patterns):
-            return None
         params = self.tool_patterns[step]["params"]
         lat, lon = (
             next((k for k, v in params.items() if v == f"@{axis}:{placeholder}"), None)
@@ -215,26 +227,14 @@ def load_template_dir(path: str | Path) -> list[Template]:
 
 # --- shipped default set ------------------------------------------------------
 
-def _coords_sql(*selects: str) -> str:
-    return " UNION ALL ".join(selects)
-
-
-def _community_coords(placeholder: str) -> str:
-    return (
-        "SELECT name, latitude, longitude FROM community_{city_slug}"
-        f" WHERE name = '{{{placeholder}}}'"
+def _coords_sql(*placeholders: str) -> str:
+    """The coordinates of each placeholder's entity, in order: a POI for
+    ``poi_name``, a community otherwise."""
+    return " UNION ALL ".join(
+        f"SELECT name, latitude, longitude FROM {'poi' if p == 'poi_name' else 'community'}"
+        f"_{{city_slug}} WHERE name = '{{{p}}}'"
+        for p in placeholders
     )
-
-
-def _poi_coords(placeholder: str = "poi_name") -> str:
-    return (
-        "SELECT name, latitude, longitude FROM poi_{city_slug}"
-        f" WHERE name = '{{{placeholder}}}'"
-    )
-
-
-def _pair_coords(a: str, b: str) -> str:
-    return _coords_sql(_community_coords(a), _poi_coords(b) if b == "poi_name" else _community_coords(b))
 
 
 def _route_params(origin: str, dest: str, **extra: Any) -> dict[str, Any]:
@@ -262,7 +262,7 @@ def _routes_to_poi(n: int, function: str, mode: str, **extra: Any) -> dict[str, 
             **{c: {"kind": "community"} for c in _communities(n)},
             **extra,
         },
-        "sql_patterns": [_coords_sql(*map(_community_coords, _communities(n)), _poi_coords())],
+        "sql_patterns": [_coords_sql(*_communities(n), "poi_name")],
         "tool_patterns": [
             {"function": function, "params": _route_params(c, "poi_name", mode=mode)}
             for c in _communities(n)
@@ -275,7 +275,7 @@ def _pois_around_community() -> dict[str, Any]:
     ``{radius_km}`` km of ``{community_name}``."""
     return {
         "derived": {"radius_m": {"from": "radius_km", "op": "mul", "factor": 1000}},
-        "sql_patterns": [_community_coords("community_name")],
+        "sql_patterns": [_coords_sql("community_name")],
         "tool_patterns": [
             {
                 "function": "surrounding_pois_query",
@@ -418,7 +418,7 @@ DEFAULT_TEMPLATE_DICTS: list[dict[str, Any]] = [
         "intents": ["walk_time"],
         "question_pattern": "How long does it take to walk from {community_name} to {poi_name} in {city}?",
         "bindings": {"community_name": {"kind": "community"}, "poi_name": {"kind": "poi"}},
-        "sql_patterns": [_pair_coords("community_name", "poi_name")],
+        "sql_patterns": [_coords_sql("community_name", "poi_name")],
         "tool_patterns": [
             {
                 "function": "time_query",
@@ -436,7 +436,7 @@ DEFAULT_TEMPLATE_DICTS: list[dict[str, Any]] = [
             "community_name": {"kind": "community"},
             "community_name_2": {"kind": "community"},
         },
-        "sql_patterns": [_pair_coords("community_name", "community_name_2")],
+        "sql_patterns": [_coords_sql("community_name", "community_name_2")],
         "tool_patterns": [
             {
                 "function": "time_query",
@@ -454,7 +454,7 @@ DEFAULT_TEMPLATE_DICTS: list[dict[str, Any]] = [
             "community_name": {"kind": "community"},
             "community_name_2": {"kind": "community"},
         },
-        "sql_patterns": [_pair_coords("community_name", "community_name_2")],
+        "sql_patterns": [_coords_sql("community_name", "community_name_2")],
         "tool_patterns": [
             {
                 "function": "distance_query",
@@ -469,7 +469,7 @@ DEFAULT_TEMPLATE_DICTS: list[dict[str, Any]] = [
         "intents": ["straight_distance"],
         "question_pattern": "What is the straight-line distance between {community_name} and {poi_name} in {city}?",
         "bindings": {"community_name": {"kind": "community"}, "poi_name": {"kind": "poi"}},
-        "sql_patterns": [_pair_coords("community_name", "poi_name")],
+        "sql_patterns": [_coords_sql("community_name", "poi_name")],
         "tool_patterns": [
             {
                 "function": "distance_query",
@@ -484,7 +484,7 @@ DEFAULT_TEMPLATE_DICTS: list[dict[str, Any]] = [
         "intents": ["rush_hour_time"],
         "question_pattern": "How long does it take to drive from {community_name} to {poi_name} in {city} during the morning rush hour?",
         "bindings": {"community_name": {"kind": "community"}, "poi_name": {"kind": "poi"}},
-        "sql_patterns": [_pair_coords("community_name", "poi_name")],
+        "sql_patterns": [_coords_sql("community_name", "poi_name")],
         "tool_patterns": [
             {
                 "function": "rush_hour_query",
@@ -579,7 +579,7 @@ DEFAULT_TEMPLATE_DICTS: list[dict[str, Any]] = [
         "intents": ["mode_comparison"],
         "question_pattern": "To get from {community_name} to {poi_name} in {city}, which is faster: walking or public transit?",
         "bindings": {"community_name": {"kind": "community"}, "poi_name": {"kind": "poi"}},
-        "sql_patterns": [_pair_coords("community_name", "poi_name")],
+        "sql_patterns": [_coords_sql("community_name", "poi_name")],
         "tool_patterns": [
             {"function": "time_query", "params": _route_params("community_name", "poi_name", mode="walking")},
             {"function": "time_query", "params": _route_params("community_name", "poi_name", mode="transit")},

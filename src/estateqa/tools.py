@@ -66,6 +66,11 @@ def _norm_coord(value: Any, name: str) -> float:
         raise InvalidParams(f"{name} must be numeric, got {value!r}") from None
 
 
+def coordinate_key(latitude: Any, longitude: Any) -> tuple[float, float]:
+    """A point as tool params hold it, so SQL rows and tool steps match on it."""
+    return _norm_coord(latitude, "latitude"), _norm_coord(longitude, "longitude")
+
+
 def normalize_params(function: str, params: dict[str, Any]) -> dict[str, Any]:
     """Validate and canonicalize params by the function's entry in
     ``domain.TOOL_FUNCTIONS``: coordinates rounded to 6 decimals, the

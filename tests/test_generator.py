@@ -4,6 +4,7 @@ plausibility, splitting, and re-validation."""
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import random
 import re
@@ -33,7 +34,14 @@ from estateqa.generator import (
     stratified_split,
 )
 from estateqa.store import StoreConfig
-from estateqa.templates import DEFAULT_TEMPLATE_DICTS, Template, _route_params, default_templates
+from estateqa.templates import (
+    DEFAULT_TEMPLATE_DICTS,
+    Template,
+    TemplateError,
+    _route_params,
+    default_templates,
+    load_template_dir,
+)
 from estateqa.tools import SyntheticProvider, ToolCache
 
 from test_store import COMMUNITY_HEADER, POI_HEADER, _community_row, _write_rows, ingest
@@ -190,6 +198,35 @@ def test_custom_template_instances_revalidate(desk_store, name):
 def test_template_rejects_unresolvable_derivations(template_id, change):
     with pytest.raises(DomainError):
         decode(Template, {**template_doc(template_id), **change})
+
+
+def _answer_rule(template_id: str, **change) -> dict:
+    """The shipped answer rule of ``template_id``, with keys changed (None drops one)."""
+    rule = {**template_doc(template_id)["answer_rule"], **change}
+    return {key: value for key, value in rule.items() if value is not None}
+
+
+@pytest.mark.parametrize(
+    "template_id, rule, problem",
+    [
+        ("t3_least_drive", _answer_rule("t3_least_drive", labels=["{community_name}",
+                                                                   "{community_name_2}"]),
+         "one label per step"),
+        ("t3_reach_within", _answer_rule("t3_reach_within", value=None), "needs steps, labels, value"),
+        ("t1_avg_price", _answer_rule("t1_avg_price", step=1), "each step one of its 1 sql patterns"),
+        ("t2_walk_time", _answer_rule("t2_walk_time", step=1), "each step one of its 1 tool patterns"),
+        ("t3_closest_walk", _answer_rule("t3_closest_walk", steps=[], labels=[]), "needs steps"),
+    ],
+    ids=["label_dropped", "value_missing", "sql_step_out_of_range", "tool_step_out_of_range",
+         "no_steps"],
+)
+def test_template_with_an_incomplete_answer_rule_is_refused(tmp_path, template_id, rule, problem):
+    # before the check, zip dropped the third step of label_dropped from the argmin
+    doc = {**template_doc(template_id), "answer_rule": rule}
+    (tmp_path / "t.json").write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(TemplateError, match=re.escape(problem)) as caught:
+        load_template_dir(tmp_path)
+    assert str(caught.value).startswith(f"{tmp_path / 't.json'}: DomainError: {template_id}:")
 
 
 def test_rule_that_cannot_derive_is_a_rejection(desk_store):

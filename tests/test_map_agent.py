@@ -6,8 +6,9 @@ from __future__ import annotations
 import pytest
 
 from doubles import ScriptedBackend, send_to
-from estateqa.domain import TOOL_FUNCTIONS, GeoPoint
+from estateqa.domain import TOOL_FUNCTIONS, GeoPoint, ToolStep
 from estateqa.evaluator import make_oracle_backend
+from estateqa.generator import derive_answer
 from estateqa.map_agent import (
     _NAME_PARAM_PREFIXES,
     MapAgent,
@@ -168,12 +169,29 @@ def test_argmin_picks_smallest_of_three():
     assert entities["names"] == ["Gamma"]
 
 
+def _gold_names(result, labels, kind, **rule):
+    """The names `derive_answer` picks under a ``kind`` rule from the rows of
+    the tool calls in ``result``, one label per call."""
+    calls = [p for p in result.evidence if p["type"] == "tool_call"]
+    steps = tuple(
+        ToolStep(c["function"], c["params"], tuple(c["columns"]), tuple(map(tuple, c["rows"])))
+        for c in calls
+    )
+    rule = {"kind": kind, "steps": list(range(len(steps))), "labels": labels, **rule}
+    return list(derive_answer(rule, (), steps, lambda ref: ref, lambda label, _: label).entities)
+
+
 def test_argmin_tie_breaks_by_name():
     durations = {(1.0, "driving"): 500, (2.0, "driving"): 500}
     agent = _agent(durations)
     decisions = [_decision(1.0, label="Zulu"), _decision(2.0, label="Alpha")]
     result = agent.invoke_and_synthesize(decisions, SynthesisRule(kind="argmin"))
     assert next(p for p in result.evidence if p["type"] == "entities")["names"] == ["Alpha"]
+    # the gold rules break the tie the same way, for argmax too
+    for kind in ("argmin", "argmax"):
+        result = agent.invoke_and_synthesize(decisions, SynthesisRule(kind=kind))
+        names = next(p for p in result.evidence if p["type"] == "entities")["names"]
+        assert names == _gold_names(result, ["Zulu", "Alpha"], f"tool_{kind}") == ["Alpha"]
 
 
 def test_argmin_permutation_invariant():
@@ -204,10 +222,14 @@ def test_threshold_filter():
     durations = {(1.0, "driving"): 500, (2.0, "driving"): 1500}
     agent = _agent(durations)
     decisions = [_decision(1.0, label="Near"), _decision(2.0, label="Far")]
-    result = agent.invoke_and_synthesize(
-        decisions, SynthesisRule(kind="threshold_filter", op="<=", value=900)
-    )
-    assert next(p for p in result.evidence if p["type"] == "entities")["names"] == ["Near"]
+    # a value equal to the bound passes; the gold threshold keeps the same names
+    for op, bound, kept in (("<=", 900, ["Near"]), (">=", 1500, ["Far"]), ("<=", 500, ["Near"])):
+        result = agent.invoke_and_synthesize(
+            decisions, SynthesisRule(kind="threshold_filter", op=op, value=bound)
+        )
+        names = next(p for p in result.evidence if p["type"] == "entities")["names"]
+        gold = _gold_names(result, ["Near", "Far"], "tool_threshold", op=op, value=bound)
+        assert names == gold == kept, (op, bound)
 
 
 def test_threshold_nobody_passes_is_error():

@@ -9,7 +9,6 @@ import math
 import os
 import random
 import re
-import shutil
 import sqlite3
 import subprocess
 import sys
@@ -855,110 +854,12 @@ def test_store_reopen_round_trip(tmp_path, desk_config, desk_fixture_dir):
     reopened.close()
 
 
-def test_store_without_lookup_indexes_returns_the_same_rows(
-    tmp_path, desk_store_file, desk_config, desk_instances
-):
-    # a store.db built before the lookup indexes existed carries none
-    path = tmp_path / "store.db"
-    shutil.copyfile(desk_store_file, path)
-    with closing(sqlite3.connect(path)) as conn:
-        created = [
-            name
-            for (name,) in conn.execute(
-                "SELECT name FROM sqlite_master WHERE type = 'index' AND sql IS NOT NULL"
-            )
-        ]
-        for name in created:
-            conn.execute(f"DROP INDEX {name}")
-        conn.commit()
-    assert len(created) == len(INDEXED_COLUMNS) * len(ENTITY_SCHEMA) * len(desk_config.cities)
-
-    store = GeoStore.open(path)
-    _assert_gold_sql_returns_recorded_rows(store, desk_instances)
-    # counting the pairs writes nothing, so no index comes back
-    assert store.build_proximity_pairs() == _desk_pair_counts(desk_store_file)
-    store.close()
-    for city in desk_config.cities:
-        for family in FAMILIES:
-            assert _lookup_indexes(path, store.table_id(family, city)) == []
-
-
-def test_store_with_a_latitude_only_index_returns_the_same_rows(
-    tmp_path, desk_store_file, desk_config, desk_instances
-):
-    # a store.db built before the latitude index covered the pair views
-    path = tmp_path / "store.db"
-    shutil.copyfile(desk_store_file, path)
-    with closing(sqlite3.connect(path)) as conn:
-        for city in desk_config.cities:
-            for family in ENTITY_SCHEMA:
-                table = f"{family}_{city_slug(city)}"
-                conn.execute(f"DROP INDEX idx_{table}_latitude")
-                conn.execute(f"CREATE INDEX idx_{table}_latitude ON {table} (latitude)")
-        conn.commit()
-
-    store = GeoStore.open(path)
-    _assert_gold_sql_returns_recorded_rows(store, desk_instances)
-    assert store.build_proximity_pairs() == _desk_pair_counts(desk_store_file)
-    store.close()
-    for city in desk_config.cities:
-        for family in ENTITY_SCHEMA:
-            assert _lookup_indexes(path, store.table_id(family, city)) == [["latitude"], ["name"]]
-
-
-def _assert_gold_sql_returns_recorded_rows(store, instances):
-    for inst in instances:
-        for step in inst.sql_trace:
-            columns, rows = store.execute_sql(step.statement)
-            assert (columns, tuple(rows)) == (step.expected_columns, step.expected_rows)
-
-
 def _desk_pair_counts(path):
     store = GeoStore.open(path)
     try:
         return store.build_proximity_pairs()
     finally:
         store.close()
-
-
-# How a store.db kept its pair families before they were views: tables with
-# these declared types, and an index on community_community.subject_name.
-_STORED_PAIR_TYPES = {
-    "poi_community": ("TEXT", "TEXT", "TEXT", "TEXT", "TEXT", "REAL"),
-    "community_community": ("TEXT", "TEXT", "TEXT", "TEXT", "REAL"),
-}
-
-
-def test_store_with_stored_pair_tables_returns_the_same_rows(
-    tmp_path, desk_store_file, desk_config, desk_instances
-):
-    path = tmp_path / "store.db"
-    shutil.copyfile(desk_store_file, path)
-    with closing(sqlite3.connect(path)) as conn:
-        for (name,) in conn.execute(
-            "SELECT name FROM sqlite_master WHERE type = 'index' AND name LIKE '%_latitude'"
-        ).fetchall():
-            conn.execute(f"DROP INDEX {name}")
-        for city in desk_config.cities:
-            for family, kinds in _STORED_PAIR_TYPES.items():
-                view = f"{family}_{city_slug(city)}"
-                columns = ", ".join(
-                    f"{name} {kind}" for name, kind in zip(FAMILY_COLUMNS[family], kinds)
-                )
-                conn.execute(f"CREATE TABLE stored ({columns})")
-                conn.execute(f"INSERT INTO stored SELECT * FROM {view}")
-                conn.execute(f"DROP VIEW {view}")
-                conn.execute(f"ALTER TABLE stored RENAME TO {view}")
-            table = f"community_community_{city_slug(city)}"
-            conn.execute(f"CREATE INDEX idx_{table}_subject_name ON {table} (subject_name)")
-        conn.commit()
-        assert not conn.execute("SELECT name FROM sqlite_master WHERE type = 'view'").fetchall()
-
-    store = GeoStore.open(path)
-    counts = store.build_proximity_pairs()
-    assert counts == _serial_pair_counts(store) == _desk_pair_counts(desk_store_file)
-    _assert_gold_sql_returns_recorded_rows(store, desk_instances)
-    store.close()
 
 
 def test_store_reads_do_not_go_through_the_agent_limits(monkeypatch, desk_store_file):
