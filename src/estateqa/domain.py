@@ -17,7 +17,7 @@ from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from types import NoneType, UnionType
-from typing import Any, Callable, Iterable, Iterator, TypeVar, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Iterable, Iterator, Sized, TypeVar, get_args, get_origin, get_type_hints
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -449,6 +449,25 @@ class ToolStep:
             raise DomainError(f"unknown tool function: {self.function}")
 
 
+def check_question_type(
+    where: str, question_type: int, sql_steps: Sized, tool_steps: Sized
+) -> None:
+    """What each question type carries, for templates and instances alike: at
+    least one SQL step, and tool steps for types 2 and 3 only. A violation
+    raises :class:`DomainError`, its message led by ``where``."""
+    if question_type not in QUESTION_TYPES:
+        problem = f"question_type must be 1, 2 or 3, not {question_type!r}"
+    elif question_type == 1 and tool_steps:
+        problem = "type 1 takes no tool steps"
+    elif question_type != 1 and not tool_steps:
+        problem = f"type {question_type} needs tool steps"
+    elif not sql_steps:
+        problem = "at least one SQL step is required"
+    else:
+        return
+    raise DomainError(f"{where}: {problem}")
+
+
 @dataclass(frozen=True)
 class QAInstance:
     id: str
@@ -465,14 +484,7 @@ class QAInstance:
     nl_answer: str
 
     def __post_init__(self) -> None:
-        if self.question_type not in QUESTION_TYPES:
-            raise DomainError(f"question_type must be 1, 2 or 3: {self.question_type}")
-        if self.question_type == 1 and self.tool_trace:
-            raise DomainError("type 1 instances must have an empty tool trace")
-        if self.question_type in (2, 3) and not self.tool_trace:
-            raise DomainError("type 2/3 instances need a non-empty tool trace")
-        if not self.sql_trace:
-            raise DomainError("sql_trace must be non-empty")
+        check_question_type(self.id, self.question_type, self.sql_trace, self.tool_trace)
         self.validate_slots()
 
     def validate_slots(self) -> None:

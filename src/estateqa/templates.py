@@ -22,7 +22,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any
 
-from .domain import DomainError, decode
+from .domain import DomainError, check_question_type, decode
 
 PLACEHOLDER_RE = re.compile(r"\{([a-z_A-Z][a-zA-Z0-9_]*)\}")
 
@@ -51,6 +51,14 @@ ANSWER_RULE_KEYS = {
     "tool_argmin": ("steps", "labels"),
     "tool_argmax": ("steps", "labels"),
     "tool_threshold": ("steps", "labels", "value"),
+}
+
+# answer rule kind -> key -> the values generator.derive_answer tells apart; an
+# absent key reads as the first
+ANSWER_RULE_CHOICES = {
+    "sql_cell": {"answer": ("number", "text")},
+    "tool_value": {"answer": ("duration", "distance")},
+    "tool_threshold": {"op": ("<=", ">=")},
 }
 
 BINDING_KINDS = ("community", "poi", "poi_label", "district", "int_range", "choice")
@@ -105,14 +113,9 @@ class Template:
     derived: dict[str, dict[str, Any]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.question_type not in (1, 2, 3):
-            raise DomainError(f"{self.template_id}: question_type must be 1, 2 or 3")
-        if self.question_type == 1 and self.tool_patterns:
-            raise DomainError(f"{self.template_id}: type 1 templates take no tool steps")
-        if self.question_type in (2, 3) and not self.tool_patterns:
-            raise DomainError(f"{self.template_id}: type 2/3 templates need tool steps")
-        if not self.sql_patterns:
-            raise DomainError(f"{self.template_id}: at least one SQL pattern required")
+        check_question_type(
+            self.template_id, self.question_type, self.sql_patterns, self.tool_patterns
+        )
         # the rule carries every key its kind reads, and its steps index its own patterns
         rule, kind = self.answer_rule, self.answer_rule.get("kind")
         if kind not in ANSWER_RULE_KEYS:
@@ -138,6 +141,12 @@ class Template:
                     raise DomainError(
                         f"{self.template_id}: label {label} is not a coordinate of tool step {step}"
                     )
+        for key, allowed in ANSWER_RULE_CHOICES.get(kind, {}).items():
+            if rule.get(key, allowed[0]) not in allowed:
+                raise DomainError(
+                    f"{self.template_id}: answer rule {kind} {key} must be one of"
+                    f" {', '.join(allowed)}, not {rule[key]!r}"
+                )
         placeholders = PLACEHOLDER_RE.findall(self.question_pattern)
         for name in placeholders:
             if name not in self.bindings and name not in ("city",):
@@ -149,9 +158,16 @@ class Template:
                 raise DomainError(
                     f"{self.template_id}: binding {name} has unknown kind {spec.get('kind')!r}"
                 )
-            if name == "X":
+            # generator.sample_bindings draws from these, so each must have a value to draw
+            if spec["kind"] == "choice" and not (
+                isinstance(spec.get("values"), list) and spec["values"]
+            ):
+                raise DomainError(f"{self.template_id}: choice {name} needs a non-empty values list")
+            if spec["kind"] == "int_range":
                 lo, hi = int(spec.get("min", 1)), int(spec.get("max", 3))
-                if lo < 1 or hi > 3:
+                if lo > hi:
+                    raise DomainError(f"{self.template_id}: int_range {name} needs min <= max")
+                if name == "X" and (lo < 1 or hi > 3):
                     raise DomainError(f"{self.template_id}: X must stay within 1..3")
         for name, spec in self.derived.items():
             source = spec.get("from")
@@ -253,6 +269,36 @@ def _communities(n: int) -> list[str]:
     return ["community_name", *(f"community_name_{i}" for i in range(2, n + 1))]
 
 
+def _community_column(column: str, **answer: Any) -> dict[str, Any]:
+    """Bindings, SQL pattern, empty tool patterns and ``sql_cell`` rule of one
+    column of ``{community_name}``; ``answer`` adds the rule's ``answer`` and ``unit``."""
+    return {
+        "bindings": {"community_name": {"kind": "community"}},
+        "sql_patterns": [
+            f"SELECT name, {column} FROM community_{{city_slug}} WHERE name = '{{community_name}}'"
+        ],
+        "tool_patterns": [],
+        "answer_rule": {"kind": "sql_cell", "step": 0, "column": column, **answer},
+    }
+
+
+def _routes(dest: str, function: str, *params: dict[str, Any]) -> dict[str, Any]:
+    """Bindings, SQL and tool patterns of routes from ``{community_name}`` to
+    ``dest`` (a POI for ``poi_name``, a community otherwise): one ``function``
+    step per ``params``, which each add the step's enumerated param."""
+    return {
+        "bindings": {
+            "community_name": {"kind": "community"},
+            dest: {"kind": "poi" if dest == "poi_name" else "community"},
+        },
+        "sql_patterns": [_coords_sql("community_name", dest)],
+        "tool_patterns": [
+            {"function": function, "params": _route_params("community_name", dest, **extra)}
+            for extra in params
+        ],
+    }
+
+
 def _routes_to_poi(n: int, function: str, mode: str, **extra: Any) -> dict[str, Any]:
     """Bindings, SQL and tool patterns of one route per community (``n`` of
     them) to the POI ``{poi_name}``; ``extra`` bindings are sampled last."""
@@ -297,48 +343,21 @@ DEFAULT_TEMPLATE_DICTS: list[dict[str, Any]] = [
         "question_type": 1,
         "intents": ["price_lookup"],
         "question_pattern": "What is the average price per square meter of {community_name} in {city}?",
-        "bindings": {"community_name": {"kind": "community"}},
-        "sql_patterns": [
-            "SELECT name, avg_price FROM community_{city_slug} WHERE name = '{community_name}'"
-        ],
-        "tool_patterns": [],
-        "answer_rule": {
-            "kind": "sql_cell",
-            "step": 0,
-            "column": "avg_price",
-            "answer": "number",
-            "unit": "yuan per square meter",
-        },
+        **_community_column("avg_price", answer="number", unit="yuan per square meter"),
     },
     {
         "template_id": "t1_greening",
         "question_type": 1,
         "intents": ["greening_lookup"],
         "question_pattern": "What is the greening rate of {community_name} in {city}?",
-        "bindings": {"community_name": {"kind": "community"}},
-        "sql_patterns": [
-            "SELECT name, greening_rate FROM community_{city_slug} WHERE name = '{community_name}'"
-        ],
-        "tool_patterns": [],
-        "answer_rule": {
-            "kind": "sql_cell",
-            "step": 0,
-            "column": "greening_rate",
-            "answer": "number",
-            "unit": "percent",
-        },
+        **_community_column("greening_rate", answer="number", unit="percent"),
     },
     {
         "template_id": "t1_status",
         "question_type": 1,
         "intents": ["sales_status_lookup"],
         "question_pattern": "What is the current sales status of {community_name} in {city}?",
-        "bindings": {"community_name": {"kind": "community"}},
-        "sql_patterns": [
-            "SELECT name, sales_status FROM community_{city_slug} WHERE name = '{community_name}'"
-        ],
-        "tool_patterns": [],
-        "answer_rule": {"kind": "sql_cell", "step": 0, "column": "sales_status", "answer": "text"},
+        **_community_column("sales_status", answer="text"),
     },
     {
         "template_id": "t1_district_list",
@@ -417,14 +436,7 @@ DEFAULT_TEMPLATE_DICTS: list[dict[str, Any]] = [
         "question_type": 2,
         "intents": ["walk_time"],
         "question_pattern": "How long does it take to walk from {community_name} to {poi_name} in {city}?",
-        "bindings": {"community_name": {"kind": "community"}, "poi_name": {"kind": "poi"}},
-        "sql_patterns": [_coords_sql("community_name", "poi_name")],
-        "tool_patterns": [
-            {
-                "function": "time_query",
-                "params": _route_params("community_name", "poi_name", mode="walking"),
-            }
-        ],
+        **_routes("poi_name", "time_query", {"mode": "walking"}),
         "answer_rule": {"kind": "tool_value", "step": 0, "answer": "duration"},
     },
     {
@@ -432,17 +444,7 @@ DEFAULT_TEMPLATE_DICTS: list[dict[str, Any]] = [
         "question_type": 2,
         "intents": ["cycle_time"],
         "question_pattern": "How long does it take to cycle from {community_name} to {community_name_2} in {city}?",
-        "bindings": {
-            "community_name": {"kind": "community"},
-            "community_name_2": {"kind": "community"},
-        },
-        "sql_patterns": [_coords_sql("community_name", "community_name_2")],
-        "tool_patterns": [
-            {
-                "function": "time_query",
-                "params": _route_params("community_name", "community_name_2", mode="cycling"),
-            }
-        ],
+        **_routes("community_name_2", "time_query", {"mode": "cycling"}),
         "answer_rule": {"kind": "tool_value", "step": 0, "answer": "duration"},
     },
     {
@@ -450,17 +452,7 @@ DEFAULT_TEMPLATE_DICTS: list[dict[str, Any]] = [
         "question_type": 2,
         "intents": ["drive_distance"],
         "question_pattern": "What is the driving distance from {community_name} to {community_name_2} in {city}?",
-        "bindings": {
-            "community_name": {"kind": "community"},
-            "community_name_2": {"kind": "community"},
-        },
-        "sql_patterns": [_coords_sql("community_name", "community_name_2")],
-        "tool_patterns": [
-            {
-                "function": "distance_query",
-                "params": _route_params("community_name", "community_name_2", kind="driving"),
-            }
-        ],
+        **_routes("community_name_2", "distance_query", {"kind": "driving"}),
         "answer_rule": {"kind": "tool_value", "step": 0, "answer": "distance"},
     },
     {
@@ -468,14 +460,7 @@ DEFAULT_TEMPLATE_DICTS: list[dict[str, Any]] = [
         "question_type": 2,
         "intents": ["straight_distance"],
         "question_pattern": "What is the straight-line distance between {community_name} and {poi_name} in {city}?",
-        "bindings": {"community_name": {"kind": "community"}, "poi_name": {"kind": "poi"}},
-        "sql_patterns": [_coords_sql("community_name", "poi_name")],
-        "tool_patterns": [
-            {
-                "function": "distance_query",
-                "params": _route_params("community_name", "poi_name", kind="straight"),
-            }
-        ],
+        **_routes("poi_name", "distance_query", {"kind": "straight"}),
         "answer_rule": {"kind": "tool_value", "step": 0, "answer": "distance"},
     },
     {
@@ -483,14 +468,7 @@ DEFAULT_TEMPLATE_DICTS: list[dict[str, Any]] = [
         "question_type": 2,
         "intents": ["rush_hour_time"],
         "question_pattern": "How long does it take to drive from {community_name} to {poi_name} in {city} during the morning rush hour?",
-        "bindings": {"community_name": {"kind": "community"}, "poi_name": {"kind": "poi"}},
-        "sql_patterns": [_coords_sql("community_name", "poi_name")],
-        "tool_patterns": [
-            {
-                "function": "rush_hour_query",
-                "params": _route_params("community_name", "poi_name", mode="driving"),
-            }
-        ],
+        **_routes("poi_name", "rush_hour_query", {"mode": "driving"}),
         "answer_rule": {"kind": "tool_value", "step": 0, "answer": "duration"},
     },
     {
@@ -578,12 +556,7 @@ DEFAULT_TEMPLATE_DICTS: list[dict[str, Any]] = [
         "question_type": 3,
         "intents": ["mode_comparison"],
         "question_pattern": "To get from {community_name} to {poi_name} in {city}, which is faster: walking or public transit?",
-        "bindings": {"community_name": {"kind": "community"}, "poi_name": {"kind": "poi"}},
-        "sql_patterns": [_coords_sql("community_name", "poi_name")],
-        "tool_patterns": [
-            {"function": "time_query", "params": _route_params("community_name", "poi_name", mode="walking")},
-            {"function": "time_query", "params": _route_params("community_name", "poi_name", mode="transit")},
-        ],
+        **_routes("poi_name", "time_query", {"mode": "walking"}, {"mode": "transit"}),
         "answer_rule": {
             "kind": "tool_argmin",
             "steps": [0, 1],

@@ -190,10 +190,18 @@ def test_custom_template_instances_revalidate(desk_store, name):
                                              "labels": ["{community_name_2}", "{community_name}"]}}),
         ("t3_closest_walk", {"answer_rule": {"kind": "tool_argmin", "steps": [0, 2],
                                              "labels": ["{community_name}", "{community_name_2}"]}}),
+        # bindings generator.sample_bindings cannot draw from
+        ("t2_nearby_pois", {"bindings": {**template_by_id("t2_nearby_pois").bindings,
+                                         "radius_km": {"kind": "choice", "values": []}}}),
+        ("t2_nearest_x", {"bindings": {**template_by_id("t2_nearest_x").bindings,
+                                       "X": {"kind": "int_range", "min": 3, "max": 1}}}),
+        ("t2_nearby_pois", {"bindings": {**template_by_id("t2_nearby_pois").bindings,
+                                         "radius_km": {"kind": "choice"}}}),
     ],
     ids=["unknown_op", "mul_without_factor", "from_no_binding", "value_neither_slot_nor_derived",
          "value_not_in_question", "value_slot_type_repeated", "mul_of_fractions",
-         "label_not_in_its_step", "label_step_out_of_range"],
+         "label_not_in_its_step", "label_step_out_of_range", "choice_of_no_values",
+         "int_range_min_above_max", "choice_without_values"],
 )
 def test_template_rejects_unresolvable_derivations(template_id, change):
     with pytest.raises(DomainError):
@@ -216,9 +224,15 @@ def _answer_rule(template_id: str, **change) -> dict:
         ("t1_avg_price", _answer_rule("t1_avg_price", step=1), "each step one of its 1 sql patterns"),
         ("t2_walk_time", _answer_rule("t2_walk_time", step=1), "each step one of its 1 tool patterns"),
         ("t3_closest_walk", _answer_rule("t3_closest_walk", steps=[], labels=[]), "needs steps"),
+        # values derive_answer would read as its default
+        ("t3_reach_within", _answer_rule("t3_reach_within", op="<"), "op must be one of <=, >="),
+        ("t2_drive_distance", _answer_rule("t2_drive_distance", answer="meters"),
+         "answer must be one of duration, distance"),
+        ("t1_avg_price", _answer_rule("t1_avg_price", answer="float"),
+         "answer must be one of number, text"),
     ],
     ids=["label_dropped", "value_missing", "sql_step_out_of_range", "tool_step_out_of_range",
-         "no_steps"],
+         "no_steps", "threshold_op_less", "tool_value_answer_meters", "sql_cell_answer_float"],
 )
 def test_template_with_an_incomplete_answer_rule_is_refused(tmp_path, template_id, rule, problem):
     # before the check, zip dropped the third step of label_dropped from the argmin
@@ -227,6 +241,19 @@ def test_template_with_an_incomplete_answer_rule_is_refused(tmp_path, template_i
     with pytest.raises(TemplateError, match=re.escape(problem)) as caught:
         load_template_dir(tmp_path)
     assert str(caught.value).startswith(f"{tmp_path / 't.json'}: DomainError: {template_id}:")
+
+
+def test_shipped_templates_load_as_a_template_directory(tmp_path):
+    # each shipped document written out as <template_id>.json reads back as the same template
+    for doc in DEFAULT_TEMPLATE_DICTS:
+        (tmp_path / f"{doc['template_id']}.json").write_text(json.dumps(doc), encoding="utf-8")
+    loaded = {t.template_id: t for t in load_template_dir(tmp_path)}
+    shipped = default_templates()
+    assert sorted(loaded) == sorted(t.template_id for t in shipped)
+    for template in shipped:
+        assert loaded[template.template_id] == template
+        # sample_bindings draws in binding order, so the order is part of the template
+        assert list(loaded[template.template_id].bindings) == list(template.bindings)
 
 
 def test_rule_that_cannot_derive_is_a_rejection(desk_store):
