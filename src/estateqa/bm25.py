@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 
 K1 = 1.2
 B = 0.75
@@ -36,12 +35,6 @@ def tokenize(text: str) -> list[str]:
             tokens.extend(run)
             tokens.extend(run[i : i + 2] for i in range(len(run) - 1))
     return tokens
-
-
-@dataclass(frozen=True)
-class ScoredCaption:
-    caption: str
-    score: float
 
 
 class Bm25Index:
@@ -75,11 +68,11 @@ class Bm25Index:
             total += self._idf[term] * f * (K1 + 1.0) / (f + norm)
         return total
 
-    def rank(self, query: str, k: int = 1) -> list[ScoredCaption]:
-        """Top-k captions by score; ties break by caption lexicographic order.
-        The query is tokenized once; a term no caption holds adds nothing to
-        any score, so it is dropped before scoring."""
+    def rank(self, query: str) -> tuple[int, float]:
+        """The index and score of the best caption; a tie goes to the least
+        caption text. The query is tokenized once; a term no caption holds
+        adds nothing to any score, so it is dropped before scoring."""
         terms = [t for t in tokenize(query) if t in self._idf]
-        scored = [ScoredCaption(c, self._score(terms, i)) for i, c in enumerate(self.captions)]
-        scored.sort(key=lambda s: (-s.score, s.caption))
-        return scored[: max(1, k)]
+        scores = [self._score(terms, i) for i in range(len(self.captions))]
+        best = min(range(len(scores)), key=lambda i: (-scores[i], self.captions[i]))
+        return best, scores[best]

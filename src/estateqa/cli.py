@@ -274,6 +274,8 @@ def _suite_inputs(opts: argparse.Namespace) -> tuple[tuple, Path]:
     :func:`run_suite` / :func:`run_ablation`, and the run directory. A
     non-empty directory is refused before any input is read, and the
     directory is made only once the rest of the set-up has succeeded."""
+    if (opts.slu == "fewshot") != bool(opts.fewshot_pool):
+        raise CliError("--slu fewshot and --fewshot-pool go together: give both or neither")
     run_dir = Path(opts.out)
     if run_dir.exists() and any(run_dir.iterdir()) and not opts.overwrite:
         raise CliError(f"run directory {run_dir} is not empty (use --overwrite)")

@@ -19,7 +19,7 @@ from .backends import BackendError, build_task_message, reprompt_once
 from .bm25 import Bm25Index
 from .prompts import load_prompt
 from .store import GeoStore, SqlExecutionError, TableCaption
-from .supervisor import AgentResult, AgentTask, Send
+from .supervisor import AgentTask, Exchange, Send
 
 _SQL_FENCE_RE = re.compile(r"```sql\s+(.*?)```", re.DOTALL | re.IGNORECASE)
 _SQL_NUDGE = (
@@ -36,8 +36,8 @@ def extract_sql(reply: str) -> str | None:
     return statement or None
 
 
-def execute_and_package(store: GeoStore, statement: str) -> AgentResult:
-    """Run a candidate statement and fold the outcome into an AgentResult.
+def execute_and_package(store: GeoStore, statement: str) -> Exchange:
+    """Run a candidate statement and fold the outcome into an Exchange.
 
     Success carries the SQL payload with its columns and rows; failure
     carries the engine message so the supervisor can replan.
@@ -49,9 +49,9 @@ def execute_and_package(store: GeoStore, statement: str) -> AgentResult:
         columns, rows = store.execute_sql(statement)
     except SqlExecutionError as exc:
         sql_payload.update(ok=False, error=str(exc))
-        return AgentResult(status="error", evidence=[sql_payload], error_report=str(exc))
+        return Exchange(status="error", evidence=[sql_payload], error_report=str(exc))
     sql_payload.update(ok=True, columns=list(columns), rows=[list(r) for r in rows])
-    return AgentResult(status="success", evidence=[sql_payload])
+    return Exchange(status="success", evidence=[sql_payload])
 
 
 class DbAgent:
@@ -60,9 +60,8 @@ class DbAgent:
         self.system_prompt = load_prompt("db_agent_system")
         self.caption_examples = load_prompt("db_fewshot_caption")
         self.sql_examples = load_prompt("db_fewshot_sql")
-        captions = store.list_captions()
-        self._by_text = {c.caption: c for c in captions}
-        self.index = Bm25Index([c.caption for c in captions])
+        self.captions = store.list_captions()
+        self.index = Bm25Index([c.caption for c in self.captions])
 
     # --- pipeline stages -----------------------------------------------------
 
@@ -84,8 +83,8 @@ class DbAgent:
 
     def retrieve_caption(self, summary: str) -> tuple[TableCaption, float]:
         """The best-scoring real caption for a hypothetical one, with its score."""
-        (best,) = self.index.rank(summary, k=1)
-        return self._by_text[best.caption], best.score
+        best, score = self.index.rank(summary)
+        return self.captions[best], score
 
     def generate_sql(self, task: AgentTask, caption: TableCaption, send: Send) -> str | None:
         content = self._prompt(
@@ -101,15 +100,15 @@ class DbAgent:
 
     # --- dispatch entry point ---------------------------------------------------
 
-    def handle(self, task: AgentTask, send: Send) -> AgentResult:
+    def handle(self, task: AgentTask, send: Send) -> Exchange:
         try:
             summary = self.caption_summary(task, send)
             caption, score = self.retrieve_caption(summary)
             statement = self.generate_sql(task, caption, send)
         except BackendError as exc:
-            return AgentResult(status="error", error_report=str(exc))
+            return Exchange(status="error", error_report=str(exc))
         if statement is None:
-            return AgentResult(
+            return Exchange(
                 status="error", error_report="no ```sql fenced block after reprompt"
             )
         result = execute_and_package(self.store, statement)

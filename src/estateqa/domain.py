@@ -317,8 +317,6 @@ class CanonicalAnswer:
     flag: bool = False
     text: str = ""
 
-    KINDS = tuple(ANSWER_KINDS)
-
     def __post_init__(self) -> None:
         if self.kind not in ANSWER_KINDS:
             raise DomainError(f"unknown answer kind: {self.kind}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -51,27 +52,19 @@ class SamplingExhausted(RuntimeError):
 
 
 @dataclass
-class Rejection:
-    template_id: str
-    reason: str
-    detail: str = ""
-
-
-@dataclass
 class GenerationReport:
     attempted: int = 0
     accepted: int = 0
-    rejected: list[Rejection] = field(default_factory=list)
+    # rejection counts by reason per template id, each in first-seen order
+    rejected: dict[str, Counter[str]] = field(default_factory=dict)
     # (attempted, accepted) per template id, in generation order
     per_template: dict[str, tuple[int, int]] = field(default_factory=dict)
 
     def rejected_by_reason(self, template_id: str | None = None) -> dict[str, int]:
         """Rejection counts by reason, over every template or over one."""
-        counts: dict[str, int] = {}
-        for r in self.rejected:
-            if template_id is None or r.template_id == template_id:
-                counts[r.reason] = counts.get(r.reason, 0) + 1
-        return counts
+        if template_id is not None:
+            return dict(self.rejected[template_id])
+        return dict(sum(self.rejected.values(), Counter()))
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -377,8 +370,8 @@ def instantiate(
     store: GeoStore,
     cache: ToolCache,
     instance_id: str,
-) -> QAInstance | Rejection:
-    """Build one fully-supervised instance, or explain why it was discarded."""
+) -> QAInstance | str:
+    """Build one fully-supervised instance, or name the reason it was discarded."""
     question, slots = fill_question(template, binding)
 
     sql_steps: list[SqlStep] = []
@@ -387,8 +380,8 @@ def instantiate(
         statement = fill_sql(pattern, binding)
         try:
             columns, rows = store.execute_sql(statement)
-        except SqlExecutionError as exc:
-            return Rejection(template.template_id, "sql_error", str(exc))
+        except SqlExecutionError:
+            return "sql_error"
         sql_steps.append(SqlStep(statement, columns, tuple(rows)))
         coord_map.update(extract_coordinates(columns, tuple(rows)))
 
@@ -398,12 +391,12 @@ def instantiate(
             params = fill_tool_params(pattern["params"], binding, coord_map)
             request = ToolRequest.build(pattern["function"], params, pattern.get("bucket"))
             payload = cache.execute(request)
-        except KeyError as exc:
-            return Rejection(template.template_id, "missing_coordinates", str(exc))
-        except InvalidParams as exc:
-            return Rejection(template.template_id, "invalid_tool_params", str(exc))
-        except CacheMiss as exc:
-            return Rejection(template.template_id, "unresolvable_tool", str(exc))
+        except KeyError:
+            return "missing_coordinates"
+        except InvalidParams:
+            return "invalid_tool_params"
+        except CacheMiss:
+            return "unresolvable_tool"
         tool_steps.append(
             ToolStep(request.function, request.step_params(), payload.columns, payload.rows)
         )
@@ -411,15 +404,15 @@ def instantiate(
     sql_trace, tool_trace = tuple(sql_steps), tuple(tool_steps)
     ok, reason = plausibility_check(tool_trace)
     if not ok:
-        return Rejection(template.template_id, reason)
+        return reason
 
     try:
         resolvers = trace_resolvers(slots, template, sql_trace, tool_trace)
         answer = derive_answer(template.answer_rule, sql_trace, tool_trace, *resolvers)
     except AnswerUnderivable as exc:
-        return Rejection(template.template_id, exc.reason, str(exc))
-    except RULE_ERRORS as exc:
-        return Rejection(template.template_id, "rule_error", f"{type(exc).__name__}: {exc}")
+        return exc.reason
+    except RULE_ERRORS:
+        return "rule_error"
 
     return QAInstance(
         id=instance_id,
@@ -454,6 +447,7 @@ def generate(
     seen_questions: set[str] = set()
     for template in templates:
         rng = random.Random(f"{seed}:{template.template_id}")
+        rejected = report.rejected.setdefault(template.template_id, Counter())
         accepted = 0
         attempts = 0
         while accepted < per_template and attempts < per_template * MAX_ATTEMPT_FACTOR:
@@ -461,21 +455,17 @@ def generate(
             report.attempted += 1
             try:
                 binding = sample_bindings(template, store, rng)
-            except SamplingExhausted as exc:
-                report.rejected.append(
-                    Rejection(template.template_id, "sampling_exhausted", str(exc))
-                )
+            except SamplingExhausted:
+                rejected["sampling_exhausted"] += 1
                 break
             question, _ = fill_question(template, binding)
             if question in seen_questions:
-                report.rejected.append(
-                    Rejection(template.template_id, "duplicate_question", question)
-                )
+                rejected["duplicate_question"] += 1
                 continue
             instance_id = f"{template.template_id}-{seed}-{attempts:05d}"
             result = instantiate(template, binding, store, cache, instance_id)
-            if isinstance(result, Rejection):
-                report.rejected.append(result)
+            if isinstance(result, str):
+                rejected[result] += 1
                 continue
             seen_questions.add(result.question)
             instances.append(result)

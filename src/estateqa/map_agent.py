@@ -25,7 +25,7 @@ from typing import Any, Iterable, Mapping
 from .backends import BackendError, build_task_message, reprompt_once
 from .domain import TOOL_FUNCTIONS, Cell, GeoPoint, select_entities
 from .prompts import load_prompt
-from .supervisor import AgentResult, AgentTask, Send
+from .supervisor import AgentTask, Exchange, Send
 from .tools import InvalidParams, CacheMiss, ToolCache, ToolRequest, coordinate_key
 
 DEFAULT_ATTEMPT_CAP = 3
@@ -168,14 +168,14 @@ class MapAgent:
         decisions: Iterable[ToolDecision],
         rule: SynthesisRule,
         coordinates: Mapping[str, GeoPoint] | None = None,
-    ) -> AgentResult:
+    ) -> Exchange:
         coordinates = coordinates or {}
         # each call with its params and its normalized request, or why it has none
         calls: list[tuple[ToolDecision, dict[str, Any], ToolRequest | InvalidParams]] = []
         for decision in decisions:
             params, missing = self._resolve_params(decision, coordinates)
             if missing is not None:
-                return AgentResult(
+                return Exchange(
                     status="unable",
                     error_report="geographical coordinates required for the task"
                     f" are missing for {missing!r}",
@@ -209,7 +209,7 @@ class MapAgent:
                 failures += 1
                 last_error = str(exc)
                 if failures >= DEFAULT_ATTEMPT_CAP:
-                    return AgentResult(
+                    return Exchange(
                         status="error",
                         evidence=evidence,
                         error_report=(
@@ -229,7 +229,7 @@ class MapAgent:
                 scalars.append((label, kind, result.rows[0][-1]))
 
         if failures and not scalars and not last_rows:
-            return AgentResult(
+            return Exchange(
                 status="error",
                 evidence=evidence,
                 error_report=f"all tool calls failed: {last_error}",
@@ -243,7 +243,7 @@ class MapAgent:
         scalars: list[tuple[str, str, Cell]],
         last_columns: tuple[str, ...],
         last_rows: tuple[tuple[Any, ...], ...],
-    ) -> AgentResult:
+    ) -> Exchange:
         if rule.kind in ("argmin", "argmax", "threshold_filter"):
             if rule.kind == "threshold_filter" and rule.value is None:
                 error = "threshold missing a bound"
@@ -254,7 +254,7 @@ class MapAgent:
                 names = select_entities(rule.kind, scored, rule.op, rule.value)
                 error = "" if names else "no entity passes the threshold"
             if error:
-                return AgentResult(status="error", evidence=evidence, error_report=error)
+                return Exchange(status="error", evidence=evidence, error_report=error)
             evidence.append({"type": "entities", "names": names})
         elif rule.kind == "count":
             evidence.append(
@@ -269,21 +269,21 @@ class MapAgent:
                 evidence.append(
                     {"type": "entities", "names": [str(r[name_idx]) for r in last_rows]}
                 )
-        return AgentResult(status="success", evidence=evidence)
+        return Exchange(status="success", evidence=evidence)
 
     # --- dispatch entry point ------------------------------------------------------------
 
-    def handle(self, task: AgentTask, send: Send) -> AgentResult:
+    def handle(self, task: AgentTask, send: Send) -> Exchange:
         try:
             decided = self.decide_tools(task, send)
         except BackendError as exc:
-            return AgentResult(status="error", error_report=str(exc))
+            return Exchange(status="error", error_report=str(exc))
         if decided is None:
-            return AgentResult(
+            return Exchange(
                 status="unable",
                 error_report="no parseable tool decisions for this sub-task",
             )
         decisions, rule, unable = decided
         if unable:
-            return AgentResult(status="unable", error_report=unable)
+            return Exchange(status="unable", error_report=unable)
         return self.invoke_and_synthesize(decisions, rule, task.coordinates)

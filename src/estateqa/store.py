@@ -184,8 +184,6 @@ class StoreConfig:
 class TableCaption:
     table_id: str
     caption: str
-    city: str
-    family: str
     columns: tuple[str, ...]
 
 
@@ -665,8 +663,6 @@ class GeoStore:
                     TableCaption(
                         table_id=self.table_id(family, city),
                         caption=_caption_text(family, city),
-                        city=city,
-                        family=family,
                         columns=FAMILY_COLUMNS[family],
                     )
                 )

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import re
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Any, Callable, Mapping, Protocol, Sequence
 
@@ -62,8 +62,13 @@ class AgentTask:
     coordinates: dict[str, GeoPoint] = field(default_factory=dict)
 
 
-@dataclass
-class AgentResult:
+@dataclass(kw_only=True)
+class Exchange:
+    """One dispatch and its outcome. A specialist returns it without the two
+    directive fields, which :meth:`Supervisor.run_episode` fills in."""
+
+    specialist: str = ""
+    description: str = ""
     status: str  # success | error | unable
     evidence: list[dict[str, Any]] = field(default_factory=list)
     error_report: str = ""
@@ -82,16 +87,7 @@ Send = Callable[[str, str, str], str]
 
 
 class Specialist(Protocol):
-    def handle(self, task: AgentTask, send: Send) -> AgentResult: ...
-
-
-@dataclass
-class Exchange:
-    specialist: str
-    description: str
-    status: str
-    evidence: list[dict[str, Any]]
-    error_report: str = ""
+    def handle(self, task: AgentTask, send: Send) -> Exchange: ...
 
 
 @dataclass
@@ -105,6 +101,11 @@ class EpisodeTranscript:
     failure: str = ""
     # the SLU prediction the episode started from; None when gold SLU was injected
     slu: SluPrediction | None = None
+
+    def __post_init__(self) -> None:
+        # run_episode fills both from the directive; a specialist's Exchange has neither
+        if not all(e.specialist and e.description for e in self.dispatches):
+            raise ValueError("every dispatch must name its specialist and description")
 
     @property
     def specialist_sequence(self) -> tuple[str, ...]:
@@ -242,7 +243,7 @@ class Supervisor:
             )
             specialist = self.specialists.get(directive.specialist)
             if specialist is None:
-                result = AgentResult(
+                result = Exchange(
                     status="unable",
                     error_report=f"no specialist named {directive.specialist!r}",
                 )
@@ -250,12 +251,10 @@ class Supervisor:
                 backend = self.injected.get(directive.specialist, self.backend)
                 result = specialist.handle(task, partial(self._send, transcript, backend))
             transcript.dispatches.append(
-                Exchange(
+                replace(
+                    result,
                     specialist=directive.specialist,
                     description=directive.description,
-                    status=result.status,
-                    evidence=list(result.evidence),
-                    error_report=result.error_report,
                 )
             )
 

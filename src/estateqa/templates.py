@@ -92,12 +92,14 @@ def derived_value(spec: dict[str, Any], base: Any) -> Any:
     return base
 
 
-def _whole_values(binding: dict[str, Any]) -> bool:
-    """Whether every value a binding samples is a whole number."""
+def _whole_bounds(binding: dict[str, Any]) -> tuple[int, int] | None:
+    """The least and greatest value a binding samples when each is a whole
+    number, else None."""
     kind = binding.get("kind")
     if kind == "int_range":
-        return True
-    return kind == "choice" and all(_whole_number(v) is not None for v in binding.get("values", ()))
+        return int(binding.get("min", 1)), int(binding.get("max", 3))
+    numbers = [_whole_number(v) for v in binding.get("values", ())] if kind == "choice" else []
+    return (min(numbers), max(numbers)) if numbers and None not in numbers else None
 
 
 @dataclass(frozen=True)
@@ -163,12 +165,11 @@ class Template:
                 isinstance(spec.get("values"), list) and spec["values"]
             ):
                 raise DomainError(f"{self.template_id}: choice {name} needs a non-empty values list")
-            if spec["kind"] == "int_range":
-                lo, hi = int(spec.get("min", 1)), int(spec.get("max", 3))
-                if lo > hi:
-                    raise DomainError(f"{self.template_id}: int_range {name} needs min <= max")
-                if name == "X" and (lo < 1 or hi > 3):
-                    raise DomainError(f"{self.template_id}: X must stay within 1..3")
+            bounds = _whole_bounds(spec)
+            if spec["kind"] == "int_range" and bounds[0] > bounds[1]:
+                raise DomainError(f"{self.template_id}: int_range {name} needs min <= max")
+            if name == "X" and (bounds is None or bounds[0] < 1 or bounds[1] > 3):
+                raise DomainError(f"{self.template_id}: X must stay within 1..3")
         for name, spec in self.derived.items():
             source = spec.get("from")
             if source not in self.bindings and source not in ("city", "city_slug"):
@@ -176,7 +177,7 @@ class Template:
             if "op" in spec and not (
                 spec["op"] == "mul"
                 and _whole_number(spec.get("factor")) is not None
-                and _whole_values(self.bindings.get(source, {}))
+                and _whole_bounds(self.bindings.get(source, {})) is not None
             ):
                 raise DomainError(
                     f"{self.template_id}: derived {name} needs op mul, a whole-number"

@@ -25,7 +25,7 @@ from estateqa.db_agent import DbAgent, extract_sql
 from estateqa.domain import TOOL_FUNCTIONS, CanonicalAnswer, answer_equal
 from estateqa.map_agent import MapAgent, parse_decisions
 from estateqa.prompts import load_prompt
-from estateqa.supervisor import AgentResult, AgentTask, Supervisor
+from estateqa.supervisor import AgentTask, Exchange, Supervisor
 from estateqa.tools import ToolCache
 
 
@@ -208,7 +208,7 @@ class RecordingBackend:
 
 class _OkSpecialist:
     def handle(self, task, send):
-        return AgentResult(status="success", evidence=[{"type": "rows", "rows": []}])
+        return Exchange(status="success", evidence=[{"type": "rows", "rows": []}])
 
 
 def _plan_outcome(backend, store):

@@ -56,14 +56,14 @@ def test_self_retrieval_rank_one(desk_store):
     assert len(captions) == 8
     index = Bm25Index(captions)
     for caption in captions:
-        assert index.rank(caption, k=1)[0].caption == caption
+        assert index.captions[index.rank(caption)[0]] == caption
 
 
 def test_zero_overlap_scores_zero_lexicographic_order():
     index = Bm25Index(TOY_DOCS)
-    ranked = index.rank("zzz qqq unrelated", k=3)
-    assert all(s.score == 0.0 for s in ranked)
-    assert [s.caption for s in ranked] == sorted(TOY_DOCS)
+    assert all(index.score("zzz qqq unrelated", i) == 0.0 for i in range(len(TOY_DOCS)))
+    best, score = index.rank("zzz qqq unrelated")
+    assert score == 0.0 and index.captions[best] == min(TOY_DOCS)
 
 
 def test_scores_nonnegative_and_permutation_invariant():
@@ -91,8 +91,8 @@ def test_cjk_bigram_tokenization():
     assert "广" in tokens  # single char
     docs = ["广州市社区表", "深圳市兴趣点表"]
     index = Bm25Index(docs)
-    assert index.rank("广州社区", k=1)[0].caption == docs[0]
-    assert index.rank("深圳", k=1)[0].caption == docs[1]
+    assert index.rank("广州社区")[0] == 0
+    assert index.rank("深圳")[0] == 1
 
 
 def test_mixed_cjk_latin_tokens():
@@ -107,15 +107,10 @@ def test_empty_corpus_rejected():
         Bm25Index([])
 
 
-def test_rank_k_defaults_to_one():
-    index = Bm25Index(TOY_DOCS)
-    assert len(index.rank("Guangzhou")) == 1
-    assert len(index.rank("Guangzhou", k=2)) == 2
-
-
 def test_rank_scores_equal_score_for_every_caption(desk_store):
-    """rank tokenizes the query once; each score it returns is bit-identical
-    to ``score(query, i)``, repeated and unknown terms included."""
+    """rank tokenizes the query once; the caption it picks is the best by
+    ``score(query, i)``, a tie going to the least caption text, and its score
+    is bit-identical, repeated and unknown terms included."""
     captions = [c.caption for c in desk_store.list_captions()] + TOY_DOCS + ["广州市社区表"]
     index = Bm25Index(captions)
     queries = captions + [
@@ -125,7 +120,6 @@ def test_rank_scores_equal_score_for_every_caption(desk_store):
         "no term here matches",
     ]
     for query in queries:
-        ranked = index.rank(query, k=len(captions))
-        assert len(ranked) == len(captions)
-        expected = {c: index.score(query, i) for i, c in enumerate(captions)}
-        assert {s.caption: s.score for s in ranked} == expected, query
+        scores = [index.score(query, i) for i in range(len(captions))]
+        best = min(range(len(captions)), key=lambda i: (-scores[i], captions[i]))
+        assert index.rank(query) == (best, scores[best]), query

@@ -399,6 +399,28 @@ def test_validate_truncated_input_is_validation_failure(workdir, tmp_path, capsy
         assert f"{truncated}:1:" in err
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"status": "bogus", "evidence": []}, "unknown result status 'bogus'"),
+    ({"status": "success", "evidence": []}, "successful results must carry evidence"),
+    ({"specialist": ""}, "every dispatch must name its specialist and description"),
+], ids=["unknown_status", "success_without_evidence", "no_specialist"])
+def test_eval_refuses_a_dispatch_that_breaks_the_exchange_checks(
+    workdir, finished_run, tmp_path, capsys, change, message
+):
+    source = finished_run / "transcripts.jsonl"
+    first, *rest = source.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(first)
+    record["dispatches"][0].update(change)
+    path = tmp_path / source.name
+    path.write_text(json.dumps(record) + "\n" + "".join(rest), encoding="utf-8")
+    shutil.copy(finished_run / "report.json", tmp_path)
+    test_split = str(workdir / "splits" / "test.jsonl")
+    assert main(["eval", "--run", str(tmp_path), "--dataset", test_split]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: {path}:1: ValueError: {message}")
+    assert "Traceback" not in err and not (tmp_path / "eval.json").exists()
+
+
 @pytest.mark.parametrize("null_line, differing_line", [(3, 3), (1, 2)])
 def test_eval_refuses_lines_with_and_without_slu(
     workdir, finished_run, tmp_path, capsys, null_line, differing_line
@@ -817,6 +839,9 @@ def _bad_setting_cases():
         ("generate", [], {"cache": None}, "missing required setting --cache"),
         ("pairs", [], {"colour": "blue"}, "has unknown keys: colour"),
         ("pairs", [], ["store"], "must hold a JSON object"),
+        # a fewshot run without a pool would run zero-shot; a lexicon run ignores a pool
+        ("run", ["--slu", "fewshot"], {}, "--slu fewshot and --fewshot-pool go together"),
+        ("ablate", ["--fewshot-pool", "afile"], {}, "--slu fewshot and --fewshot-pool go together"),
     ]
     for command, flags, config, message in extra:
         yield pytest.param(command, flags, config, message, id=f"{command}-{message}")

@@ -10,6 +10,7 @@ import random
 import pytest
 
 from estateqa.domain import (
+    ANSWER_KINDS,
     CanonicalAnswer,
     DomainError,
     GeoPoint,
@@ -119,7 +120,7 @@ def test_unit_normalization():
 
 
 def _random_answer(rng: random.Random) -> CanonicalAnswer:
-    kind = rng.choice(CanonicalAnswer.KINDS)
+    kind = rng.choice(tuple(ANSWER_KINDS))
     if kind == "entity_set":
         return CanonicalAnswer.entity_set(
             [rng.choice("ABCDE") for _ in range(rng.randint(1, 4))]

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from doubles import MALFORMED_REPLIES, SabotageBackend
-from estateqa.domain import CanonicalAnswer, answer_equal, encode
+from estateqa.domain import ANSWER_KINDS, CanonicalAnswer, answer_equal, encode
 from estateqa.evaluator import (
     ABLATION_LADDER,
     EpisodeRecord,
@@ -74,7 +74,7 @@ def test_reversed_order_entity_set_accuracy_one():
 
 def test_accuracy_one_implies_f1_one():
     rng = random.Random(11)
-    kinds = list(CanonicalAnswer.KINDS)
+    kinds = list(ANSWER_KINDS)
     for _ in range(300):
         kind = rng.choice(kinds)
         if kind == "entity_set":
@@ -174,7 +174,7 @@ def _transcript_for(gold, *, sql_ok=True, right_rows=True, right_tools=True, rig
         rows = [["wrong"]]
     evidence.append(_sql_payload(sql_ok, rows if sql_ok else []))
     dispatches = [
-        Exchange(specialist="db_agent", description="", status="success", evidence=evidence)
+        Exchange(specialist="db_agent", description="d", status="success", evidence=evidence)
     ]
     if gold.tool_trace:
         calls = [
@@ -191,7 +191,7 @@ def _transcript_for(gold, *, sql_ok=True, right_rows=True, right_tools=True, rig
         if not right_tools:
             calls[0] = {**calls[0], "params": {**calls[0]["params"], "mode": "corrupted"}}
         dispatches.append(
-            Exchange(specialist="map_agent", description="", status="success", evidence=calls)
+            Exchange(specialist="map_agent", description="d", status="success", evidence=calls)
         )
     if not right_route:
         dispatches = dispatches[:1]

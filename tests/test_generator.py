@@ -14,7 +14,7 @@ import pytest
 from estateqa import generator as generator_module, store as store_module
 from estateqa.domain import (
     CanonicalAnswer,
-    DomainError,
+    QAInstance,
     SqlStep,
     ToolStep,
     decode,
@@ -22,7 +22,6 @@ from estateqa.domain import (
 )
 from estateqa.generator import (
     AnswerUnderivable,
-    Rejection,
     SamplingExhausted,
     derive_answer,
     fill_question,
@@ -197,15 +196,21 @@ def test_custom_template_instances_revalidate(desk_store, name):
                                        "X": {"kind": "int_range", "min": 3, "max": 1}}}),
         ("t2_nearby_pois", {"bindings": {**template_by_id("t2_nearby_pois").bindings,
                                          "radius_km": {"kind": "choice"}}}),
+        # generate would ask for the 5 nearest POIs
+        ("t2_nearest_x", {"bindings": {**template_by_id("t2_nearest_x").bindings,
+                                       "X": {"kind": "choice", "values": [5]}}}),
     ],
     ids=["unknown_op", "mul_without_factor", "from_no_binding", "value_neither_slot_nor_derived",
          "value_not_in_question", "value_slot_type_repeated", "mul_of_fractions",
          "label_not_in_its_step", "label_step_out_of_range", "choice_of_no_values",
-         "int_range_min_above_max", "choice_without_values"],
+         "int_range_min_above_max", "choice_without_values", "x_choice_out_of_bound"],
 )
-def test_template_rejects_unresolvable_derivations(template_id, change):
-    with pytest.raises(DomainError):
-        decode(Template, {**template_doc(template_id), **change})
+def test_template_rejects_unresolvable_derivations(tmp_path, template_id, change):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({**template_doc(template_id), **change}), encoding="utf-8")
+    with pytest.raises(TemplateError) as caught:
+        load_template_dir(tmp_path)
+    assert str(caught.value).startswith(f"{path}: DomainError: {template_id}:")
 
 
 def _answer_rule(template_id: str, **change) -> dict:
@@ -479,7 +484,7 @@ def test_type1_has_empty_tool_trace(desk_store, desk_cache):
     template = template_by_id("t1_avg_price")
     binding = sample_bindings(template, desk_store, random.Random(0))
     instance = instantiate(template, binding, desk_store, desk_cache, "x-1")
-    assert not isinstance(instance, Rejection)
+    assert isinstance(instance, QAInstance)
     assert instance.tool_trace == ()
     assert instance.agent_route == ("db_agent",)
 
@@ -488,7 +493,7 @@ def test_least_drive_shape(desk_store, desk_cache):
     template = template_by_id("t3_least_drive")
     binding = sample_bindings(template, desk_store, random.Random(1))
     instance = instantiate(template, binding, desk_store, desk_cache, "x-2")
-    assert not isinstance(instance, Rejection)
+    assert isinstance(instance, QAInstance)
     assert len(instance.sql_trace) == 1
     assert len(instance.tool_trace) == 3
     assert all(t.function == "time_query" for t in instance.tool_trace)
@@ -501,7 +506,7 @@ def test_least_drive_shape(desk_store, desk_cache):
 
 def test_accounting_adds_up(desk_generation):
     _, report, _ = desk_generation
-    assert report.accepted + len(report.rejected) == report.attempted
+    assert report.accepted + sum(report.rejected_by_reason().values()) == report.attempted
 
 
 def test_report_counts_each_template(desk_generation, desk_templates):
@@ -600,14 +605,17 @@ def test_generate_builds_no_entity_records(
 GENERATE_DIGESTS = {
     "dataset.jsonl": "d048fe25ffc14d1392bd0bf67d37bdbe74c9bf93f74b8c5e048ba601cdd8fc37",
     "cache.jsonl": "3b167b5d5bedaa4e09c77c60efec8ee4cfac933a1410b2ae897731d14a6e483d",
+    # as `generate --report` writes it: the rejection reasons in first-seen order
+    "report.json": "88ec82c7f497562237e5e8562f53493c7f0fa6198501ae8cd6f77641e47cb06e",
 }
 
 
 def test_generate_bytes_are_pinned(tmp_path, desk_store, desk_templates):
     cache = ToolCache(provider=SyntheticProvider(desk_store))
-    instances, _ = generate(desk_templates, desk_store, cache, seed=5, per_template=20)
+    instances, report = generate(desk_templates, desk_store, cache, seed=5, per_template=20)
     write_instances(str(tmp_path / "dataset.jsonl"), instances)
     cache.save(tmp_path / "cache.jsonl")
+    (tmp_path / "report.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in GENERATE_DIGESTS

@@ -15,9 +15,9 @@ from estateqa.evaluator import make_oracle_backend
 from estateqa.map_agent import MapAgent
 from estateqa.supervisor import (
     DEFAULT_STEP_CAP,
-    AgentResult,
     AgentTask,
     EpisodeTranscript,
+    Exchange,
     Send,
     Supervisor,
     Directive,
@@ -27,11 +27,11 @@ from estateqa.supervisor import (
 class StubSpecialist:
     """Scripted specialist returning queued results (last one repeats)."""
 
-    def __init__(self, *results: AgentResult) -> None:
+    def __init__(self, *results: Exchange) -> None:
         self.queue = list(results)
         self.tasks: list[AgentTask] = []
 
-    def handle(self, task: AgentTask, send: Send) -> AgentResult:
+    def handle(self, task: AgentTask, send: Send) -> Exchange:
         self.tasks.append(task)
         if len(self.queue) > 1:
             return self.queue.pop(0)
@@ -39,15 +39,15 @@ class StubSpecialist:
 
 
 def ok(evidence=None):
-    return AgentResult(status="success", evidence=evidence or [{"type": "rows", "rows": []}])
+    return Exchange(status="success", evidence=evidence or [{"type": "rows", "rows": []}])
 
 
 def unable(report="cannot handle this"):
-    return AgentResult(status="unable", error_report=report)
+    return Exchange(status="unable", error_report=report)
 
 
 def error(report="boom"):
-    return AgentResult(status="error", error_report=report)
+    return Exchange(status="error", error_report=report)
 
 
 ANSWER_42 = render_answer(CanonicalAnswer.number(42, "count"))

@@ -43,11 +43,13 @@ def test_every_tracer_target_exists():
     assert missing == []
 
 
-# Installs the full tracer, runs an oracle suite and one episode whose SQL
-# replies lose their fence (a reprompt, then the replan that the step cap of 3
-# stops at), and prints the layer metrics. The unfenced backend still calls the
-# traced oracle, so each of its calls is a `backends.complete` span. It runs in
-# a subprocess of its own, since `install` patches the estateqa modules for good.
+# Installs the full tracer, generates a few instances and saves their cache,
+# then prints the layer metrics. It then loads a cache, runs an oracle suite and
+# one episode whose SQL replies lose their fence (a reprompt, then the replan
+# that the step cap of 3 stops at), and prints the layer metrics again. The
+# unfenced backend still calls the traced oracle, so each of its calls is a
+# `backends.complete` span. It runs in a subprocess of its own, since
+# `install` patches the estateqa modules for good.
 _TRACED_SUITE = """
 import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
@@ -58,12 +60,19 @@ tracer.install(recorder, full=True)
 
 from estateqa import evaluator
 from estateqa.domain import read_instances
+from estateqa.generator import generate
 from estateqa.store import GeoStore
 from estateqa.templates import default_templates
-from estateqa.tools import ToolCache
+from estateqa.tools import SyntheticProvider, ToolCache
+
+store = GeoStore.open(sys.argv[2])
+generated = ToolCache(provider=SyntheticProvider(store))
+generate(default_templates(), store, generated, seed=5, per_template=2)
+generated.save("generated_cache.jsonl")
+print(json.dumps(tracer.layer_metrics(recorder)))
 
 instances = list(read_instances(sys.argv[3]))
-store, cache = GeoStore.open(sys.argv[2]), ToolCache.load(sys.argv[4])
+cache = ToolCache.load(sys.argv[4])
 oracle = evaluator.make_oracle_backend(instances, store)
 
 class Unfenced:
@@ -86,7 +95,9 @@ def test_the_full_tracer_counts_prompts_replies_replans_and_reprompts(
     """`_completed` reads `complete(system_prompt, messages)` by position,
     `_planned` reads `plan`'s `stage` keyword, and `db_agent.reprompts` counts
     the backend calls inside a `generate_sql` span. A change to how agents
-    send would zero these counters without failing the target check above."""
+    send would zero these counters without failing the target check above.
+    So would a change to what `generate`, `ToolCache.save` and
+    `ToolCache.load` return, which the generator and cache counters read."""
     pool = [i for qtype in (1, 2, 3) for i in desk_instances if i.question_type == qtype][::20]
     dataset, cache = tmp_path / "dataset.jsonl", tmp_path / "cache.jsonl"
     write_instances(str(dataset), pool)
@@ -98,7 +109,10 @@ def test_the_full_tracer_counts_prompts_replies_replans_and_reprompts(
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    metrics = json.loads(done.stdout.splitlines()[-1])
+    *_, generated, metrics = (json.loads(line) for line in done.stdout.splitlines())
+    for name in ("generator.attempts", "generator.accepted", "tools.cache_entries"):
+        assert generated[name] > 0, name
+    assert metrics["tools.cache_entries"] > 0 and metrics["bm25.rank.calls"] > 0
     assert metrics["trace.episodes"] == len(pool) + 1
     assert metrics["backends.prompt_chars"] > 0 and metrics["backends.reply_chars"] > 0
     assert metrics["supervisor.replans"] == 1
